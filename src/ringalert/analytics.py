@@ -175,16 +175,29 @@ def coverage_extent(records, receiver: GeoPoint, *,
     return CoverageExtent(float(d.max()), area, d, histogram_mode(d, bin_width_km))
 
 
-def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
-    points = np.unique(np.column_stack([x, y]), axis=0)
-    if len(points) < 3:
-        return 0.0
-    from scipy.spatial import ConvexHull, QhullError
+def _cross(o, a, b) -> float:
+    """z of (a - o) x (b - o): positive when o -> a -> b turns left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    try:
-        return float(ConvexHull(points).volume)  # 2-D hull "volume" is the area
-    except QhullError:
+
+def _hull_area(x: np.ndarray, y: np.ndarray) -> float:
+    """Convex hull area: Andrew's monotone chain, then the shoelace formula.
+
+    Fewer than three distinct points, or collinear points, give 0.0.
+    """
+    points = np.unique(np.column_stack([x, y]), axis=0).tolist()  # sorted by x, then y
+    hull = []
+    for sweep in (points, points[::-1]):  # lower chain, then upper chain
+        chain = []
+        for p in sweep:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    if len(hull) < 3:
         return 0.0
+    hx, hy = (np.array(hull) - hull[0]).T  # shift to a vertex to limit cancellation
+    return float(0.5 * abs(np.dot(hx, np.roll(hy, -1)) - np.dot(hy, np.roll(hx, -1))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, detector, ingest, simulator
-from .errors import EmptyInput, InsufficientBrackets, InsufficientData, IoFailure, RingAlertError
+from .errors import (EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
+                     InvalidCoordinate, IoFailure, MalformedLine, RingAlertError)
 from .geo import GeoPoint, great_circle_km, interpolate
 from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 
@@ -29,6 +31,30 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _UsageError(Exception):
+    """A flag value that parses but that the command cannot use (exit 1)."""
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Report a bad value met while building objects from flags as a usage error."""
+    try:
+        yield
+    except (ValueError, InvalidCoordinate) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _load_json(path: str, from_dict):
+    """``from_dict`` of a JSON file; unusable contents are a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -57,19 +83,23 @@ def _report_dir(args) -> Path:
     return path
 
 
-def _parse_latlon(text: str) -> GeoPoint:
+def _parse_floats(text: str, fields: str) -> list[float]:
+    """The comma-separated numbers of a flag value laid out as ``fields``."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise RingAlertError(f"expected 'lat,lon', got {text!r}")
-    return GeoPoint(float(parts[0]), float(parts[1]))
+    if len(parts) != len(fields.split(",")):
+        raise _UsageError(f"expected '{fields}', got {text!r}")
+    return [float(p) for p in parts]
+
+
+def _parse_latlon(text: str) -> GeoPoint:
+    with _flag_values():
+        return GeoPoint(*_parse_floats(text, "lat,lon"))
 
 
 def _parse_motion(text: str) -> MotionProfile:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise RingAlertError(f"expected 'lat,lon,course,speed', got {text!r}")
-    return MotionProfile(GeoPoint(float(parts[0]), float(parts[1])),
-                         float(parts[2]), float(parts[3]))
+    with _flag_values():
+        lat, lon, course, speed = _parse_floats(text, "lat,lon,course,speed")
+        return MotionProfile(GeoPoint(lat, lon), course, speed)
 
 
 def _histogram_rows(values: np.ndarray, bin_width: float):
@@ -174,11 +204,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _build_sim_config(args) -> simulator.SimConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = simulator.SimConfig.from_dict(json.load(fh))
-    else:
-        base = simulator.SimConfig()
+    base = _load_json(args.config, simulator.SimConfig.from_dict) if args.config \
+        else simulator.SimConfig()
     overrides = {}
     for field_name, flag in [
         ("per", "per"), ("duration_s", "duration"), ("seed", "seed"),
@@ -189,29 +216,33 @@ def _build_sim_config(args) -> simulator.SimConfig:
         value = getattr(args, flag)
         if value is not None:
             overrides[field_name] = value
-    if args.plane_nodes:
-        overrides["plane_nodes_deg"] = tuple(float(x) for x in args.plane_nodes.split(","))
-    return simulator.SimConfig(**{**base.to_dict(), **overrides}) if overrides else base
+    with _flag_values():
+        if args.plane_nodes:
+            overrides["plane_nodes_deg"] = tuple(float(x) for x in args.plane_nodes.split(","))
+        return simulator.SimConfig(**{**base.to_dict(), **overrides}) if overrides else base
 
 
-def _build_scenario(args) -> simulator.Scenario:
+def _build_scenario(args, duration_s: float) -> simulator.Scenario:
     if args.scenario:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            return simulator.Scenario.from_dict(json.load(fh))
-    receiver = MotionProfile(_parse_latlon(args.receiver or "0,0"), 0.0, 0.0) \
-        if args.motion is None else _parse_motion(args.motion)
-    spoof = None
-    if args.spoof:
-        parts = [float(x) for x in args.spoof.split(",")]
-        if len(parts) != 3:
-            raise RingAlertError("expected --spoof 'start_s,course_deg,speed_kmh'")
-        spoof = simulator.SpoofProfile(*parts)
-    return simulator.Scenario(receiver, spoof)
+        scenario = _load_json(args.scenario, simulator.Scenario.from_dict)
+    else:
+        receiver = MotionProfile(_parse_latlon(args.receiver or "0,0"), 0.0, 0.0) \
+            if args.motion is None else _parse_motion(args.motion)
+        spoof = None
+        if args.spoof:
+            with _flag_values():
+                spoof = simulator.SpoofProfile(
+                    *_parse_floats(args.spoof, "start_s,course_deg,speed_kmh"))
+        scenario = simulator.Scenario(receiver, spoof)
+    if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= duration_s:
+        raise _UsageError(f"spoof start {scenario.spoof.start_s} s falls outside "
+                          f"the simulated {duration_s} s")
+    return scenario
 
 
 def _cmd_simulate(args) -> int:
     config = _build_sim_config(args)
-    scenario = _build_scenario(args)
+    scenario = _build_scenario(args, config.duration_s)
     records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)
     if args.track_out:
@@ -231,13 +262,16 @@ def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
     times, points = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                t, lat, lon = line.split()
-                times.append(float(t))
-                points.append(GeoPoint(float(lat), float(lon)))
+                try:
+                    t, lat, lon = (float(x) for x in line.split())
+                    points.append(GeoPoint(lat, lon))
+                    times.append(t)
+                except (ValueError, InvalidCoordinate) as exc:
+                    raise MalformedLine(f"track {path}, line {lineno}: {line!r}: {exc}") from None
     except OSError as exc:
         raise IoFailure(f"cannot read track {path}: {exc}") from exc
     if not times:
@@ -260,12 +294,13 @@ def _track_position(times: np.ndarray, points: list[GeoPoint], t: float) -> GeoP
 
 def _cmd_detect(args) -> int:
     frac_unit = FRAC_UNITS_S[args.frac_unit]
+    with _flag_values():
+        config = DetectorConfig(args.threshold_km, args.window_n)
+    motion = _parse_motion(args.motion) if args.motion else None
     records, _ = ingest.parse_stream(args.input)
     beams = [r for r in records if r.beam_id >= 1]
     if not beams:
         raise EmptyInput("no beam records in input")
-    config = DetectorConfig(args.threshold_km, args.window_n)
-    motion = _parse_motion(args.motion) if args.motion else None
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
     rows = []
@@ -305,8 +340,11 @@ def _cmd_detect(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _build_sim_config(args)
     receiver = _parse_latlon(args.receiver or "0,0")
-    n_grid = [int(x) for x in args.n_grid.split(",")]
-    thresholds = [float(x) for x in args.thresholds.split(",")]
+    with _flag_values():
+        n_grid = [int(x) for x in args.n_grid.split(",")]
+        thresholds = [float(x) for x in args.thresholds.split(",")]
+    if min(n_grid) < 1:
+        raise _UsageError(f"--n-grid sizes must be >= 1, got {args.n_grid!r}")
     deviations_by_n = {}
     for n in n_grid:
         rng = np.random.default_rng([config.seed, n])
@@ -426,9 +464,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RingAlertError as exc:
+    except (_UsageError, RingAlertError) as exc:
         print(f"ringalert: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -71,3 +71,7 @@ class NonPositiveValue(RingAlertError):
 
 class InsufficientWindows(RingAlertError):
     """Too few evaluation windows for an empirical rate estimate."""
+
+
+class InvalidConfig(RingAlertError):
+    """A configuration or scenario file holds unknown keys or unusable values."""

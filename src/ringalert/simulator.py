@@ -15,7 +15,7 @@ produce byte-identical streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,11 +134,6 @@ class Scenario:
             MotionProfile.from_dict(data["receiver"]),
             None if spoof is None else SpoofProfile.from_dict(spoof),
         )
-
-
-def apply_spoof(scenario: Scenario, t_s: float) -> GeoPoint:
-    """Reported position at ``t_s``: truth before the spoof starts, diverging after."""
-    return scenario.reported_position(t_s)
 
 
 _DEFAULT_SCENARIO = Scenario(MotionProfile(GeoPoint(0.0, 0.0), 0.0, 0.0))
@@ -278,9 +273,9 @@ def _orbit_basis(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(a_rows), np.array(t_rows), np.array(phases)
 
 
-def _sat_positions(config: SimConfig, sat_index: int, t_s: np.ndarray):
+def _sat_positions(config: SimConfig, basis, sat_index: int, t_s: np.ndarray):
     """(lat, lon, northbound) arrays for one satellite at the given times."""
-    a_all, t_all, phases = _orbit_basis(config)
+    a_all, t_all, phases = basis
     omega = config.ground_speed_kms / EARTH_RADIUS_KM
     theta = omega * np.asarray(t_s, dtype=float) + phases[sat_index]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -294,9 +289,10 @@ def _sat_positions(config: SimConfig, sat_index: int, t_s: np.ndarray):
 
 def propagate(config: SimConfig, t_s: float) -> list[GeoPoint]:
     """Ground position of every satellite at time ``t_s`` (seconds into the run)."""
+    basis = _orbit_basis(config)
     points = []
     for j in range(config.n_sats):
-        lat, lon, _ = _sat_positions(config, j, np.array([float(t_s)]))
+        lat, lon, _ = _sat_positions(config, basis, j, np.array([float(t_s)]))
         points.append(GeoPoint(float(lat[0]), float(lon[0])))
     return points
 
@@ -308,7 +304,7 @@ def orbital_period_s(config: SimConfig) -> float:
 # ---------------------------------------------------------------------------
 # in-view geometry
 
-def _view_slot_ranges(config: SimConfig, receiver: GeoPoint, radius_km: float,
+def _view_slot_ranges(config: SimConfig, basis, receiver: GeoPoint, radius_km: float,
                       slot_lo: int, slot_hi: int) -> list[list[tuple[int, int]]]:
     """Per-satellite inclusive slot ranges whose emission can reach the receiver.
 
@@ -316,7 +312,7 @@ def _view_slot_ranges(config: SimConfig, receiver: GeoPoint, radius_km: float,
     is C cos(theta - psi), so each revolution contributes one contiguous
     in-view arc (or none, or the whole revolution).
     """
-    a_all, t_all, phases = _orbit_basis(config)
+    a_all, t_all, phases = basis
     r_hat = unit_vectors(receiver.lat_deg, receiver.lon_deg)
     omega = config.ground_speed_kms / EARTH_RADIUS_KM
     slot_s = config.slot_s
@@ -364,30 +360,35 @@ def _view_slot_ranges(config: SimConfig, receiver: GeoPoint, radius_km: float,
 # ---------------------------------------------------------------------------
 # loss channels
 
-def _kept_offsets_iid(length: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices in [0, length) kept by an independent Bernoulli(keep_prob) channel.
+def _renewal_slots(length: int, draw_gaps, batch_size) -> np.ndarray:
+    """Slots in [0, length) reached by adding up gaps from slot -1.
 
-    Uses geometric gap skipping so work scales with the kept count, not the
-    slot count.
+    ``draw_gaps(n)`` draws n gaps and ``batch_size(pos)`` sizes the next batch
+    from the slot reached, so work scales with the kept count, not the slot
+    count. The batch sizes fix how many draws a stream consumes.
     """
-    if keep_prob <= 0.0 or length <= 0:
-        return np.empty(0, dtype=np.int64)
-    if keep_prob >= 1.0:
-        return np.arange(length, dtype=np.int64)
     kept = []
     pos = -1
-    expected = int(length * keep_prob) + 1
     while pos < length - 1:
-        batch = max(64, int(expected * 1.2) + 16)
-        gaps = rng.geometric(keep_prob, size=batch)
-        positions = pos + np.cumsum(gaps)
+        positions = pos + np.cumsum(draw_gaps(batch_size(pos)))
         take = positions[positions < length]
         kept.append(take)
         if take.size < positions.size:
             break
         pos = int(positions[-1])
-        expected = int((length - pos) * keep_prob) + 1
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+
+
+def _kept_offsets_iid(length: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices in [0, length) kept by an independent Bernoulli(keep_prob) channel."""
+    if keep_prob <= 0.0 or length <= 0:
+        return np.empty(0, dtype=np.int64)
+    if keep_prob >= 1.0:
+        return np.arange(length, dtype=np.int64)
+    return _renewal_slots(
+        length, lambda n: rng.geometric(keep_prob, size=n),
+        lambda pos: max(64, int((int((length - max(pos, 0)) * keep_prob) + 1) * 1.2) + 16),
+    )
 
 
 def _kept_slots_burst(slot_count: int, per: float, stages: int,
@@ -403,19 +404,11 @@ def _kept_slots_burst(slot_count: int, per: float, stages: int,
     if per >= 1.0 or slot_count <= 0:
         return np.empty(0, dtype=np.int64)
     mean_off = per / (1.0 - per)
-    kept = []
-    pos = -1
-    while pos < slot_count - 1:
-        remaining = slot_count - pos
-        batch = max(64, int(remaining / (1.0 + mean_off) * 1.2) + 16)
-        gaps = 1 + np.round(rng.gamma(stages, mean_off / stages, size=batch)).astype(np.int64)
-        positions = pos + np.cumsum(gaps)
-        take = positions[positions < slot_count]
-        kept.append(take)
-        if take.size < positions.size:
-            break
-        pos = int(positions[-1])
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    return _renewal_slots(
+        slot_count,
+        lambda n: 1 + np.round(rng.gamma(stages, mean_off / stages, size=n)).astype(np.int64),
+        lambda pos: max(64, int((slot_count - pos) / (1.0 + mean_off) * 1.2) + 16),
+    )
 
 
 def _intersect_ranges(slots: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -474,6 +467,71 @@ def _slot_count(config: SimConfig) -> int:
     return int(-(-duration_us // config.slot_us)) if duration_us > 0 else 0
 
 
+def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_hi: int,
+          rng: np.random.Generator) -> StreamArrays:
+    """Every emission in slots [slot_lo, slot_hi) that survives the loss channel
+    and reaches ``receiver``, sorted by slot, then satellite.
+
+    The generator is drawn from satellite by satellite (and in-view range by
+    range for the iid channel), so one generator state gives one stream.
+    """
+    # the closed-form ranges hold for the start point; widen them by the run's travel
+    margin_km = receiver.speed_kmh * config.duration_s / 3600.0
+    ranges_per_sat = _view_slot_ranges(
+        config, basis, receiver.start, config.coverage_radius_km + margin_km, slot_lo, slot_hi
+    )
+    keep_prob = 1.0 - config.per
+    offsets = np.array(config.beam_offsets)
+    no_slots = np.empty(0, dtype=np.int64)
+    # an empty first part keeps the column dtypes when nothing is in view
+    parts = [(no_slots, no_slots, no_slots, np.empty(0), np.empty(0))]
+    for j, ranges in enumerate(ranges_per_sat):
+        if config.loss_model == "burst":
+            kept_all = slot_lo + _kept_slots_burst(slot_hi - slot_lo, config.per,
+                                                   config.burst_stages, rng)
+            kept = _intersect_ranges(kept_all, ranges)
+        else:
+            kept = np.concatenate([no_slots] + [
+                k0 + _kept_offsets_iid(k1 - k0 + 1, keep_prob, rng) for k0, k1 in ranges
+            ])
+        if kept.size == 0:
+            continue
+        t = (kept * config.slot_us).astype(float) * 1e-6
+        lat, lon, northbound = _sat_positions(config, basis, j, t)
+        # exact in-view check against the (possibly moving) receiver
+        if receiver.speed_kmh > 0:
+            r_lat, r_lon = displace_deg(
+                receiver.start.lat_deg, receiver.start.lon_deg,
+                receiver.course_deg, receiver.speed_kmh * t / 3600.0,
+            )
+        else:
+            r_lat, r_lon = receiver.start.lat_deg, receiver.start.lon_deg
+        visible = haversine_km(lat, lon, r_lat, r_lon) <= config.coverage_radius_km
+        kept, lat, lon, northbound = kept[visible], lat[visible], lon[visible], northbound[visible]
+        beam_ids = _beam_ids_for_slots(config, kept, j)
+        is_beam = beam_ids > 0
+        east, north = np.where(is_beam, offsets[beam_ids - 1].T, 0.0)
+        north = np.where(northbound, north, -north)
+        out_lat, out_lon = displace_deg(lat, lon, np.degrees(np.arctan2(east, north)),
+                                        np.hypot(east, north))
+        parts.append((kept, np.full(kept.size, j), beam_ids,
+                      np.where(is_beam, out_lat, lat), np.where(is_beam, out_lon, lon)))
+    slot, sat_idx, beam_id, lat, lon = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((sat_idx, slot))
+    slot, sat_idx, beam_id, lat, lon = (a[order] for a in (slot, sat_idx, beam_id, lat, lon))
+    total_us = slot * config.slot_us
+    return StreamArrays(
+        slot=slot,
+        t_s=total_us.astype(float) * 1e-6,
+        sat_id=np.array(config.sat_ids, dtype=np.int64)[sat_idx],
+        beam_id=beam_id,
+        lat=lat,
+        lon=lon,
+        epoch_s=config.start_epoch_s + total_us // 1_000_000,
+        frac=total_us % 1_000_000,
+    )
+
+
 def emit_stream(config: SimConfig, scenario: Scenario | None = None,
                 *, return_arrays: bool = False):
     """Generate the stream of ring-alert records seen by the scenario receiver.
@@ -487,93 +545,19 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None,
         scenario = _DEFAULT_SCENARIO
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
         raise ValueError("spoof start must fall inside the simulated window")
-    slot_count = _slot_count(config)
-    rng = np.random.default_rng(config.seed)
-    receiver = scenario.receiver
-    margin_km = receiver.speed_kmh * config.duration_s / 3600.0
-    ranges_per_sat = _view_slot_ranges(
-        config, receiver.start, config.coverage_radius_km + margin_km, 0, slot_count
-    )
-    keep_prob = 1.0 - config.per
-    parts = []
-    for j in range(config.n_sats):
-        ranges = ranges_per_sat[j]
-        if config.loss_model == "burst":
-            kept_all = _kept_slots_burst(slot_count, config.per, config.burst_stages, rng)
-            kept = _intersect_ranges(kept_all, ranges)
-        else:
-            chunks = []
-            for k0, k1 in ranges:
-                offsets = _kept_offsets_iid(k1 - k0 + 1, keep_prob, rng)
-                chunks.append(k0 + offsets)
-            kept = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        if kept.size == 0:
-            continue
-        t = (kept * config.slot_us).astype(float) * 1e-6
-        lat, lon, northbound = _sat_positions(config, j, t)
-        # exact in-view check against the (possibly moving) receiver
-        if receiver.speed_kmh > 0:
-            r_lat, r_lon = displace_deg(
-                receiver.start.lat_deg, receiver.start.lon_deg,
-                receiver.course_deg, receiver.speed_kmh * t / 3600.0,
-            )
-        else:
-            r_lat, r_lon = receiver.start.lat_deg, receiver.start.lon_deg
-        visible = haversine_km(lat, lon, r_lat, r_lon) <= config.coverage_radius_km
-        kept, t, lat, lon, northbound = (
-            kept[visible], t[visible], lat[visible], lon[visible], northbound[visible]
-        )
-        if kept.size == 0:
-            continue
-        beam_ids = _beam_ids_for_slots(config, kept, j)
-        offsets = np.array(config.beam_offsets)
-        is_beam = beam_ids > 0
-        east = np.zeros(kept.size)
-        north = np.zeros(kept.size)
-        east[is_beam] = offsets[beam_ids[is_beam] - 1, 0]
-        north[is_beam] = offsets[beam_ids[is_beam] - 1, 1]
-        north = np.where(northbound, north, -north)
-        dist = np.hypot(east, north)
-        course = np.degrees(np.arctan2(east, north))
-        out_lat, out_lon = displace_deg(lat, lon, course, dist)
-        out_lat = np.where(is_beam, out_lat, lat)
-        out_lon = np.where(is_beam, out_lon, lon)
-        parts.append((kept, np.full(kept.size, j), beam_ids, out_lat, out_lon))
-    if parts:
-        slot = np.concatenate([p[0] for p in parts])
-        sat_idx = np.concatenate([p[1] for p in parts])
-        beam_id = np.concatenate([p[2] for p in parts])
-        lat = np.concatenate([p[3] for p in parts])
-        lon = np.concatenate([p[4] for p in parts])
-        order = np.lexsort((sat_idx, slot))
-        slot, sat_idx, beam_id, lat, lon = (
-            slot[order], sat_idx[order], beam_id[order], lat[order], lon[order]
-        )
-    else:
-        slot = np.empty(0, dtype=np.int64)
-        sat_idx = np.empty(0, dtype=np.int64)
-        beam_id = np.empty(0, dtype=np.int64)
-        lat = np.empty(0)
-        lon = np.empty(0)
-    total_us = slot * config.slot_us
-    epoch = config.start_epoch_s + total_us // 1_000_000
-    frac = total_us % 1_000_000
-    sat_ids = np.array(config.sat_ids, dtype=np.int64)
-    arrays = StreamArrays(
-        slot=slot,
-        t_s=total_us.astype(float) * 1e-6,
-        sat_id=sat_ids[sat_idx] if slot.size else np.empty(0, dtype=np.int64),
-        beam_id=beam_id,
-        lat=lat,
-        lon=lon,
-        epoch_s=epoch,
-        frac=frac,
-    )
+    arrays = _emit(config, _orbit_basis(config), scenario.receiver, 0, _slot_count(config),
+                   np.random.default_rng(config.seed))
     return arrays if return_arrays else arrays.to_records()
 
 
 # ---------------------------------------------------------------------------
 # stationary-receiver window sampling for Monte Carlo evaluation
+
+# the stream is emitted this many slots at a time (100 h at 90 ms slots)...
+_WINDOW_CHUNK_SLOTS = 4_000_000
+# ...and a receiver that no satellite reaches is given up on after this many chunks
+_MAX_WINDOW_CHUNKS = 4096
+
 
 @dataclass(frozen=True)
 class WindowSample:
@@ -587,86 +571,40 @@ class WindowSample:
 
 
 def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: int,
-                   n_windows: int, rng: np.random.Generator | None = None,
-                   chunk_slots: int = 4_000_000,
-                   max_chunks: int = 4096) -> list[WindowSample]:
+                   n_windows: int, rng: np.random.Generator | None = None) -> list[WindowSample]:
     """Consecutive disjoint windows of ``window_messages`` beam records each.
 
     A fast path for Monte Carlo studies with a stationary receiver and the
-    independent-loss channel: only in-view slots that survive the channel are
-    ever materialized, so cost scales with the message count. The stream is
-    continuous; windows are cut from it back to back.
+    independent-loss channel. The stream comes from the same emitter as
+    :func:`emit_stream`, one chunk of slots at a time, so cost scales with the
+    message count; windows are cut from it back to back.
     """
     if config.loss_model != "iid":
         raise ValueError("sample_windows supports the iid loss channel only")
+    if window_messages < 1:
+        raise ValueError("window_messages must be >= 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    keep_prob = 1.0 - config.per
+    basis = _orbit_basis(config)
+    stationary = MotionProfile(receiver, 0.0, 0.0)
+    names = [f.name for f in fields(WindowSample)]
     windows: list[WindowSample] = []
-    buf_t, buf_lat, buf_lon, buf_sat, buf_beam = [], [], [], [], []
-    buffered = 0
-    sat_ids = np.array(config.sat_ids, dtype=np.int64)
-    offsets = np.array(config.beam_offsets)
-    for chunk_index in range(max_chunks):
-        lo = chunk_index * chunk_slots
-        hi = lo + chunk_slots
-        ranges_per_sat = _view_slot_ranges(config, receiver, config.coverage_radius_km, lo, hi)
-        parts = []
-        for j in range(config.n_sats):
-            chunks = []
-            for k0, k1 in ranges_per_sat[j]:
-                kept = k0 + _kept_offsets_iid(k1 - k0 + 1, keep_prob, rng)
-                if kept.size:
-                    chunks.append(kept)
-            if not chunks:
-                continue
-            kept = np.concatenate(chunks)
-            beam_ids = _beam_ids_for_slots(config, kept, j)
-            is_beam = beam_ids > 0
-            kept, beam_ids = kept[is_beam], beam_ids[is_beam]
-            if kept.size == 0:
-                continue
-            t = (kept * config.slot_us).astype(float) * 1e-6
-            lat, lon, northbound = _sat_positions(config, j, t)
-            east = offsets[beam_ids - 1, 0]
-            north = np.where(northbound, offsets[beam_ids - 1, 1], -offsets[beam_ids - 1, 1])
-            out_lat, out_lon = displace_deg(lat, lon, np.degrees(np.arctan2(east, north)),
-                                            np.hypot(east, north))
-            parts.append((kept, np.full(kept.size, j), beam_ids, t, out_lat, out_lon))
-        if parts:
-            slot = np.concatenate([p[0] for p in parts])
-            sat_j = np.concatenate([p[1] for p in parts])
-            beam = np.concatenate([p[2] for p in parts])
-            t = np.concatenate([p[3] for p in parts])
-            lat = np.concatenate([p[4] for p in parts])
-            lon = np.concatenate([p[5] for p in parts])
-            order = np.lexsort((sat_j, slot))
-            buf_t.append(t[order])
-            buf_lat.append(lat[order])
-            buf_lon.append(lon[order])
-            buf_sat.append(sat_ids[sat_j[order]])
-            buf_beam.append(beam[order])
-            buffered += slot.size
-        while buffered >= window_messages and len(windows) < n_windows:
-            t_all = np.concatenate(buf_t)
-            lat_all = np.concatenate(buf_lat)
-            lon_all = np.concatenate(buf_lon)
-            sat_all = np.concatenate(buf_sat)
-            beam_all = np.concatenate(buf_beam)
-            windows.append(WindowSample(
-                t_all[:window_messages].copy(), lat_all[:window_messages].copy(),
-                lon_all[:window_messages].copy(), sat_all[:window_messages].copy(),
-                beam_all[:window_messages].copy(),
-            ))
-            buf_t = [t_all[window_messages:]]
-            buf_lat = [lat_all[window_messages:]]
-            buf_lon = [lon_all[window_messages:]]
-            buf_sat = [sat_all[window_messages:]]
-            buf_beam = [beam_all[window_messages:]]
-            buffered -= window_messages
+    carry = None  # beam rows left over from the previous chunk, one array per field
+    for chunk_index in range(_MAX_WINDOW_CHUNKS):
+        lo = chunk_index * _WINDOW_CHUNK_SLOTS
+        chunk = _emit(config, basis, stationary, lo, lo + _WINDOW_CHUNK_SLOTS, rng)
+        beams = chunk.beam_id > 0
+        columns = [getattr(chunk, name)[beams] for name in names]
+        if carry is not None:
+            columns = [np.concatenate(pair) for pair in zip(carry, columns)]
+        cut = min(columns[0].size // window_messages, n_windows - len(windows))
+        for k in range(cut):
+            rows = slice(k * window_messages, (k + 1) * window_messages)
+            windows.append(WindowSample(*(c[rows].copy() for c in columns)))
         if len(windows) >= n_windows:
             return windows
+        carry = [c[cut * window_messages:] for c in columns]
     raise RuntimeError(
-        f"collected only {len(windows)}/{n_windows} windows in {max_chunks} chunks; "
+        f"collected only {len(windows)}/{n_windows} windows in {_MAX_WINDOW_CHUNKS} chunks; "
         "no satellite may be in view of this receiver"
     )

@@ -137,6 +137,27 @@ class TestCoverage:
         with pytest.raises(EmptyInput):
             analytics.coverage_extent([], GeoPoint(0, 0))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hull_area_matches_qhull(self, seed):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 3000))
+        points = rng.normal(size=(n, 2)) * rng.uniform(1.0, 2000.0) + rng.uniform(-3000, 3000, 2)
+        if seed % 2:
+            points = np.round(points, 1)  # repeated points and ties in x
+        expected = ConvexHull(np.unique(points, axis=0)).volume
+        assert analytics._hull_area(points[:, 0], points[:, 1]) == \
+            pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),
+        ([0.0, 5.0], [0.0, 1.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0]),
+    ])
+    def test_degenerate_hull_area_is_zero(self, x, y):
+        assert analytics._hull_area(np.array(x), np.array(y)) == 0.0
+
 
 def geometric_circle_fit(points):
     """Brute-force oracle: minimize radial residuals directly."""

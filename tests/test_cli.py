@@ -195,3 +195,82 @@ class TestEvaluateCommand:
         assert set(summary["rates"]) == {"10:10.0", "10:20.0", "50:10.0", "50:20.0"}
         assert (report / "fp_rates.tsv").exists()
         assert (report / "fp_fits.tsv").exists()
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("ringalert: error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestSimulatorConfigErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--per", 1.5],
+        ["evaluate", "--per", 1.5],
+        ["simulate", "--n-sats", 7],
+        ["evaluate", "--n-sats", 7],
+        ["simulate", "--duration", 60, "--spoof", "100,90,10"],
+        ["simulate", "--spoof", "1,90"],
+        ["simulate", "--spoof", "0,east,10"],
+        ["simulate", "--receiver", "1,2,3"],
+        ["simulate", "--receiver", "95,0"],
+        ["simulate", "--motion", "0,0,0,-5"],
+        ["evaluate", "--n-grid", "10,ten"],
+        ["evaluate", "--n-grid", "0,10"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "sim.txt"
+        extra = ["--output", out] if argv[0] == "simulate" else ["--report", tmp_path / "r"]
+        assert run_cli(argv + extra) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, contents", [
+        *[(command, "--config", contents)
+          for command in ("simulate", "evaluate")
+          for contents in ({"bogus_key": 1}, {"per": 2.0}, {"n_sats": 10, "planes": 3})],
+        ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0}}}),
+        ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
+                                                 "course_deg": 0, "speed_kmh": -1}}),
+    ])
+    def test_bad_file_contents_are_data_errors(self, tmp_path, capsys, command, flag, contents):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(contents))
+        out = tmp_path / "sim.txt"
+        extra = ["--output", out] if command == "simulate" else ["--report", tmp_path / "r"]
+        assert run_cli([command, flag, path] + extra) == 2
+        assert str(path) in assert_one_line_error(capsys)
+        assert not out.exists()
+
+
+class TestDetectInputErrors:
+    def _inputs(self, tmp_path, track_rows=("1580712040.0 29.8 46.1",)):
+        log = write_sample_log(tmp_path)
+        track = tmp_path / "track.txt"
+        track.write_text("# epoch_s lat lon\n" + "\n".join(track_rows) + "\n")
+        return log, track
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold-km", 0, "--window-n", 2],
+        ["--threshold-km", 20, "--window-n", 0],
+        ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
+        log, track = self._inputs(tmp_path)
+        assert run_cli(["detect", "--input", log, "--gnss-track", track,
+                        "--report", tmp_path / "r"] + flags) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("bad_row", [
+        "1580712040.0 29.8",
+        "1580712040.0 29.8 46.1 7",
+        "1580712040.0 north 46.1",
+        "1580712040.0 95.0 46.1",
+    ])
+    def test_bad_track_line_is_data_error(self, tmp_path, capsys, bad_row):
+        log, track = self._inputs(tmp_path, ["1580712039.0 29.8 46.1", bad_row])
+        assert run_cli(["detect", "--input", log, "--gnss-track", track,
+                        "--threshold-km", 20, "--window-n", 2,
+                        "--report", tmp_path / "r"]) == 2
+        err = assert_one_line_error(capsys)
+        assert str(track) in err and "line 3" in err

@@ -12,11 +12,11 @@ from ringalert.simulator import (
     Scenario,
     SimConfig,
     SpoofProfile,
-    apply_spoof,
     default_beam_offsets,
     emit_stream,
     orbital_period_s,
     propagate,
+    _WINDOW_CHUNK_SLOTS,
     sample_windows,
 )
 from tests.conftest import corridor_config, overhead_config
@@ -175,7 +175,7 @@ class TestScenario:
             MotionProfile(GeoPoint(0, 0), 0.0, 0.0),
             SpoofProfile(0.0, 90.0, 10.0),
         )
-        drift = great_circle_km(apply_spoof(scenario, 3600.0),
+        drift = great_circle_km(scenario.reported_position(3600.0),
                                 scenario.truth_position(3600.0))
         assert drift.km == pytest.approx(10.0, abs=1e-9)
 
@@ -238,6 +238,21 @@ class TestSampleWindows:
         config = corridor_config(loss_model="burst")
         with pytest.raises(ValueError):
             sample_windows(config, GeoPoint(0, 0), window_messages=10, n_windows=1)
+
+    def test_windows_match_emit_stream(self):
+        # over one chunk of slots, the windows are the leading beam records of
+        # the stream emit_stream gives for the same seed and a stationary receiver
+        base = corridor_config(per=0.9, seed=7)
+        config = SimConfig(**{**base.to_dict(),
+                              "duration_s": _WINDOW_CHUNK_SLOTS * base.slot_us / 1e6})
+        windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=30)
+        stream = emit_stream(config, return_arrays=True)
+        beams = stream.beam_id > 0
+        for name in ("t_s", "lat", "lon", "sat_id", "beam_id"):
+            sampled = np.concatenate([getattr(w, name) for w in windows])
+            emitted = getattr(stream, name)[beams][:sampled.size]
+            assert sampled.dtype == emitted.dtype
+            assert np.array_equal(sampled, emitted), name
 
 
 class TestOrbitAxisReceiver:
