@@ -304,13 +304,14 @@ def _cmd_detect(args) -> int:
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
     rows = []
-    alarms = 0
+    alarms = clamped = 0
     for start in range(0, len(beams) - config.window_n + 1, config.window_n):
         window = beams[start:start + config.window_n]
         t_ref = window[-1].timestamp(frac_unit)
         est = detector.estimate_position(window, motion, t_ref=t_ref,
                                          frac_unit_s=frac_unit)
         g_pos = _track_position(track_times, track_points, t_ref)
+        clamped += not track_times[0] <= t_ref <= track_times[-1]
         outcome = detector.detect(est, g_pos, config)
         alarms += outcome.alarm
         rows.append((
@@ -332,6 +333,8 @@ def _cmd_detect(args) -> int:
         "window_n": config.window_n,
         "windows": len(rows),
         "alarms": alarms,
+        "tail_beams": len(beams) - len(rows) * config.window_n,
+        "track_clamped_windows": clamped,
     })
     print(f"{alarms}/{len(rows)} windows raised an alarm")
     return 0

@@ -290,6 +290,13 @@ class WindowedDetector:
     accumulated, ``latest_estimate`` is available and ``check`` compares it
     against a reported position. Single writer; reads of the latest estimate
     are safe from other threads because estimates are immutable values.
+
+    Beam records are kept as ``(lat, lon, t_s)`` columns of one
+    ``(3, 2 * window_n)`` buffer; the window is the contiguous slice of its
+    last ``window_n`` filled columns. A full buffer moves its newest
+    ``window_n - 1`` columns to the front, so a push costs one vectorized
+    estimate over the window. The window keeps push order, which for
+    time-ordered pushes is the order ``estimate_position`` sorts into.
     """
 
     def __init__(self, config: DetectorConfig, motion: MotionProfile | None = None,
@@ -297,16 +304,22 @@ class WindowedDetector:
         self.config = config
         self.motion = motion
         self.frac_unit_s = frac_unit_s
-        self._beams: collections.deque[IraRecord] = collections.deque(maxlen=config.window_n)
+        self._columns = np.empty((3, 2 * config.window_n))
+        self._end = 0
         self._estimate: PositionEstimate | None = None
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
         if record.beam_id >= 1:
-            self._beams.append(record)
-            if len(self._beams) == self.config.window_n:
-                self._estimate = estimate_position(
-                    list(self._beams), self.motion, frac_unit_s=self.frac_unit_s
-                )
+            n = self.config.window_n
+            if self._end == self._columns.shape[1]:
+                self._columns[:, :n - 1] = self._columns[:, self._end - n + 1:]
+                self._end = n - 1
+            self._columns[:, self._end] = (record.ground.lat_deg, record.ground.lon_deg,
+                                           record.timestamp(self.frac_unit_s))
+            self._end += 1
+            if self._end >= n:
+                lat, lon, t_s = self._columns[:, self._end - n:self._end]
+                self._estimate = estimate_position_arrays(lat, lon, t_s, self.motion)
         return self._estimate
 
     @property

@@ -152,8 +152,19 @@ def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
 # scalar API
 
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> KmDistance:
-    """Haversine distance between two points."""
-    return KmDistance(float(haversine_km(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)))
+    """Great-circle distance between two points.
+
+    Uses the atan2 form, which stays accurate near the antipode, where the
+    arcsin of the haversine loses digits.
+    """
+    phi1 = math.radians(a.lat_deg)
+    phi2 = math.radians(b.lat_deg)
+    dlam = math.radians(b.lon_deg - a.lon_deg)
+    cos_phi2 = math.cos(phi2)
+    y = math.hypot(cos_phi2 * math.sin(dlam),
+                   math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam))
+    x = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * cos_phi2 * math.cos(dlam)
+    return KmDistance(EARTH_RADIUS_KM * math.atan2(y, x))
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:

@@ -42,11 +42,13 @@ class IngestReport:
     invalid_sat_id: int = 0
     invalid_beam_id: int = 0
     invalid_coordinate: int = 0
+    duplicate: int = 0
     quarantined_lines: list = field(default_factory=list)
 
     @property
     def quarantined(self) -> int:
-        return self.malformed + self.invalid_sat_id + self.invalid_beam_id + self.invalid_coordinate
+        return (self.malformed + self.invalid_sat_id + self.invalid_beam_id
+                + self.invalid_coordinate + self.duplicate)
 
     def reconciles(self) -> bool:
         return self.total_lines == self.accepted + self.blank + self.quarantined
@@ -60,6 +62,7 @@ class IngestReport:
             "invalid_sat_id": self.invalid_sat_id,
             "invalid_beam_id": self.invalid_beam_id,
             "invalid_coordinate": self.invalid_coordinate,
+            "duplicate": self.duplicate,
             "quarantined": self.quarantined,
         }
 
@@ -99,7 +102,8 @@ def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
 
     Returns accepted records sorted by timestamp and a report whose counters
     reconcile with the line total. Only OS-level failures raise (IoFailure);
-    bad lines are quarantined into the report.
+    bad lines are quarantined into the report, and so is a duplicate decode:
+    a line whose (epoch_s, frac, sat_id) equals an earlier accepted line's.
     """
     close = False
     if isinstance(source, (str, os.PathLike)):
@@ -110,6 +114,7 @@ def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
         close = True
     report = IngestReport()
     records: list[IraRecord] = []
+    seen: set[tuple[int, int, int]] = set()
     try:
         for lineno, line in enumerate(source, start=1):
             report.total_lines += 1
@@ -118,8 +123,7 @@ def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
                 report.blank += 1
                 continue
             try:
-                records.append(parse_line(stripped, lineno))
-                report.accepted += 1
+                record = parse_line(stripped, lineno)
             except MalformedLine:
                 report.malformed += 1
                 report.quarantined_lines.append(lineno)
@@ -132,6 +136,15 @@ def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
             except InvalidCoordinate:
                 report.invalid_coordinate += 1
                 report.quarantined_lines.append(lineno)
+            else:
+                key = (record.epoch_s, record.frac, record.sat_id)
+                if key in seen:
+                    report.duplicate += 1
+                    report.quarantined_lines.append(lineno)
+                else:
+                    seen.add(key)
+                    records.append(record)
+                    report.accepted += 1
     except OSError as exc:
         raise IoFailure(f"read failure: {exc}") from exc
     finally:

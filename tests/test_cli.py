@@ -149,6 +149,14 @@ class TestAnalyzeCommand:
         summary = json.loads((report / "analyze_summary.json").read_text())
         assert summary["passes"]["count"] == 1
 
+    def test_duplicate_decode_is_counted(self, tmp_path):
+        log = write_sample_log(tmp_path, [SAMPLE_LOG_ROWS[2]])
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--report", report]) == 0
+        counts = json.loads((report / "analyze_summary.json").read_text())["ingest"]
+        assert counts["duplicate"] == 1 and counts["accepted"] == len(SAMPLE_LOG_ROWS)
+        assert counts["total_lines"] == counts["accepted"] + counts["blank"] + counts["quarantined"]
+
 
 class TestDetectCommand:
     def _simulate_scenario(self, tmp_path, spoof):
@@ -241,6 +249,35 @@ class TestSimulatorConfigErrors:
         assert run_cli([command, flag, path] + extra) == 2
         assert str(path) in assert_one_line_error(capsys)
         assert not out.exists()
+
+
+class TestDetectCounts:
+    """The sample log holds 5 beam records; their t_ref run from
+    1580712040.005059 (window 0 at window_n 2) to 1580712040.013159."""
+
+    def _detect(self, tmp_path, window_n, track_times=("1580712040.0",)):
+        log = write_sample_log(tmp_path)
+        track = tmp_path / "track.txt"
+        track.write_text("".join(f"{t} 29.8 46.1\n" for t in track_times))
+        report = tmp_path / "r"
+        assert run_cli(["detect", "--input", log, "--gnss-track", track, "--threshold-km", 20,
+                        "--window-n", window_n, "--report", report]) == 0
+        return json.loads((report / "detect_summary.json").read_text())
+
+    @pytest.mark.parametrize("window_n, windows, tail", [(1, 5, 0), (2, 2, 1), (3, 1, 2), (5, 1, 0)])
+    def test_tail_beams(self, tmp_path, window_n, windows, tail):
+        summary = self._detect(tmp_path, window_n)
+        assert (summary["windows"], summary["tail_beams"]) == (windows, tail)
+
+    @pytest.mark.parametrize("track_times, clamped", [
+        (["1580712040.0"], 2),
+        (["1580712040.0", "1580712040.01"], 1),
+        (["1580712040.006", "1580712041.0"], 1),
+        (["1580712040.005059", "1580712040.013159"], 0),
+        (["1580712039.0", "1580712041.0"], 0),
+    ])
+    def test_track_clamped_windows(self, tmp_path, track_times, clamped):
+        assert self._detect(tmp_path, 2, track_times)["track_clamped_windows"] == clamped
 
 
 class TestDetectInputErrors:

@@ -16,7 +16,7 @@ from ringalert.errors import (
 )
 from ringalert.geo import GeoPoint, displace, great_circle_km
 from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs
-from ringalert.simulator import Scenario, emit_stream
+from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
 from tests.conftest import corridor_config, make_records
 
 
@@ -292,7 +292,61 @@ class TestEvaluateFp:
         assert fits[10.0].m > fits[20.0].m
 
 
+#: Stationary plus each ship class at its top speed, on a course across the seam.
+RING_MOTIONS = [None] + [c.motion(GeoPoint(10.0, 179.0), 57.0) for c in SHIP_CLASSES.values()]
+
+
+def ring_stream(n_beams: int, seed: int):
+    """Time-ordered records straddling the antimeridian with ``n_beams`` beam
+    records; a sub-satellite (beam 0) record follows every third one, and
+    some neighbours share a timestamp."""
+    rng = np.random.default_rng(seed)
+    beam_ids = np.tile([1, 1, 1, 0], n_beams // 3 + 1)[:n_beams + n_beams // 3]
+    beam_ids[beam_ids == 1] = rng.integers(1, 49, n_beams)
+    size = beam_ids.size
+    times = np.cumsum(rng.choice([0.0, 0.09, 0.27, 40.0], size=size))
+    return make_records(times, rng.uniform(5.0, 15.0, size), rng.uniform(175.0, 185.0, size),
+                        beam_ids=beam_ids.tolist())
+
+
 class TestWindowedDetector:
+    @pytest.mark.parametrize("motion", RING_MOTIONS,
+                             ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
+    @pytest.mark.parametrize("window_n", [1, 3, 500])
+    def test_estimates_equal_batch_over_buffer_wraps(self, window_n, motion):
+        # the (3, 2n) buffer first wraps at beam push 2n + 1, then every n pushes
+        records = ring_stream(5 * window_n, seed=window_n)
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        beams = []
+        for record in records:
+            est = det.push(record)
+            if record.beam_id >= 1:
+                beams.append(record)
+            if len(beams) < window_n:
+                assert est is None
+            else:
+                assert est == detector.estimate_position(beams[-window_n:], motion)
+        assert len(beams) == 5 * window_n
+
+    @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
+    def test_shuffled_pushes_match_sorted_window(self, motion):
+        window_n = 40
+        records = ring_stream(6 * window_n, seed=11)
+        order = np.random.default_rng(12).permutation(len(records))
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        beams = []
+        for i in order:
+            est = det.push(records[i])
+            if records[i].beam_id >= 1:
+                beams.append(records[i])
+            if len(beams) >= window_n:
+                # estimate_position sorts the window; the buffer keeps push order
+                ref = detector.estimate_position(beams[-window_n:], motion)
+                assert (est.n_used, est.window) == (ref.n_used, ref.window)
+                assert est.i_pos.lat_deg == pytest.approx(ref.i_pos.lat_deg, abs=1e-9)
+                d_lon = (est.i_pos.lon_deg - ref.i_pos.lon_deg + 180.0) % 360.0 - 180.0
+                assert abs(d_lon) <= 1e-9
+
     def test_estimates_appear_after_window_fills(self):
         config = DetectorConfig(threshold_km=10.0, window_n=3)
         det = detector.WindowedDetector(config)

@@ -125,6 +125,19 @@ class TestParseStream:
         assert report.blank == 1
         assert report.reconciles()
 
+    def test_duplicate_decode_quarantined(self):
+        rows = SAMPLE_LOG_ROWS + [
+            SAMPLE_LOG_ROWS[3],                              # repeated line
+            "1580712040 000005599 115 12 +20.00 +040.00",  # same satellite and instant
+            "1580712040 000005599 78 12 +20.00 +040.00",   # another satellite: kept
+        ]
+        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        assert (report.accepted, report.duplicate, report.quarantined) == (8, 2, 2)
+        assert report.quarantined_lines == [8, 9]
+        assert report.reconciles()
+        first = [r for r in records if (r.epoch_s, r.frac, r.sat_id) == (1580712040, 5599, 115)]
+        assert [r.beam_id for r in first] == [47]
+
     def test_output_sorted_by_time(self):
         rows = list(reversed(SAMPLE_LOG_ROWS))
         records, _ = parse_stream(io.StringIO("\n".join(rows)))
