@@ -29,11 +29,11 @@ from .geo import (
 from .ingest import DEFAULT_GAP_THRESHOLD_S, group_by_satellite, segment_passes
 from .model import (
     DEFAULT_FRAC_UNIT_S,
+    MAX_BEAM_ID,
     BeamConstellation,
     Direction,
     EvdParams,
-    IraRecord,
-    record_times_s,
+    RecordTable,
 )
 
 DEFAULT_BASE_INTERARRIVAL_S = 0.09
@@ -51,10 +51,9 @@ def histogram_mode(values, bin_width: float) -> float:
         raise EmptyInput("histogram_mode needs at least one value")
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    idx = np.round(values / bin_width).astype(np.int64)
-    shifted = idx - idx.min()
-    counts = np.bincount(shifted)
-    return float((int(np.argmax(counts)) + idx.min()) * bin_width)
+    # counts of the occupied bins only: one stray value must not size a dense array
+    bins, counts = np.unique(np.round(values / bin_width).astype(np.int64), return_counts=True)
+    return float(bins[np.argmax(counts)] * bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +86,13 @@ def ground_speeds(records, *, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
     ``max_dt_s`` optionally drops pairs that span long loss gaps, which
     otherwise produce unphysical speeds on real logs.
     """
+    table = RecordTable.from_records(records)
     samples: list[SpeedSample] = []
-    for _, sat_records in group_by_satellite(records).items():
-        track = [r for r in sat_records if r.is_track]
+    for track in group_by_satellite(table[table.is_track]).values():
         if len(track) < 2:
             continue
-        times = record_times_s(track, frac_unit_s)
-        lats = np.array([r.ground.lat_deg for r in track])
-        lons = np.array([r.ground.lon_deg for r in track])
-        dt = np.diff(times)
+        dt = np.diff(track.t_s(frac_unit_s))
+        lats, lons = track.lat, track.lon
         d = haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
         keep = (dt > 0) & (dt <= gap_threshold_s)
         if max_dt_s is not None:
@@ -122,11 +119,10 @@ def interarrival_stats(records, *, base_interarrival_s: float = DEFAULT_BASE_INT
                        bin_width_s: float = DEFAULT_INTERARRIVAL_BIN_S,
                        frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> InterarrivalStats:
     """Consecutive timestamp differences over all beams, with grid residuals."""
-    records = sorted(records, key=IraRecord.sort_key)
-    if len(records) < 2:
+    table = RecordTable.from_records(records)
+    if len(table) < 2:
         raise EmptyInput("interarrival_stats needs at least two records")
-    times = record_times_s(records, frac_unit_s)
-    durations = np.diff(times)
+    durations = np.diff(table.t_s(frac_unit_s))
     residuals = durations - np.round(durations / base_interarrival_s) * base_interarrival_s
     return InterarrivalStats(durations, histogram_mode(durations, bin_width_s), residuals)
 
@@ -134,14 +130,14 @@ def interarrival_stats(records, *, base_interarrival_s: float = DEFAULT_BASE_INT
 def packet_delivery_ratio(records, *, base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S,
                           frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> float:
     """Observed message count over the count a lossless base-slot grid would carry."""
-    records = sorted(records, key=IraRecord.sort_key)
-    if not records:
+    table = RecordTable.from_records(records)
+    if not len(table):
         raise EmptyInput("packet_delivery_ratio needs records")
-    times = record_times_s(records, frac_unit_s)
+    times = table.t_s(frac_unit_s)
     span = float(times[-1] - times[0])
     if span <= 0:
         raise EmptyInput("packet_delivery_ratio needs a stream spanning > 0 seconds")
-    return len(records) / (span / base_interarrival_s)
+    return len(table) / (span / base_interarrival_s)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +158,11 @@ def coverage_extent(records, receiver: GeoPoint, *,
     The hull is taken in the azimuthal-equidistant plane centered on the
     receiver, which preserves radial distances exactly.
     """
-    track = [r for r in records if r.is_track]
-    if not track:
+    table = RecordTable.from_records(records)
+    track = table.is_track
+    if not np.any(track):
         raise EmptyInput("coverage_extent needs sub-satellite records")
-    lats = np.array([r.ground.lat_deg for r in track])
-    lons = np.array([r.ground.lon_deg for r in track])
+    lats, lons = table.lat[track], table.lon[track]
     d = haversine_km(receiver.lat_deg, receiver.lon_deg, lats, lons)
     theta = np.radians(bearing_deg(receiver.lat_deg, receiver.lon_deg, lats, lons))
     east = d * np.sin(theta)
@@ -399,24 +395,21 @@ def beam_constellation(records, passes=None, *, max_bracket_s: float = 20.0,
     """
     if passes is None:
         passes = []
-        for _, sat_records in group_by_satellite(records).items():
+        for sat_records in group_by_satellite(records).values():
             passes.extend(segment_passes(sat_records, gap_threshold_s, frac_unit_s))
-    from .model import MAX_BEAM_ID
-
     sum_east = np.zeros(MAX_BEAM_ID + 1)
     sum_north = np.zeros(MAX_BEAM_ID + 1)
     counts = np.zeros(MAX_BEAM_ID + 1, dtype=np.int64)
     bracketed_any = False
     for pas in passes:
-        track = [r for r in pas.records if r.is_track]
-        beams = [r for r in pas.records if not r.is_track]
-        if len(track) < 2 or not beams:
+        table = pas.records
+        track = table.is_track
+        beams = ~track
+        if np.count_nonzero(track) < 2 or not np.any(beams):
             continue
-        origin = (pas.records[0].epoch_s, pas.records[0].frac)
-        track_t = record_times_s(track, frac_unit_s, origin)
-        beam_t = record_times_s(beams, frac_unit_s, origin)
-        t_lat = np.array([r.ground.lat_deg for r in track])
-        t_lon = np.array([r.ground.lon_deg for r in track])
+        times = table.t_s(frac_unit_s)
+        track_t, beam_t = times[track], times[beams]
+        t_lat, t_lon = table.lat[track], table.lon[track]
         hi = np.searchsorted(track_t, beam_t, side="left")
         lo = hi - 1
         inside = (hi > 0) & (hi < len(track_t))
@@ -436,16 +429,14 @@ def beam_constellation(records, passes=None, *, max_bracket_s: float = 20.0,
         lo_u, hi_u = lo[idx], hi[idx]
         frac = np.where(span[idx] > 0, (beam_t[idx] - track_t[lo_u]) / np.where(span[idx] > 0, span[idx], 1.0), 0.0)
         sub_lat, sub_lon = interpolate_deg(t_lat[lo_u], t_lon[lo_u], t_lat[hi_u], t_lon[hi_u], frac)
-        b_lat = np.array([beams[i].ground.lat_deg for i in idx])
-        b_lon = np.array([beams[i].ground.lon_deg for i in idx])
+        b_lat, b_lon = table.lat[beams][idx], table.lon[beams][idx]
         d = haversine_km(sub_lat, sub_lon, b_lat, b_lon)
         theta = np.radians(bearing_deg(sub_lat, sub_lon, b_lat, b_lon))
         east = d * np.sin(theta)
         north = d * np.cos(theta)
         if pas.direction is Direction.DOWNWARD:
             north = -north
-        beam_ids = np.fromiter((beams[i].beam_id for i in idx), dtype=np.int64,
-                               count=idx.size)
+        beam_ids = table.beam_id[beams][idx]
         sum_east += np.bincount(beam_ids, weights=east, minlength=MAX_BEAM_ID + 1)
         sum_north += np.bincount(beam_ids, weights=north, minlength=MAX_BEAM_ID + 1)
         counts += np.bincount(beam_ids, minlength=MAX_BEAM_ID + 1)

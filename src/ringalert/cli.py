@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -112,29 +113,41 @@ def _histogram_rows(values: np.ndarray, bin_width: float):
 # subcommands
 
 def _cmd_ingest(args) -> int:
-    records, report = ingest.parse_stream(args.input)
+    table, report = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     out = _report_dir(args)
-    per_sat = {}
-    for r in records:
-        per_sat[r.sat_id] = per_sat.get(r.sat_id, 0) + 1
+    sat_ids, counts = np.unique(table.sat_id, return_counts=True)
     summary = {
         "input": os.path.basename(args.input),
         "frac_unit": args.frac_unit,
         "report": report.to_dict(),
-        "records_per_satellite": {str(k): v for k, v in sorted(per_sat.items())},
+        "records_per_satellite": {str(k): v for k, v in zip(sat_ids.tolist(), counts.tolist())},
     }
     _write_json(out / "ingest_summary.json", summary)
     if args.normalized_out:
-        ingest.write_records(records, args.normalized_out)
+        ingest.write_records(table, args.normalized_out)
     print(f"accepted {report.accepted} records, quarantined {report.quarantined} "
           f"of {report.total_lines} lines")
     return 0
 
 
+def _check_positive(flag: str, value: float | None, *, finite: bool = True) -> None:
+    """A flag value that must be > 0 (and finite, for histogram bins)."""
+    if value is not None and not (value > 0 and (math.isfinite(value) or not finite)):
+        raise _UsageError(f"{flag} must be a positive number, got {value}")
+
+
 def _cmd_analyze(args) -> int:
     frac_unit = FRAC_UNITS_S[args.frac_unit]
-    records, report = ingest.parse_stream(args.input)
-    if not records:
+    for flag, value in (("--speed-bin-kms", args.speed_bin_kms),
+                        ("--interarrival-bin-s", args.interarrival_bin_s),
+                        ("--coverage-bin-km", args.coverage_bin_km)):
+        _check_positive(flag, value)
+    for flag, value in (("--gap-threshold-s", args.gap_threshold_s),
+                        ("--max-speed-dt-s", args.max_speed_dt_s)):
+        _check_positive(flag, value, finite=False)
+    receiver = _parse_latlon(args.receiver) if args.receiver else None
+    records, report = ingest.parse_table(args.input, frac_unit)
+    if not len(records):
         raise EmptyInput("no valid records to analyze")
     out = _report_dir(args)
     summary: dict = {"input": os.path.basename(args.input), "ingest": report.to_dict()}
@@ -167,7 +180,7 @@ def _cmd_analyze(args) -> int:
     for sat_id, sat_records in ingest.group_by_satellite(records).items():
         for p in ingest.segment_passes(sat_records, args.gap_threshold_s, frac_unit):
             all_passes.append(p)
-            pass_rows.append((sat_id, p.records[0].epoch_s, p.duration_min,
+            pass_rows.append((sat_id, int(p.records.epoch_s[0]), p.duration_min,
                               p.direction.value, len(p.records)))
     _write_table(out / "passes.tsv",
                  ["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
@@ -188,8 +201,7 @@ def _cmd_analyze(args) -> int:
     except InsufficientBrackets:
         summary["beams"] = None
 
-    if args.receiver:
-        receiver = _parse_latlon(args.receiver)
+    if receiver is not None:
         cov = analytics.coverage_extent(records, receiver,
                                         bin_width_km=args.coverage_bin_km)
         _write_table(out / "coverage_histogram.tsv", ["distance_km", "count"],
@@ -243,7 +255,7 @@ def _build_scenario(args, duration_s: float) -> simulator.Scenario:
 def _cmd_simulate(args) -> int:
     config = _build_sim_config(args)
     scenario = _build_scenario(args, config.duration_s)
-    records = simulator.emit_stream(config, scenario)
+    records = simulator.emit_stream(config, scenario, return_arrays=True).to_table()
     ingest.write_records(records, args.output)
     if args.track_out:
         step = args.track_interval_s
@@ -297,17 +309,18 @@ def _cmd_detect(args) -> int:
     with _flag_values():
         config = DetectorConfig(args.threshold_km, args.window_n)
     motion = _parse_motion(args.motion) if args.motion else None
-    records, _ = ingest.parse_stream(args.input)
-    beams = [r for r in records if r.beam_id >= 1]
-    if not beams:
+    records, _ = ingest.parse_table(args.input, frac_unit)
+    beams = records[records.is_beam]
+    if not len(beams):
         raise EmptyInput("no beam records in input")
+    times = beams.t_s(frac_unit, origin=(0, 0))
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
     rows = []
     alarms = clamped = 0
     for start in range(0, len(beams) - config.window_n + 1, config.window_n):
         window = beams[start:start + config.window_n]
-        t_ref = window[-1].timestamp(frac_unit)
+        t_ref = float(times[start + config.window_n - 1])
         est = detector.estimate_position(window, motion, t_ref=t_ref,
                                          frac_unit_s=frac_unit)
         g_pos = _track_position(track_times, track_points, t_ref)

@@ -30,7 +30,7 @@ from .model import (
     IraRecord,
     MotionProfile,
     PowerLawCoeffs,
-    record_times_s,
+    RecordTable,
 )
 
 #: Fitted localization-error power law: error_km = n^m * 10^q.
@@ -72,51 +72,19 @@ class DetectionOutcome:
         return cls(deviation_km > threshold_km, deviation_km, threshold_km)
 
 
-def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float,
-                      *, literal_form: bool = False):
+def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float):
     """Translate each point by the receiver displacement between its time and t_ref.
 
-    ``literal_form`` switches to the raw published compensation expression
-    (start coordinate plus cos/sin of speed times elapsed time). It ignores
-    the observed points and mixes units, so it exists only for side-by-side
-    comparison; the default path is the kinematic reading.
+    This is the kinematic reading of the published compensation: a
+    stationary receiver (or none) returns the points unchanged.
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
     t_s = np.asarray(t_s, dtype=float)
     if motion is None or motion.speed_kmh == 0.0:
         return lat, lon
-    if literal_form:
-        arg = motion.speed_kmh * (t_ref - t_s)
-        return (
-            np.full_like(lat, motion.start.lat_deg) + np.cos(arg),
-            np.full_like(lon, motion.start.lon_deg) + np.sin(arg),
-        )
     d_km = motion.speed_kmh * (t_ref - t_s) / 3600.0
     return displace_deg(lat, lon, motion.course_deg, d_km)
-
-
-def compensate(records, motion: MotionProfile, t_ref: float | None = None,
-               *, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
-               literal_form: bool = False) -> list[GeoPoint]:
-    """Motion-compensated ground points of the given records, in time order.
-
-    ``t_ref`` is an absolute timestamp (default: the last record's). A
-    stationary receiver returns the input points unchanged.
-    """
-    records = sorted(records, key=IraRecord.sort_key)
-    if not records:
-        return []
-    times = record_times_s(records, frac_unit_s, origin=(0, 0))
-    if t_ref is None:
-        t_ref = float(times[-1])
-    lat = np.array([r.ground.lat_deg for r in records])
-    lon = np.array([r.ground.lon_deg for r in records])
-    out_lat, out_lon = compensate_arrays(lat, lon, times, motion, t_ref,
-                                         literal_form=literal_form)
-    if motion.speed_kmh == 0.0 and not literal_form:
-        return [r.ground for r in records]
-    return [GeoPoint(float(la), float(lo)) for la, lo in zip(out_lat, out_lon)]
 
 
 def _mean_lat_lon(lat: np.ndarray, lon: np.ndarray) -> tuple[float, float]:
@@ -158,15 +126,14 @@ def estimate_position(records, motion: MotionProfile | None = None,
     ``config.window_n`` caps the window to the most recent N beam records
     when a config is given.
     """
-    beams = sorted((r for r in records if r.beam_id >= 1), key=IraRecord.sort_key)
+    table = RecordTable.from_records(records)
+    beams = table[table.is_beam]
     if config is not None and len(beams) > config.window_n:
         beams = beams[-config.window_n:]
-    if not beams:
+    if not len(beams):
         raise NoBeamRecords("position estimation needs at least one beam record")
-    times = record_times_s(beams, frac_unit_s, origin=(0, 0))
-    lat = np.array([r.ground.lat_deg for r in beams])
-    lon = np.array([r.ground.lon_deg for r in beams])
-    return estimate_position_arrays(lat, lon, times, motion, t_ref)
+    return estimate_position_arrays(beams.lat, beams.lon, beams.t_s(frac_unit_s, origin=(0, 0)),
+                                    motion, t_ref)
 
 
 def detect(estimate: PositionEstimate, g_pos: GeoPoint,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,44 +99,156 @@ class IraRecord:
         )
 
 
-def record_times_s(records, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
-                   origin: tuple[int, int] | None = None) -> np.ndarray:
-    """Seconds of each record relative to ``origin`` (default: the first record).
+def _key_steps(epoch_s: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Sign (-1, 0, +1) of each step of the (epoch_s, frac) key from one row to
+    the next; compared, not subtracted, so far-apart int64 keys cannot wrap."""
+    def sign(a, b):
+        return (b > a).astype(np.int8) - (b < a)
+    return np.where(epoch_s[1:] == epoch_s[:-1], sign(frac[:-1], frac[1:]),
+                    sign(epoch_s[:-1], epoch_s[1:]))
 
-    Working relative to the first record keeps full float precision even for
-    epoch-scale timestamps.
+
+def _record_columns(records) -> list[np.ndarray]:
+    """The six columns of a record sequence, in the given order."""
+    records = list(records)
+    ints = np.array([(r.epoch_s, r.frac, r.sat_id, r.beam_id) for r in records],
+                    dtype=np.int64).reshape(-1, 4)
+    floats = np.array([(r.ground.lat_deg, r.ground.lon_deg) for r in records],
+                      dtype=float).reshape(-1, 2)
+    return [*ints.T, *floats.T]
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable(Sequence):
+    """A record stream as numpy columns, stable-sorted by (epoch_s, frac).
+
+    ``epoch_s``, ``frac``, ``sat_id`` and ``beam_id`` are int64; ``lat`` and
+    ``lon`` are float64 degrees, longitudes folded into (-180, +180] as
+    :class:`GeoPoint` folds them. Construction sorts stably when the rows are
+    out of order and makes the columns read-only views. As a sequence its rows
+    are :class:`IraRecord` values; slicing or indexing with a mask or index
+    array gives another table.
     """
-    if origin is None:
-        origin = (records[0].epoch_s, records[0].frac)
-    e0, f0 = origin
-    return np.array(
-        [(r.epoch_s - e0) + (r.frac - f0) * frac_unit_s for r in records], dtype=float
-    )
+
+    epoch_s: np.ndarray
+    frac: np.ndarray
+    sat_id: np.ndarray
+    beam_id: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __post_init__(self):
+        columns = [np.asarray(getattr(self, name), dtype=dtype)
+                   for name, dtype in zip(_COLUMNS, _DTYPES)]
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise ValueError("record columns must be 1-D and of equal length")
+        if columns[0].size > 1 and np.any(_key_steps(columns[0], columns[1]) < 0):
+            order = np.lexsort((columns[1], columns[0]))
+            columns = [c[order] for c in columns]
+        for name, column in zip(_COLUMNS, columns):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_records(cls, records) -> "RecordTable":
+        """Table of a record sequence (a table is returned as it is)."""
+        if isinstance(records, RecordTable):
+            return records
+        return cls(*_record_columns(records))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    def __len__(self) -> int:
+        return int(self.epoch_s.size)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            e, f, s, b, lat, lon = (c[key].item() for c in self.columns())
+            return IraRecord(e, f, s, b, GeoPoint(lat, lon))
+        return RecordTable(*(c[key] for c in self.columns()))
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+    def rows(self) -> list[IraRecord]:
+        return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
+                for e, f, s, b, lat, lon in zip(*(c.tolist() for c in self.columns()))]
+
+    @property
+    def is_track(self) -> np.ndarray:
+        """Mask of sub-satellite rows (beam 0)."""
+        return self.beam_id == 0
+
+    @property
+    def is_beam(self) -> np.ndarray:
+        """Mask of beam-center rows (beams 1..48)."""
+        return self.beam_id >= 1
+
+    def t_s(self, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
+            origin: tuple[int, int] | None = None) -> np.ndarray:
+        """Seconds of each row relative to ``origin`` (default: the first row).
+
+        Working relative to the first row keeps full float precision even for
+        epoch-scale timestamps; ``origin=(0, 0)`` gives each row's
+        :meth:`IraRecord.timestamp`.
+        """
+        if origin is None:
+            origin = (self.epoch_s[0], self.frac[0])
+        e0, f0 = origin
+        # exact like the integer difference below 2**53, and far-apart epochs cannot wrap
+        return (self.epoch_s.astype(float) - e0) + (self.frac - f0) * frac_unit_s
+
+    def by_satellite(self) -> dict[int, "RecordTable"]:
+        """One time-sorted table per satellite id (keys ascending)."""
+        if not len(self):
+            return {}
+        order = np.argsort(self.sat_id, kind="stable")
+        sats = self.sat_id[order]
+        cuts = np.flatnonzero(np.diff(sats)) + 1
+        parts = [np.split(c[order], cuts) for c in self.columns()]
+        return {int(sats[lo]): RecordTable(*columns)
+                for lo, *columns in zip([0, *cuts.tolist()], *parts)}
+
+
+_COLUMNS = tuple(f.name for f in fields(RecordTable))
+_DTYPES = (np.int64, np.int64, np.int64, np.int64, float, float)
 
 
 @dataclass(frozen=True)
 class Pass:
-    """A contiguous sighting of one satellite."""
+    """A contiguous sighting of one satellite; ``records`` is a table."""
 
     sat_id: int
-    records: tuple[IraRecord, ...]
+    records: RecordTable
     direction: Direction
     duration_min: float
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+        if isinstance(self.records, RecordTable):
+            columns = self.records.columns()
+        else:
+            columns = _record_columns(self.records)
+        epoch_s, frac, sat_id = columns[:3]
+        if not epoch_s.size:
             raise ValueError("a pass needs at least one record")
-        keys = [r.sort_key() for r in self.records]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
+        if np.any(_key_steps(epoch_s, frac) <= 0):
             raise ValueError("pass records must have strictly increasing timestamps")
-        if any(r.sat_id != self.sat_id for r in self.records):
+        if np.any(sat_id != self.sat_id):
             raise ValueError("pass records must share one satellite id")
         if self.duration_min < 0:
             raise ValueError("pass duration must be >= 0")
+        if not isinstance(self.records, RecordTable):
+            object.__setattr__(self, "records", RecordTable(*columns))
 
-    def track_records(self) -> tuple[IraRecord, ...]:
-        return tuple(r for r in self.records if r.is_track)
+    def track_records(self) -> RecordTable:
+        return self.records[self.records.is_track]
 
     def to_dict(self) -> dict:
         return {

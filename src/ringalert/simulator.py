@@ -27,7 +27,7 @@ from .geo import (
     haversine_km,
     unit_vectors,
 )
-from .model import MAX_BEAM_ID, IraRecord, MotionProfile, valid_sat_ids
+from .model import MAX_BEAM_ID, IraRecord, MotionProfile, RecordTable, valid_sat_ids
 
 DEFAULT_RING_RADII_KM = (3.36, 7.98, 14.35)
 DEFAULT_RING_COUNTS = (8, 16, 24)
@@ -441,13 +441,11 @@ class StreamArrays:
     def __len__(self) -> int:
         return int(self.slot.size)
 
+    def to_table(self) -> RecordTable:
+        return RecordTable(self.epoch_s, self.frac, self.sat_id, self.beam_id, self.lat, self.lon)
+
     def to_records(self) -> list[IraRecord]:
-        return [
-            IraRecord(int(e), int(f), int(s), int(b), GeoPoint(float(la), float(lo)))
-            for e, f, s, b, la, lo in zip(
-                self.epoch_s, self.frac, self.sat_id, self.beam_id, self.lat, self.lon
-            )
-        ]
+        return self.to_table().rows()
 
 
 def _beam_ids_for_slots(config: SimConfig, slots: np.ndarray, sat_index: int) -> np.ndarray:

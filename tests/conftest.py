@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
+from ringalert.errors import InvalidBeamId, InvalidCoordinate, InvalidSatId, MalformedLine
 from ringalert.geo import GeoPoint
-from ringalert.model import IraRecord
+from ringalert.ingest import parse_line
+from ringalert.model import DEFAULT_FRAC_UNIT_S, IraRecord
 from ringalert.simulator import SimConfig
 
 # The seven reference rows used across parser tests (sat 115, one epoch second).
@@ -46,6 +50,42 @@ def make_records(times_s, lats, lons, sat_id=78, beam_ids=None,
             sat_id, beam, GeoPoint(float(lat), float(lon)),
         ))
     return records
+
+
+def reference_parse(lines, frac_unit_s: float = DEFAULT_FRAC_UNIT_S):
+    """Per-line reference of ``ingest.parse_table``: each line through
+    ``parse_line``, then a sub-second counter of one second or more, then
+    the first line of each (epoch_s, frac, sat_id) wins.
+
+    Returns (time-sorted accepted records, counts per class, quarantined line numbers).
+    """
+    classes = {MalformedLine: "malformed", InvalidSatId: "invalid_sat_id",
+               InvalidBeamId: "invalid_beam_id", InvalidCoordinate: "invalid_coordinate"}
+    counts = collections.Counter()
+    accepted, quarantined, seen = [], [], set()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            counts["blank"] += 1
+            continue
+        try:
+            record = parse_line(stripped, lineno)
+        except tuple(classes) as exc:
+            cls = classes[type(exc)]
+        else:
+            key = (record.epoch_s, record.frac, record.sat_id)
+            if record.frac * frac_unit_s >= 1:
+                cls = "invalid_frac"
+            elif key in seen:
+                cls = "duplicate"
+            else:
+                seen.add(key)
+                accepted.append(record)
+                continue
+        counts[cls] += 1
+        quarantined.append(lineno)
+    accepted.sort(key=IraRecord.sort_key)
+    return accepted, counts, quarantined
 
 
 def corridor_config(**overrides) -> SimConfig:

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ringalert
 from ringalert.cli import build_parser, main
-from tests.conftest import SAMPLE_LOG_ROWS
+from ringalert.ingest import format_line
+from ringalert.simulator import SimConfig, emit_stream
+from tests.conftest import SAMPLE_LOG_ROWS, reference_parse
 
 
 def run_cli(args) -> int:
@@ -67,6 +76,14 @@ class TestIngestCommand:
         assert run_cli(["ingest", "--input", log, "--report", tmp_path / "r",
                         "--normalized-out", normalized]) == 0
         assert run_cli(["ingest", "--input", normalized, "--report", tmp_path / "r2"]) == 0
+
+    @pytest.mark.parametrize("unit, invalid_frac", [("us", 1), ("ns", 0)])
+    def test_frac_unit_reaches_the_parser(self, tmp_path, unit, invalid_frac):
+        log = write_sample_log(tmp_path, ["1580712040 1000000 115 3 +29.81 +046.10"])
+        report = tmp_path / "r"
+        assert run_cli(["ingest", "--input", log, "--frac-unit", unit, "--report", report]) == 0
+        counts = json.loads((report / "ingest_summary.json").read_text())["report"]
+        assert (counts["invalid_frac"], counts["accepted"]) == (invalid_frac, 8 - invalid_frac)
 
     def test_report_dir_env_fallback(self, tmp_path, monkeypatch):
         log = write_sample_log(tmp_path)
@@ -156,6 +173,33 @@ class TestAnalyzeCommand:
         counts = json.loads((report / "analyze_summary.json").read_text())["ingest"]
         assert counts["duplicate"] == 1 and counts["accepted"] == len(SAMPLE_LOG_ROWS)
         assert counts["total_lines"] == counts["accepted"] + counts["blank"] + counts["quarantined"]
+
+
+class TestAnalyzeInputErrors:
+    @pytest.mark.parametrize("flags", [
+        ["--speed-bin-kms", 0],
+        ["--interarrival-bin-s", 0],
+        ["--coverage-bin-km", 0, "--receiver", "0,0"],
+        ["--speed-bin-kms", "nan"],
+        ["--interarrival-bin-s", -0.1],
+        ["--coverage-bin-km", "inf", "--receiver", "0,0"],
+        ["--receiver", "95,0"],
+        ["--receiver", "1,2,3"],
+        ["--gap-threshold-s", -5],
+        ["--gap-threshold-s", 0],
+        ["--max-speed-dt-s", 0],
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
+        log = write_sample_log(tmp_path)
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--report", report] + flags) == 1
+        assert_one_line_error(capsys)
+        assert not report.exists()
+
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys):
+        assert run_cli(["analyze", "--input", tmp_path / "missing.txt", "--receiver", "95,0",
+                        "--report", tmp_path / "r"]) == 1
+        assert_one_line_error(capsys)
 
 
 class TestDetectCommand:
@@ -311,3 +355,83 @@ class TestDetectInputErrors:
                         "--report", tmp_path / "r"]) == 2
         err = assert_one_line_error(capsys)
         assert str(track) in err and "line 3" in err
+
+
+def _mutation_base() -> list[str]:
+    config = SimConfig(n_sats=11, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
+                       per=0.2, duration_s=30.0, seed=6)
+    return [format_line(r) for r in emit_stream(config)]
+
+
+MUTATION_BASE = _mutation_base()
+ODD_TOKENS = ["x", "nan", "inf", "-inf", "+5", "1e1", "007", "9" * 25, "-1", "0", "49", "999",
+              "91.5", "-90.0000001", "1000000", "", "+-3", "1.2.3", "٣",
+              str(2**63 - 1), str(-2**63), "4" + "0" * 18, "-" + "4" * 19]
+
+
+@st.composite
+def mutated_logs(draw):
+    """Lines of the base log with fields deleted, repeated, swapped, replaced
+    by odd tokens or re-delimited with commas, and whole lines repeated."""
+    lines = list(MUTATION_BASE)
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fields = lines[i].split()
+        op = draw(st.sampled_from(["delete", "repeat", "swap", "token", "commas", "line"]))
+        if op == "line":
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), lines[i])
+            continue
+        if fields:
+            k = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+            if op == "delete":
+                del fields[k]
+            elif op == "repeat":
+                fields.insert(k, fields[k])
+            elif op == "swap":
+                j = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+                fields[k], fields[j] = fields[j], fields[k]
+            elif op == "token":
+                fields[k] = draw(st.sampled_from(ODD_TOKENS))
+        lines[i] = ("," if op == "commas" else " ").join(fields)
+    return lines
+
+
+def reconciles(counts: dict) -> bool:
+    classes = ("malformed", "invalid_sat_id", "invalid_beam_id", "invalid_coordinate",
+               "invalid_frac", "duplicate")
+    return (counts["quarantined"] == sum(counts[c] for c in classes)
+            and counts["total_lines"] == counts["accepted"] + counts["blank"] + counts["quarantined"])
+
+
+class TestMutatedLogs:
+    """The error contract on damaged logs: exit 0 or 2, never a traceback,
+    and counters that reconcile with the per-line reference."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_logs())
+    def test_ingest_and_analyze(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.txt"
+            log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            accepted, counts, _ = reference_parse(lines)
+            for command, summary, key in (("ingest", "ingest_summary.json", "report"),
+                                          ("analyze", "analyze_summary.json", "ingest")):
+                report = Path(tmp) / command
+                rc = run_cli([command, "--input", log, "--receiver", "0,0", "--report", report]
+                             if command == "analyze" else
+                             [command, "--input", log, "--report", report])
+                assert rc in (0, 2)
+                if rc == 0:
+                    got = json.loads((report / summary).read_text())[key]
+                    assert reconciles(got)
+                    assert got["accepted"] == len(accepted)
+                    assert all(got[c] == n for c, n in counts.items())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(ringalert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, ringalert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -20,29 +20,39 @@ from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
 from tests.conftest import corridor_config, make_records
 
 
+def literal_compensation(lat, lon, t_s, motion: MotionProfile, t_ref: float):
+    """The compensation expression as published: the start coordinate plus
+    cos/sin of speed times elapsed time. It ignores the observed points and
+    mixes units, so it serves only for side-by-side comparison with
+    ``compensate_arrays``, the kinematic reading."""
+    arg = motion.speed_kmh * (t_ref - np.asarray(t_s, dtype=float))
+    return (np.full_like(np.asarray(lat, dtype=float), motion.start.lat_deg) + np.cos(arg),
+            np.full_like(np.asarray(lon, dtype=float), motion.start.lon_deg) + np.sin(arg))
+
+
 class TestCompensate:
     def test_stationary_is_identity(self):
-        records = make_records([0.0, 10.0], [10.0, 11.0], [20.0, 21.0], beam_ids=[5, 6])
+        lat, lon, t = np.array([10.0, 11.0]), np.array([20.0, 21.0]), np.array([0.0, 10.0])
         motion = MotionProfile(GeoPoint(0, 0), 90.0, 0.0)
-        assert detector.compensate(records, motion) == [r.ground for r in records]
+        out_lat, out_lon = detector.compensate_arrays(lat, lon, t, motion, t_ref=10.0)
+        assert out_lat.tolist() == lat.tolist() and out_lon.tolist() == lon.tolist()
 
     def test_known_displacement(self):
         # receiver due east at 40 km/h; a point observed half an hour before
         # the reference instant shifts 20 km east
-        records = make_records([0.0], [10.0], [20.0], beam_ids=[1])
         motion = MotionProfile(GeoPoint(10, 20), 90.0, 40.0)
-        t0 = records[0].timestamp(1e-6)
-        out = detector.compensate(records, motion, t_ref=t0 + 1800.0)
+        t0 = 1_600_000_000.0
+        out_lat, out_lon = detector.compensate_arrays([10.0], [20.0], [t0], motion,
+                                                      t_ref=t0 + 1800.0)
         expected = displace(GeoPoint(10.0, 20.0), 90.0, 20.0)
-        assert great_circle_km(out[0], expected).km < 1e-9
+        assert great_circle_km(GeoPoint(float(out_lat[0]), float(out_lon[0])), expected).km < 1e-9
 
     def test_literal_form_formula(self):
-        records = make_records([0.0], [10.0], [20.0], beam_ids=[1])
         motion = MotionProfile(GeoPoint(3.0, 4.0), 90.0, 2.0)
-        t0 = records[0].timestamp(1e-6)
-        out = detector.compensate(records, motion, t_ref=t0 + 1.0, literal_form=True)
-        assert out[0].lat_deg == pytest.approx(3.0 + math.cos(2.0), abs=1e-12)
-        assert out[0].lon_deg == pytest.approx(4.0 + math.sin(2.0), abs=1e-12)
+        t0 = 1_600_000_000.0
+        out_lat, out_lon = literal_compensation([10.0], [20.0], [t0], motion, t_ref=t0 + 1.0)
+        assert out_lat[0] == pytest.approx(3.0 + math.cos(2.0), abs=1e-12)
+        assert out_lon[0] == pytest.approx(4.0 + math.sin(2.0), abs=1e-12)
 
     def test_compensation_beats_no_compensation_on_moving_receiver(self):
         # paired comparison over seeded runs: a cross-corridor drift makes the

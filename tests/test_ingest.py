@@ -1,7 +1,9 @@
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ringalert.errors import (
@@ -12,18 +14,25 @@ from ringalert.errors import (
     IoFailure,
     MalformedLine,
 )
+from ringalert import ingest
 from ringalert.geo import GeoPoint
 from ringalert.ingest import (
     format_line,
     group_by_satellite,
     parse_line,
     parse_stream,
+    parse_table,
     segment_passes,
     write_records,
 )
-from ringalert.model import Direction, IraRecord, valid_sat_ids
+from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, RecordTable, valid_sat_ids
 from ringalert.simulator import SimConfig, emit_stream
-from tests.conftest import SAMPLE_LOG_FIELDS, SAMPLE_LOG_ROWS, make_records
+from tests.conftest import (
+    SAMPLE_LOG_FIELDS,
+    SAMPLE_LOG_ROWS,
+    make_records,
+    reference_parse,
+)
 
 
 class TestParseLine:
@@ -148,6 +157,12 @@ class TestParseStream:
         with pytest.raises(IoFailure):
             parse_stream(tmp_path / "does_not_exist.txt")
 
+    def test_time_field_beyond_64_bits_is_malformed(self):
+        rows = ["9" * 25 + " 000000739 115 0 +29.81 +046.10",
+                "1580712040 " + "9" * 25 + " 115 0 +29.81 +046.10"]
+        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        assert (records, report.malformed, report.quarantined_lines) == ([], 2, [1, 2])
+
     def test_file_round_trip(self, tmp_path):
         records, _ = parse_stream(io.StringIO("\n".join(SAMPLE_LOG_ROWS)))
         path = tmp_path / "stream.txt"
@@ -155,6 +170,176 @@ class TestParseStream:
         back, report = parse_stream(path)
         assert back == records
         assert report.quarantined == 0
+
+
+def mixed_log_lines() -> list[str]:
+    """A small simulated log holding every quarantine class, repeats, and
+    valid lines the canonical layout does not cover."""
+    config = SimConfig(n_sats=11, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
+                       per=0.5, duration_s=60.0, seed=4)
+    lines = [format_line(r) for r in emit_stream(config)]
+    e, f, s, b, lat, lon = lines[3].split()
+    fields = [line.split() for line in lines]
+    fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")
+    # valid lines outside the canonical layout replace their originals
+    lines[10] = " ".join(fields[10][:2] + ["00" + fields[10][2]] + fields[10][3:])
+    lines[11] = " ".join(fields[11][:3] + ["+" + fields[11][3]] + fields[11][4:])
+    lines[12] = " ".join(fields[12][:4] + ["1e1", fields[12][5]])
+    lines[13] = ",".join(fields[13])
+    lines[14] = "\t".join(fields[14])
+    lines[15] = "  " + lines[15] + "  "
+    lines[16] = " ".join(fields[16][:5] + ["-180.000000"])
+    lines[17] = " ".join(fields[17][:4] + ["-0.000000", "+359.999999"])
+    lines[18] = " ".join(fields[18][:2] + [fields[18][2].translate(fullwidth)] + fields[18][3:])
+    lines[19] = " ".join(fields[19][:4] + ["+29.8100000000000001", fields[19][5]])
+    lines[20] = " ".join(fields[20][:4] + ["-0.1", "-0.1"])
+    lines[21] = " ".join(fields[21][:5] + ["99.99999999999999"])  # mantissa above 2**53
+    other_sat = next(x for x in ("78", "115") if x != s)
+    bad = [
+        "", "   \t",
+        " ".join([e, f, s, b, lat]),
+        lines[4] + " junk",
+        " ".join([e, f, s, "x", lat, lon]),
+        " ".join([e, f, s, "1e1", lat, lon]),
+        " ".join([e, f, "1", b, lat, lon]),
+        " ".join([e, f, "9" * 25, b, lat, lon]),
+        " ".join([e, f, s, "49", lat, lon]),
+        " ".join([e, f, s, "-1", lat, lon]),
+        " ".join([e, f, s, b, "+91.000000", lon]),
+        " ".join([e, f, s, b, "nan", lon]),
+        " ".join([e, f, s, b, lat, "inf"]),
+        " ".join(["9" * 25, f, s, b, lat, lon]),
+        " ".join([e, "1000000", s, b, lat, lon]),
+        " ".join([e, "9" * 19, s, b, lat, lon]),
+        lines[5],
+        " ".join([e, f, s, str(int(b) % 48 + 1), lat, lon]),
+        ",".join(lines[3].split()),
+        " ".join(["+" + e, f, s, b, lat, lon]),
+        " ".join([e, f, s, b, "+" + lat.lstrip("+-") + "0", lon]),
+        " ".join([e, f, other_sat, b, lat, lon]),  # same instant, another satellite
+    ]
+    for k, line in enumerate(bad):
+        lines.insert(7 + 5 * k, line)
+    return lines
+
+
+class TestParseTable:
+    """parse_table against the per-line reference, every class and source kind."""
+
+    @pytest.mark.parametrize("kind", ["path", "file", "lines"])
+    def test_matches_per_line_reference(self, tmp_path, kind):
+        lines = mixed_log_lines()
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "mixed.log"
+        path.write_text(text, encoding="utf-8")
+        if kind == "path":
+            table, report = parse_table(path)
+            with open(path, encoding="utf-8") as fh:
+                expected = reference_parse(fh)
+        elif kind == "file":
+            table, report = parse_table(io.StringIO(text))
+            expected = reference_parse(io.StringIO(text))
+        else:
+            table, report = parse_table(lines)
+            expected = reference_parse(lines)
+        accepted, counts, quarantined = expected
+        assert {k: v for k, v in report.to_dict().items() if v} == {k: v for k, v in {
+            "total_lines": len(lines), "accepted": len(accepted), **counts,
+            "quarantined": sum(counts.values()) - counts["blank"]}.items() if v}
+        assert report.quarantined_lines == quarantined
+        assert report.reconciles()
+        assert table == RecordTable.from_records(accepted)
+        assert table.rows() == accepted
+        # every class and the non-canonical numerals are present
+        assert min(report.to_dict().values()) > 0
+        assert len(accepted) > 100
+
+    def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch):
+        lines = [format_line(r) for r in emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8))]
+
+        def refuse(line, lineno=None):
+            raise AssertionError(f"line {lineno} left the column-wise path")
+
+        monkeypatch.setattr(ingest, "parse_line", refuse)
+        table, report = parse_table(lines)
+        assert report.accepted == len(table) == len(lines) > 300
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\n\n", SAMPLE_LOG_ROWS[0],
+        "\r\n".join(SAMPLE_LOG_ROWS) + "\r\n",
+        "\r".join(SAMPLE_LOG_ROWS),
+        "\n".join(SAMPLE_LOG_ROWS[:3]) + "\n\n\x0c\n" + "\n".join(SAMPLE_LOG_ROWS[3:]),
+    ])
+    def test_line_numbering_follows_file_iteration(self, tmp_path, text):
+        path = tmp_path / "log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        table, report = parse_table(path)
+        with open(path, encoding="utf-8") as fh:
+            accepted, counts, quarantined = reference_parse(fh)
+        assert (report.total_lines, report.blank, report.quarantined_lines) == \
+            (len(open(path, encoding="utf-8").readlines()), counts["blank"], quarantined)
+        assert table.rows() == accepted
+
+    def test_lines_holding_newlines(self):
+        row = SAMPLE_LOG_ROWS[0].split()
+        lines = [" ".join(row[:2]) + "\n" + " ".join(row[2:]), "\n", SAMPLE_LOG_ROWS[1] + "\n",
+                 SAMPLE_LOG_ROWS[2] + "\r\n", "", SAMPLE_LOG_ROWS[3]]
+        table, report = parse_table(lines)
+        accepted, counts, quarantined = reference_parse(lines)
+        assert (report.total_lines, report.blank, report.quarantined_lines) == (6, 2, quarantined)
+        assert table.rows() == accepted and len(accepted) == 4
+
+    @pytest.mark.parametrize("unit, accepted", [("us", False), ("tenus", False), ("ns", True)])
+    def test_counter_of_one_second_is_quarantined(self, unit, accepted):
+        rows = [SAMPLE_LOG_ROWS[0], "1580712040 1000000 115 3 +29.81 +046.10"]
+        table, report = parse_table(io.StringIO("\n".join(rows)), FRAC_UNITS_S[unit])
+        assert (len(table), report.invalid_frac) == ((2, 0) if accepted else (1, 1))
+        assert report.quarantined_lines == ([] if accepted else [2])
+        assert report.reconciles()
+
+    def test_largest_counter_below_one_second_is_accepted(self):
+        table, report = parse_table(["1580712040 999999 115 3 +29.81 +046.10"])
+        assert (len(table), report.invalid_frac) == (1, 0)
+
+
+def _written(records) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.log"
+        write_records(records, path)
+        return path.read_text(encoding="utf-8")
+
+
+#: values whose six-decimal rendering needs care: exact halves, signed zeros,
+#: negatives that round to zero, and roundings that carry into the integer part
+EDGE_DEGREES = [0.0078125, -0.0078125, 0.0, -0.0, -1e-9, 1e-9, 89.9999995, -89.9999995,
+                179.9999995, -179.9999995, 0.5e-6, 2.5e-6, 90.0, -90.0, 180.0, 45.0000005]
+
+
+class TestWriteRecords:
+    @given(st.lists(st.builds(
+        IraRecord,
+        st.integers(min_value=-2**63, max_value=2**63 - 1),
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.sampled_from(sorted(valid_sat_ids())),
+        st.integers(min_value=0, max_value=48),
+        st.builds(GeoPoint, st.floats(min_value=-90, max_value=90),
+                  st.floats(min_value=-720, max_value=720)),
+    ), min_size=1, max_size=20))
+    @example([IraRecord(1_600_000_000, 0, 115, 0, GeoPoint(-1e-300, -5e-324))])
+    def test_lines_equal_format_line(self, records):
+        table = RecordTable.from_records(records)
+        assert _written(records) == "".join(format_line(r) + "\n" for r in table)
+
+    def test_edge_coordinates(self):
+        records = [IraRecord(1_600_000_000 + i, 7, 115, i % 49, GeoPoint(lat, lon))
+                   for i, (lat, lon) in enumerate(
+                       (lat, lon) for lat in EDGE_DEGREES if abs(lat) <= 90 for lon in EDGE_DEGREES)]
+        assert _written(records) == "".join(format_line(r) + "\n" for r in records)
+
+    def test_simulated_stream(self):
+        stream = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2), return_arrays=True)
+        table = stream.to_table()
+        assert _written(table) == "".join(format_line(r) + "\n" for r in stream.to_records())
 
 
 class TestSegmentPasses:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from ringalert.model import (
     MotionProfile,
     Pass,
     PowerLawCoeffs,
-    record_times_s,
+    RecordTable,
     valid_sat_ids,
 )
 from tests.conftest import make_records
@@ -80,8 +81,58 @@ class TestIraRecord:
 class TestRecordTimes:
     def test_relative_times_are_exact(self):
         records = make_records([0.0, 0.09, 0.18, 1.0], [0, 0, 0, 0], [0, 0, 0, 0])
-        times = record_times_s(records)
+        times = RecordTable.from_records(records).t_s()
         assert times.tolist() == [0.0, 0.09, 0.18, 1.0]
+
+
+def shuffled_records(seed: int = 5, n: int = 60):
+    """Records of three satellites in shuffled order, with ties in time."""
+    rng = np.random.default_rng(seed)
+    times = np.round(np.cumsum(rng.choice([0.0, 0.09, 1.0], size=n)), 2)
+    records = []
+    for sat in (78, 115, 2):
+        records += make_records(times + rng.choice([0.0, 0.09], size=n), rng.uniform(-80, 80, n),
+                                rng.uniform(-180, 180, n), sat_id=sat,
+                                beam_ids=rng.integers(0, 49, n).tolist())
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+class TestRecordTable:
+    def test_rows_are_the_stable_time_sort(self):
+        records = shuffled_records()
+        table = RecordTable.from_records(records)
+        assert table.rows() == sorted(records, key=IraRecord.sort_key)
+        assert RecordTable.from_records(table) is table
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-9])
+    @pytest.mark.parametrize("origin", [None, (0, 0), (1_600_000_003, 250_000)])
+    def test_t_s_is_the_record_arithmetic(self, unit, origin):
+        records = sorted(shuffled_records(), key=IraRecord.sort_key)
+        e0, f0 = origin or (records[0].epoch_s, records[0].frac)
+        expected = [(r.epoch_s - e0) + (r.frac - f0) * unit for r in records]
+        assert RecordTable.from_records(records).t_s(unit, origin).tolist() == expected
+
+    def test_sequence_interface(self):
+        records = sorted(shuffled_records(), key=IraRecord.sort_key)
+        table = RecordTable.from_records(records)
+        assert len(table) == len(records) and list(table) == records
+        assert (table[0], table[-1]) == (records[0], records[-1])
+        assert table[3:9] == RecordTable.from_records(records[3:9])
+        assert table[3:9] != table[3:10]
+        assert table[table.is_track].rows() == [r for r in records if r.is_track]
+        assert table[table.is_beam].rows() == [r for r in records if r.beam_id >= 1]
+        with pytest.raises(IndexError):
+            table[len(records)]
+        with pytest.raises(ValueError):
+            table.lat[0] = 1.0
+
+    def test_by_satellite_matches_grouping(self):
+        records = sorted(shuffled_records(), key=IraRecord.sort_key)
+        grouped = RecordTable.from_records(records).by_satellite()
+        assert list(grouped) == [2, 78, 115]
+        for sat, part in grouped.items():
+            assert part.rows() == [r for r in records if r.sat_id == sat]
+        assert RecordTable.from_records([]).by_satellite() == {}
 
 
 class TestPass:
@@ -92,6 +143,9 @@ class TestPass:
         other = make_records([20], [2], [0], sat_id=115)
         with pytest.raises(ValueError):
             Pass(78, tuple(records + other), Direction.UPWARD, 20 / 60)
+        tie = make_records([0, 0], [0, 1], [0, 0])
+        with pytest.raises(ValueError):
+            Pass(78, RecordTable.from_records(tie), Direction.UPWARD, 0.0)
 
     def test_direction_antisymmetry(self):
         times = [0, 60, 120, 180]
