@@ -41,19 +41,32 @@ DEFAULT_SPEED_BIN_KMS = 0.05
 DEFAULT_INTERARRIVAL_BIN_S = 0.1
 
 
+def histogram(values, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, counts) of the occupied bins, centers ascending; bins are
+    centered on multiples of the width.
+
+    Only occupied bins are counted, so one stray value does not size a dense
+    array. Bin indices stay floats, exact below 2**53, so a far-off value
+    gets its own bin instead of wrapping in an integer cast.
+    """
+    if bin_width <= 0:
+        raise ValueError("bin_width must be > 0")
+    # adding zero folds a -0.0 index into the +0.0 bin
+    bins, counts = np.unique(np.round(np.asarray(values, dtype=float) / bin_width) + 0.0,
+                             return_counts=True)
+    return bins * bin_width, counts
+
+
 def histogram_mode(values, bin_width: float) -> float:
-    """Center of the most populated bin; bins are centered on multiples of the width.
+    """Center of the most populated :func:`histogram` bin.
 
     Ties resolve to the lowest bin so the result is deterministic.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyInput("histogram_mode needs at least one value")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
-    # counts of the occupied bins only: one stray value must not size a dense array
-    bins, counts = np.unique(np.round(values / bin_width).astype(np.int64), return_counts=True)
-    return float(bins[np.argmax(counts)] * bin_width)
+    centers, counts = histogram(values, bin_width)
+    return float(centers[np.argmax(counts)])
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,8 @@ def _parse_motion(text: str) -> MotionProfile:
 
 
 def _histogram_rows(values: np.ndarray, bin_width: float):
-    idx = np.round(np.asarray(values) / bin_width).astype(np.int64)
-    uniques, counts = np.unique(idx, return_counts=True)
-    return [(float(u * bin_width), int(c)) for u, c in zip(uniques, counts)]
+    centers, counts = analytics.histogram(values, bin_width)
+    return list(zip(centers.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +272,13 @@ def _cmd_simulate(args) -> int:
 def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
     times, points = [], []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
+                try:
+                    line.encode("utf-8")  # an undecodable byte became a lone surrogate
+                except UnicodeEncodeError:
+                    raise MalformedLine(f"track {path}, line {lineno}: not UTF-8") from None
                 if not line or line.startswith("#"):
                     continue
                 try:

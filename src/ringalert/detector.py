@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveValue,
     UnknownThreshold,
 )
-from .geo import GeoPoint, displace_deg, great_circle_km, normalize_lon
+from .geo import GeoPoint, displace_rad, great_circle_km, mod360, normalize_lon, start_rad
 from .model import (
     DEFAULT_FRAC_UNIT_S,
     DetectorConfig,
@@ -72,6 +72,16 @@ class DetectionOutcome:
         return cls(deviation_km > threshold_km, deviation_km, threshold_km)
 
 
+def _moving(motion: MotionProfile | None) -> bool:
+    return motion is not None and motion.speed_kmh != 0.0
+
+
+def _compensate(start, t_s, motion: MotionProfile, t_ref: float):
+    """The compensation kernel: ``start`` is :func:`geo.start_rad` of the points."""
+    d_km = motion.speed_kmh * (t_ref - t_s) / 3600.0
+    return displace_rad(*start, motion.course_deg, d_km)
+
+
 def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float):
     """Translate each point by the receiver displacement between its time and t_ref.
 
@@ -81,10 +91,9 @@ def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float)
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
     t_s = np.asarray(t_s, dtype=float)
-    if motion is None or motion.speed_kmh == 0.0:
+    if not _moving(motion):
         return lat, lon
-    d_km = motion.speed_kmh * (t_ref - t_s) / 3600.0
-    return displace_deg(lat, lon, motion.course_deg, d_km)
+    return _compensate(start_rad(lat, lon), t_s, motion, t_ref)
 
 
 def _mean_lat_lon(lat: np.ndarray, lon: np.ndarray) -> tuple[float, float]:
@@ -96,8 +105,16 @@ def _mean_lat_lon(lat: np.ndarray, lon: np.ndarray) -> tuple[float, float]:
     """
     lam = np.radians(lon)
     ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
-    unwrapped = ref + (lon - ref + 180.0) % 360.0 - 180.0
+    unwrapped = ref + mod360(lon - ref + 180.0) - 180.0
     return float(lat.mean()), normalize_lon(float(unwrapped.mean()))
+
+
+def _centroid(lat: np.ndarray, lon: np.ndarray, t_s: np.ndarray) -> PositionEstimate:
+    """The estimate of compensated points ``lat``, ``lon`` taken at ``t_s``."""
+    mean_lat, mean_lon = _mean_lat_lon(lat, lon)
+    return PositionEstimate(
+        GeoPoint(mean_lat, mean_lon), int(t_s.size), (float(t_s.min()), float(t_s.max()))
+    )
 
 
 def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None,
@@ -111,10 +128,7 @@ def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None,
     if t_ref is None:
         t_ref = float(t_s.max())
     c_lat, c_lon = compensate_arrays(lat, lon, t_s, motion, t_ref)
-    mean_lat, mean_lon = _mean_lat_lon(np.asarray(c_lat), np.asarray(c_lon))
-    return PositionEstimate(
-        GeoPoint(mean_lat, mean_lon), int(lat.size), (float(t_s.min()), float(t_s.max()))
-    )
+    return _centroid(np.asarray(c_lat), np.asarray(c_lon), t_s)
 
 
 def estimate_position(records, motion: MotionProfile | None = None,
@@ -259,11 +273,18 @@ class WindowedDetector:
     are safe from other threads because estimates are immutable values.
 
     Beam records are kept as ``(lat, lon, t_s)`` columns of one
-    ``(3, 2 * window_n)`` buffer; the window is the contiguous slice of its
+    ``(6, 2 * window_n)`` buffer; the window is the contiguous slice of its
     last ``window_n`` filled columns. A full buffer moves its newest
     ``window_n - 1`` columns to the front, so a push costs one vectorized
     estimate over the window. The window keeps push order, which for
     time-ordered pushes is the order ``estimate_position`` sorts into.
+
+    For a moving receiver the other three rows cache :func:`geo.start_rad`
+    of each point, filled for the columns pushed since the last estimate, so
+    a push evaluates the trig of each point's latitude once, not once per
+    estimate. The estimate runs the batch estimator's compensation kernel
+    on the cached rows and equals ``estimate_position_arrays`` of the
+    window exactly.
     """
 
     def __init__(self, config: DetectorConfig, motion: MotionProfile | None = None,
@@ -271,23 +292,36 @@ class WindowedDetector:
         self.config = config
         self.motion = motion
         self.frac_unit_s = frac_unit_s
-        self._columns = np.empty((3, 2 * config.window_n))
+        self._columns = np.empty((6, 2 * config.window_n))
         self._end = 0
+        self._start_rad_end = 0  # columns before this one hold their start_rad rows
         self._estimate: PositionEstimate | None = None
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
         if record.beam_id >= 1:
             n = self.config.window_n
             if self._end == self._columns.shape[1]:
-                self._columns[:, :n - 1] = self._columns[:, self._end - n + 1:]
+                shift = self._end - n + 1
+                self._columns[:, :n - 1] = self._columns[:, shift:]
                 self._end = n - 1
-            self._columns[:, self._end] = (record.ground.lat_deg, record.ground.lon_deg,
-                                           record.timestamp(self.frac_unit_s))
+                self._start_rad_end = max(self._start_rad_end - shift, 0)
+            self._columns[:3, self._end] = (record.ground.lat_deg, record.ground.lon_deg,
+                                            record.timestamp(self.frac_unit_s))
             self._end += 1
             if self._end >= n:
-                lat, lon, t_s = self._columns[:, self._end - n:self._end]
-                self._estimate = estimate_position_arrays(lat, lon, t_s, self.motion)
+                self._estimate = self._estimate_window()
         return self._estimate
+
+    def _estimate_window(self) -> PositionEstimate:
+        lo = self._end - self.config.window_n
+        lat, lon, t_s = self._columns[:3, lo:self._end]
+        if _moving(self.motion):
+            new = self._columns[:, self._start_rad_end:self._end]
+            new[3:] = start_rad(new[0], new[1])
+            self._start_rad_end = self._end
+            lat, lon = _compensate(self._columns[3:, lo:self._end], t_s, self.motion,
+                                   float(t_s.max()))
+        return _centroid(lat, lon, t_s)
 
     @property
     def latest_estimate(self) -> PositionEstimate | None:

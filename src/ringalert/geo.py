@@ -27,8 +27,19 @@ def normalize_lon(lon_deg: float) -> float:
     return lon
 
 
+def mod360(x):
+    """``x % 360.0`` of a float array, bit for bit, at the cost of ``np.fmod``.
+
+    This is numpy's own sign fix of the truncated remainder: a negative one
+    moves up by 360, and adding zero turns a -0.0 result into +0.0.
+    """
+    r = np.fmod(x, 360.0)
+    r += (r < 0) * 360.0
+    return r
+
+
 def normalize_lon_array(lon_deg: np.ndarray) -> np.ndarray:
-    lon = np.asarray(lon_deg, dtype=float) % 360.0
+    lon = mod360(np.asarray(lon_deg, dtype=float))
     return np.where(lon > 180.0, lon - 360.0, lon)
 
 
@@ -97,21 +108,35 @@ def bearing_deg(lat1, lon1, lat2, lon2):
     return np.degrees(np.arctan2(y, x)) % 360.0
 
 
+def start_rad(lat, lon):
+    """(sin phi, cos phi, lambda) of degree coordinates: what :func:`displace_rad`
+    needs of a start point, so a caller that displaces one point many times
+    computes it once."""
+    phi = np.radians(lat)
+    return np.sin(phi), np.cos(phi), np.radians(lon)
+
+
 def displace_deg(lat, lon, course_deg, d_km):
     """Destination along the initial-course great circle; broadcasts over arrays.
 
-    Returns (lat2_deg, lon2_deg). A zero distance reproduces the input exactly.
+    Returns (lat2_deg, lon2_deg).
     """
-    phi = np.radians(lat)
-    lam = np.radians(lon)
+    return displace_rad(*start_rad(lat, lon), course_deg, d_km)
+
+
+def displace_rad(sin_phi, cos_phi, lam, course_deg, d_km):
+    """:func:`displace_deg` from a start point given by :func:`start_rad`.
+
+    The operation order is part of the contract: estimates that cache the
+    start point's trig must equal those that do not, bit for bit.
+    """
     theta = np.radians(course_deg)
     delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
-    sin_phi2 = np.sin(phi) * np.cos(delta) + np.cos(phi) * np.sin(delta) * np.cos(theta)
+    sin_delta = np.sin(delta)
+    cos_delta = np.cos(delta)
+    sin_phi2 = sin_phi * cos_delta + cos_phi * sin_delta * np.cos(theta)
     phi2 = np.arcsin(np.clip(sin_phi2, -1.0, 1.0))
-    lam2 = lam + np.arctan2(
-        np.sin(theta) * np.sin(delta) * np.cos(phi),
-        np.cos(delta) - np.sin(phi) * sin_phi2,
-    )
+    lam2 = lam + np.arctan2(np.sin(theta) * sin_delta * cos_phi, cos_delta - sin_phi * sin_phi2)
     return np.degrees(phi2), normalize_lon_array(np.degrees(lam2))
 
 

@@ -135,11 +135,13 @@ def _read_lines(source) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
 
     Offsets count characters; the trailing newline is not content. A path is
     read whole in text mode, whose universal newlines split lines exactly
-    where iterating the file does; anything else is iterated.
+    where iterating the file does; a byte that is not UTF-8 becomes U+FFFD,
+    which no field accepts, so its line is quarantined as malformed.
+    Anything else is iterated.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
-            fh = open(source, "r", encoding="utf-8")
+            fh = open(source, "r", encoding="utf-8", errors="replace")
         except OSError as exc:
             raise IoFailure(f"cannot open {exc.filename}: {exc.strerror}") from exc
         try:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ringalert
 from ringalert.cli import build_parser, main
-from ringalert.ingest import format_line
+from ringalert.ingest import format_line, parse_table
 from ringalert.simulator import SimConfig, emit_stream
 from tests.conftest import SAMPLE_LOG_ROWS, reference_parse
 
@@ -166,6 +166,16 @@ class TestAnalyzeCommand:
         summary = json.loads((report / "analyze_summary.json").read_text())
         assert summary["passes"]["count"] == 1
 
+    def test_far_off_time_gets_its_own_bin(self, tmp_path):
+        # a duration of ~4e18 s is ~4e19 bins of 0.1 s: beyond int64, exact as a float
+        log = write_sample_log(tmp_path, ["4000000000000000000 000000000 115 0 +29.81 +046.10"])
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--report", report]) == 0
+        rows = (report / "interarrival_histogram.tsv").read_text().splitlines()[1:]
+        bins = [float(row.split("\t")[0]) for row in rows]
+        assert bins == sorted(bins) and bins[0] >= 0.0
+        assert bins[-1] == pytest.approx(4e18, rel=1e-8)  # the report keeps 8 digits
+
     def test_duplicate_decode_is_counted(self, tmp_path):
         log = write_sample_log(tmp_path, [SAMPLE_LOG_ROWS[2]])
         report = tmp_path / "r"
@@ -173,6 +183,40 @@ class TestAnalyzeCommand:
         counts = json.loads((report / "analyze_summary.json").read_text())["ingest"]
         assert counts["duplicate"] == 1 and counts["accepted"] == len(SAMPLE_LOG_ROWS)
         assert counts["total_lines"] == counts["accepted"] + counts["blank"] + counts["quarantined"]
+
+
+class TestNonUtf8Log:
+    """A line holding bytes that are not UTF-8 is quarantined as malformed."""
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_bytes("\n".join(SAMPLE_LOG_ROWS).encode() + b"\n\xff\xfe\n"
+                         + b"1580712041 000000739 115 0 +29.8\xff1 +046.10\n")
+        return path
+
+    def test_parse_table_quarantines_the_lines(self, log):
+        table, report = parse_table(log)
+        assert (len(table), report.malformed, report.quarantined_lines) == (7, 2, [8, 9])
+
+    @pytest.mark.parametrize("command, summary, key", [
+        ("ingest", "ingest_summary.json", "report"),
+        ("analyze", "analyze_summary.json", "ingest"),
+    ])
+    def test_counted_as_malformed(self, tmp_path, log, command, summary, key):
+        report = tmp_path / "r"
+        assert run_cli([command, "--input", log, "--report", report]) == 0
+        counts = json.loads((report / summary).read_text())[key]
+        assert (counts["accepted"], counts["malformed"]) == (7, 2)
+        assert reconciles(counts)
+
+    def test_detect_runs(self, tmp_path, log):
+        track = tmp_path / "track.txt"
+        track.write_text("1580712040.0 29.8 46.1\n")
+        report = tmp_path / "r"
+        assert run_cli(["detect", "--input", log, "--gnss-track", track, "--threshold-km", 20,
+                        "--window-n", 2, "--report", report]) == 0
+        assert json.loads((report / "detect_summary.json").read_text())["windows"] == 2
 
 
 class TestAnalyzeInputErrors:
@@ -328,7 +372,9 @@ class TestDetectInputErrors:
     def _inputs(self, tmp_path, track_rows=("1580712040.0 29.8 46.1",)):
         log = write_sample_log(tmp_path)
         track = tmp_path / "track.txt"
-        track.write_text("# epoch_s lat lon\n" + "\n".join(track_rows) + "\n")
+        # surrogateescape writes a lone surrogate "\udcXX" as the raw byte 0xXX
+        track.write_text("# epoch_s lat lon\n" + "\n".join(track_rows) + "\n",
+                         encoding="utf-8", errors="surrogateescape")
         return log, track
 
     @pytest.mark.parametrize("flags", [
@@ -347,6 +393,8 @@ class TestDetectInputErrors:
         "1580712040.0 29.8 46.1 7",
         "1580712040.0 north 46.1",
         "1580712040.0 95.0 46.1",
+        "1580712040.0 29.8 46.1\udcff",
+        "\udcff\udcfe",
     ])
     def test_bad_track_line_is_data_error(self, tmp_path, capsys, bad_row):
         log, track = self._inputs(tmp_path, ["1580712039.0 29.8 46.1", bad_row])
@@ -367,19 +415,28 @@ MUTATION_BASE = _mutation_base()
 ODD_TOKENS = ["x", "nan", "inf", "-inf", "+5", "1e1", "007", "9" * 25, "-1", "0", "49", "999",
               "91.5", "-90.0000001", "1000000", "", "+-3", "1.2.3", "٣",
               str(2**63 - 1), str(-2**63), "4" + "0" * 18, "-" + "4" * 19]
+#: Bytes that are not UTF-8 alone or next to each other or to ASCII, as the
+#: lone surrogates that surrogateescape writes as those raw bytes.
+RAW_BYTES = ["\udcff", "\udcfe", "\udcc0", "\udc80"]
 
 
 @st.composite
 def mutated_logs(draw):
     """Lines of the base log with fields deleted, repeated, swapped, replaced
-    by odd tokens or re-delimited with commas, and whole lines repeated."""
+    by odd tokens or re-delimited with commas, raw bytes that are not UTF-8
+    inserted, and whole lines repeated."""
     lines = list(MUTATION_BASE)
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
         fields = lines[i].split()
-        op = draw(st.sampled_from(["delete", "repeat", "swap", "token", "commas", "line"]))
+        op = draw(st.sampled_from(["delete", "repeat", "swap", "token", "commas", "line",
+                                   "bytes"]))
         if op == "line":
             lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), lines[i])
+            continue
+        if op == "bytes":
+            at = draw(st.integers(min_value=0, max_value=len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(RAW_BYTES)) + lines[i][at:]
             continue
         if fields:
             k = draw(st.integers(min_value=0, max_value=len(fields) - 1))
@@ -412,7 +469,7 @@ class TestMutatedLogs:
     def test_ingest_and_analyze(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
             log = Path(tmp) / "log.txt"
-            log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            log.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
             accepted, counts, _ = reference_parse(lines)
             for command, summary, key in (("ingest", "ingest_summary.json", "report"),
                                           ("analyze", "analyze_summary.json", "ingest")):

@@ -15,7 +15,7 @@ from ringalert.errors import (
     UnknownThreshold,
 )
 from ringalert.geo import GeoPoint, displace, great_circle_km
-from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs
+from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs, RecordTable
 from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
 from tests.conftest import corridor_config, make_records
 
@@ -322,21 +322,22 @@ def ring_stream(n_beams: int, seed: int):
 class TestWindowedDetector:
     @pytest.mark.parametrize("motion", RING_MOTIONS,
                              ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
-    @pytest.mark.parametrize("window_n", [1, 3, 500])
+    @pytest.mark.parametrize("window_n", [1, 2, 3, 500, 1000])
     def test_estimates_equal_batch_over_buffer_wraps(self, window_n, motion):
         # the (3, 2n) buffer first wraps at beam push 2n + 1, then every n pushes
         records = ring_stream(5 * window_n, seed=window_n)
+        # the stream is time-ordered, so a slice of the sorted beam table is a window
+        beams = RecordTable.from_records([r for r in records if r.beam_id >= 1])
+        assert len(beams) == 5 * window_n
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
-        beams = []
+        pushed = 0
         for record in records:
             est = det.push(record)
-            if record.beam_id >= 1:
-                beams.append(record)
-            if len(beams) < window_n:
+            pushed += record.beam_id >= 1
+            if pushed < window_n:
                 assert est is None
             else:
-                assert est == detector.estimate_position(beams[-window_n:], motion)
-        assert len(beams) == 5 * window_n
+                assert est == detector.estimate_position(beams[pushed - window_n:pushed], motion)
 
     @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
     def test_shuffled_pushes_match_sorted_window(self, motion):

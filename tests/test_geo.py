@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,11 @@ from ringalert.geo import (
     enu_offset_km,
     great_circle_km,
     initial_bearing_deg,
+    displace_deg,
     interpolate,
+    mod360,
     normalize_lon,
+    normalize_lon_array,
     offset_point,
 )
 
@@ -114,6 +118,79 @@ class TestDisplace:
         back = initial_bearing_deg(p, q)
         diff = (back - course + 180.0) % 360.0 - 180.0
         assert abs(diff) < 1e-6
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def normalize_lon_array_by_percent(lon):
+    """Reference: the fold written with numpy's float ``%``."""
+    lon = np.asarray(lon, dtype=float) % 360.0
+    return np.where(lon > 180.0, lon - 360.0, lon)
+
+
+def displace_deg_unsplit(lat, lon, course_deg, d_km):
+    """Reference: the destination formula in one piece, with numpy's float ``%``."""
+    phi = np.radians(lat)
+    lam = np.radians(lon)
+    theta = np.radians(course_deg)
+    delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
+    sin_phi2 = np.sin(phi) * np.cos(delta) + np.cos(phi) * np.sin(delta) * np.cos(theta)
+    phi2 = np.arcsin(np.clip(sin_phi2, -1.0, 1.0))
+    lam2 = lam + np.arctan2(
+        np.sin(theta) * np.sin(delta) * np.cos(phi),
+        np.cos(delta) - np.sin(phi) * sin_phi2,
+    )
+    return np.degrees(phi2), normalize_lon_array_by_percent(np.degrees(lam2))
+
+
+class TestExactKernel:
+    """The fmod remainder and the split displacement change no output bit."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(360.0)
+    @example(-360.0)
+    @example(180.0)
+    @example(-180.0)
+    @example(float(np.nextafter(360.0, 0.0)))
+    @example(float(np.nextafter(-360.0, 0.0)))
+    @example(1e17)
+    @example(-1e17)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    def test_mod360_is_percent_bit_for_bit(self, x):
+        x = np.array([x])
+        with np.errstate(invalid="ignore"):  # inf has no remainder: both sides give NaN
+            got, want = mod360(x), x % 360.0
+        if np.isnan(want[0]):
+            assert np.isnan(got[0])
+        else:
+            assert bits(got)[0] == bits(want)[0]
+
+    def test_normalize_lon_array_unchanged(self):
+        rng = np.random.default_rng(5)
+        edges = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, -540.0, 1e17, -1e17,
+                 np.nextafter(180.0, 0.0), np.nextafter(180.0, 360.0),
+                 np.nextafter(360.0, 0.0), np.nextafter(-360.0, 0.0), 5e-324, -5e-324]
+        lon = np.concatenate((edges, rng.uniform(-1080.0, 1080.0, 20_000)))
+        assert np.array_equal(bits(normalize_lon_array(lon)),
+                              bits(normalize_lon_array_by_percent(lon)))
+
+    def test_displace_deg_unchanged(self):
+        rng = np.random.default_rng(6)
+        n = 20_000
+        lat = np.concatenate(([90.0, -90.0, 0.0, -0.0], rng.uniform(-90.0, 90.0, n)))
+        lon = np.concatenate(([180.0, -180.0, 0.0, -0.0], rng.uniform(-540.0, 540.0, n)))
+        course = np.concatenate(([0.0, 90.0, 180.0, 270.0], rng.uniform(-720.0, 720.0, n)))
+        d_km = np.concatenate(([0.0, 1e-9, 20_015.0, 40_000.0], rng.uniform(0.0, 3000.0, n)))
+        for args in ((lat, lon, course, d_km), (lat, lon, 57.0, d_km),
+                     (lat[5], lon[5], course[5], d_km[5])):
+            for got, want in zip(displace_deg(*args), displace_deg_unsplit(*args)):
+                assert np.array_equal(bits(got), bits(want))
 
 
 class TestLocalOffsets:
