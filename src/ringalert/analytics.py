@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BinOverflow,
     DegenerateInput,
     EmptyInput,
     InsufficientBrackets,
@@ -47,13 +48,19 @@ def histogram(values, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
 
     Only occupied bins are counted, so one stray value does not size a dense
     array. Bin indices stay floats, exact below 2**53, so a far-off value
-    gets its own bin instead of wrapping in an integer cast.
+    gets its own bin instead of wrapping in an integer cast; a width so
+    small that an index overflows raises :class:`BinOverflow`.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
+    values = np.asarray(values, dtype=float)
+    top = float(np.abs(values).max()) if values.size else 0.0
+    # a quotient of Python floats overflows to inf without numpy's warning
+    if math.isinf(top / float(bin_width)):
+        raise BinOverflow(f"bin width {bin_width} is too small for values up to {top}: "
+                          "the bin index overflows")
     # adding zero folds a -0.0 index into the +0.0 bin
-    bins, counts = np.unique(np.round(np.asarray(values, dtype=float) / bin_width) + 0.0,
-                             return_counts=True)
+    bins, counts = np.unique(np.round(values / bin_width) + 0.0, return_counts=True)
     return bins * bin_width, counts
 
 

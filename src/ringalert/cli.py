@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, detector, ingest, simulator
-from .errors import (EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
+from .errors import (BinOverflow, EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
                      InvalidCoordinate, IoFailure, MalformedLine, RingAlertError)
 from .geo import GeoPoint, great_circle_km, interpolate
 from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
@@ -45,6 +45,15 @@ def _flag_values():
         yield
     except (ValueError, InvalidCoordinate) as exc:
         raise _UsageError(str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _bin_width(flag: str):
+    """Report a bin width too small for the values it bins as a bad ``flag``."""
+    try:
+        yield
+    except BinOverflow as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _load_json(path: str, from_dict):
@@ -130,7 +139,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _check_positive(flag: str, value: float | None, *, finite: bool = True) -> None:
-    """A flag value that must be > 0 (and finite, for histogram bins)."""
+    """A flag value that must be > 0 (and finite, unless ``finite`` is False)."""
     if value is not None and not (value > 0 and (math.isfinite(value) or not finite)):
         raise _UsageError(f"{flag} must be a positive number, got {value}")
 
@@ -148,26 +157,30 @@ def _cmd_analyze(args) -> int:
     records, report = ingest.parse_table(args.input, frac_unit)
     if not len(records):
         raise EmptyInput("no valid records to analyze")
-    out = _report_dir(args)
     summary: dict = {"input": os.path.basename(args.input), "ingest": report.to_dict()}
+    # report name -> (header, rows), written once every statistic is in
+    tables: dict[str, tuple[list[str], list]] = {}
 
     speeds = analytics.ground_speeds(records, frac_unit_s=frac_unit,
                                      gap_threshold_s=args.gap_threshold_s,
                                      max_dt_s=args.max_speed_dt_s)
     if speeds:
         values = np.array([s.v_kms for s in speeds])
-        _write_table(out / "speed_histogram.tsv", ["v_kms", "count"],
-                     _histogram_rows(values, args.speed_bin_kms))
-        summary["speed"] = {
-            "samples": len(speeds),
-            "mode_kms": analytics.histogram_mode(values, args.speed_bin_kms),
-        }
+        with _bin_width("--speed-bin-kms"):
+            tables["speed_histogram.tsv"] = (["v_kms", "count"],
+                                             _histogram_rows(values, args.speed_bin_kms))
+            summary["speed"] = {
+                "samples": len(speeds),
+                "mode_kms": analytics.histogram_mode(values, args.speed_bin_kms),
+            }
 
     if len(records) >= 2:
-        stats = analytics.interarrival_stats(records, frac_unit_s=frac_unit,
-                                             bin_width_s=args.interarrival_bin_s)
-        _write_table(out / "interarrival_histogram.tsv", ["duration_s", "count"],
-                     _histogram_rows(stats.durations_s, args.interarrival_bin_s))
+        with _bin_width("--interarrival-bin-s"):
+            stats = analytics.interarrival_stats(records, frac_unit_s=frac_unit,
+                                                 bin_width_s=args.interarrival_bin_s)
+            tables["interarrival_histogram.tsv"] = (
+                ["duration_s", "count"],
+                _histogram_rows(stats.durations_s, args.interarrival_bin_s))
         summary["interarrival"] = {
             "mode_s": stats.mode_s,
             "max_grid_residual_s": float(np.abs(stats.residuals_s).max()),
@@ -181,9 +194,8 @@ def _cmd_analyze(args) -> int:
             all_passes.append(p)
             pass_rows.append((sat_id, int(p.records.epoch_s[0]), p.duration_min,
                               p.direction.value, len(p.records)))
-    _write_table(out / "passes.tsv",
-                 ["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
-                 pass_rows)
+    tables["passes.tsv"] = (["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
+                            pass_rows)
     durations = analytics.pass_durations_min(all_passes)
     summary["passes"] = {"count": len(all_passes)}
     try:
@@ -194,21 +206,27 @@ def _cmd_analyze(args) -> int:
 
     try:
         beams = analytics.beam_constellation(records, all_passes, frac_unit_s=frac_unit)
-        _write_table(out / "beam_centroids.tsv", ["beam_id", "east_km", "north_km"],
-                     [(b, e, n) for b, (e, n) in sorted(beams.centroids.items())])
+        tables["beam_centroids.tsv"] = (
+            ["beam_id", "east_km", "north_km"],
+            [(b, e, n) for b, (e, n) in sorted(beams.centroids.items())])
         summary["beams"] = beams.to_dict()
     except InsufficientBrackets:
         summary["beams"] = None
 
     if receiver is not None:
-        cov = analytics.coverage_extent(records, receiver,
-                                        bin_width_km=args.coverage_bin_km)
-        _write_table(out / "coverage_histogram.tsv", ["distance_km", "count"],
-                     _histogram_rows(cov.distances_km, args.coverage_bin_km))
+        with _bin_width("--coverage-bin-km"):
+            cov = analytics.coverage_extent(records, receiver,
+                                            bin_width_km=args.coverage_bin_km)
+            tables["coverage_histogram.tsv"] = (
+                ["distance_km", "count"],
+                _histogram_rows(cov.distances_km, args.coverage_bin_km))
         summary["coverage"] = {
             "max_km": cov.max_km, "area_km2": cov.area_km2, "mode_km": cov.mode_km,
         }
 
+    out = _report_dir(args)
+    for name, (header, rows) in tables.items():
+        _write_table(out / name, header, rows)
     _write_json(out / "analyze_summary.json", summary)
     print(f"analyzed {len(records)} records into {out}")
     return 0
@@ -252,9 +270,10 @@ def _build_scenario(args, duration_s: float) -> simulator.Scenario:
 
 
 def _cmd_simulate(args) -> int:
+    _check_positive("--track-interval-s", args.track_interval_s)
     config = _build_sim_config(args)
     scenario = _build_scenario(args, config.duration_s)
-    records = simulator.emit_stream(config, scenario, return_arrays=True).to_table()
+    records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)
     if args.track_out:
         step = args.track_interval_s
@@ -322,10 +341,10 @@ def _cmd_detect(args) -> int:
     rows = []
     alarms = clamped = 0
     for start in range(0, len(beams) - config.window_n + 1, config.window_n):
-        window = beams[start:start + config.window_n]
-        t_ref = float(times[start + config.window_n - 1])
-        est = detector.estimate_position(window, motion, t_ref=t_ref,
-                                         frac_unit_s=frac_unit)
+        w = slice(start, start + config.window_n)
+        t_ref = float(times[w.stop - 1])
+        est = detector.estimate_position_arrays(beams.lat[w], beams.lon[w], times[w],
+                                                motion, t_ref)
         g_pos = _track_position(track_times, track_points, t_ref)
         clamped += not track_times[0] <= t_ref <= track_times[-1]
         outcome = detector.detect(est, g_pos, config)
@@ -357,6 +376,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_positive("--windows", args.windows)
     config = _build_sim_config(args)
     receiver = _parse_latlon(args.receiver or "0,0")
     with _flag_values():

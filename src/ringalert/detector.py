@@ -120,32 +120,21 @@ def _centroid(lat: np.ndarray, lon: np.ndarray, t_s: np.ndarray) -> PositionEsti
 def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None,
                              t_ref: float | None = None) -> PositionEstimate:
     """Centroid estimate from columnar beam positions (already beam-only)."""
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
     t_s = np.asarray(t_s, dtype=float)
-    if lat.size == 0:
+    if t_s.size == 0:
         raise NoBeamRecords("position estimation needs at least one beam record")
     if t_ref is None:
         t_ref = float(t_s.max())
-    c_lat, c_lon = compensate_arrays(lat, lon, t_s, motion, t_ref)
-    return _centroid(np.asarray(c_lat), np.asarray(c_lon), t_s)
+    return _centroid(*compensate_arrays(lat, lon, t_s, motion, t_ref), t_s)
 
 
-def estimate_position(records, motion: MotionProfile | None = None,
-                      config: DetectorConfig | None = None, *,
+def estimate_position(records, motion: MotionProfile | None = None, *,
                       t_ref: float | None = None,
                       frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> PositionEstimate:
-    """Centroid of the window's compensated beam records (beam_id >= 1).
-
-    ``config.window_n`` caps the window to the most recent N beam records
-    when a config is given.
-    """
+    """Centroid of the compensated beam records (beam_id >= 1) of a record
+    sequence or table: :func:`estimate_position_arrays` of its beam columns."""
     table = RecordTable.from_records(records)
     beams = table[table.is_beam]
-    if config is not None and len(beams) > config.window_n:
-        beams = beams[-config.window_n:]
-    if not len(beams):
-        raise NoBeamRecords("position estimation needs at least one beam record")
     return estimate_position_arrays(beams.lat, beams.lon, beams.t_s(frac_unit_s, origin=(0, 0)),
                                     motion, t_ref)
 

@@ -49,6 +49,10 @@ class NonConvergence(RingAlertError):
         self.iterations = iterations
 
 
+class BinOverflow(RingAlertError):
+    """A histogram bin width so small that a value's bin index overflows."""
+
+
 class InsufficientBrackets(RingAlertError):
     """No beam record could be bracketed by track points."""
 

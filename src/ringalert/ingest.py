@@ -137,7 +137,8 @@ def _read_lines(source) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     read whole in text mode, whose universal newlines split lines exactly
     where iterating the file does; a byte that is not UTF-8 becomes U+FFFD,
     which no field accepts, so its line is quarantined as malformed.
-    Anything else is iterated.
+    Anything else is iterated; a text file object that cannot decode its
+    bytes is a read failure.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
@@ -157,7 +158,7 @@ def _read_lines(source) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
         return text, buf, starts[:ends.size], ends
     try:
         lines = list(source)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"read failure: {exc}") from exc
     text = "".join(lines)
     buf = _ascii_bytes(text)

@@ -361,6 +361,8 @@ class MotionProfile:
     speed_kmh: float
 
     def __post_init__(self):
+        if not math.isfinite(self.course_deg):
+            raise ValueError(f"course must be finite, got {self.course_deg}")
         if not math.isfinite(self.speed_kmh) or self.speed_kmh < 0:
             raise ValueError(f"speed must be finite and >= 0, got {self.speed_kmh}")
 

@@ -15,7 +15,7 @@ produce byte-identical streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .geo import (
     haversine_km,
     unit_vectors,
 )
-from .model import MAX_BEAM_ID, IraRecord, MotionProfile, RecordTable, valid_sat_ids
+from .model import MAX_BEAM_ID, MotionProfile, RecordTable, valid_sat_ids
 
 DEFAULT_RING_RADII_KM = (3.36, 7.98, 14.35)
 DEFAULT_RING_COUNTS = (8, 16, 24)
@@ -87,10 +87,13 @@ class SpoofProfile:
     offset_speed_kmh: float
 
     def __post_init__(self):
-        if self.start_s < 0:
-            raise ValueError("spoof start must be >= 0")
-        if self.offset_speed_kmh < 0:
-            raise ValueError("spoof offset speed must be >= 0")
+        if not math.isfinite(self.offset_course_deg):
+            raise ValueError(f"spoof course must be finite, got {self.offset_course_deg}")
+        if not 0 <= self.start_s < math.inf:
+            raise ValueError(f"spoof start must be finite and >= 0, got {self.start_s}")
+        if not 0 <= self.offset_speed_kmh < math.inf:
+            raise ValueError(f"spoof offset speed must be finite and >= 0, "
+                             f"got {self.offset_speed_kmh}")
 
     def to_dict(self) -> dict:
         return {
@@ -174,20 +177,21 @@ class SimConfig:
             raise ValueError(f"n_sats must be in [1, {len(valid_sat_ids())}]")
         if self.planes < 1 or self.n_sats % self.planes != 0:
             raise ValueError("n_sats must divide evenly into planes")
-        if self.plane_nodes_deg is not None and len(self.plane_nodes_deg) != self.planes:
-            raise ValueError("plane_nodes_deg must list one node per plane")
+        if self.plane_nodes_deg is not None and (len(self.plane_nodes_deg) != self.planes or
+                                                 not all(map(math.isfinite, self.plane_nodes_deg))):
+            raise ValueError("plane_nodes_deg must list one finite node per plane")
         if not 0.0 < self.inclination_deg <= 90.0:
             raise ValueError("inclination_deg must be in (0, 90]")
         if not 0.0 <= self.per <= 1.0:
             raise ValueError("per must be in [0, 1]")
-        if self.ground_speed_kms <= 0 or self.beam_period_s <= 0:
-            raise ValueError("ground speed and beam period must be > 0")
+        if not all(0 < v < math.inf for v in (self.ground_speed_kms, self.beam_period_s)):
+            raise ValueError("ground speed and beam period must be finite and > 0")
         if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams:
             raise ValueError("beam_offsets must provide one (east, north) pair per beam")
-        if self.coverage_radius_km <= 0:
-            raise ValueError("coverage_radius_km must be > 0")
-        if self.duration_s < 0:
-            raise ValueError("duration_s must be >= 0")
+        if not self.coverage_radius_km > 0:
+            raise ValueError(f"coverage_radius_km must be > 0, got {self.coverage_radius_km}")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s}")
         if self.loss_model not in ("iid", "burst"):
             raise ValueError("loss_model must be 'iid' or 'burst'")
         if self.burst_stages < 1:
@@ -425,29 +429,6 @@ def _intersect_ranges(slots: np.ndarray, ranges: list[tuple[int, int]]) -> np.nd
 # ---------------------------------------------------------------------------
 # emission
 
-@dataclass(frozen=True)
-class StreamArrays:
-    """Columnar form of an emitted stream (sorted by slot, then satellite)."""
-
-    slot: np.ndarray
-    t_s: np.ndarray
-    sat_id: np.ndarray
-    beam_id: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    epoch_s: np.ndarray
-    frac: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.slot.size)
-
-    def to_table(self) -> RecordTable:
-        return RecordTable(self.epoch_s, self.frac, self.sat_id, self.beam_id, self.lat, self.lon)
-
-    def to_records(self) -> list[IraRecord]:
-        return self.to_table().rows()
-
-
 def _beam_ids_for_slots(config: SimConfig, slots: np.ndarray, sat_index: int) -> np.ndarray:
     """Deficit round-robin schedule: slot multiples of n_beams carry the
     sub-satellite record (beam 0); the beam cycle advances through the other
@@ -466,7 +447,7 @@ def _slot_count(config: SimConfig) -> int:
 
 
 def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_hi: int,
-          rng: np.random.Generator) -> StreamArrays:
+          rng: np.random.Generator) -> RecordTable:
     """Every emission in slots [slot_lo, slot_hi) that survives the loss channel
     and reaches ``receiver``, sorted by slot, then satellite.
 
@@ -518,34 +499,23 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     order = np.lexsort((sat_idx, slot))
     slot, sat_idx, beam_id, lat, lon = (a[order] for a in (slot, sat_idx, beam_id, lat, lon))
     total_us = slot * config.slot_us
-    return StreamArrays(
-        slot=slot,
-        t_s=total_us.astype(float) * 1e-6,
-        sat_id=np.array(config.sat_ids, dtype=np.int64)[sat_idx],
-        beam_id=beam_id,
-        lat=lat,
-        lon=lon,
-        epoch_s=config.start_epoch_s + total_us // 1_000_000,
-        frac=total_us % 1_000_000,
-    )
+    return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
+                       np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
 
 
-def emit_stream(config: SimConfig, scenario: Scenario | None = None,
-                *, return_arrays: bool = False):
-    """Generate the stream of ring-alert records seen by the scenario receiver.
+def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTable:
+    """The table of ring-alert records seen by the scenario receiver.
 
-    Returns a list of records (default) or :class:`StreamArrays`. Satellites
-    emit on every slot while within ``coverage_radius_km`` of the receiver;
-    each emission then passes the loss channel. Identical (config, scenario)
-    pairs produce identical output.
+    Satellites emit on every slot while within ``coverage_radius_km`` of the
+    receiver; each emission then passes the loss channel. Identical
+    (config, scenario) pairs produce identical tables.
     """
     if scenario is None:
         scenario = _DEFAULT_SCENARIO
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
         raise ValueError("spoof start must fall inside the simulated window")
-    arrays = _emit(config, _orbit_basis(config), scenario.receiver, 0, _slot_count(config),
-                   np.random.default_rng(config.seed))
-    return arrays if return_arrays else arrays.to_records()
+    return _emit(config, _orbit_basis(config), scenario.receiver, 0, _slot_count(config),
+                 np.random.default_rng(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +555,16 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         rng = np.random.default_rng(config.seed)
     basis = _orbit_basis(config)
     stationary = MotionProfile(receiver, 0.0, 0.0)
-    names = [f.name for f in fields(WindowSample)]
     windows: list[WindowSample] = []
     carry = None  # beam rows left over from the previous chunk, one array per field
     for chunk_index in range(_MAX_WINDOW_CHUNKS):
         lo = chunk_index * _WINDOW_CHUNK_SLOTS
         chunk = _emit(config, basis, stationary, lo, lo + _WINDOW_CHUNK_SLOTS, rng)
-        beams = chunk.beam_id > 0
-        columns = [getattr(chunk, name)[beams] for name in names]
+        beams = chunk.is_beam
+        # whole microseconds since the run start, so t_s is the emitter's slot time exactly
+        elapsed_us = (chunk.epoch_s[beams] - config.start_epoch_s) * 1_000_000 + chunk.frac[beams]
+        columns = [elapsed_us * 1e-6, chunk.lat[beams], chunk.lon[beams],
+                   chunk.sat_id[beams], chunk.beam_id[beams]]
         if carry is not None:
             columns = [np.concatenate(pair) for pair in zip(carry, columns)]
         cut = min(columns[0].size // window_messages, n_windows - len(windows))

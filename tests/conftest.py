@@ -10,7 +10,7 @@ import pytest
 from ringalert.errors import InvalidBeamId, InvalidCoordinate, InvalidSatId, MalformedLine
 from ringalert.geo import GeoPoint
 from ringalert.ingest import parse_line
-from ringalert.model import DEFAULT_FRAC_UNIT_S, IraRecord
+from ringalert.model import DEFAULT_FRAC_UNIT_S, IraRecord, RecordTable
 from ringalert.simulator import SimConfig
 
 # The seven reference rows used across parser tests (sat 115, one epoch second).
@@ -50,6 +50,15 @@ def make_records(times_s, lats, lons, sat_id=78, beam_ids=None,
             sat_id, beam, GeoPoint(float(lat), float(lon)),
         ))
     return records
+
+
+def run_times_s(stream: RecordTable, config: SimConfig) -> np.ndarray:
+    """Seconds since the start of the run of each row of an emitted stream.
+
+    Whole microseconds are scaled once, so each time equals the emitter's
+    slot time bit for bit.
+    """
+    return ((stream.epoch_s - config.start_epoch_s) * 1_000_000 + stream.frac) * 1e-6
 
 
 def reference_parse(lines, frac_unit_s: float = DEFAULT_FRAC_UNIT_S):

@@ -30,6 +30,7 @@ from tests.conftest import (
     SAMPLE_LOG_ROWS,
     corridor_config,
     overhead_config,
+    run_times_s,
 )
 
 REAL_DATASET = os.environ.get("RINGALERT_REAL_DATASET")
@@ -216,11 +217,11 @@ def test_09_detection_end_to_end():
             n_sats=22, planes=2, plane_nodes_deg=(-0.02, 0.02),
             per=0.1, duration_s=3600.0, seed=seed,
         )
-        stream = emit_stream(config, scenario, return_arrays=True)
-        beams = stream.beam_id >= 1
+        stream = emit_stream(config, scenario)
+        beams = stream.is_beam
         lat = stream.lat[beams][-det_config.window_n:]
         lon = stream.lon[beams][-det_config.window_n:]
-        t = stream.t_s[beams][-det_config.window_n:]
+        t = run_times_s(stream, config)[beams][-det_config.window_n:]
         assert lat.size == det_config.window_n
         t_ref = float(t[-1])
         estimate = detector.estimate_position_arrays(lat, lon, t, motion, t_ref)

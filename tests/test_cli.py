@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ringalert
+from ringalert import cli, detector
 from ringalert.cli import build_parser, main
+from ringalert.geo import GeoPoint
 from ringalert.ingest import format_line, parse_table
+from ringalert.model import DetectorConfig, MotionProfile
 from ringalert.simulator import SimConfig, emit_stream
 from tests.conftest import SAMPLE_LOG_ROWS, reference_parse
 
@@ -240,6 +243,18 @@ class TestAnalyzeInputErrors:
         assert_one_line_error(capsys)
         assert not report.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--speed-bin-kms", 5e-324],
+        ["--interarrival-bin-s", 5e-324],
+        ["--coverage-bin-km", 5e-324, "--receiver", "0,0"],
+    ])
+    def test_bin_width_that_overflows_is_usage_error(self, tmp_path, capsys, flags):
+        log = write_sample_log(tmp_path)
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--report", report] + flags) == 1
+        assert assert_one_line_error(capsys).startswith(f"ringalert: error: {flags[0]}: ")
+        assert not report.exists()
+
     def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys):
         assert run_cli(["analyze", "--input", tmp_path / "missing.txt", "--receiver", "95,0",
                         "--report", tmp_path / "r"]) == 1
@@ -271,6 +286,33 @@ class TestDetectCommand:
         table = (report / "detect_windows.tsv").read_text().splitlines()
         assert table[0].split("\t") == ["window", "t_ref", "n_used", "i_lat", "i_lon",
                                         "g_lat", "g_lon", "deviation_km", "alarm"]
+
+    def test_windows_match_the_record_wrapper(self, tmp_path):
+        # each row is what the record/table wrapper estimate_position gives
+        # for the window's beam records, byte for byte as written
+        stream, track = self._simulate_scenario(tmp_path, spoof=True)
+        report = tmp_path / "r"
+        window_n = 500
+        assert run_cli(["detect", "--input", stream, "--threshold-km", 20,
+                        "--window-n", window_n, "--gnss-track", track,
+                        "--motion", "0,0,0,40", "--report", report]) == 0
+        assert json.loads((report / "detect_summary.json").read_text())["tail_beams"] > 0
+        records, _ = parse_table(stream)
+        beams = records[records.is_beam]
+        motion = MotionProfile(GeoPoint(0.0, 0.0), 0.0, 40.0)
+        config = DetectorConfig(20.0, window_n)
+        track_times, track_points = cli._load_track(track)
+        expected = []
+        for k in range(len(beams) // window_n):
+            window = beams[k * window_n:(k + 1) * window_n]
+            t_ref = float(window.t_s(origin=(0, 0))[-1])
+            est = detector.estimate_position(window, motion, t_ref=t_ref)
+            g_pos = cli._track_position(track_times, track_points, t_ref)
+            outcome = detector.detect(est, g_pos, config)
+            expected.append("\t".join(cli._fmt(v) for v in (
+                k, t_ref, est.n_used, est.i_pos.lat_deg, est.i_pos.lon_deg,
+                g_pos.lat_deg, g_pos.lon_deg, outcome.deviation_km, int(outcome.alarm))))
+        assert (report / "detect_windows.tsv").read_text().splitlines()[1:] == expected
 
     def test_window_larger_than_stream_is_data_error(self, tmp_path):
         stream, track = self._simulate_scenario(tmp_path, spoof=False)
@@ -311,8 +353,17 @@ class TestSimulatorConfigErrors:
         ["simulate", "--receiver", "1,2,3"],
         ["simulate", "--receiver", "95,0"],
         ["simulate", "--motion", "0,0,0,-5"],
+        ["simulate", "--duration", "inf"],
+        ["simulate", "--duration", "nan"],
+        ["evaluate", "--duration", "inf"],
+        ["simulate", "--motion", "0,0,nan,10"],
+        ["simulate", "--spoof", "100,nan,nan"],
+        ["simulate", "--coverage-radius", "nan"],
+        ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", "inf"],
         ["evaluate", "--n-grid", "10,ten"],
         ["evaluate", "--n-grid", "0,10"],
+        ["evaluate", "--windows", 0],
+        ["evaluate", "--windows", -1],
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "sim.txt"
@@ -321,6 +372,14 @@ class TestSimulatorConfigErrors:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("interval", [0, -1, "nan", "inf"])
+    def test_bad_track_interval_is_usage_error(self, tmp_path, capsys, interval):
+        out, track = tmp_path / "sim.txt", tmp_path / "track.txt"
+        assert run_cli(["simulate", "--duration", 60, "--output", out, "--track-out", track,
+                        "--track-interval-s", interval]) == 1
+        assert "--track-interval-s" in assert_one_line_error(capsys)
+        assert not out.exists() and not track.exists()
+
     @pytest.mark.parametrize("command, flag, contents", [
         *[(command, "--config", contents)
           for command in ("simulate", "evaluate")
@@ -328,6 +387,14 @@ class TestSimulatorConfigErrors:
         ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0}}}),
         ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
                                                  "course_deg": 0, "speed_kmh": -1}}),
+        ("simulate", "--config", {"duration_s": float("inf")}),
+        ("evaluate", "--config", {"beam_period_s": float("inf")}),
+        ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
+                                                 "course_deg": float("nan"), "speed_kmh": 1}}),
+        ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
+                                                 "course_deg": 0, "speed_kmh": 1},
+                                    "spoof": {"start_s": 1, "offset_course_deg": 90,
+                                              "offset_speed_kmh": float("nan")}}),
     ])
     def test_bad_file_contents_are_data_errors(self, tmp_path, capsys, command, flag, contents):
         path = tmp_path / "in.json"

@@ -17,7 +17,7 @@ from ringalert.errors import (
 from ringalert.geo import GeoPoint, displace, great_circle_km
 from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs, RecordTable
 from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
-from tests.conftest import corridor_config, make_records
+from tests.conftest import corridor_config, make_records, run_times_s
 
 
 def literal_compensation(lat, lon, t_s, motion: MotionProfile, t_ref: float):
@@ -71,9 +71,9 @@ class TestCompensate:
                 n_sats=22, planes=2, plane_nodes_deg=(-0.02, 0.02),
                 duration_s=7000.0, per=0.985, seed=seed,
             )
-            stream = emit_stream(config, scenario, return_arrays=True)
-            beams = stream.beam_id >= 1
-            lat, lon, t = stream.lat[beams], stream.lon[beams], stream.t_s[beams]
+            stream = emit_stream(config, scenario)
+            beams = stream.is_beam
+            lat, lon, t = stream.lat[beams], stream.lon[beams], run_times_s(stream, config)[beams]
             t_ref = float(t[-1])
             truth = scenario.truth_position(t_ref)
             est_with = detector.estimate_position_arrays(lat, lon, t, motion, t_ref)
@@ -111,14 +111,6 @@ class TestEstimatePosition:
         records = make_records([0.0], [0.0], [0.0], beam_ids=[0])
         with pytest.raises(NoBeamRecords):
             detector.estimate_position(records)
-
-    def test_window_cap_uses_latest(self):
-        records = make_records([0.0, 1.0, 2.0], [0.0, 10.0, 20.0], [0.0] * 3,
-                               beam_ids=[1, 1, 1])
-        config = DetectorConfig(threshold_km=10.0, window_n=2)
-        est = detector.estimate_position(records, config=config)
-        assert est.n_used == 2
-        assert est.i_pos.lat_deg == pytest.approx(15.0)
 
     @given(
         st.floats(min_value=-60, max_value=60),

@@ -157,6 +157,12 @@ class TestParseStream:
         with pytest.raises(IoFailure):
             parse_stream(tmp_path / "does_not_exist.txt")
 
+    def test_undecodable_text_file_object_raises_io_failure(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_bytes(SAMPLE_LOG_ROWS[0].encode() + b"\n\xff\xfe\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(IoFailure, match="read failure"):
+            parse_table(fh)
+
     def test_time_field_beyond_64_bits_is_malformed(self):
         rows = ["9" * 25 + " 000000739 115 0 +29.81 +046.10",
                 "1580712040 " + "9" * 25 + " 115 0 +29.81 +046.10"]
@@ -337,9 +343,8 @@ class TestWriteRecords:
         assert _written(records) == "".join(format_line(r) + "\n" for r in records)
 
     def test_simulated_stream(self):
-        stream = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2), return_arrays=True)
-        table = stream.to_table()
-        assert _written(table) == "".join(format_line(r) + "\n" for r in stream.to_records())
+        table = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2))
+        assert _written(table) == "".join(format_line(r) + "\n" for r in table)
 
 
 class TestSegmentPasses:
