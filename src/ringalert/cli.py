@@ -302,6 +302,8 @@ def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
                     continue
                 try:
                     t, lat, lon = (float(x) for x in line.split())
+                    if not math.isfinite(t):
+                        raise ValueError(f"time {t} is not finite")
                     points.append(GeoPoint(lat, lon))
                     times.append(t)
                 except (ValueError, InvalidCoordinate) as exc:
@@ -338,16 +340,16 @@ def _cmd_detect(args) -> int:
     times = beams.t_s(frac_unit, origin=(0, 0))
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
+    det = detector.WindowedDetector(config, motion)
     rows = []
     alarms = clamped = 0
     for start in range(0, len(beams) - config.window_n + 1, config.window_n):
         w = slice(start, start + config.window_n)
-        t_ref = float(times[w.stop - 1])
-        est = detector.estimate_position_arrays(beams.lat[w], beams.lon[w], times[w],
-                                                motion, t_ref)
+        est = det.extend(beams.lat[w], beams.lon[w], times[w])
+        t_ref = est.window[1]
         g_pos = _track_position(track_times, track_points, t_ref)
         clamped += not track_times[0] <= t_ref <= track_times[-1]
-        outcome = detector.detect(est, g_pos, config)
+        outcome = det.check(g_pos)
         alarms += outcome.alarm
         rows.append((
             len(rows), t_ref, est.n_used,
@@ -384,6 +386,8 @@ def _cmd_evaluate(args) -> int:
         thresholds = [float(x) for x in args.thresholds.split(",")]
     if min(n_grid) < 1:
         raise _UsageError(f"--n-grid sizes must be >= 1, got {args.n_grid!r}")
+    for thr in thresholds:
+        _check_positive("--thresholds", thr)
     deviations_by_n = {}
     for n in n_grid:
         rng = np.random.default_rng([config.seed, n])

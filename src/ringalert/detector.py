@@ -117,26 +117,22 @@ def _centroid(lat: np.ndarray, lon: np.ndarray, t_s: np.ndarray) -> PositionEsti
     )
 
 
-def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None,
-                             t_ref: float | None = None) -> PositionEstimate:
-    """Centroid estimate from columnar beam positions (already beam-only)."""
+def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None) -> PositionEstimate:
+    """Centroid of columnar beam positions (already beam-only) compensated to ``t_s.max()``."""
     t_s = np.asarray(t_s, dtype=float)
     if t_s.size == 0:
         raise NoBeamRecords("position estimation needs at least one beam record")
-    if t_ref is None:
-        t_ref = float(t_s.max())
-    return _centroid(*compensate_arrays(lat, lon, t_s, motion, t_ref), t_s)
+    return _centroid(*compensate_arrays(lat, lon, t_s, motion, float(t_s.max())), t_s)
 
 
 def estimate_position(records, motion: MotionProfile | None = None, *,
-                      t_ref: float | None = None,
                       frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> PositionEstimate:
     """Centroid of the compensated beam records (beam_id >= 1) of a record
     sequence or table: :func:`estimate_position_arrays` of its beam columns."""
     table = RecordTable.from_records(records)
     beams = table[table.is_beam]
     return estimate_position_arrays(beams.lat, beams.lon, beams.t_s(frac_unit_s, origin=(0, 0)),
-                                    motion, t_ref)
+                                    motion)
 
 
 def detect(estimate: PositionEstimate, g_pos: GeoPoint,
@@ -256,21 +252,20 @@ def fp_exponent_fits(rates: dict[tuple[int, float], float], *,
 class WindowedDetector:
     """Sliding-window position verifier.
 
-    Push records as they arrive; once ``config.window_n`` beam records have
-    accumulated, ``latest_estimate`` is available and ``check`` compares it
-    against a reported position. Single writer; reads of the latest estimate
-    are safe from other threads because estimates are immutable values.
+    ``extend`` beam columns (or ``push`` records) as they arrive; once
+    ``config.window_n`` beams have arrived, ``check`` compares the
+    ``latest_estimate`` with a reported position. Single writer; reads of
+    the latest estimate are safe from other threads (estimates are values).
 
-    Beam records are kept as ``(lat, lon, t_s)`` columns of one
+    Beams are kept as ``(lat, lon, t_s)`` columns of one
     ``(6, 2 * window_n)`` buffer; the window is the contiguous slice of its
-    last ``window_n`` filled columns. A full buffer moves its newest
-    ``window_n - 1`` columns to the front, so a push costs one vectorized
-    estimate over the window. The window keeps push order, which for
-    time-ordered pushes is the order ``estimate_position`` sorts into.
+    last ``window_n`` filled columns. A buffer without room for ``k`` new
+    columns moves its newest ``window_n - k`` to the front. The window keeps
+    arrival order: for time-ordered input, ``estimate_position``'s order.
 
     For a moving receiver the other three rows cache :func:`geo.start_rad`
-    of each point, filled for the columns pushed since the last estimate, so
-    a push evaluates the trig of each point's latitude once, not once per
+    of each point, filled for the columns added since the last estimate, so
+    the trig of each point's latitude is evaluated once, not once per
     estimate. The estimate runs the batch estimator's compensation kernel
     on the cached rows and equals ``estimate_position_arrays`` of the
     window exactly.
@@ -286,20 +281,32 @@ class WindowedDetector:
         self._start_rad_end = 0  # columns before this one hold their start_rad rows
         self._estimate: PositionEstimate | None = None
 
-    def push(self, record: IraRecord) -> PositionEstimate | None:
-        if record.beam_id >= 1:
-            n = self.config.window_n
-            if self._end == self._columns.shape[1]:
-                shift = self._end - n + 1
-                self._columns[:, :n - 1] = self._columns[:, shift:]
-                self._end = n - 1
-                self._start_rad_end = max(self._start_rad_end - shift, 0)
-            self._columns[:3, self._end] = (record.ground.lat_deg, record.ground.lon_deg,
-                                            record.timestamp(self.frac_unit_s))
-            self._end += 1
-            if self._end >= n:
-                self._estimate = self._estimate_window()
+    def extend(self, lat, lon, t_s) -> PositionEstimate | None:
+        """Append beam columns in arrival order; the estimate over the newest
+        ``window_n`` beams, computed once per call (None until they arrived)."""
+        n, k = self.config.window_n, len(t_s)
+        if not len(lat) == len(lon) == k:
+            raise ValueError("lat, lon and t_s must be of equal length")
+        if k >= n:
+            lat, lon, t_s, k = lat[-n:], lon[-n:], t_s[-n:], n
+            self._end = self._start_rad_end = 0
+        elif self._end + k > self._columns.shape[1]:
+            shift = self._end - (n - k)
+            self._columns[:, :n - k] = self._columns[:, shift:self._end]
+            self._end = n - k
+            self._start_rad_end = max(self._start_rad_end - shift, 0)
+        self._columns[:3, self._end:self._end + k] = lat, lon, t_s
+        self._end += k
+        if k and self._end >= n:
+            self._estimate = self._estimate_window()
         return self._estimate
+
+    def push(self, record: IraRecord) -> PositionEstimate | None:
+        """:meth:`extend` by one record; a beam-0 record leaves the window as it is."""
+        if record.beam_id < 1:
+            return self._estimate
+        return self.extend((record.ground.lat_deg,), (record.ground.lon_deg,),
+                           (record.timestamp(self.frac_unit_s),))
 
     def _estimate_window(self) -> PositionEstimate:
         lo = self._end - self.config.window_n

@@ -385,11 +385,10 @@ class MotionProfile:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Alarm threshold, collection window size, and the channel's base message slot."""
+    """Alarm threshold and collection window size."""
 
     threshold_km: float
     window_n: int
-    base_interarrival_s: float = 0.09
 
     def __post_init__(self):
         object.__setattr__(self, "window_n", int(self.window_n))
@@ -397,16 +396,10 @@ class DetectorConfig:
             raise ValueError(f"threshold_km must be > 0, got {self.threshold_km}")
         if self.window_n < 1:
             raise ValueError(f"window_n must be >= 1, got {self.window_n}")
-        if self.base_interarrival_s <= 0:
-            raise ValueError("base_interarrival_s must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "threshold_km": self.threshold_km,
-            "window_n": self.window_n,
-            "base_interarrival_s": self.base_interarrival_s,
-        }
+        return {"threshold_km": self.threshold_km, "window_n": self.window_n}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorConfig":
-        return cls(data["threshold_km"], data["window_n"], data["base_interarrival_s"])
+        return cls(data["threshold_km"], data["window_n"])

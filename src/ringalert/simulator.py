@@ -15,10 +15,12 @@ produce byte-identical streams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InsufficientWindows, InvalidPer
 from .geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
@@ -173,6 +175,10 @@ class SimConfig:
         object.__setattr__(self, "beam_offsets", tuple(tuple(map(float, o)) for o in self.beam_offsets))
         if self.plane_nodes_deg is not None:
             object.__setattr__(self, "plane_nodes_deg", tuple(float(x) for x in self.plane_nodes_deg))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 1 <= self.n_sats <= len(valid_sat_ids()):
             raise ValueError(f"n_sats must be in [1, {len(valid_sat_ids())}]")
         if self.planes < 1 or self.n_sats % self.planes != 0:
@@ -198,6 +204,9 @@ class SimConfig:
             raise ValueError("burst_stages must be >= 1")
         if self.slot_us < 1:
             raise ValueError("aggregate slot must be at least 1 microsecond")
+        if _slot_count(self) * self.slot_us > np.iinfo(np.int64).max:
+            raise ValueError(f"duration_s {self.duration_s} is too long: its microsecond "
+                             "slot times overflow int64")
 
     @property
     def slot_us(self) -> int:
@@ -551,6 +560,8 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         raise ValueError("sample_windows supports the iid loss channel only")
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
+    if config.per >= 1.0:
+        raise InvalidPer(f"per {config.per} loses every message, so no window can be collected")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     basis = _orbit_basis(config)
@@ -574,7 +585,7 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         if len(windows) >= n_windows:
             return windows
         carry = [c[cut * window_messages:] for c in columns]
-    raise RuntimeError(
+    raise InsufficientWindows(
         f"collected only {len(windows)}/{n_windows} windows in {_MAX_WINDOW_CHUNKS} chunks; "
         "no satellite may be in view of this receiver"
     )

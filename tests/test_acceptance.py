@@ -224,7 +224,7 @@ def test_09_detection_end_to_end():
         t = run_times_s(stream, config)[beams][-det_config.window_n:]
         assert lat.size == det_config.window_n
         t_ref = float(t[-1])
-        estimate = detector.estimate_position_arrays(lat, lon, t, motion, t_ref)
+        estimate = detector.estimate_position_arrays(lat, lon, t, motion)
         g_pos = scenario.reported_position(t_ref)
         assert great_circle_km(g_pos, scenario.truth_position(t_ref)).km == \
             pytest.approx(50.0, abs=0.1)

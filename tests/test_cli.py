@@ -306,7 +306,7 @@ class TestDetectCommand:
         for k in range(len(beams) // window_n):
             window = beams[k * window_n:(k + 1) * window_n]
             t_ref = float(window.t_s(origin=(0, 0))[-1])
-            est = detector.estimate_position(window, motion, t_ref=t_ref)
+            est = detector.estimate_position(window, motion)
             g_pos = cli._track_position(track_times, track_points, t_ref)
             outcome = detector.detect(est, g_pos, config)
             expected.append("\t".join(cli._fmt(v) for v in (
@@ -322,6 +322,17 @@ class TestDetectCommand:
 
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("flags", [
+        ["--per", 1],
+        ["--n-sats", 6, "--planes", 1, "--plane-nodes", 0, "--inclination", 90,
+         "--coverage-radius", 10, "--receiver", "0,90"],
+    ])
+    def test_no_window_can_be_collected_is_data_error(self, tmp_path, capsys, flags):
+        report = tmp_path / "r"
+        assert run_cli(["evaluate", "--report", report] + flags) == 2
+        assert_one_line_error(capsys)
+        assert not report.exists()
+
     def test_small_grid(self, tmp_path):
         report = tmp_path / "r"
         assert run_cli(["evaluate", "--windows", 20, "--n-grid", "10,50",
@@ -342,6 +353,23 @@ def assert_one_line_error(capsys):
 
 
 class TestSimulatorConfigErrors:
+    @pytest.mark.parametrize("in_file, code", [(False, 1), (True, 2)], ids=["flag", "config"])
+    @pytest.mark.parametrize("duration", [1e13, 1e300])
+    def test_huge_duration_exits_at_once(self, tmp_path, duration, in_file, code):
+        # slot times past 2**63 microseconds would wrap int64, so the run never
+        # starts; a subprocess with a timeout, since a regression would not return
+        src = str(Path(ringalert.__file__).resolve().parents[1])
+        config, out = tmp_path / "config.json", tmp_path / "sim.txt"
+        config.write_text(json.dumps({"duration_s": duration}))
+        flags = ["--config", str(config)] if in_file else ["--duration", repr(duration)]
+        proc = subprocess.run([sys.executable, "-m", "ringalert.cli", "simulate", *flags,
+                               "--output", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.startswith("ringalert: error: ") and "duration_s" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--per", 1.5],
         ["evaluate", "--per", 1.5],
@@ -364,6 +392,12 @@ class TestSimulatorConfigErrors:
         ["evaluate", "--n-grid", "0,10"],
         ["evaluate", "--windows", 0],
         ["evaluate", "--windows", -1],
+        ["simulate", "--seed=-1"],
+        ["evaluate", "--seed=-1"],
+        ["evaluate", "--thresholds", "nan,10"],
+        ["evaluate", "--thresholds", "10,inf"],
+        ["evaluate", "--thresholds", "-5"],
+        ["evaluate", "--thresholds", "0"],
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "sim.txt"
@@ -395,6 +429,9 @@ class TestSimulatorConfigErrors:
                                                  "course_deg": 0, "speed_kmh": 1},
                                     "spoof": {"start_s": 1, "offset_course_deg": 90,
                                               "offset_speed_kmh": float("nan")}}),
+        ("simulate", "--config", {"seed": -1}),
+        ("evaluate", "--config", {"seed": -1}),
+        ("simulate", "--config", {"seed": 1.5}),
     ])
     def test_bad_file_contents_are_data_errors(self, tmp_path, capsys, command, flag, contents):
         path = tmp_path / "in.json"
@@ -462,6 +499,8 @@ class TestDetectInputErrors:
         "1580712040.0 95.0 46.1",
         "1580712040.0 29.8 46.1\udcff",
         "\udcff\udcfe",
+        "nan 29.8 46.1",
+        "inf 29.8 46.1",
     ])
     def test_bad_track_line_is_data_error(self, tmp_path, capsys, bad_row):
         log, track = self._inputs(tmp_path, ["1580712039.0 29.8 46.1", bad_row])

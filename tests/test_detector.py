@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -76,8 +77,8 @@ class TestCompensate:
             lat, lon, t = stream.lat[beams], stream.lon[beams], run_times_s(stream, config)[beams]
             t_ref = float(t[-1])
             truth = scenario.truth_position(t_ref)
-            est_with = detector.estimate_position_arrays(lat, lon, t, motion, t_ref)
-            est_without = detector.estimate_position_arrays(lat, lon, t, None, t_ref)
+            est_with = detector.estimate_position_arrays(lat, lon, t, motion)
+            est_without = detector.estimate_position_arrays(lat, lon, t)
             e_with = great_circle_km(est_with.i_pos, truth).km
             e_without = great_circle_km(est_without.i_pos, truth).km
             err_with.append(e_with)
@@ -311,7 +312,45 @@ def ring_stream(n_beams: int, seed: int):
                         beam_ids=beam_ids.tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def pushed_estimates(window_n: int, motion_index: int):
+    """The beam table of a ring stream and the push-by-push estimate after each beam."""
+    records = ring_stream(8 * window_n + 7, seed=window_n)
+    det = detector.WindowedDetector(DetectorConfig(20.0, window_n), RING_MOTIONS[motion_index])
+    estimates = [det.push(r) for r in records if r.beam_id >= 1]
+    return RecordTable.from_records([r for r in records if r.beam_id >= 1]), estimates
+
+
+def chunk_sizes(window_n: int):
+    """Chunk lengths of 0, 1, under window_n, window_n and over 2 window_n."""
+    under = st.integers(1, window_n - 1) if window_n > 1 else st.just(0)
+    return st.lists(st.one_of(st.just(0), st.just(1), under, st.just(window_n),
+                              st.integers(2 * window_n + 1, 3 * window_n)),
+                    min_size=1, max_size=30)
+
+
 class TestWindowedDetector:
+    @pytest.mark.parametrize("motion_index", range(len(RING_MOTIONS)),
+                             ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
+    @pytest.mark.parametrize("window_n", [1, 3, 500])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_extend_equals_push_and_batch(self, window_n, motion_index, data):
+        beams, pushed = pushed_estimates(window_n, motion_index)
+        motion = RING_MOTIONS[motion_index]
+        lat, lon, t_s = beams.lat, beams.lon, beams.t_s(origin=(0, 0))
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        end = 0
+        for size in data.draw(chunk_sizes(window_n)):
+            chunk = slice(end, min(end + size, len(beams)))
+            est = det.extend(lat[chunk], lon[chunk], t_s[chunk])
+            end = chunk.stop
+            if end < window_n:
+                assert est is None
+            else:
+                assert est == pushed[end - 1]
+                assert est == detector.estimate_position(beams[end - window_n:end], motion)
+
     @pytest.mark.parametrize("motion", RING_MOTIONS,
                              ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
     @pytest.mark.parametrize("window_n", [1, 2, 3, 500, 1000])
@@ -330,6 +369,13 @@ class TestWindowedDetector:
                 assert est is None
             else:
                 assert est == detector.estimate_position(beams[pushed - window_n:pushed], motion)
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (9, 8, 8)])
+    def test_extend_rejects_columns_of_unequal_length(self, lengths):
+        det = detector.WindowedDetector(DetectorConfig(20.0, 3))
+        with pytest.raises(ValueError, match="equal length"):
+            det.extend(*(np.zeros(k) for k in lengths))
+        assert det.extend([1.0], [2.0], [3.0]) is None
 
     @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
     def test_shuffled_pushes_match_sorted_window(self, motion):

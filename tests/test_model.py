@@ -203,5 +203,4 @@ class TestSmallValueTypes:
         with pytest.raises(ValueError):
             DetectorConfig(10.0, 0)
         c = DetectorConfig(20.0, 6100)
-        assert c.base_interarrival_s == 0.09
         assert DetectorConfig.from_dict(json.loads(json.dumps(c.to_dict()))) == c

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from ringalert import simulator
+from ringalert.errors import InsufficientWindows, InvalidPer
 from ringalert.geo import GeoPoint, great_circle_km
 from ringalert.ingest import format_line, parse_line
 from ringalert.model import MotionProfile, valid_sat_ids
@@ -40,6 +42,27 @@ class TestSimConfig:
             SimConfig(plane_nodes_deg=(0.0,), planes=2, n_sats=22)
         with pytest.raises(ValueError):
             SimConfig(loss_model="sometimes")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        config = SimConfig(seed=np.int64(4))
+        assert type(config.seed) is int and config.seed == 4
+
+    @pytest.mark.parametrize("duration_s", [1e13, 1e300])
+    def test_duration_whose_slot_times_overflow_int64_is_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="int64"):
+            SimConfig(duration_s=duration_s)
+
+    def test_longest_duration_that_fits_int64(self):
+        # the last whole slot below 2**63 - 1 microseconds
+        slots = np.iinfo(np.int64).max // 90_000
+        assert SimConfig(duration_s=slots * 0.09).duration_s == slots * 0.09
+        with pytest.raises(ValueError, match="int64"):
+            SimConfig(duration_s=(slots + 1) * 0.09)
 
     def test_sat_ids_are_valid(self):
         config = SimConfig(n_sats=66)
@@ -238,6 +261,19 @@ class TestSampleWindows:
         config = corridor_config(loss_model="burst")
         with pytest.raises(ValueError):
             sample_windows(config, GeoPoint(0, 0), window_messages=10, n_windows=1)
+
+    def test_total_loss_is_rejected_before_emitting(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_emit", None)  # calling it would raise TypeError
+        with pytest.raises(InvalidPer):
+            sample_windows(corridor_config(per=1.0), GeoPoint(0, 0), window_messages=10,
+                           n_windows=1)
+
+    def test_unreachable_receiver_runs_out_of_chunks(self):
+        # a 10 km footprint on six satellites of one polar plane never reaches (0, 90)
+        config = SimConfig(n_sats=6, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
+                           coverage_radius_km=10.0)
+        with pytest.raises(InsufficientWindows, match="0/3 windows"):
+            sample_windows(config, GeoPoint(0, 90), window_messages=10, n_windows=3)
 
     def test_windows_match_emit_stream(self):
         # over one chunk of slots, the windows are the leading beam records of
