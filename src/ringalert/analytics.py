@@ -29,7 +29,6 @@ from .geo import (
 )
 from .ingest import DEFAULT_GAP_THRESHOLD_S, group_by_satellite, segment_passes
 from .model import (
-    DEFAULT_FRAC_UNIT_S,
     MAX_BEAM_ID,
     BeamConstellation,
     Direction,
@@ -79,50 +78,30 @@ def histogram_mode(values, bin_width: float) -> float:
 # ---------------------------------------------------------------------------
 # ground speed
 
-@dataclass(frozen=True)
-class SpeedSample:
-    """One ground-speed sample from a consecutive pair of track points."""
-
-    d_km: float
-    dt_s: float
-    v_kms: float
-
-    def __post_init__(self):
-        if self.dt_s <= 0:
-            raise ValueError(f"dt_s must be > 0, got {self.dt_s}")
-        if self.v_kms != self.d_km / self.dt_s:
-            raise ValueError("v_kms must equal d_km / dt_s")
-
-    @classmethod
-    def of(cls, d_km: float, dt_s: float) -> "SpeedSample":
-        return cls(float(d_km), float(dt_s), float(d_km) / float(dt_s))
-
-
-def ground_speeds(records, *, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
-                  gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-                  max_dt_s: float | None = None) -> list[SpeedSample]:
-    """Speed samples from consecutive sub-satellite points within each pass.
+def ground_speeds(table: RecordTable, *, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
+                  max_dt_s: float | None = None) -> np.ndarray:
+    """Ground speeds (km/s) of consecutive sub-satellite points within each
+    pass, satellite by satellite in ascending id, each in time order.
 
     ``max_dt_s`` optionally drops pairs that span long loss gaps, which
     otherwise produce unphysical speeds on real logs.
     """
-    table = RecordTable.from_records(records)
-    samples: list[SpeedSample] = []
+    speeds = [np.empty(0)]
     for track in group_by_satellite(table[table.is_track]).values():
         if len(track) < 2:
             continue
-        dt = np.diff(track.t_s(frac_unit_s))
+        dt = np.diff(track.t_s())
         lats, lons = track.lat, track.lon
         d = haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
         keep = (dt > 0) & (dt <= gap_threshold_s)
         if max_dt_s is not None:
             keep &= dt <= max_dt_s
-        samples.extend(SpeedSample.of(di, ti) for di, ti in zip(d[keep], dt[keep]))
-    return samples
+        speeds.append(d[keep] / dt[keep])
+    return np.concatenate(speeds)
 
 
-def speed_mode_kms(samples, bin_width: float = DEFAULT_SPEED_BIN_KMS) -> float:
-    return histogram_mode([s.v_kms for s in samples], bin_width)
+def speed_mode_kms(speeds, bin_width: float = DEFAULT_SPEED_BIN_KMS) -> float:
+    return histogram_mode(speeds, bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +114,23 @@ class InterarrivalStats:
     residuals_s: np.ndarray  # distance of each duration to the nearest base-slot multiple
 
 
-def interarrival_stats(records, *, base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S,
-                       bin_width_s: float = DEFAULT_INTERARRIVAL_BIN_S,
-                       frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> InterarrivalStats:
+def interarrival_stats(table: RecordTable, *,
+                       base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S,
+                       bin_width_s: float = DEFAULT_INTERARRIVAL_BIN_S) -> InterarrivalStats:
     """Consecutive timestamp differences over all beams, with grid residuals."""
-    table = RecordTable.from_records(records)
     if len(table) < 2:
         raise EmptyInput("interarrival_stats needs at least two records")
-    durations = np.diff(table.t_s(frac_unit_s))
+    durations = np.diff(table.t_s())
     residuals = durations - np.round(durations / base_interarrival_s) * base_interarrival_s
     return InterarrivalStats(durations, histogram_mode(durations, bin_width_s), residuals)
 
 
-def packet_delivery_ratio(records, *, base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S,
-                          frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> float:
+def packet_delivery_ratio(table: RecordTable, *,
+                          base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S) -> float:
     """Observed message count over the count a lossless base-slot grid would carry."""
-    table = RecordTable.from_records(records)
     if not len(table):
         raise EmptyInput("packet_delivery_ratio needs records")
-    times = table.t_s(frac_unit_s)
+    times = table.t_s()
     span = float(times[-1] - times[0])
     if span <= 0:
         raise EmptyInput("packet_delivery_ratio needs a stream spanning > 0 seconds")
@@ -171,14 +148,13 @@ class CoverageExtent:
     mode_km: float
 
 
-def coverage_extent(records, receiver: GeoPoint, *,
+def coverage_extent(table: RecordTable, receiver: GeoPoint, *,
                     bin_width_km: float = 25.0) -> CoverageExtent:
     """Receiver-to-track distances and the hull area of the observed ground points.
 
     The hull is taken in the azimuthal-equidistant plane centered on the
     receiver, which preserves radial distances exactly.
     """
-    table = RecordTable.from_records(records)
     track = table.is_track
     if not np.any(track):
         raise EmptyInput("coverage_extent needs sub-satellite records")
@@ -402,9 +378,8 @@ def kmeans_1d(values, k: int = 3) -> list[float]:
     ]
 
 
-def beam_constellation(records, passes=None, *, max_bracket_s: float = 20.0,
-                       gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-                       frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> BeamConstellation:
+def beam_constellation(table: RecordTable, passes=None, *, max_bracket_s: float = 20.0,
+                       gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> BeamConstellation:
     """Reconstruct per-beam centroid offsets and the three ring radii.
 
     Each beam record is referenced to the sub-satellite point interpolated (in
@@ -415,21 +390,21 @@ def beam_constellation(records, passes=None, *, max_bracket_s: float = 20.0,
     """
     if passes is None:
         passes = []
-        for sat_records in group_by_satellite(records).values():
-            passes.extend(segment_passes(sat_records, gap_threshold_s, frac_unit_s))
+        for sat_records in group_by_satellite(table).values():
+            passes.extend(segment_passes(sat_records, gap_threshold_s))
     sum_east = np.zeros(MAX_BEAM_ID + 1)
     sum_north = np.zeros(MAX_BEAM_ID + 1)
     counts = np.zeros(MAX_BEAM_ID + 1, dtype=np.int64)
     bracketed_any = False
     for pas in passes:
-        table = pas.records
-        track = table.is_track
+        records = pas.records
+        track = records.is_track
         beams = ~track
         if np.count_nonzero(track) < 2 or not np.any(beams):
             continue
-        times = table.t_s(frac_unit_s)
+        times = records.t_s()
         track_t, beam_t = times[track], times[beams]
-        t_lat, t_lon = table.lat[track], table.lon[track]
+        t_lat, t_lon = records.lat[track], records.lon[track]
         hi = np.searchsorted(track_t, beam_t, side="left")
         lo = hi - 1
         inside = (hi > 0) & (hi < len(track_t))
@@ -449,14 +424,14 @@ def beam_constellation(records, passes=None, *, max_bracket_s: float = 20.0,
         lo_u, hi_u = lo[idx], hi[idx]
         frac = np.where(span[idx] > 0, (beam_t[idx] - track_t[lo_u]) / np.where(span[idx] > 0, span[idx], 1.0), 0.0)
         sub_lat, sub_lon = interpolate_deg(t_lat[lo_u], t_lon[lo_u], t_lat[hi_u], t_lon[hi_u], frac)
-        b_lat, b_lon = table.lat[beams][idx], table.lon[beams][idx]
+        b_lat, b_lon = records.lat[beams][idx], records.lon[beams][idx]
         d = haversine_km(sub_lat, sub_lon, b_lat, b_lon)
         theta = np.radians(bearing_deg(sub_lat, sub_lon, b_lat, b_lon))
         east = d * np.sin(theta)
         north = d * np.cos(theta)
         if pas.direction is Direction.DOWNWARD:
             north = -north
-        beam_ids = table.beam_id[beams][idx]
+        beam_ids = records.beam_id[beams][idx]
         sum_east += np.bincount(beam_ids, weights=east, minlength=MAX_BEAM_ID + 1)
         sum_north += np.bincount(beam_ids, weights=north, minlength=MAX_BEAM_ID + 1)
         counts += np.bincount(beam_ids, minlength=MAX_BEAM_ID + 1)

@@ -145,7 +145,6 @@ def _check_positive(flag: str, value: float | None, *, finite: bool = True) -> N
 
 
 def _cmd_analyze(args) -> int:
-    frac_unit = FRAC_UNITS_S[args.frac_unit]
     for flag, value in (("--speed-bin-kms", args.speed_bin_kms),
                         ("--interarrival-bin-s", args.interarrival_bin_s),
                         ("--coverage-bin-km", args.coverage_bin_km)):
@@ -154,43 +153,40 @@ def _cmd_analyze(args) -> int:
                         ("--max-speed-dt-s", args.max_speed_dt_s)):
         _check_positive(flag, value, finite=False)
     receiver = _parse_latlon(args.receiver) if args.receiver else None
-    records, report = ingest.parse_table(args.input, frac_unit)
+    records, report = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     if not len(records):
         raise EmptyInput("no valid records to analyze")
     summary: dict = {"input": os.path.basename(args.input), "ingest": report.to_dict()}
     # report name -> (header, rows), written once every statistic is in
     tables: dict[str, tuple[list[str], list]] = {}
 
-    speeds = analytics.ground_speeds(records, frac_unit_s=frac_unit,
-                                     gap_threshold_s=args.gap_threshold_s,
+    speeds = analytics.ground_speeds(records, gap_threshold_s=args.gap_threshold_s,
                                      max_dt_s=args.max_speed_dt_s)
-    if speeds:
-        values = np.array([s.v_kms for s in speeds])
+    if speeds.size:
         with _bin_width("--speed-bin-kms"):
             tables["speed_histogram.tsv"] = (["v_kms", "count"],
-                                             _histogram_rows(values, args.speed_bin_kms))
+                                             _histogram_rows(speeds, args.speed_bin_kms))
             summary["speed"] = {
-                "samples": len(speeds),
-                "mode_kms": analytics.histogram_mode(values, args.speed_bin_kms),
+                "samples": int(speeds.size),
+                "mode_kms": analytics.speed_mode_kms(speeds, args.speed_bin_kms),
             }
 
     if len(records) >= 2:
         with _bin_width("--interarrival-bin-s"):
-            stats = analytics.interarrival_stats(records, frac_unit_s=frac_unit,
-                                                 bin_width_s=args.interarrival_bin_s)
+            stats = analytics.interarrival_stats(records, bin_width_s=args.interarrival_bin_s)
             tables["interarrival_histogram.tsv"] = (
                 ["duration_s", "count"],
                 _histogram_rows(stats.durations_s, args.interarrival_bin_s))
         summary["interarrival"] = {
             "mode_s": stats.mode_s,
             "max_grid_residual_s": float(np.abs(stats.residuals_s).max()),
-            "delivery_ratio": analytics.packet_delivery_ratio(records, frac_unit_s=frac_unit),
+            "delivery_ratio": analytics.packet_delivery_ratio(records),
         }
 
     pass_rows = []
     all_passes = []
     for sat_id, sat_records in ingest.group_by_satellite(records).items():
-        for p in ingest.segment_passes(sat_records, args.gap_threshold_s, frac_unit):
+        for p in ingest.segment_passes(sat_records, args.gap_threshold_s):
             all_passes.append(p)
             pass_rows.append((sat_id, int(p.records.epoch_s[0]), p.duration_min,
                               p.direction.value, len(p.records)))
@@ -205,7 +201,7 @@ def _cmd_analyze(args) -> int:
         summary["passes"]["evd"] = None
 
     try:
-        beams = analytics.beam_constellation(records, all_passes, frac_unit_s=frac_unit)
+        beams = analytics.beam_constellation(records, all_passes)
         tables["beam_centroids.tsv"] = (
             ["beam_id", "east_km", "north_km"],
             [(b, e, n) for b, (e, n) in sorted(beams.centroids.items())])
@@ -213,7 +209,9 @@ def _cmd_analyze(args) -> int:
     except InsufficientBrackets:
         summary["beams"] = None
 
-    if receiver is not None:
+    if receiver is not None and not np.any(records.is_track):
+        summary["coverage"] = None  # coverage is measured on sub-satellite records only
+    elif receiver is not None:
         with _bin_width("--coverage-bin-km"):
             cov = analytics.coverage_extent(records, receiver,
                                             bin_width_km=args.coverage_bin_km)
@@ -233,21 +231,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _build_sim_config(args) -> simulator.SimConfig:
+    """``--config`` (or the defaults) overridden by every flag given; each
+    simulator flag's ``dest`` is its :class:`simulator.SimConfig` field."""
     base = _load_json(args.config, simulator.SimConfig.from_dict) if args.config \
         else simulator.SimConfig()
-    overrides = {}
-    for field_name, flag in [
-        ("per", "per"), ("duration_s", "duration"), ("seed", "seed"),
-        ("n_sats", "n_sats"), ("planes", "planes"),
-        ("inclination_deg", "inclination"), ("coverage_radius_km", "coverage_radius"),
-        ("loss_model", "loss_model"),
-    ]:
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {name: getattr(args, name) for name in base.to_dict()
+                 if getattr(args, name, None) is not None}
     with _flag_values():
-        if args.plane_nodes:
-            overrides["plane_nodes_deg"] = tuple(float(x) for x in args.plane_nodes.split(","))
+        if "plane_nodes_deg" in overrides:
+            overrides["plane_nodes_deg"] = tuple(
+                float(x) for x in overrides["plane_nodes_deg"].split(","))
         return simulator.SimConfig(**{**base.to_dict(), **overrides}) if overrides else base
 
 
@@ -329,15 +322,14 @@ def _track_position(times: np.ndarray, points: list[GeoPoint], t: float) -> GeoP
 
 
 def _cmd_detect(args) -> int:
-    frac_unit = FRAC_UNITS_S[args.frac_unit]
     with _flag_values():
         config = DetectorConfig(args.threshold_km, args.window_n)
     motion = _parse_motion(args.motion) if args.motion else None
-    records, _ = ingest.parse_table(args.input, frac_unit)
+    records, _ = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     beams = records[records.is_beam]
     if not len(beams):
         raise EmptyInput("no beam records in input")
-    times = beams.t_s(frac_unit, origin=(0, 0))
+    times = beams.t_s(origin=(0, 0))
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
     det = detector.WindowedDetector(config, motion)
@@ -352,7 +344,7 @@ def _cmd_detect(args) -> int:
         outcome = det.check(g_pos)
         alarms += outcome.alarm
         rows.append((
-            len(rows), t_ref, est.n_used,
+            len(rows), repr(t_ref), est.n_used,  # repr: full precision of an epoch-scale time
             est.i_pos.lat_deg, est.i_pos.lon_deg,
             g_pos.lat_deg, g_pos.lon_deg,
             outcome.deviation_km, int(outcome.alarm),
@@ -386,6 +378,8 @@ def _cmd_evaluate(args) -> int:
         thresholds = [float(x) for x in args.thresholds.split(",")]
     if min(n_grid) < 1:
         raise _UsageError(f"--n-grid sizes must be >= 1, got {args.n_grid!r}")
+    if len(set(n_grid)) != len(n_grid):
+        raise _UsageError(f"--n-grid sizes must be distinct, got {args.n_grid!r}")
     for thr in thresholds:
         _check_positive("--thresholds", thr)
     deviations_by_n = {}
@@ -421,10 +415,28 @@ def _cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _constellation_flags() -> _Parser:
+    """The simulator flags ``simulate`` and ``evaluate`` share."""
+    p = _Parser(add_help=False)
+    p.add_argument("--per", type=float, default=None, help="packet error rate")
+    p.add_argument("--duration", type=float, default=None, dest="duration_s",
+                   help="simulated seconds")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-sats", type=int, default=None, dest="n_sats")
+    p.add_argument("--planes", type=int, default=None)
+    p.add_argument("--inclination", type=float, default=None, dest="inclination_deg")
+    p.add_argument("--coverage-radius", type=float, default=None, dest="coverage_radius_km")
+    p.add_argument("--plane-nodes", default=None, dest="plane_nodes_deg",
+                   help="comma-separated ascending-node longitudes")
+    p.add_argument("--config", help="JSON file with full simulator configuration")
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ringalert",
                      description="Ring-alert log analytics, simulation, and position verification")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    constellation = _constellation_flags()
 
     p = sub.add_parser("ingest", help="parse and validate a ring-alert log")
     p.add_argument("--input", required=True, help="log file path")
@@ -448,19 +460,10 @@ def build_parser() -> _Parser:
                    help="drop speed samples spanning gaps longer than this")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", help="generate a synthetic ring-alert stream")
+    p = sub.add_parser("simulate", help="generate a synthetic ring-alert stream",
+                       parents=[constellation])
     p.add_argument("--output", required=True, help="stream file to write")
-    p.add_argument("--per", type=float, default=None, help="packet error rate")
-    p.add_argument("--duration", type=float, default=None, help="simulated seconds")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-sats", type=int, default=None, dest="n_sats")
-    p.add_argument("--planes", type=int, default=None)
-    p.add_argument("--inclination", type=float, default=None)
-    p.add_argument("--coverage-radius", type=float, default=None, dest="coverage_radius")
-    p.add_argument("--plane-nodes", default=None, dest="plane_nodes",
-                   help="comma-separated ascending-node longitudes")
     p.add_argument("--loss-model", choices=["iid", "burst"], default=None, dest="loss_model")
-    p.add_argument("--config", help="JSON file with full simulator configuration")
     p.add_argument("--scenario", help="JSON file with receiver/spoof scenario")
     p.add_argument("--receiver", help="stationary receiver 'lat,lon' (default 0,0)")
     p.add_argument("--motion", help="moving receiver 'lat,lon,course,speed'")
@@ -480,21 +483,13 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="report directory")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("evaluate", help="empirical false-positive rates on simulator windows")
+    p = sub.add_parser("evaluate", help="empirical false-positive rates on simulator windows",
+                       parents=[constellation])
     p.add_argument("--windows", type=int, default=100, help="windows per grid cell")
     p.add_argument("--n-grid", default="10,100,1000,10000",
                    help="comma-separated window message counts")
     p.add_argument("--thresholds", default="10,15,20", help="comma-separated thresholds (km)")
-    p.add_argument("--per", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-sats", type=int, default=None, dest="n_sats")
-    p.add_argument("--planes", type=int, default=None)
-    p.add_argument("--inclination", type=float, default=None)
-    p.add_argument("--coverage-radius", type=float, default=None, dest="coverage_radius")
-    p.add_argument("--plane-nodes", default=None, dest="plane_nodes")
     p.add_argument("--loss-model", choices=["iid"], default=None, dest="loss_model")
-    p.add_argument("--config", help="JSON simulator configuration")
     p.add_argument("--receiver", help="receiver 'lat,lon' (default 0,0)")
     p.add_argument("--report", help="report directory")
     p.set_defaults(func=_cmd_evaluate)

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geo import GeoPoint, displace_rad, great_circle_km, mod360, normalize_lon, start_rad
 from .model import (
-    DEFAULT_FRAC_UNIT_S,
     DetectorConfig,
     IraRecord,
     MotionProfile,
@@ -125,14 +124,12 @@ def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None)
     return _centroid(*compensate_arrays(lat, lon, t_s, motion, float(t_s.max())), t_s)
 
 
-def estimate_position(records, motion: MotionProfile | None = None, *,
-                      frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> PositionEstimate:
-    """Centroid of the compensated beam records (beam_id >= 1) of a record
-    sequence or table: :func:`estimate_position_arrays` of its beam columns."""
-    table = RecordTable.from_records(records)
+def estimate_position(table: RecordTable,
+                      motion: MotionProfile | None = None) -> PositionEstimate:
+    """Centroid of the compensated beam records (beam_id >= 1) of a table:
+    :func:`estimate_position_arrays` of its beam columns."""
     beams = table[table.is_beam]
-    return estimate_position_arrays(beams.lat, beams.lon, beams.t_s(frac_unit_s, origin=(0, 0)),
-                                    motion)
+    return estimate_position_arrays(beams.lat, beams.lon, beams.t_s(origin=(0, 0)), motion)
 
 
 def detect(estimate: PositionEstimate, g_pos: GeoPoint,
@@ -271,11 +268,9 @@ class WindowedDetector:
     window exactly.
     """
 
-    def __init__(self, config: DetectorConfig, motion: MotionProfile | None = None,
-                 frac_unit_s: float = DEFAULT_FRAC_UNIT_S):
+    def __init__(self, config: DetectorConfig, motion: MotionProfile | None = None):
         self.config = config
         self.motion = motion
-        self.frac_unit_s = frac_unit_s
         self._columns = np.empty((6, 2 * config.window_n))
         self._end = 0
         self._start_rad_end = 0  # columns before this one hold their start_rad rows
@@ -302,11 +297,12 @@ class WindowedDetector:
         return self._estimate
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
-        """:meth:`extend` by one record; a beam-0 record leaves the window as it is."""
+        """:meth:`extend` by one record, its counter read in microseconds; a
+        beam-0 record leaves the window as it is."""
         if record.beam_id < 1:
             return self._estimate
         return self.extend((record.ground.lat_deg,), (record.ground.lon_deg,),
-                           (record.timestamp(self.frac_unit_s),))
+                           (record.timestamp(),))
 
     def _estimate_window(self) -> PositionEstimate:
         lo = self._end - self.config.window_n

@@ -256,7 +256,8 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     it. Accepted lines whose sub-second counter reaches one second in
     ``frac_unit_s`` are quarantined as ``invalid_frac``; a line whose
     (epoch_s, frac, sat_id) equals an earlier accepted line's as
-    ``duplicate``. Only OS-level failures raise (IoFailure).
+    ``duplicate``. The table carries ``frac_unit_s``. Only OS-level failures
+    raise (IoFailure).
     """
     text, buf, starts, ends = _read_lines(source)
     report = IngestReport(total_lines=int(starts.size))
@@ -320,7 +321,8 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     kept = kept[np.lexsort((lines[kept], frac[kept], epoch_s[kept]))]
     report.accepted = int(kept.size)
     report.quarantined_lines = np.sort(np.concatenate(quarantined)).tolist()
-    table = RecordTable(*(c[kept] for c in (epoch_s, frac, sat_id, beam_id, lat, lon)))
+    table = RecordTable(*(c[kept] for c in (epoch_s, frac, sat_id, beam_id, lat, lon)),
+                        frac_unit_s)
     return table, report
 
 
@@ -368,13 +370,11 @@ def _fixed6_chars(values: np.ndarray, min_width: int) -> np.ndarray:
                       _int_chars(micro % 1_000_000, 6)))
 
 
-def write_records(records, path) -> None:
-    """Write records to ``path`` in the canonical log layout, column by column.
+def write_records(table: RecordTable, path) -> None:
+    """Write a table to ``path`` in the canonical log layout, column by column.
 
-    ``records`` is a :class:`RecordTable` or a record sequence; each line is
-    byte-identical to :func:`format_line` of its row.
+    Each line is byte-identical to :func:`format_line` of its row.
     """
-    table = RecordTable.from_records(records)
     n = len(table)
     space = np.full((n, 1), _SPACE, dtype=np.uint8)
     chars = np.hstack((
@@ -393,8 +393,8 @@ def write_records(records, path) -> None:
 # ---------------------------------------------------------------------------
 # grouping and pass segmentation
 
-def segment_passes(records, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-                   frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> list[Pass]:
+def segment_passes(table: RecordTable,
+                   gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> list[Pass]:
     """Split one satellite's records into passes.
 
     Records separated by more than ``gap_threshold_s`` start a new pass. The
@@ -403,14 +403,13 @@ def segment_passes(records, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
     period). Direction is the sign of the net latitude change of the
     sub-satellite track; duration is last minus first timestamp.
     """
-    table = RecordTable.from_records(records)
     if not len(table):
         raise EmptyInput("segment_passes needs at least one record")
     sat_id = int(table.sat_id[0])
     if np.any(table.sat_id != sat_id):
         raise ValueError("segment_passes expects a single satellite, "
                          f"got {np.unique(table.sat_id).tolist()}")
-    times = table.t_s(frac_unit_s)
+    times = table.t_s()
     cuts = (np.flatnonzero(np.diff(times) > gap_threshold_s) + 1).tolist()
     track = table.is_track
     passes = []
@@ -424,6 +423,6 @@ def segment_passes(records, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
     return passes
 
 
-def group_by_satellite(records) -> dict[int, RecordTable]:
+def group_by_satellite(table: RecordTable) -> dict[int, RecordTable]:
     """Time-sorted records keyed by satellite id (keys ascending), one table each."""
-    return RecordTable.from_records(records).by_satellite()
+    return table.by_satellite()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ MAX_BEAM_ID = 48
 
 #: Seconds per unit of the raw sub-second counter. The log format carries a
 #: 9-digit counter whose unit is not self-describing; microseconds is the
-#: default interpretation and the CLI exposes the knob.
+#: default interpretation and the CLI exposes the knob. A parsed stream keeps
+#: its unit as :attr:`RecordTable.frac_unit_s`.
 FRAC_UNITS_S = {"us": 1e-6, "tenus": 1e-5, "ns": 1e-9}
 DEFAULT_FRAC_UNIT_S = FRAC_UNITS_S["us"]
 
@@ -108,26 +109,18 @@ def _key_steps(epoch_s: np.ndarray, frac: np.ndarray) -> np.ndarray:
                     sign(epoch_s[:-1], epoch_s[1:]))
 
 
-def _record_columns(records) -> list[np.ndarray]:
-    """The six columns of a record sequence, in the given order."""
-    records = list(records)
-    ints = np.array([(r.epoch_s, r.frac, r.sat_id, r.beam_id) for r in records],
-                    dtype=np.int64).reshape(-1, 4)
-    floats = np.array([(r.ground.lat_deg, r.ground.lon_deg) for r in records],
-                      dtype=float).reshape(-1, 2)
-    return [*ints.T, *floats.T]
-
-
 @dataclass(frozen=True, eq=False)
 class RecordTable(Sequence):
     """A record stream as numpy columns, stable-sorted by (epoch_s, frac).
 
     ``epoch_s``, ``frac``, ``sat_id`` and ``beam_id`` are int64; ``lat`` and
     ``lon`` are float64 degrees, longitudes folded into (-180, +180] as
-    :class:`GeoPoint` folds them. Construction sorts stably when the rows are
-    out of order and makes the columns read-only views. As a sequence its rows
-    are :class:`IraRecord` values; slicing or indexing with a mask or index
-    array gives another table.
+    :class:`GeoPoint` folds them. ``frac_unit_s`` is the seconds per unit of
+    the ``frac`` counter, a property of the whole stream, not a column.
+    Construction sorts stably when the rows are out of order and makes the
+    columns read-only views. As a sequence its rows are :class:`IraRecord`
+    values; slicing or indexing with a mask or index array gives another
+    table with the same unit.
     """
 
     epoch_s: np.ndarray
@@ -136,8 +129,13 @@ class RecordTable(Sequence):
     beam_id: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
+    frac_unit_s: float = DEFAULT_FRAC_UNIT_S
 
     def __post_init__(self):
+        unit = float(self.frac_unit_s)
+        if not (math.isfinite(unit) and unit > 0):
+            raise ValueError(f"frac_unit_s must be a finite positive number, got {unit}")
+        object.__setattr__(self, "frac_unit_s", unit)
         columns = [np.asarray(getattr(self, name), dtype=dtype)
                    for name, dtype in zip(_COLUMNS, _DTYPES)]
         if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
@@ -151,11 +149,14 @@ class RecordTable(Sequence):
             object.__setattr__(self, name, column)
 
     @classmethod
-    def from_records(cls, records) -> "RecordTable":
-        """Table of a record sequence (a table is returned as it is)."""
-        if isinstance(records, RecordTable):
-            return records
-        return cls(*_record_columns(records))
+    def from_records(cls, records, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> "RecordTable":
+        """Table of a sequence of :class:`IraRecord` values."""
+        records = list(records)
+        ints = np.array([(r.epoch_s, r.frac, r.sat_id, r.beam_id) for r in records],
+                        dtype=np.int64).reshape(-1, 4)
+        floats = np.array([(r.ground.lat_deg, r.ground.lon_deg) for r in records],
+                          dtype=float).reshape(-1, 2)
+        return cls(*ints.T, *floats.T, frac_unit_s)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
@@ -167,7 +168,7 @@ class RecordTable(Sequence):
         if isinstance(key, (int, np.integer)):
             e, f, s, b, lat, lon = (c[key].item() for c in self.columns())
             return IraRecord(e, f, s, b, GeoPoint(lat, lon))
-        return RecordTable(*(c[key] for c in self.columns()))
+        return RecordTable(*(c[key] for c in self.columns()), self.frac_unit_s)
 
     def __iter__(self):
         return iter(self.rows())
@@ -175,7 +176,8 @@ class RecordTable(Sequence):
     def __eq__(self, other):
         if not isinstance(other, RecordTable):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+        return self.frac_unit_s == other.frac_unit_s and all(
+            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
     def rows(self) -> list[IraRecord]:
         return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
@@ -191,8 +193,7 @@ class RecordTable(Sequence):
         """Mask of beam-center rows (beams 1..48)."""
         return self.beam_id >= 1
 
-    def t_s(self, frac_unit_s: float = DEFAULT_FRAC_UNIT_S,
-            origin: tuple[int, int] | None = None) -> np.ndarray:
+    def t_s(self, origin: tuple[int, int] | None = None) -> np.ndarray:
         """Seconds of each row relative to ``origin`` (default: the first row).
 
         Working relative to the first row keeps full float precision even for
@@ -203,7 +204,7 @@ class RecordTable(Sequence):
             origin = (self.epoch_s[0], self.frac[0])
         e0, f0 = origin
         # exact like the integer difference below 2**53, and far-apart epochs cannot wrap
-        return (self.epoch_s.astype(float) - e0) + (self.frac - f0) * frac_unit_s
+        return (self.epoch_s.astype(float) - e0) + (self.frac - f0) * self.frac_unit_s
 
     def by_satellite(self) -> dict[int, "RecordTable"]:
         """One time-sorted table per satellite id (keys ascending)."""
@@ -213,11 +214,11 @@ class RecordTable(Sequence):
         sats = self.sat_id[order]
         cuts = np.flatnonzero(np.diff(sats)) + 1
         parts = [np.split(c[order], cuts) for c in self.columns()]
-        return {int(sats[lo]): RecordTable(*columns)
+        return {int(sats[lo]): RecordTable(*columns, self.frac_unit_s)
                 for lo, *columns in zip([0, *cuts.tolist()], *parts)}
 
 
-_COLUMNS = tuple(f.name for f in fields(RecordTable))
+_COLUMNS = ("epoch_s", "frac", "sat_id", "beam_id", "lat", "lon")
 _DTYPES = (np.int64, np.int64, np.int64, np.int64, float, float)
 
 
@@ -231,11 +232,7 @@ class Pass:
     duration_min: float
 
     def __post_init__(self):
-        if isinstance(self.records, RecordTable):
-            columns = self.records.columns()
-        else:
-            columns = _record_columns(self.records)
-        epoch_s, frac, sat_id = columns[:3]
+        epoch_s, frac, sat_id = self.records.columns()[:3]
         if not epoch_s.size:
             raise ValueError("a pass needs at least one record")
         if np.any(_key_steps(epoch_s, frac) <= 0):
@@ -244,8 +241,6 @@ class Pass:
             raise ValueError("pass records must share one satellite id")
         if self.duration_min < 0:
             raise ValueError("pass duration must be >= 0")
-        if not isinstance(self.records, RecordTable):
-            object.__setattr__(self, "records", RecordTable(*columns))
 
     def track_records(self) -> RecordTable:
         return self.records[self.records.is_track]
@@ -254,6 +249,7 @@ class Pass:
         return {
             "sat_id": self.sat_id,
             "records": [r.to_dict() for r in self.records],
+            "frac_unit_s": self.records.frac_unit_s,
             "direction": self.direction.value,
             "duration_min": self.duration_min,
         }
@@ -262,7 +258,8 @@ class Pass:
     def from_dict(cls, data: dict) -> "Pass":
         return cls(
             data["sat_id"],
-            tuple(IraRecord.from_dict(r) for r in data["records"]),
+            RecordTable.from_records((IraRecord.from_dict(r) for r in data["records"]),
+                                     data["frac_unit_s"]),
             Direction(data["direction"]),
             data["duration_min"],
         )

@@ -38,8 +38,8 @@ EQUATOR_RECEIVER = GeoPoint(0.0, 0.0)
 
 
 def make_records(times_s, lats, lons, sat_id=78, beam_ids=None,
-                 start_epoch=1_600_000_000) -> list[IraRecord]:
-    """Build records from relative times in seconds (microsecond resolution)."""
+                 start_epoch=1_600_000_000) -> RecordTable:
+    """Build a table from relative times in seconds (microsecond resolution)."""
     n = len(times_s)
     beam_ids = beam_ids if beam_ids is not None else [0] * n
     records = []
@@ -49,7 +49,7 @@ def make_records(times_s, lats, lons, sat_id=78, beam_ids=None,
             start_epoch + total_us // 1_000_000, total_us % 1_000_000,
             sat_id, beam, GeoPoint(float(lat), float(lon)),
         ))
-    return records
+    return RecordTable.from_records(records)
 
 
 def run_times_s(stream: RecordTable, config: SimConfig) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_02_speed_statistic():
     mode = analytics.speed_mode_kms(samples)
     assert mode == pytest.approx(6.89, abs=0.05)
     if REAL_DATASET:
-        real_records, _ = ingest.parse_stream(REAL_DATASET)
+        real_records, _ = ingest.parse_table(REAL_DATASET)
         real_mode = analytics.speed_mode_kms(
             analytics.ground_speeds(real_records, max_dt_s=10.0)
         )
@@ -107,7 +107,7 @@ def test_04_evd_fit_recovery():
     assert fit.mu == pytest.approx(mu, abs=0.1)
     assert fit.sigma == pytest.approx(sigma, abs=0.1)
     if REAL_DATASET:
-        records, _ = ingest.parse_stream(REAL_DATASET)
+        records, _ = ingest.parse_table(REAL_DATASET)
         passes = []
         for sat_records in ingest.group_by_satellite(records).values():
             passes.extend(ingest.segment_passes(sat_records))

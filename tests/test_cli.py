@@ -179,6 +179,17 @@ class TestAnalyzeCommand:
         assert bins == sorted(bins) and bins[0] >= 0.0
         assert bins[-1] == pytest.approx(4e18, rel=1e-8)  # the report keeps 8 digits
 
+    def test_log_without_track_records_has_no_coverage(self, tmp_path):
+        beams_only = [row for row in SAMPLE_LOG_ROWS if row.split()[3] != "0"]
+        log = tmp_path / "beams.txt"
+        log.write_text("\n".join(beams_only) + "\n")
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--receiver", "25,50",
+                        "--report", report]) == 0
+        summary = json.loads((report / "analyze_summary.json").read_text())
+        assert summary["coverage"] is None
+        assert not (report / "coverage_histogram.tsv").exists()
+
     def test_duplicate_decode_is_counted(self, tmp_path):
         log = write_sample_log(tmp_path, [SAMPLE_LOG_ROWS[2]])
         report = tmp_path / "r"
@@ -310,9 +321,20 @@ class TestDetectCommand:
             g_pos = cli._track_position(track_times, track_points, t_ref)
             outcome = detector.detect(est, g_pos, config)
             expected.append("\t".join(cli._fmt(v) for v in (
-                k, t_ref, est.n_used, est.i_pos.lat_deg, est.i_pos.lon_deg,
+                k, repr(t_ref), est.n_used, est.i_pos.lat_deg, est.i_pos.lon_deg,
                 g_pos.lat_deg, g_pos.lon_deg, outcome.deviation_km, int(outcome.alarm))))
         assert (report / "detect_windows.tsv").read_text().splitlines()[1:] == expected
+
+    def test_t_ref_is_the_last_beam_time_exactly(self, tmp_path):
+        stream, track = self._simulate_scenario(tmp_path, spoof=False)
+        report = tmp_path / "r"
+        assert run_cli(["detect", "--input", stream, "--threshold-km", 20, "--window-n", 3,
+                        "--gnss-track", track, "--report", report]) == 0
+        cells = [float(row.split("\t")[1])
+                 for row in (report / "detect_windows.tsv").read_text().splitlines()[1:]]
+        records, _ = parse_table(stream)
+        last_beams = records[records.is_beam].t_s(origin=(0, 0))[2::3]
+        assert len(cells) > 100 and cells == last_beams.tolist()
 
     def test_window_larger_than_stream_is_data_error(self, tmp_path):
         stream, track = self._simulate_scenario(tmp_path, spoof=False)
@@ -390,6 +412,7 @@ class TestSimulatorConfigErrors:
         ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", "inf"],
         ["evaluate", "--n-grid", "10,ten"],
         ["evaluate", "--n-grid", "0,10"],
+        ["evaluate", "--n-grid", "10,100,100"],
         ["evaluate", "--windows", 0],
         ["evaluate", "--windows", -1],
         ["simulate", "--seed=-1"],
@@ -598,3 +621,66 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def assert_numbers_close(a, b, rel):
+    """``a`` and ``b`` are the same JSON tree up to a relative error in numbers."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_numbers_close(a[key], b[key], rel)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_numbers_close(x, y, rel)
+    elif isinstance(a, float):
+        assert a == pytest.approx(b, rel=rel)
+    else:
+        assert a == b
+
+
+class TestNanosecondCounters:
+    """The W1 log and a copy with every sub-second counter x 1000, read with
+    ``--frac-unit ns``, describe the same stream."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("w1")
+        us, track = tmp / "w1.log", tmp / "w1.trk"
+        assert run_cli(["simulate", "--duration", 7200, "--per", 0, "--receiver", "60,10",
+                        "--seed", 1, "--output", us, "--track-out", track]) == 0
+        rows = [line.split(" ") for line in us.read_text().splitlines()]
+        ns = tmp / "w1ns.log"
+        ns.write_text("".join(" ".join([e, f"{int(f) * 1000:09d}", *rest]) + "\n"
+                              for e, f, *rest in rows))
+        return us, ns, track
+
+    def _run(self, command, log, unit, report, *flags):
+        assert run_cli([command, "--input", log, "--frac-unit", unit, "--report", report,
+                        *flags]) == 0
+        return dir_bytes(report)
+
+    def test_analyze(self, tmp_path, logs):
+        us, ns, _ = logs
+        a = self._run("analyze", us, "us", tmp_path / "us", "--receiver", "60,10")
+        b = self._run("analyze", ns, "ns", tmp_path / "ns", "--receiver", "60,10")
+        assert a.keys() == b.keys() and len(a) == 6
+        for name in a:
+            if name.endswith(".tsv"):
+                assert a[name] == b[name], name
+        sa, sb = (json.loads(d["analyze_summary.json"]) for d in (a, b))
+        assert (sa.pop("input"), sb.pop("input")) == ("w1.log", "w1ns.log")
+        assert_numbers_close(sa, sb, rel=1e-9)
+
+    @pytest.mark.parametrize("window_n", [3, 500])
+    def test_detect(self, tmp_path, logs, window_n):
+        us, ns, track = logs
+        flags = ("--threshold-km", 20, "--window-n", window_n, "--gnss-track", track)
+        a = self._run("detect", us, "us", tmp_path / "us", *flags)
+        b = self._run("detect", ns, "ns", tmp_path / "ns", *flags)
+        assert a["detect_windows.tsv"] == b["detect_windows.tsv"]
+        records, _ = parse_table(ns, 1e-9)
+        last_beams = records[records.is_beam].t_s(origin=(0, 0))[window_n - 1::window_n]
+        cells = [float(row.split(b"\t")[1])
+                 for row in b["detect_windows.tsv"].splitlines()[1:]]
+        assert cells == last_beams.tolist()

@@ -318,7 +318,7 @@ def pushed_estimates(window_n: int, motion_index: int):
     records = ring_stream(8 * window_n + 7, seed=window_n)
     det = detector.WindowedDetector(DetectorConfig(20.0, window_n), RING_MOTIONS[motion_index])
     estimates = [det.push(r) for r in records if r.beam_id >= 1]
-    return RecordTable.from_records([r for r in records if r.beam_id >= 1]), estimates
+    return records[records.is_beam], estimates
 
 
 def chunk_sizes(window_n: int):
@@ -358,7 +358,7 @@ class TestWindowedDetector:
         # the (3, 2n) buffer first wraps at beam push 2n + 1, then every n pushes
         records = ring_stream(5 * window_n, seed=window_n)
         # the stream is time-ordered, so a slice of the sorted beam table is a window
-        beams = RecordTable.from_records([r for r in records if r.beam_id >= 1])
+        beams = records[records.is_beam]
         assert len(beams) == 5 * window_n
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
         pushed = 0
@@ -389,8 +389,9 @@ class TestWindowedDetector:
             if records[i].beam_id >= 1:
                 beams.append(records[i])
             if len(beams) >= window_n:
-                # estimate_position sorts the window; the buffer keeps push order
-                ref = detector.estimate_position(beams[-window_n:], motion)
+                # the table sorts the window; the buffer keeps push order
+                ref = detector.estimate_position(RecordTable.from_records(beams[-window_n:]),
+                                                 motion)
                 assert (est.n_used, est.window) == (ref.n_used, ref.window)
                 assert est.i_pos.lat_deg == pytest.approx(ref.i_pos.lat_deg, abs=1e-9)
                 d_lon = (est.i_pos.lon_deg - ref.i_pos.lon_deg + 180.0) % 360.0 - 180.0

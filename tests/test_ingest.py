@@ -170,11 +170,11 @@ class TestParseStream:
         assert (records, report.malformed, report.quarantined_lines) == ([], 2, [1, 2])
 
     def test_file_round_trip(self, tmp_path):
-        records, _ = parse_stream(io.StringIO("\n".join(SAMPLE_LOG_ROWS)))
+        table, _ = parse_table(io.StringIO("\n".join(SAMPLE_LOG_ROWS)))
         path = tmp_path / "stream.txt"
-        write_records(records, path)
-        back, report = parse_stream(path)
-        assert back == records
+        write_records(table, path)
+        back, report = parse_table(path)
+        assert back == table
         assert report.quarantined == 0
 
 
@@ -334,13 +334,14 @@ class TestWriteRecords:
     @example([IraRecord(1_600_000_000, 0, 115, 0, GeoPoint(-1e-300, -5e-324))])
     def test_lines_equal_format_line(self, records):
         table = RecordTable.from_records(records)
-        assert _written(records) == "".join(format_line(r) + "\n" for r in table)
+        assert _written(table) == "".join(format_line(r) + "\n" for r in table)
 
     def test_edge_coordinates(self):
         records = [IraRecord(1_600_000_000 + i, 7, 115, i % 49, GeoPoint(lat, lon))
                    for i, (lat, lon) in enumerate(
                        (lat, lon) for lat in EDGE_DEGREES if abs(lat) <= 90 for lon in EDGE_DEGREES)]
-        assert _written(records) == "".join(format_line(r) + "\n" for r in records)
+        table = RecordTable.from_records(records)
+        assert _written(table) == "".join(format_line(r) + "\n" for r in records)
 
     def test_simulated_stream(self):
         table = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2))
@@ -364,11 +365,11 @@ class TestSegmentPasses:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            segment_passes([])
+            segment_passes(make_records([], [], []))
 
     def test_multiple_satellites_rejected(self):
-        records = make_records([0.0], [0], [0], sat_id=78) + \
-            make_records([1.0], [0], [0], sat_id=115)
+        records = RecordTable.from_records([*make_records([0.0], [0], [0], sat_id=78),
+                                            *make_records([1.0], [0], [0], sat_id=115)])
         with pytest.raises(ValueError):
             segment_passes(records)
 
@@ -413,5 +414,5 @@ class TestGroupBySatellite:
     def test_groups_and_sorts(self):
         r1 = make_records([1.0], [0], [0], sat_id=115)
         r2 = make_records([0.0], [0], [0], sat_id=78)
-        grouped = group_by_satellite(r1 + r2)
+        grouped = group_by_satellite(RecordTable.from_records([*r1, *r2]))
         assert list(grouped) == [78, 115]

@@ -81,7 +81,7 @@ class TestIraRecord:
 class TestRecordTimes:
     def test_relative_times_are_exact(self):
         records = make_records([0.0, 0.09, 0.18, 1.0], [0, 0, 0, 0], [0, 0, 0, 0])
-        times = RecordTable.from_records(records).t_s()
+        times = records.t_s()
         assert times.tolist() == [0.0, 0.09, 0.18, 1.0]
 
 
@@ -102,7 +102,7 @@ class TestRecordTable:
         records = shuffled_records()
         table = RecordTable.from_records(records)
         assert table.rows() == sorted(records, key=IraRecord.sort_key)
-        assert RecordTable.from_records(table) is table
+        assert RecordTable.from_records(table) == table
 
     @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-9])
     @pytest.mark.parametrize("origin", [None, (0, 0), (1_600_000_003, 250_000)])
@@ -110,7 +110,7 @@ class TestRecordTable:
         records = sorted(shuffled_records(), key=IraRecord.sort_key)
         e0, f0 = origin or (records[0].epoch_s, records[0].frac)
         expected = [(r.epoch_s - e0) + (r.frac - f0) * unit for r in records]
-        assert RecordTable.from_records(records).t_s(unit, origin).tolist() == expected
+        assert RecordTable.from_records(records, unit).t_s(origin).tolist() == expected
 
     def test_sequence_interface(self):
         records = sorted(shuffled_records(), key=IraRecord.sort_key)
@@ -135,14 +135,47 @@ class TestRecordTable:
         assert RecordTable.from_records([]).by_satellite() == {}
 
 
+class TestFracUnit:
+    def test_every_part_keeps_the_unit(self):
+        records = sorted(shuffled_records(), key=IraRecord.sort_key)
+        table = RecordTable.from_records(records, 1e-9)
+        parts = [table[3:9], table[::-1], table[table.is_track], table[np.array([4, 1, 7])],
+                 *table.by_satellite().values()]
+        one_sat = RecordTable(*make_records([0, 1, 700, 701], [0, 1, 2, 3], [0] * 4).columns(),
+                              1e-9)
+        passes = segment_passes(one_sat)
+        assert len(passes) == 2
+        parts += [p.records for p in passes] + [p.track_records() for p in passes]
+        assert {part.frac_unit_s for part in parts} == {1e-9}
+        part = table[3:9]
+        assert part.t_s().tolist() == [(r.epoch_s - part.epoch_s[0]) + (r.frac - part.frac[0]) * 1e-9
+                                       for r in part]
+
+    def test_tables_differing_only_in_unit_are_unequal(self):
+        records = make_records([0.0, 1.0], [0, 1], [0, 0])
+        assert RecordTable(*records.columns(), 1e-6) == records
+        assert RecordTable(*records.columns(), 1e-9) != records
+
+    @pytest.mark.parametrize("unit", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_unit_must_be_finite_and_positive(self, unit):
+        with pytest.raises(ValueError, match="frac_unit_s"):
+            RecordTable(*make_records([0.0], [0], [0]).columns(), unit)
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e-5, 1e-9])
+    def test_pass_round_trip_keeps_the_unit(self, unit):
+        table = RecordTable(*make_records([0, 60], [1, 2], [3, 4]).columns(), unit)
+        p = segment_passes(table)[0]
+        back = Pass.from_dict(json.loads(json.dumps(p.to_dict())))
+        assert back == p and back.records.frac_unit_s == unit
+
+
 class TestPass:
     def test_rejects_unsorted_and_mixed(self):
+        # a table sorts its rows, so the out-of-order pass left is one with a tie
         records = make_records([0, 10], [0, 1], [0, 0])
-        with pytest.raises(ValueError):
-            Pass(78, tuple(reversed(records)), Direction.UPWARD, 10 / 60)
         other = make_records([20], [2], [0], sat_id=115)
         with pytest.raises(ValueError):
-            Pass(78, tuple(records + other), Direction.UPWARD, 20 / 60)
+            Pass(78, RecordTable.from_records([*records, *other]), Direction.UPWARD, 20 / 60)
         tie = make_records([0, 0], [0, 1], [0, 0])
         with pytest.raises(ValueError):
             Pass(78, RecordTable.from_records(tie), Direction.UPWARD, 0.0)
