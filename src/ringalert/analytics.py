@@ -266,11 +266,6 @@ def evd_ppf(p, mu: float, sigma: float):
     return mu + sigma * np.log(-np.log1p(-p))
 
 
-def sample_evd(n: int, mu: float, sigma: float, rng: np.random.Generator):
-    """Inverse-CDF sampling from the pass-duration density."""
-    return evd_ppf(rng.uniform(1e-12, 1.0 - 1e-12, size=n), mu, sigma)
-
-
 def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdParams:
     """Maximum-likelihood (mu, sigma) via Newton iterations on the profiled scale.
 

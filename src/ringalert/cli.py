@@ -263,13 +263,15 @@ def _build_scenario(args, duration_s: float) -> simulator.Scenario:
 
 
 def _cmd_simulate(args) -> int:
-    _check_positive("--track-interval-s", args.track_interval_s)
+    step = args.track_interval_s
+    if not 1e-3 <= step < math.inf:  # track times are written to the millisecond
+        raise _UsageError(f"--track-interval-s must be a finite number of seconds >= 0.001, "
+                          f"got {step}")
     config = _build_sim_config(args)
     scenario = _build_scenario(args, config.duration_s)
     records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)
     if args.track_out:
-        step = args.track_interval_s
         times = np.arange(0.0, config.duration_s + 0.5 * step, step)
         with open(args.track_out, "w", encoding="utf-8") as fh:
             fh.write("# epoch_s lat_deg lon_deg\n")
@@ -327,8 +329,10 @@ def _cmd_detect(args) -> int:
     motion = _parse_motion(args.motion) if args.motion else None
     records, _ = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     beams = records[records.is_beam]
-    if not len(beams):
-        raise EmptyInput("no beam records in input")
+    if len(beams) < config.window_n:
+        raise EmptyInput(
+            f"stream holds {len(beams)} beam records, fewer than window_n={config.window_n}"
+        )
     times = beams.t_s(origin=(0, 0))
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
@@ -349,10 +353,6 @@ def _cmd_detect(args) -> int:
             g_pos.lat_deg, g_pos.lon_deg,
             outcome.deviation_km, int(outcome.alarm),
         ))
-    if not rows:
-        raise EmptyInput(
-            f"stream holds {len(beams)} beam records, fewer than window_n={config.window_n}"
-        )
     _write_table(out / "detect_windows.tsv",
                  ["window", "t_ref", "n_used", "i_lat", "i_lon",
                   "g_lat", "g_lon", "deviation_km", "alarm"], rows)
@@ -428,6 +428,8 @@ def _constellation_flags() -> _Parser:
     p.add_argument("--coverage-radius", type=float, default=None, dest="coverage_radius_km")
     p.add_argument("--plane-nodes", default=None, dest="plane_nodes_deg",
                    help="comma-separated ascending-node longitudes")
+    p.add_argument("--loss-model", choices=simulator.LOSS_MODELS, default=None,
+                   dest="loss_model")
     p.add_argument("--config", help="JSON file with full simulator configuration")
     return p
 
@@ -463,7 +465,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a synthetic ring-alert stream",
                        parents=[constellation])
     p.add_argument("--output", required=True, help="stream file to write")
-    p.add_argument("--loss-model", choices=["iid", "burst"], default=None, dest="loss_model")
     p.add_argument("--scenario", help="JSON file with receiver/spoof scenario")
     p.add_argument("--receiver", help="stationary receiver 'lat,lon' (default 0,0)")
     p.add_argument("--motion", help="moving receiver 'lat,lon,course,speed'")
@@ -489,7 +490,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-grid", default="10,100,1000,10000",
                    help="comma-separated window message counts")
     p.add_argument("--thresholds", default="10,15,20", help="comma-separated thresholds (km)")
-    p.add_argument("--loss-model", choices=["iid"], default=None, dest="loss_model")
     p.add_argument("--receiver", help="receiver 'lat,lon' (default 0,0)")
     p.add_argument("--report", help="report directory")
     p.set_defaults(func=_cmd_evaluate)

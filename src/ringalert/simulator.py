@@ -198,8 +198,8 @@ class SimConfig:
             raise ValueError(f"coverage_radius_km must be > 0, got {self.coverage_radius_km}")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
             raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s}")
-        if self.loss_model not in ("iid", "burst"):
-            raise ValueError("loss_model must be 'iid' or 'burst'")
+        if self.loss_model not in LOSS_MODELS:
+            raise ValueError(f"loss_model must be one of {LOSS_MODELS}, got {self.loss_model!r}")
         if self.burst_stages < 1:
             raise ValueError("burst_stages must be >= 1")
         if self.slot_us < 1:
@@ -392,47 +392,40 @@ def _renewal_slots(length: int, draw_gaps, batch_size) -> np.ndarray:
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
 
 
-def _kept_offsets_iid(length: int, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices in [0, length) kept by an independent Bernoulli(keep_prob) channel."""
+def _iid_gaps(config: SimConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Independent drops: each emission is kept with probability 1 - per."""
+    return rng.geometric(1.0 - config.per, size=n)
+
+
+def _burst_gaps(config: SimConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Outages: single deliveries separated by Erlang-distributed outages.
+
+    Outage lengths have ``burst_stages`` stages and mean per / (1 - per)
+    slots, so the long-run delivery ratio still equals 1 - per while gap
+    durations peak near their mean instead of at one slot.
+    """
+    mean_off = config.per / (1.0 - config.per)
+    stages = config.burst_stages
+    return 1 + np.round(rng.gamma(stages, mean_off / stages, size=n)).astype(np.int64)
+
+
+# each loss channel by name, with the sampler of the slot gaps between its deliveries
+_GAP_SAMPLERS = {"iid": _iid_gaps, "burst": _burst_gaps}
+LOSS_MODELS = tuple(_GAP_SAMPLERS)
+
+
+def _kept_offsets(length: int, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Indices in [0, length) of one in-view slot range kept by the loss channel."""
+    keep_prob = 1.0 - config.per
     if keep_prob <= 0.0 or length <= 0:
         return np.empty(0, dtype=np.int64)
     if keep_prob >= 1.0:
         return np.arange(length, dtype=np.int64)
+    draw_gaps = _GAP_SAMPLERS[config.loss_model]
     return _renewal_slots(
-        length, lambda n: rng.geometric(keep_prob, size=n),
+        length, lambda n: draw_gaps(config, rng, n),
         lambda pos: max(64, int((int((length - max(pos, 0)) * keep_prob) + 1) * 1.2) + 16),
     )
-
-
-def _kept_slots_burst(slot_count: int, per: float, stages: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Kept slots under the bursty channel: single deliveries separated by outages.
-
-    Outage lengths are Erlang-distributed (``stages`` stages) with mean
-    per / (1 - per) slots, so the long-run delivery ratio still equals
-    1 - per while gap durations peak near their mean instead of at one slot.
-    """
-    if per <= 0.0:
-        return np.arange(slot_count, dtype=np.int64)
-    if per >= 1.0 or slot_count <= 0:
-        return np.empty(0, dtype=np.int64)
-    mean_off = per / (1.0 - per)
-    return _renewal_slots(
-        slot_count,
-        lambda n: 1 + np.round(rng.gamma(stages, mean_off / stages, size=n)).astype(np.int64),
-        lambda pos: max(64, int((slot_count - pos) / (1.0 + mean_off) * 1.2) + 16),
-    )
-
-
-def _intersect_ranges(slots: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
-    if not ranges or slots.size == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = np.zeros(slots.shape, dtype=bool)
-    for k0, k1 in ranges:
-        lo = np.searchsorted(slots, k0, side="left")
-        hi = np.searchsorted(slots, k1, side="right")
-        mask[lo:hi] = True
-    return slots[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +453,22 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     """Every emission in slots [slot_lo, slot_hi) that survives the loss channel
     and reaches ``receiver``, sorted by slot, then satellite.
 
-    The generator is drawn from satellite by satellite (and in-view range by
-    range for the iid channel), so one generator state gives one stream.
+    The generator is drawn from satellite by satellite and in-view range by
+    range, for either loss channel, so one generator state gives one stream.
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
     ranges_per_sat = _view_slot_ranges(
         config, basis, receiver.start, config.coverage_radius_km + margin_km, slot_lo, slot_hi
     )
-    keep_prob = 1.0 - config.per
     offsets = np.array(config.beam_offsets)
     no_slots = np.empty(0, dtype=np.int64)
     # an empty first part keeps the column dtypes when nothing is in view
     parts = [(no_slots, no_slots, no_slots, np.empty(0), np.empty(0))]
     for j, ranges in enumerate(ranges_per_sat):
-        if config.loss_model == "burst":
-            kept_all = slot_lo + _kept_slots_burst(slot_hi - slot_lo, config.per,
-                                                   config.burst_stages, rng)
-            kept = _intersect_ranges(kept_all, ranges)
-        else:
-            kept = np.concatenate([no_slots] + [
-                k0 + _kept_offsets_iid(k1 - k0 + 1, keep_prob, rng) for k0, k1 in ranges
-            ])
+        kept = np.concatenate([no_slots] + [
+            k0 + _kept_offsets(k1 - k0 + 1, config, rng) for k0, k1 in ranges
+        ])
         if kept.size == 0:
             continue
         t = (kept * config.slot_us).astype(float) * 1e-6
@@ -551,13 +538,11 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
                    n_windows: int, rng: np.random.Generator | None = None) -> list[WindowSample]:
     """Consecutive disjoint windows of ``window_messages`` beam records each.
 
-    A fast path for Monte Carlo studies with a stationary receiver and the
-    independent-loss channel. The stream comes from the same emitter as
+    A fast path for Monte Carlo studies with a stationary receiver, on either
+    loss channel. The stream comes from the same emitter as
     :func:`emit_stream`, one chunk of slots at a time, so cost scales with the
     message count; windows are cut from it back to back.
     """
-    if config.loss_model != "iid":
-        raise ValueError("sample_windows supports the iid loss channel only")
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
     if config.per >= 1.0:

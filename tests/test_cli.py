@@ -367,6 +367,16 @@ class TestEvaluateCommand:
         assert (report / "fp_rates.tsv").exists()
         assert (report / "fp_fits.tsv").exists()
 
+    def test_burst_grid_reruns_byte_identical(self, tmp_path):
+        argv = ["evaluate", "--windows", 5, "--n-grid", "10,30", "--thresholds", "20",
+                "--per", 0.9, "--loss-model", "burst", "--seed", 4, "--n-sats", 22,
+                "--planes", 2, "--plane-nodes=-0.02,0.02", "--inclination", 90]
+        for name in ("a", "b"):
+            assert run_cli(argv + ["--report", tmp_path / name]) == 0
+        assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+        summary = json.loads((tmp_path / "a" / "evaluate_summary.json").read_text())
+        assert summary["config"]["loss_model"] == "burst"
+
 
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
@@ -429,7 +439,7 @@ class TestSimulatorConfigErrors:
         assert_one_line_error(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("interval", [0, -1, "nan", "inf"])
+    @pytest.mark.parametrize("interval", [0, -1, "nan", "inf", "1e-300", "1e-6"])
     def test_bad_track_interval_is_usage_error(self, tmp_path, capsys, interval):
         out, track = tmp_path / "sim.txt", tmp_path / "track.txt"
         assert run_cli(["simulate", "--duration", 60, "--output", out, "--track-out", track,
@@ -493,6 +503,17 @@ class TestDetectCounts:
     ])
     def test_track_clamped_windows(self, tmp_path, track_times, clamped):
         assert self._detect(tmp_path, 2, track_times)["track_clamped_windows"] == clamped
+
+    @pytest.mark.parametrize("window_n", [6, 10**12])
+    def test_fewer_beams_than_window_n_is_data_error(self, tmp_path, capsys, window_n):
+        log = write_sample_log(tmp_path)
+        track = tmp_path / "track.txt"
+        track.write_text("1580712040.0 29.8 46.1\n")
+        report = tmp_path / "r"
+        assert run_cli(["detect", "--input", log, "--gnss-track", track, "--threshold-km", 20,
+                        "--window-n", window_n, "--report", report]) == 2
+        assert "5 beam records, fewer than window_n" in assert_one_line_error(capsys)
+        assert not report.exists()
 
 
 class TestDetectInputErrors:

@@ -186,6 +186,29 @@ class TestEmitStream:
         ratio = len(records) / (30_000.0 / 0.09)
         assert ratio == pytest.approx(0.015, rel=0.15)
 
+    def test_burst_channel_keeps_only_in_view_slots(self):
+        # corridor coverage is partial: every kept slot falls in one of its
+        # satellite's in-view slot ranges, and those ranges deliver 1 - per
+        config = corridor_config(loss_model="burst", duration_s=12_000.0, seed=11)
+        slot_count = simulator._slot_count(config)
+        ranges_per_sat = simulator._view_slot_ranges(
+            config, simulator._orbit_basis(config), GeoPoint(0, 0),
+            config.coverage_radius_km, 0, slot_count)
+        stream = emit_stream(config)
+        slots = (stream.epoch_s - config.start_epoch_s) * 1_000_000 + stream.frac
+        assert np.all(slots % config.slot_us == 0)
+        slots //= config.slot_us
+        in_view_slots = 0
+        for sat_id, ranges in zip(config.sat_ids, ranges_per_sat):
+            kept = slots[stream.sat_id == sat_id]
+            inside = np.zeros(kept.size, dtype=bool)
+            for k0, k1 in ranges:
+                inside |= (k0 <= kept) & (kept <= k1)
+                in_view_slots += k1 - k0 + 1
+            assert np.all(inside), sat_id
+        assert 0 < in_view_slots < config.n_sats * slot_count
+        assert len(stream) / in_view_slots == pytest.approx(1.0 - config.per, rel=0.15)
+
 
 class TestScenario:
     def test_no_spoof_reported_equals_truth(self):
@@ -257,11 +280,6 @@ class TestSampleWindows:
                            rng=np.random.default_rng(5))
         assert all(np.array_equal(x.lat, y.lat) for x, y in zip(a, b))
 
-    def test_burst_channel_rejected(self):
-        config = corridor_config(loss_model="burst")
-        with pytest.raises(ValueError):
-            sample_windows(config, GeoPoint(0, 0), window_messages=10, n_windows=1)
-
     def test_total_loss_is_rejected_before_emitting(self, monkeypatch):
         monkeypatch.setattr(simulator, "_emit", None)  # calling it would raise TypeError
         with pytest.raises(InvalidPer):
@@ -275,10 +293,11 @@ class TestSampleWindows:
         with pytest.raises(InsufficientWindows, match="0/3 windows"):
             sample_windows(config, GeoPoint(0, 90), window_messages=10, n_windows=3)
 
-    def test_windows_match_emit_stream(self):
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    def test_windows_match_emit_stream(self, loss_model):
         # over one chunk of slots, the windows are the leading beam records of
         # the stream emit_stream gives for the same seed and a stationary receiver
-        base = corridor_config(per=0.9, seed=7)
+        base = corridor_config(per=0.9, seed=7, loss_model=loss_model)
         config = SimConfig(**{**base.to_dict(),
                               "duration_s": _WINDOW_CHUNK_SLOTS * base.slot_us / 1e6})
         windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=30)
