@@ -20,7 +20,9 @@ import numpy as np
 from . import analytics, detector, ingest, simulator
 from .errors import (BinOverflow, EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
                      InvalidCoordinate, IoFailure, MalformedLine, RingAlertError)
-from .geo import GeoPoint, great_circle_km, interpolate
+# interpolate is no longer called here, but the benchmark's span tracer still
+# wraps it by this module's binding (bench/spans.py TARGETS)
+from .geo import GeoPoint, great_circle_km, interpolate, interpolate_deg  # noqa: F401
 from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 
 REPORT_DIR_ENV = "RINGALERT_REPORT_DIR"
@@ -311,16 +313,17 @@ def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
     return np.asarray(times, dtype=float)[order], [points[i] for i in order]
 
 
-def _track_position(times: np.ndarray, points: list[GeoPoint], t: float) -> GeoPoint:
-    if t <= times[0]:
-        return points[0]
-    if t >= times[-1]:
-        return points[-1]
-    hi = int(np.searchsorted(times, t))
-    lo = hi - 1
+def _track_positions(times: np.ndarray, points: list[GeoPoint], t: np.ndarray) -> list[GeoPoint]:
+    """The track position at each time of ``t``: the great-circle blend of the
+    fixes around it, or the first or last fix for a time outside the track."""
+    hi = np.minimum(np.searchsorted(times, t), times.size - 1)
+    lo = np.maximum(hi - 1, 0)
     span = times[hi] - times[lo]
-    fraction = 0.0 if span <= 0 else (t - times[lo]) / span
-    return interpolate(points[lo], points[hi], fraction)
+    fraction = np.where(span > 0, (t - times[lo]) / np.where(span > 0, span, 1.0), 0.0)
+    lat, lon = np.array([(p.lat_deg, p.lon_deg) for p in points]).T
+    blend_lat, blend_lon = interpolate_deg(lat[lo], lon[lo], lat[hi], lon[hi], fraction)
+    return [points[0] if tk <= times[0] else points[-1] if tk >= times[-1] else GeoPoint(a, b)
+            for tk, a, b in zip(t.tolist(), blend_lat.tolist(), blend_lon.tolist())]
 
 
 def _cmd_detect(args) -> int:
@@ -337,13 +340,16 @@ def _cmd_detect(args) -> int:
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
     det = detector.WindowedDetector(config, motion)
+    n_windows = len(beams) // config.window_n
+    # each window's estimate is taken at its latest beam time
+    t_refs = times[:n_windows * config.window_n].reshape(n_windows, -1).max(axis=1)
+    g_positions = _track_positions(track_times, track_points, t_refs)
     rows = []
     alarms = clamped = 0
-    for start in range(0, len(beams) - config.window_n + 1, config.window_n):
+    for start, g_pos in zip(range(0, n_windows * config.window_n, config.window_n), g_positions):
         w = slice(start, start + config.window_n)
         est = det.extend(beams.lat[w], beams.lon[w], times[w])
         t_ref = est.window[1]
-        g_pos = _track_position(track_times, track_points, t_ref)
         clamped += not track_times[0] <= t_ref <= track_times[-1]
         outcome = det.check(g_pos)
         alarms += outcome.alarm

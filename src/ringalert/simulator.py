@@ -453,8 +453,9 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     """Every emission in slots [slot_lo, slot_hi) that survives the loss channel
     and reaches ``receiver``, sorted by slot, then satellite.
 
-    The generator is drawn from satellite by satellite and in-view range by
-    range, for either loss channel, so one generator state gives one stream.
+    The loss channel draws one renewal per satellite over its in-view slots
+    laid end to end, satellite by satellite, so one generator state gives one
+    stream. A burst outage thus carries across the gap between two passes.
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
@@ -466,11 +467,15 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     # an empty first part keeps the column dtypes when nothing is in view
     parts = [(no_slots, no_slots, no_slots, np.empty(0), np.empty(0))]
     for j, ranges in enumerate(ranges_per_sat):
-        kept = np.concatenate([no_slots] + [
-            k0 + _kept_offsets(k1 - k0 + 1, config, rng) for k0, k1 in ranges
-        ])
-        if kept.size == 0:
+        if not ranges:
             continue
+        first, last = np.array(ranges, dtype=np.int64).T
+        # the in-view slots laid end to end: range i ends before offset laid_end[i]
+        laid_end = np.cumsum(last - first + 1)
+        drawn = _kept_offsets(int(laid_end[-1]), config, rng)
+        if drawn.size == 0:
+            continue
+        kept = drawn + (last + 1 - laid_end)[np.searchsorted(laid_end, drawn, side="right")]
         t = (kept * config.slot_us).astype(float) * 1e-6
         lat, lon, northbound = _sat_positions(config, basis, j, t)
         # exact in-view check against the (possibly moving) receiver
@@ -517,10 +522,27 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
 # ---------------------------------------------------------------------------
 # stationary-receiver window sampling for Monte Carlo evaluation
 
-# the stream is emitted this many slots at a time (100 h at 90 ms slots)...
+# the window stream starts with a chunk of this many slots (about 25 min at 90 ms)...
+_FIRST_WINDOW_CHUNK_SLOTS = 1 << 14
+# ...later chunks grow to at most this many (100 h)...
 _WINDOW_CHUNK_SLOTS = 4_000_000
-# ...and a receiver that no satellite reaches is given up on after this many chunks
-_MAX_WINDOW_CHUNKS = 4096
+# ...and a receiver that no satellite reaches is given up on after this many slots
+_MAX_WINDOW_SLOTS = 4096 * _WINDOW_CHUNK_SLOTS
+
+
+def _next_chunk_slots(last: int, slots_done: int, beams_seen: int, beams_needed: int) -> int:
+    """Size of the next chunk of the window stream, in slots.
+
+    Enough slots for the beams still needed at the beam rate seen so far,
+    plus a 10% margin, and never fewer than the last chunk; four times the
+    last chunk while no beam has been seen. Integer arithmetic keeps the
+    schedule exact, so reruns emit the same chunks.
+    """
+    if beams_seen == 0:
+        size = 4 * last
+    else:
+        size = max(last, -(-11 * beams_needed * slots_done // (10 * beams_seen)))
+    return min(size, _WINDOW_CHUNK_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -540,8 +562,9 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
 
     A fast path for Monte Carlo studies with a stationary receiver, on either
     loss channel. The stream comes from the same emitter as
-    :func:`emit_stream`, one chunk of slots at a time, so cost scales with the
-    message count; windows are cut from it back to back.
+    :func:`emit_stream`, one chunk of slots at a time, each chunk sized from
+    the beams still needed, so cost scales with the message count; windows
+    are cut from it back to back.
     """
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
@@ -553,14 +576,16 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
     stationary = MotionProfile(receiver, 0.0, 0.0)
     windows: list[WindowSample] = []
     carry = None  # beam rows left over from the previous chunk, one array per field
-    for chunk_index in range(_MAX_WINDOW_CHUNKS):
-        lo = chunk_index * _WINDOW_CHUNK_SLOTS
-        chunk = _emit(config, basis, stationary, lo, lo + _WINDOW_CHUNK_SLOTS, rng)
+    lo, size, beams_seen = 0, _FIRST_WINDOW_CHUNK_SLOTS, 0
+    while lo < _MAX_WINDOW_SLOTS:
+        hi = min(lo + size, _MAX_WINDOW_SLOTS)
+        chunk = _emit(config, basis, stationary, lo, hi, rng)
         beams = chunk.is_beam
         # whole microseconds since the run start, so t_s is the emitter's slot time exactly
         elapsed_us = (chunk.epoch_s[beams] - config.start_epoch_s) * 1_000_000 + chunk.frac[beams]
         columns = [elapsed_us * 1e-6, chunk.lat[beams], chunk.lon[beams],
                    chunk.sat_id[beams], chunk.beam_id[beams]]
+        beams_seen += elapsed_us.size
         if carry is not None:
             columns = [np.concatenate(pair) for pair in zip(carry, columns)]
         cut = min(columns[0].size // window_messages, n_windows - len(windows))
@@ -570,7 +595,11 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         if len(windows) >= n_windows:
             return windows
         carry = [c[cut * window_messages:] for c in columns]
+        beams_needed = (n_windows - len(windows)) * window_messages - carry[0].size
+        size = _next_chunk_slots(size, hi, beams_seen, beams_needed)
+        lo = hi
+    hours = _MAX_WINDOW_SLOTS * config.slot_s / 3600.0
     raise InsufficientWindows(
-        f"collected only {len(windows)}/{n_windows} windows in {_MAX_WINDOW_CHUNKS} chunks; "
-        "no satellite may be in view of this receiver"
+        f"collected only {len(windows)}/{n_windows} windows in {_MAX_WINDOW_SLOTS} slots "
+        f"({hours:.0f} h); no satellite may be in view of this receiver"
     )

@@ -5,6 +5,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import ringalert
 from ringalert import cli, detector
 from ringalert.cli import build_parser, main
-from ringalert.geo import GeoPoint
+from ringalert.geo import GeoPoint, interpolate
 from ringalert.ingest import format_line, parse_table
 from ringalert.model import DetectorConfig, MotionProfile
 from ringalert.simulator import SimConfig, emit_stream
@@ -272,6 +273,18 @@ class TestAnalyzeInputErrors:
         assert_one_line_error(capsys)
 
 
+def _track_position(times, points, t):
+    """Scalar reference of the track lookup: one geo.interpolate per time."""
+    if t <= times[0]:
+        return points[0]
+    if t >= times[-1]:
+        return points[-1]
+    hi = int(np.searchsorted(times, t))
+    lo = hi - 1
+    span = times[hi] - times[lo]
+    return interpolate(points[lo], points[hi], 0.0 if span <= 0 else (t - times[lo]) / span)
+
+
 class TestDetectCommand:
     def _simulate_scenario(self, tmp_path, spoof):
         stream = tmp_path / "sim.txt"
@@ -318,12 +331,27 @@ class TestDetectCommand:
             window = beams[k * window_n:(k + 1) * window_n]
             t_ref = float(window.t_s(origin=(0, 0))[-1])
             est = detector.estimate_position(window, motion)
-            g_pos = cli._track_position(track_times, track_points, t_ref)
+            g_pos = _track_position(track_times, track_points, t_ref)
             outcome = detector.detect(est, g_pos, config)
             expected.append("\t".join(cli._fmt(v) for v in (
                 k, repr(t_ref), est.n_used, est.i_pos.lat_deg, est.i_pos.lon_deg,
                 g_pos.lat_deg, g_pos.lon_deg, outcome.deviation_km, int(outcome.alarm))))
         assert (report / "detect_windows.tsv").read_text().splitlines()[1:] == expected
+
+    @pytest.mark.parametrize("fixes", [
+        [(100.0, 10.0, 20.0)],
+        [(100.0, 10.0, 20.0), (160.0, 10.5, 20.25), (160.0, 11.0, 20.5), (400.0, -30.0, 179.0)],
+    ])
+    def test_track_positions_match_the_scalar_lookup(self, fixes):
+        # one array call gives each time the fix or blend the scalar lookup gives:
+        # clamped before the first and after the last fix, at fix times, between them
+        times = np.array([f[0] for f in fixes])
+        points = [GeoPoint(lat, lon) for _, lat, lon in fixes]
+        t = np.array([0.0, 100.0, 130.0, 160.0, 161.0, 250.0, 399.9, 400.0, 1e6])
+        for got, t_k in zip(cli._track_positions(times, points, t), t.tolist()):
+            want = _track_position(times, points, t_k)
+            assert got.lat_deg == pytest.approx(want.lat_deg, abs=1e-12), t_k
+            assert got.lon_deg == pytest.approx(want.lon_deg, abs=1e-12), t_k
 
     def test_t_ref_is_the_last_beam_time_exactly(self, tmp_path):
         stream, track = self._simulate_scenario(tmp_path, spoof=False)

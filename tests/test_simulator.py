@@ -18,6 +18,8 @@ from ringalert.simulator import (
     emit_stream,
     orbital_period_s,
     propagate,
+    _FIRST_WINDOW_CHUNK_SLOTS,
+    _MAX_WINDOW_SLOTS,
     _WINDOW_CHUNK_SLOTS,
     sample_windows,
 )
@@ -186,10 +188,11 @@ class TestEmitStream:
         ratio = len(records) / (30_000.0 / 0.09)
         assert ratio == pytest.approx(0.015, rel=0.15)
 
-    def test_burst_channel_keeps_only_in_view_slots(self):
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    def test_channel_keeps_only_in_view_slots(self, loss_model):
         # corridor coverage is partial: every kept slot falls in one of its
         # satellite's in-view slot ranges, and those ranges deliver 1 - per
-        config = corridor_config(loss_model="burst", duration_s=12_000.0, seed=11)
+        config = corridor_config(loss_model=loss_model, duration_s=12_000.0, seed=11)
         slot_count = simulator._slot_count(config)
         ranges_per_sat = simulator._view_slot_ranges(
             config, simulator._orbit_basis(config), GeoPoint(0, 0),
@@ -208,6 +211,61 @@ class TestEmitStream:
             assert np.all(inside), sat_id
         assert 0 < in_view_slots < config.n_sats * slot_count
         assert len(stream) / in_view_slots == pytest.approx(1.0 - config.per, rel=0.15)
+
+
+class TestPerSatelliteDraw:
+    # each satellite's in-view ranges are laid end to end for one loss draw,
+    # and the drawn offsets are mapped back to slots
+
+    RANGES = {  # satellite index -> inclusive slot ranges inside [40, 100)
+        0: [(40, 40), (41, 45), (50, 50), (52, 99)],  # chunk-edge cuts, length 1, adjacent
+        1: [],
+        2: [(60, 60)],
+        3: [(40, 99)],
+        4: [(45, 47), (48, 48), (49, 49), (99, 99)],
+    }
+
+    def _emit_ranges(self, monkeypatch, ranges, per=0.0, seed=5):
+        monkeypatch.setattr(simulator, "_view_slot_ranges",
+                            lambda *args: [ranges.get(j, []) for j in range(5)])
+        # whole-sphere coverage, so the exact in-view check keeps every slot
+        config = overhead_config(n_sats=5, per=per, seed=seed)
+        receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
+        return simulator._emit(config, simulator._orbit_basis(config), receiver, 40, 100,
+                               np.random.default_rng(seed)), config
+
+    @staticmethod
+    def _slots_by_sat(table, config):
+        slots = ((table.epoch_s - config.start_epoch_s) * 1_000_000 + table.frac) // config.slot_us
+        return {j: slots[table.sat_id == sat_id].tolist()
+                for j, sat_id in enumerate(config.sat_ids)}
+
+    def test_lossless_keeps_every_in_view_slot(self, monkeypatch):
+        table, config = self._emit_ranges(monkeypatch, self.RANGES)
+        expected = {j: [k for k0, k1 in self.RANGES[j] for k in range(k0, k1 + 1)]
+                    for j in self.RANGES}
+        assert self._slots_by_sat(table, config) == expected
+
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    def test_lossy_draw_stays_in_its_ranges(self, monkeypatch, loss_model):
+        ranges = {j: [(k, k) for k in range(40, 100, 2)] for j in range(5)}
+        table, config = self._emit_ranges(monkeypatch, ranges, per=0.5)
+        for j, kept in self._slots_by_sat(table, config).items():
+            assert kept and all(k % 2 == 0 for k in kept), j
+
+    def test_lossless_chunks_concatenate_to_the_stream(self):
+        # passes cut at a chunk edge keep every slot on both sides of the cut
+        config = corridor_config(per=0.0, duration_s=1800.0)
+        whole = emit_stream(config)
+        basis = simulator._orbit_basis(config)
+        receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
+        cut = simulator._slot_count(config) // 3 + 7
+        parts = [simulator._emit(config, basis, receiver, lo, hi, np.random.default_rng(0))
+                 for lo, hi in ((0, cut), (cut, simulator._slot_count(config)))]
+        assert all(len(part) for part in parts)
+        for name in ("epoch_s", "frac", "sat_id", "beam_id", "lat", "lon"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(joined, getattr(whole, name)), name
 
 
 class TestScenario:
@@ -286,29 +344,84 @@ class TestSampleWindows:
             sample_windows(corridor_config(per=1.0), GeoPoint(0, 0), window_messages=10,
                            n_windows=1)
 
-    def test_unreachable_receiver_runs_out_of_chunks(self):
+    def test_unreachable_receiver_runs_out_of_chunks(self, monkeypatch):
         # a 10 km footprint on six satellites of one polar plane never reaches (0, 90)
         config = SimConfig(n_sats=6, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
                            coverage_radius_km=10.0)
-        with pytest.raises(InsufficientWindows, match="0/3 windows"):
+        chunks = _record_chunks(monkeypatch)
+        with pytest.raises(InsufficientWindows, match=f"0/3 windows in {_MAX_WINDOW_SLOTS} slots"):
             sample_windows(config, GeoPoint(0, 90), window_messages=10, n_windows=3)
+        # the last chunk stops at the horizon
+        _assert_contiguous(chunks[:-1])
+        assert chunks[-1] == (chunks[-2][1], _MAX_WINDOW_SLOTS)
+        # no beam seen: each chunk is four times the last, up to the cap
+        sizes = [hi - lo for lo, hi in chunks]
+        assert sizes[:4] == [_FIRST_WINDOW_CHUNK_SLOTS * 4 ** k for k in range(4)]
+        assert max(sizes) == _WINDOW_CHUNK_SLOTS
 
     @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
     def test_windows_match_emit_stream(self, loss_model):
-        # over one chunk of slots, the windows are the leading beam records of
-        # the stream emit_stream gives for the same seed and a stationary receiver
+        # over the first chunk of slots, the windows are the beam records of the
+        # stream emit_stream gives for the same seed and a stationary receiver
         base = corridor_config(per=0.9, seed=7, loss_model=loss_model)
         config = SimConfig(**{**base.to_dict(),
-                              "duration_s": _WINDOW_CHUNK_SLOTS * base.slot_us / 1e6})
+                              "duration_s": _FIRST_WINDOW_CHUNK_SLOTS * base.slot_us / 1e6})
         windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=30)
         stream = emit_stream(config)
         emitted_columns = {"t_s": run_times_s(stream, config), "lat": stream.lat,
                            "lon": stream.lon, "sat_id": stream.sat_id, "beam_id": stream.beam_id}
         for name, column in emitted_columns.items():
+            emitted = column[stream.is_beam]
             sampled = np.concatenate([getattr(w, name) for w in windows])
-            emitted = column[stream.is_beam][:sampled.size]
+            assert sampled.size > emitted.size > 0  # the windows run past the first chunk
             assert sampled.dtype == emitted.dtype
-            assert np.array_equal(sampled, emitted), name
+            assert np.array_equal(sampled[:emitted.size], emitted), name
+
+
+def _record_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the emitter; the returned list fills with each (slot_lo, slot_hi) it is asked for."""
+    chunks = []
+    emit = simulator._emit
+
+    def recording_emit(config, basis, receiver, slot_lo, slot_hi, rng):
+        chunks.append((slot_lo, slot_hi))
+        return emit(config, basis, receiver, slot_lo, slot_hi, rng)
+
+    monkeypatch.setattr(simulator, "_emit", recording_emit)
+    return chunks
+
+
+def _assert_contiguous(chunks):
+    assert chunks[0] == (0, _FIRST_WINDOW_CHUNK_SLOTS)
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
+    sizes = [hi - lo for lo, hi in chunks]
+    assert sizes == sorted(sizes) and max(sizes) <= _WINDOW_CHUNK_SLOTS
+
+
+class TestWindowSchedule:
+    @pytest.mark.parametrize("window_messages", [10, 1000])
+    def test_chunks_are_contiguous_and_rerun_identically(self, monkeypatch, window_messages):
+        config = corridor_config()
+        chunks = _record_chunks(monkeypatch)
+        schedules = []
+        for _ in range(2):
+            chunks.clear()
+            sample_windows(config, GeoPoint(0, 0), window_messages=window_messages,
+                           n_windows=100, rng=np.random.default_rng([config.seed, window_messages]))
+            _assert_contiguous(chunks)
+            schedules.append(list(chunks))
+        assert schedules[0] == schedules[1]
+
+    @pytest.mark.parametrize("window_messages", [10, 100, 1000])
+    def test_cell_emits_about_what_it_needs(self, monkeypatch, window_messages):
+        # the n x 100 cells of the false-positive grid at per 0.985
+        config = corridor_config()
+        chunks = _record_chunks(monkeypatch)
+        windows = sample_windows(config, GeoPoint(0, 0), window_messages=window_messages,
+                                 n_windows=100,
+                                 rng=np.random.default_rng([config.seed, window_messages]))
+        needed_slots = round(windows[-1].t_s[-1] / config.slot_s) + 1
+        assert chunks[-1][1] <= _FIRST_WINDOW_CHUNK_SLOTS + 2 * needed_slots
 
 
 class TestOrbitAxisReceiver:
