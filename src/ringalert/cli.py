@@ -271,7 +271,8 @@ def _cmd_simulate(args) -> int:
                           f"got {step}")
     config = _build_sim_config(args)
     scenario = _build_scenario(args, config.duration_s)
-    records = simulator.emit_stream(config, scenario)
+    with _flag_values():  # a duration past simulator.MAX_EMIT_DURATION_S
+        records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)
     if args.track_out:
         times = np.arange(0.0, config.duration_s + 0.5 * step, step)

@@ -9,9 +9,13 @@ The expected layout is one message per line, whitespace- or comma-delimited:
 default microseconds), latitudes/longitudes are signed decimal degrees.
 Invalid lines are quarantined and counted, never silently dropped.
 
-:func:`parse_table` parses lines in the canonical layout column-wise over the
-whole file and hands every other line to :func:`parse_line`; both paths put
-a line in the same class.
+That example line is in the general canonical layout. :func:`format_line`
+and :func:`write_records` write one fixed layout of it, with six decimals:
+``1580712040 000000739 115 0 +29.810000 +046.100000``. :func:`parse_table`
+reads lines in that layout at fixed byte offsets, the other canonical lines
+by splitting at their spaces, both column-wise over the whole file, and
+hands every other line to :func:`parse_line`; every tier puts a line in the
+same class.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -120,7 +125,7 @@ def format_line(record: IraRecord) -> str:
 # ---------------------------------------------------------------------------
 # columnar parsing
 
-_SPACE, _DOT, _PLUS, _MINUS, _NEWLINE = (ord(c) for c in " .+-\n")
+_SPACE, _DOT, _PLUS, _MINUS, _NEWLINE, _RETURN = (ord(c) for c in " .+-\n\r")
 #: digits of an integer field in the canonical layout; more may not fit int64
 _MAX_INT_DIGITS = 18
 #: digits of a decimal field; up to 15 the mantissa is exact in a double
@@ -128,40 +133,61 @@ _MAX_DECIMAL_DIGITS = 15
 _POW10_FLOAT = 10.0 ** np.arange(_MAX_DECIMAL_DIGITS + 1)
 _SAT_IDS = np.array(sorted(valid_sat_ids()), dtype=np.int64)
 
+#: The layout :func:`format_line` writes, byte by byte: ``d`` is a digit,
+#: ``s`` a sign, ``m`` a byte of the "sat beam" middle, anything else itself.
+#: The head (time_s, time_frac) is read from the line start, the tail (the
+#: widest middle, lat, lon) from the line end; the middle is 3 to 6 bytes.
+_HEAD = "dddddddddd ddddddddd "
+_TAIL = "mmmmmm sdd.dddddd sddd.dddddd"
+_MIDDLE = _TAIL.count("m")
+_OUTSIDE_MIDDLE = len(_HEAD) + len(_TAIL) - _MIDDLE
+_FIXED_WIDTHS = range(_OUTSIDE_MIDDLE + 3, _OUTSIDE_MIDDLE + _MIDDLE + 1)
+#: lines gathered per step of :func:`_block`
+_BLOCK_LINES = 4096
+#: bytes between two lines that :func:`_pack` copies as one slice
+_PACK_GAP = 4096
 
-def _read_lines(source) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """Text of the source, its bytes (see :func:`_ascii_bytes`), and the
-    [start, end) span of each line's content.
 
-    Offsets count characters; the trailing newline is not content. A path is
-    read whole in text mode, whose universal newlines split lines exactly
-    where iterating the file does; a byte that is not UTF-8 becomes U+FFFD,
-    which no field accepts, so its line is quarantined as malformed.
-    Anything else is iterated; a text file object that cannot decode its
-    bytes is a read failure.
+def _read_lines(source) -> tuple[bytes | str, np.ndarray, np.ndarray, np.ndarray]:
+    r"""Content of the source, its bytes, and the [start, end) span of each
+    line's content in both.
+
+    The trailing line break is not content. A path is read whole as bytes
+    and split where text-mode iteration splits it, at ``\n``, ``\r\n`` and a
+    lone ``\r``; its content is the bytes. Anything else is iterated, and its
+    content is the text, one byte per character in the buffer, with every
+    non-ASCII character as '?'; a text file object that cannot decode its
+    bytes is a read failure. Either way no field accepts a byte of a
+    non-ASCII character, so such lines are left to :func:`parse_line`.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
-            fh = open(source, "r", encoding="utf-8", errors="replace")
+            fh = open(source, "rb")
         except OSError as exc:
             raise IoFailure(f"cannot open {exc.filename}: {exc.strerror}") from exc
         try:
             with fh:
-                text = fh.read()
+                data = fh.read()
         except OSError as exc:
             raise IoFailure(f"read failure: {exc}") from exc
-        buf = _ascii_bytes(text)
+        buf = np.frombuffer(data, dtype=np.uint8)
         ends = np.flatnonzero(buf == _NEWLINE)
-        starts = np.concatenate(([0], ends + 1))
-        if text and not text.endswith("\n"):
-            ends = np.append(ends, len(text))
-        return text, buf, starts[:ends.size], ends
+        line_from = ends + 1
+        if b"\r" in data:
+            ends = np.flatnonzero((buf == _NEWLINE) | (buf == _RETURN))
+            crlf = (buf[ends] == _RETURN) & (buf.take(ends + 1, mode="clip") == _NEWLINE)
+            second_half = np.concatenate(([False], crlf[:-1]))  # the \n of a \r\n
+            ends, line_from = ends[~second_half], (ends + 1 + crlf)[~second_half]
+        starts = np.concatenate(([0], line_from))
+        if data and data[-1:] not in b"\r\n":
+            ends = np.append(ends, len(data))
+        return data, buf, starts[:ends.size], ends
     try:
         lines = list(source)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"read failure: {exc}") from exc
     text = "".join(lines)
-    buf = _ascii_bytes(text)
+    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     ends = np.cumsum(lengths)
     starts = ends - lengths
@@ -171,12 +197,115 @@ def _read_lines(source) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     return text, buf, starts, ends - own_newline
 
 
-def _ascii_bytes(text: str) -> np.ndarray:
-    """One byte per character; every non-ASCII character becomes '?'."""
-    return np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+def _line_text(content: bytes | str, start: int, end: int) -> str:
+    line = content[start:end]
+    return line.decode("utf-8", "replace") if isinstance(line, bytes) else line
 
 
-def _columns(buf: np.ndarray, hi: np.ndarray, width: int):
+# ---- first tier: the writer's layout at fixed offsets
+
+def _block(buf: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each ``lo``, as the columns of one contiguous
+    (width, n) block: row k holds byte k of every line.
+
+    Lines are gathered and transposed a few thousand at a time, which keeps
+    both sides of the transpose in cache (twice as fast as one transpose).
+    """
+    block = np.empty((width, lo.size), dtype=np.uint8)
+    if lo.size:  # else the buffer may be shorter than width
+        windows = sliding_window_view(buf, width)
+        for i in range(0, lo.size, _BLOCK_LINES):
+            block[:, i:i + _BLOCK_LINES] = windows[lo[i:i + _BLOCK_LINES]].T
+    return block
+
+
+def _matches(block: np.ndarray, pattern: str) -> np.ndarray:
+    """Columns of ``block`` whose bytes fit ``pattern`` (``m`` rows unchecked)."""
+    ok = np.ones(block.shape[1], dtype=bool)
+    for row, kind in zip(block, pattern):
+        if kind == "d":
+            ok &= row - np.uint8(48) <= 9
+        elif kind == "s":
+            ok &= (row == _PLUS) | (row == _MINUS)
+        elif kind != "m":
+            ok &= row == ord(kind)
+    return ok
+
+
+def _horner(rows: np.ndarray) -> np.ndarray:
+    """The decimal value of rows of ASCII digits, most significant first."""
+    value = rows[0].astype(np.int64)
+    for row in rows[1:]:
+        value *= 10
+        value += row
+    value -= 48 * (10 ** len(rows) - 1) // 9  # each byte is its digit + 48
+    return value
+
+
+def _fixed6(block: np.ndarray, at: int, width: int) -> np.ndarray:
+    """The ``%+0{width}.6f`` field whose sign is row ``at``, as float() reads it."""
+    dot = at + width - 7
+    micro = _horner(block[at + 1:dot])
+    micro *= 1_000_000
+    micro += _horner(block[dot + 1:at + width])
+    # below 2**53 the mantissa and 1e6 are exact, so one division rounds correctly
+    value = micro / 1e6
+    return np.negative(value, out=value, where=block[at] == _MINUS)
+
+
+def _parse_fixed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Lines in the writer's layout (:func:`format_line`), every byte checked.
+
+    Returns the indices of those lines and their six columns (longitudes not
+    yet folded), which equal what :func:`_parse_canonical` gives them.
+    """
+    width = ends - starts
+    idx = np.flatnonzero((width >= _FIXED_WIDTHS.start) & (width < _FIXED_WIDTHS.stop))
+    head = _block(buf, starts[idx], len(_HEAD))
+    tail = _block(buf, ends[idx] - len(_TAIL), len(_TAIL))
+    ok = _matches(head, _HEAD) & _matches(tail, _TAIL)
+    # The middle ends its rows: sat digits, one space, and a 1- or 2-digit
+    # beam. The head's bytes before it are checked there.
+    middle, rows = tail[:_MIDDLE], np.arange(_MIDDLE)[:, None]
+    n_middle = width[idx] - _OUTSIDE_MIDDLE
+    beam_digits = 1 + (middle[_MIDDLE - 3] == _SPACE)
+    outside, is_space = rows < _MIDDLE - n_middle, rows == _MIDDLE - 1 - beam_digits
+    ok &= n_middle >= beam_digits + 2
+    ok &= np.all(outside | ((middle == _SPACE) == is_space), axis=0)
+    middle[outside | is_space] = ord("0")  # sat, a zero digit for the space, beam
+    ok &= np.all(middle - np.uint8(48) <= 9, axis=0)
+    keep = np.flatnonzero(ok)
+    sat_beam, beam_scale = _horner(middle)[keep], 10 ** beam_digits[keep]
+    return idx[keep], [_horner(head[0:10])[keep], _horner(head[11:20])[keep],
+                       sat_beam // (10 * beam_scale), sat_beam % beam_scale,
+                       _fixed6(tail, _TAIL.index("s"), 10)[keep],
+                       _fixed6(tail, _TAIL.rindex("s"), 11)[keep]]
+
+
+# ---- second tier: any line of six single-space-separated plain numbers
+
+def _pack(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The given lines, in file order, in a buffer that holds little else,
+    with their spans there.
+
+    Lines less than ``_PACK_GAP`` bytes apart are taken as one slice with
+    the bytes between them, which belong to no span: a few scattered lines
+    cost a few small copies, and lines close together one slice of ``buf``,
+    used as it is when it is the only one.
+    """
+    if not starts.size:
+        return buf[:0], starts, ends
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] - ends[:-1] > _PACK_GAP)))
+    lo, hi = starts[first], ends[np.append(first[1:], starts.size) - 1]
+    pieces = [buf[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    packed = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    # a slice moves from lo to the summed sizes of the slices before it
+    sizes = hi - lo
+    shift = np.repeat(lo - (np.cumsum(sizes) - sizes), np.diff(np.append(first, starts.size)))
+    return packed, starts - shift, ends - shift
+
+
+def _columns(buf, hi, width: int):
     """The last ``width`` bytes before each ``hi``, one array per byte position."""
     for k in range(width):
         yield buf.take(hi - (width - k), mode="clip")
@@ -247,21 +376,46 @@ def _parse_canonical(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return idx[ok], [c[ok] for c in columns]
 
 
+def _parse_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The first two tiers: the indices of the lines that the writer's layout
+    or else the canonical layout accepts, and their six columns."""
+    fixed, fixed_columns = _parse_fixed(buf, starts, ends)
+    rest = np.ones(starts.size, dtype=bool)
+    rest[fixed] = False
+    rest = np.flatnonzero(rest)
+    general, general_columns = _parse_canonical(*_pack(buf, starts[rest], ends[rest]))
+    return (_joined(fixed, rest[general]),
+            [_joined(*pair) for pair in zip(fixed_columns, general_columns)])
+
+
+def _joined(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``np.concatenate((first, second))``, with no copy when ``second`` is empty."""
+    return np.concatenate((first, second)) if second.size else first
+
+
+def _in_key_order(epoch_s: np.ndarray, frac: np.ndarray, sat_id: np.ndarray) -> bool:
+    """Whether (epoch_s, frac, sat_id) strictly increases from row to row."""
+    e0, e1, f0, f1 = epoch_s[:-1], epoch_s[1:], frac[:-1], frac[1:]
+    later = (f1 > f0) | ((f1 == f0) & (sat_id[1:] > sat_id[:-1]))
+    return bool(np.all((e1 > e0) | ((e1 == e0) & later)))
+
+
 def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
     """Parse a path, file object, or iterable of lines into a record table.
 
-    Lines in the canonical layout (what :func:`write_records` writes) are
-    parsed and validated column-wise; every other line goes through
-    :func:`parse_line`, so each line lands in the class ``parse_line`` gives
-    it. Accepted lines whose sub-second counter reaches one second in
-    ``frac_unit_s`` are quarantined as ``invalid_frac``; a line whose
-    (epoch_s, frac, sat_id) equals an earlier accepted line's as
-    ``duplicate``. The table carries ``frac_unit_s``. Only OS-level failures
-    raise (IoFailure).
+    Lines take the first of three tiers that accepts them: the writer's
+    layout (:func:`write_records`), read at fixed offsets; the canonical
+    layout, split at its spaces; both column-wise over the whole input.
+    Every other line goes through :func:`parse_line`, and each line lands in
+    the class ``parse_line`` gives it. Accepted lines whose sub-second
+    counter reaches one second in ``frac_unit_s`` are quarantined as
+    ``invalid_frac``; a line whose (epoch_s, frac, sat_id) equals an earlier
+    accepted line's as ``duplicate``. The table carries ``frac_unit_s``.
+    Only OS-level failures raise (IoFailure).
     """
-    text, buf, starts, ends = _read_lines(source)
+    content, buf, starts, ends = _read_lines(source)
     report = IngestReport(total_lines=int(starts.size))
-    idx, (epoch_s, frac, sat_id, beam_id, lat, lon) = _parse_canonical(buf, starts, ends)
+    idx, (epoch_s, frac, sat_id, beam_id, lat, lon) = _parse_columns(buf, starts, ends)
     bad_coordinate = (lat < -90.0) | (lat > 90.0)
     bad_sat = ~bad_coordinate & ~np.isin(sat_id, _SAT_IDS)
     bad_beam = ~bad_coordinate & ~bad_sat & ((beam_id < 0) | (beam_id > MAX_BEAM_ID))
@@ -276,7 +430,7 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     slow[idx] = False
     for i in np.flatnonzero(slow).tolist():
         lineno = i + 1
-        stripped = text[starts[i]:ends[i]].strip()
+        stripped = _line_text(content, starts[i], ends[i]).strip()
         if not stripped:
             report.blank += 1
             continue
@@ -297,32 +451,40 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
         slow_quarantined.append(lineno)
     quarantined.append(np.array(slow_quarantined, dtype=np.int64))
 
-    # accepted by parse_line's rules: canonical lines in the first part, the rest after
+    # the rows parse_line's rules accept, in line order
     slow_ints = np.array([row[:5] for row in slow_rows], dtype=np.int64).reshape(-1, 5)
     slow_floats = np.array([row[5:] for row in slow_rows], dtype=float).reshape(-1, 2)
+    lon = normalize_lon_array(lon)
     lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
-        np.concatenate(pair) for pair in zip(
-            (idx[good] + 1, epoch_s[good], frac[good], sat_id[good], beam_id[good],
-             lat[good], normalize_lon_array(lon[good])),
-            (*slow_ints.T, *slow_floats.T)))
+        _joined(column[good], slow_column) for column, slow_column in zip(
+            (idx + 1, epoch_s, frac, sat_id, beam_id, lat, lon), (*slow_ints.T, *slow_floats.T)))
+    if np.any(lines[1:] < lines[:-1]):
+        by_line = np.argsort(lines, kind="stable")
+        lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
+            c[by_line] for c in (lines, epoch_s, frac, sat_id, beam_id, lat, lon))
 
     bad_frac = frac * frac_unit_s >= 1.0
     report.invalid_frac = int(bad_frac.sum())
     quarantined.append(lines[bad_frac])
-    keep = np.flatnonzero(~bad_frac)
-    # one sort of the keys finds each repeat of an earlier line's (epoch_s, frac, sat_id)
-    order = keep[np.lexsort((lines[keep], sat_id[keep], frac[keep], epoch_s[keep]))]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[1:] = ((np.diff(epoch_s[order]) == 0) & (np.diff(frac[order]) == 0)
-                  & (np.diff(sat_id[order]) == 0))
-    report.duplicate = int(repeat.sum())
-    quarantined.append(lines[order[repeat]])
-    kept = order[~repeat]
-    kept = kept[np.lexsort((lines[kept], frac[kept], epoch_s[kept]))]
-    report.accepted = int(kept.size)
-    report.quarantined_lines = np.sort(np.concatenate(quarantined)).tolist()
+    if report.invalid_frac:
+        lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
+            c[~bad_frac] for c in (lines, epoch_s, frac, sat_id, beam_id, lat, lon))
+    if _in_key_order(epoch_s, frac, sat_id):
+        kept = slice(None)  # no key repeats, and line order is (epoch_s, frac) order
+    else:
+        # one sort of the keys finds each repeat of an earlier line's (epoch_s, frac, sat_id)
+        order = np.lexsort((lines, sat_id, frac, epoch_s))
+        repeat = np.zeros(order.size, dtype=bool)
+        repeat[1:] = ((np.diff(epoch_s[order]) == 0) & (np.diff(frac[order]) == 0)
+                      & (np.diff(sat_id[order]) == 0))
+        report.duplicate = int(repeat.sum())
+        quarantined.append(lines[order[repeat]])
+        kept = order[~repeat]
+        kept = kept[np.lexsort((lines[kept], frac[kept], epoch_s[kept]))]
     table = RecordTable(*(c[kept] for c in (epoch_s, frac, sat_id, beam_id, lat, lon)),
                         frac_unit_s)
+    report.accepted = len(table)
+    report.quarantined_lines = np.sort(np.concatenate(quarantined)).tolist()
     return table, report
 
 

@@ -504,13 +504,22 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
                        np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
 
 
+#: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
+#: slot ranges are found one orbital revolution (~5,810 s) at a time.
+MAX_EMIT_DURATION_S = 1e7
+
+
 def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTable:
     """The table of ring-alert records seen by the scenario receiver.
 
     Satellites emit on every slot while within ``coverage_radius_km`` of the
     receiver; each emission then passes the loss channel. Identical
-    (config, scenario) pairs produce identical tables.
+    (config, scenario) pairs produce identical tables. A ``duration_s``
+    beyond :data:`MAX_EMIT_DURATION_S` raises ValueError before any work.
     """
+    if config.duration_s > MAX_EMIT_DURATION_S:
+        raise ValueError(f"duration_s {config.duration_s} is beyond the {MAX_EMIT_DURATION_S:g} s "
+                         "that one simulated run covers")
     if scenario is None:
         scenario = _DEFAULT_SCENARIO
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:

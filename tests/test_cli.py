@@ -430,6 +430,21 @@ class TestSimulatorConfigErrors:
         assert proc.stderr.startswith("ringalert: error: ") and "duration_s" in proc.stderr
         assert proc.stderr.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("duration", [1.0000001e7, 9e12])
+    def test_duration_past_the_emission_limit_exits_at_once(self, tmp_path, duration):
+        # emission finds in-view ranges one revolution at a time, so a run past
+        # the limit would not end; a subprocess with a timeout, since a
+        # regression would not return and would grow its memory
+        src = str(Path(ringalert.__file__).resolve().parents[1])
+        out = tmp_path / "sim.txt"
+        proc = subprocess.run([sys.executable, "-m", "ringalert.cli", "simulate",
+                               "--duration", repr(duration), "--output", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ringalert: error: ") and "duration_s" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--per", 1.5],
         ["evaluate", "--per", 1.5],

@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ringalert.errors import (
@@ -260,8 +260,17 @@ class TestParseTable:
         assert min(report.to_dict().values()) > 0
         assert len(accepted) > 100
 
-    def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch):
-        lines = [format_line(r) for r in emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8))]
+    @pytest.mark.parametrize("layout", [
+        lambda f: f,
+        lambda f: f[:4] + [f"{float(f[4]):+.2f}", f"{float(f[5]):+07.2f}"],
+        lambda f: [str(int(f[0]) - 10**9)] + f[1:],
+        lambda f: [str(int(f[0]) + 9 * 10**9)] + f[1:],
+        lambda f: f[:1] + [str(int(f[1]))] + f[2:],
+    ], ids=["writer", "two-decimal-degrees", "9-digit-time", "11-digit-time", "unpadded-frac"])
+    def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch, layout):
+        # the writer's layout and the general one that SAMPLE_LOG_ROWS uses
+        lines = [" ".join(layout(format_line(r).split(" ")))
+                 for r in emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8))]
 
         def refuse(line, lineno=None):
             raise AssertionError(f"line {lineno} left the column-wise path")
@@ -269,6 +278,34 @@ class TestParseTable:
         monkeypatch.setattr(ingest, "parse_line", refuse)
         table, report = parse_table(lines)
         assert report.accepted == len(table) == len(lines) > 300
+
+    def test_writer_lines_take_the_fixed_offsets(self, monkeypatch, tmp_path):
+        path = tmp_path / "sim.log"
+        write_records(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)), path)
+        general = ingest._parse_canonical
+
+        def only_empty(buf, starts, ends):
+            assert starts.size == 0, f"{starts.size} writer lines left the fixed offsets"
+            return general(buf, starts, ends)
+
+        monkeypatch.setattr(ingest, "_parse_canonical", only_empty)
+        table, report = parse_table(path)
+        assert report.accepted == len(table) > 300
+
+    def test_other_lines_scattered_among_writer_lines(self, tmp_path):
+        # far apart, so the second tier reads them from several slices
+        lines = [format_line(r) for r in emit_stream(SimConfig(per=0.5, duration_s=600.0,
+                                                               seed=8))]
+        for k, row in enumerate(SAMPLE_LOG_ROWS + ["", "1580712040 7 115 9 +29.81 +046.10 x"]):
+            lines.insert(1 + 150 * k, row)
+        path = tmp_path / "log.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        accepted, _, quarantined = reference_parse(lines)
+        for source in (path, lines):
+            table, report = parse_table(source)
+            assert (report.blank, report.malformed, report.quarantined_lines) == \
+                (1, 1, quarantined)
+            assert table.rows() == accepted and len(accepted) > 1200
 
     @pytest.mark.parametrize("text", [
         "", "\n", "\n\n", SAMPLE_LOG_ROWS[0],
@@ -306,6 +343,79 @@ class TestParseTable:
     def test_largest_counter_below_one_second_is_accepted(self):
         table, report = parse_table(["1580712040 999999 115 3 +29.81 +046.10"])
         assert (len(table), report.invalid_frac) == (1, 0)
+
+
+#: what a mutation writes over one byte of a writer line: bytes the
+#: fixed-offset check tells apart, one undecodable byte, and non-ASCII
+#: characters that parse_line reads as a digit or as whitespace
+MUTATIONS = [c.encode() for c in "0123456789/: +-.,\teEx"] + [b"\xff", "\uff15".encode(),
+                                                              "\u00a0".encode()]
+
+
+@st.composite
+def mutated_writer_logs(draw):
+    """Lines in the writer's layout, valid or not, one byte of one line replaced."""
+    sat_ids = st.one_of(st.sampled_from(sorted(valid_sat_ids())), st.integers(0, 999))
+    rows = draw(st.lists(st.tuples(
+        st.integers(10**9, 10**10 - 1),
+        st.one_of(st.integers(0, 999_999), st.integers(0, 10**9 - 1)),
+        sat_ids, st.integers(0, 99),
+        st.integers(-99_999_999, 99_999_999), st.integers(-180_000_000, 180_000_000)),
+        min_size=1, max_size=6))
+    lines = [f"{e} {f:09d} {s} {b} {lat / 1e6:+010.6f} {lon / 1e6:+011.6f}".encode()
+             for e, f, s, b, lat, lon in rows]
+    if draw(st.booleans()):
+        lines.append(lines[0])
+    k = draw(st.integers(0, len(lines) - 1))
+    at = draw(st.sampled_from(range(len(lines[k]))))
+    lines[k] = lines[k][:at] + draw(st.sampled_from(MUTATIONS)) + lines[k][at + 1:]
+    return lines
+
+
+def assert_matches_reference(result, expected, n_lines):
+    table, report = result
+    accepted, counts, quarantined = expected
+    assert report.to_dict() == {
+        "total_lines": n_lines, "accepted": len(accepted),
+        **{c: counts[c] for c in ("blank", "malformed", "invalid_sat_id", "invalid_beam_id",
+                                  "invalid_coordinate", "invalid_frac", "duplicate")},
+        "quarantined": sum(counts.values()) - counts["blank"]}
+    assert report.quarantined_lines == quarantined
+    assert table == RecordTable.from_records(accepted)
+
+
+class TestMutatedWriterLines:
+    """One byte changed anywhere in a writer line: the three parsing tiers
+    put every line where the per-line reference does."""
+
+    @staticmethod
+    def check(raw, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            expected = reference_parse(fh)
+        assert_matches_reference(parse_table(path), expected, len(raw))
+        lines = [line.decode("utf-8", "replace") for line in raw]
+        assert_matches_reference(parse_table(lines), reference_parse(lines), len(raw))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_writer_logs())
+    def test_matches_per_line_reference(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(raw, Path(tmp))
+
+    def test_every_offset_and_byte(self, tmp_path):
+        # sat ids of 1 to 3 digits and beams of 1 and 2; at every offset of
+        # each line, each mutation replaces or is inserted before the byte
+        # there, or the byte is deleted; all in one log
+        bases = [f"1580712040 {f:09d} {s} {b} {lat:+010.6f} {lon:+011.6f}".encode()
+                 for f, s, b, lat, lon in [(739, 2, 0, 29.81, 46.1), (4519, 13, 7, -0.5, -179.25),
+                                           (4520, 4, 12, 0.0, -0.000001),
+                                           (5059, 115, 44, -89.999999, 0.0),
+                                           (999999, 99, 48, 9.000001, 180.0)]]
+        raw = bases + [line[:at] + new + line[at + skip:] for line in bases
+                       for at in range(len(line)) for new in [b"", *MUTATIONS] for skip in (0, 1)]
+        self.check(raw, tmp_path)
 
 
 def _written(records) -> str:
