@@ -23,7 +23,15 @@ from .errors import (
     NonPositiveValue,
     UnknownThreshold,
 )
-from .geo import GeoPoint, displace_rad, great_circle_km, mod360, normalize_lon, start_rad
+from .geo import (
+    EARTH_RADIUS_KM,
+    GeoPoint,
+    displace_rad,
+    great_circle_km,
+    mod360,
+    normalize_lon,
+    start_rad,
+)
 from .model import (
     DetectorConfig,
     IraRecord,
@@ -41,6 +49,22 @@ DEFAULT_FP_COEFFS: dict[float, PowerLawCoeffs] = {
     15.0: PowerLawCoeffs(m=-8.9e-5, q=0.0),
     20.0: PowerLawCoeffs(m=-1.4e-4, q=0.0),
 }
+
+#: Receiver travel (km) after which :class:`WindowedDetector` compensates a
+#: moving window whole again instead of moving its anchored running sums on.
+#: A sliding estimate's gap from the batch one grows about as the square of
+#: that travel: 0.004 km at worst after 10 km, against a 0.05 km bound.
+REANCHOR_KM = 10.0
+
+#: :class:`WindowedDetector` runs its whole-window pass while any windowed
+#: point lies beyond this latitude: nearer the pole a short travel swings a
+#: point's longitude further than its rate follows, and the sliding bound
+#: was measured for |lat| <= 80.
+SLIDING_MAX_LAT_DEG = 80.0
+
+# WindowedDetector buffer rows that flag the points only the whole-window pass
+# may take and the arrivals older than the column before them
+_FAR, _DESCENTS = 7, 8
 
 
 @dataclass(frozen=True)
@@ -95,24 +119,24 @@ def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float)
     return _compensate(start_rad(lat, lon), t_s, motion, t_ref)
 
 
-def _mean_lat_lon(lat: np.ndarray, lon: np.ndarray) -> tuple[float, float]:
-    """Arithmetic centroid with wrap-aware longitudes.
+def _unwrap(lon: np.ndarray, ref: float | None = None) -> tuple[float, np.ndarray]:
+    """Longitudes unwrapped into [ref - 180, ref + 180), and ``ref``.
 
-    Longitudes are unwrapped around their circular-mean branch before the
-    plain average, which reproduces the arithmetic mean exactly away from the
+    ``ref`` defaults to the circular mean, whose branch makes the plain
+    average of the unwrapped longitudes the arithmetic mean away from the
     +/-180 seam while staying correct across it.
     """
-    lam = np.radians(lon)
-    ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
-    unwrapped = ref + mod360(lon - ref + 180.0) - 180.0
-    return float(lat.mean()), normalize_lon(float(unwrapped.mean()))
+    if ref is None:
+        lam = np.radians(lon)
+        ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
+    return ref, ref + mod360(lon - ref + 180.0) - 180.0
 
 
-def _centroid(lat: np.ndarray, lon: np.ndarray, t_s: np.ndarray) -> PositionEstimate:
-    """The estimate of compensated points ``lat``, ``lon`` taken at ``t_s``."""
-    mean_lat, mean_lon = _mean_lat_lon(lat, lon)
+def _centroid(lat: np.ndarray, unwrapped: np.ndarray, t_s: np.ndarray) -> PositionEstimate:
+    """The estimate of compensated points taken at ``t_s``, longitudes unwrapped."""
     return PositionEstimate(
-        GeoPoint(mean_lat, mean_lon), int(t_s.size), (float(t_s.min()), float(t_s.max()))
+        GeoPoint(float(lat.mean()), normalize_lon(float(unwrapped.mean()))),
+        int(t_s.size), (float(t_s.min()), float(t_s.max())),
     )
 
 
@@ -121,7 +145,8 @@ def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None)
     t_s = np.asarray(t_s, dtype=float)
     if t_s.size == 0:
         raise NoBeamRecords("position estimation needs at least one beam record")
-    return _centroid(*compensate_arrays(lat, lon, t_s, motion, float(t_s.max())), t_s)
+    lat, lon = compensate_arrays(lat, lon, t_s, motion, float(t_s.max()))
+    return _centroid(lat, _unwrap(lon)[1], t_s)
 
 
 def estimate_position(table: RecordTable,
@@ -246,6 +271,17 @@ def fp_exponent_fits(rates: dict[tuple[int, float], float], *,
 # ---------------------------------------------------------------------------
 # streaming wrapper
 
+def _neumaier(sums: list[float], errs: list[float], xs) -> None:
+    """Add ``xs`` to the running ``sums``, carrying the rounding error of each
+    addition in ``errs`` (Neumaier, ZAMM 54, 1974): ``sums[i] + errs[i]`` is
+    the compensated sum."""
+    for i, x in enumerate(xs):
+        s = sums[i]
+        t = s + x
+        errs[i] += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        sums[i] = t
+
+
 class WindowedDetector:
     """Sliding-window position verifier.
 
@@ -254,46 +290,83 @@ class WindowedDetector:
     ``latest_estimate`` with a reported position. Single writer; reads of
     the latest estimate are safe from other threads (estimates are values).
 
-    Beams are kept as ``(lat, lon, t_s)`` columns of one
-    ``(6, 2 * window_n)`` buffer; the window is the contiguous slice of its
-    last ``window_n`` filled columns. A buffer without room for ``k`` new
-    columns moves its newest ``window_n - k`` to the front. The window keeps
-    arrival order: for time-ordered input, ``estimate_position``'s order.
+    Beams are kept as columns of one ``(9, 2 * window_n)`` buffer; the
+    window is the contiguous slice of its last ``window_n`` filled columns.
+    A buffer without room for ``k`` new columns moves its newest
+    ``window_n - k`` to the front. The window keeps arrival order: for
+    time-ordered input, ``estimate_position``'s order.
 
-    For a moving receiver the other three rows cache :func:`geo.start_rad`
-    of each point, filled for the columns added since the last estimate, so
-    the trig of each point's latitude is evaluated once, not once per
-    estimate. The estimate runs the batch estimator's compensation kernel
-    on the cached rows and equals ``estimate_position_arrays`` of the
-    window exactly.
+    Rows 0-2 hold ``(lat, lon, t_s)``. Rows 3-6 hold each point compensated
+    to an anchor time ``t_a`` (latitude, and longitude unwrapped about a
+    branch ``c``) and the north and east rates at which it then moves on
+    along its great circle; rows 7 and 8 flag the points that only the
+    whole-window pass may take and the arrivals older than their
+    predecessor. Running sums of rows 3-8, compensated after Neumaier, slide
+    with the window: the estimate is the mean of rows 3-4, moved by the
+    receiver's travel since ``t_a`` at the mean rates (the first-order term)
+    plus the mean point's own second-order term. An extend by ``k`` beams
+    slides them in O(k) when ``k <= max(window_n // 32, 1)``; a longer one
+    takes the whole-window pass, which costs about as much, so any extend
+    by ``k < window_n`` beams costs O(k) amortized.
+
+    The whole-window pass compensates the window to its latest time, which
+    becomes ``t_a``, and takes the circular mean as ``c``; its estimate
+    equals ``estimate_position_arrays`` of the window exactly. It runs when
+    the window first fills, on every extend by more than
+    ``max(window_n // 32, 1)`` beams (``cli detect`` extends by
+    ``window_n``, so it reports batch estimates), after ``window_n`` sliding
+    beams, once the receiver has travelled ``REANCHOR_KM`` since ``t_a``,
+    and while a windowed point lies 90 degrees of longitude or more from
+    ``c`` or beyond ``SLIDING_MAX_LAT_DEG``. Nearer, every point unwraps
+    about ``c`` as about the window's circular mean, so no sine and cosine
+    sums are needed, and wide and polar windows stay exact, just not faster.
+
+    A sliding estimate keeps ``n_used`` and ``window`` exact. Its position
+    is within 1e-9 degrees of the batch estimate for a stationary receiver
+    and within 0.05 km for one moving at any ``SHIP_CLASSES`` top speed: the
+    worst gap measured over windows of 500 beams across the +/-180 seam at
+    |lat| <= 80, on every course, was 0.004 km.
     """
 
     def __init__(self, config: DetectorConfig, motion: MotionProfile | None = None):
         self.config = config
         self.motion = motion
-        self._columns = np.empty((6, 2 * config.window_n))
+        self._columns = np.empty((9, 2 * config.window_n))
         self._end = 0
-        self._start_rad_end = 0  # columns before this one hold their start_rad rows
         self._estimate: PositionEstimate | None = None
+        # the sliding state, set anew by each whole-window pass
+        self._sums, self._errs = [0.0] * 6, [0.0] * 6  # of rows 3-8 over the window
+        self._t_a = self._branch = 0.0
+        self._since = 0
 
     def extend(self, lat, lon, t_s) -> PositionEstimate | None:
-        """Append beam columns in arrival order; the estimate over the newest
-        ``window_n`` beams, computed once per call (None until they arrived)."""
+        """Append finite beam columns in arrival order; the estimate over the
+        newest ``window_n`` beams, computed once per call (None until they
+        arrived)."""
         n, k = self.config.window_n, len(t_s)
         if not len(lat) == len(lon) == k:
             raise ValueError("lat, lon and t_s must be of equal length")
+        new = np.array((lat, lon, t_s), dtype=float)
+        if not np.isfinite(new).all():
+            raise ValueError("lat, lon and t_s must be finite")
+        # a sliding beam costs some 25 times a windowed beam of the whole-
+        # window pass, so an extend by over 1/32 of the window takes the pass
+        sliding = self._estimate is not None and k <= max(n // 32, 1) < n and self._since < n
         if k >= n:
-            lat, lon, t_s, k = lat[-n:], lon[-n:], t_s[-n:], n
-            self._end = self._start_rad_end = 0
-        elif self._end + k > self._columns.shape[1]:
+            new, k = new[:, -n:], n
+            self._end = 0
+        elif sliding:  # the k oldest leave the window
+            lo = self._end - n
+            _neumaier(self._sums, self._errs,
+                      (-x for x in self._columns[3:, lo:lo + k].sum(axis=1).tolist()))
+        if self._end + k > self._columns.shape[1]:
             shift = self._end - (n - k)
             self._columns[:, :n - k] = self._columns[:, shift:self._end]
             self._end = n - k
-            self._start_rad_end = max(self._start_rad_end - shift, 0)
-        self._columns[:3, self._end:self._end + k] = lat, lon, t_s
-        self._end += k
+        lo, self._end = self._end, self._end + k
+        self._columns[:3, lo:self._end] = new
         if k and self._end >= n:
-            self._estimate = self._estimate_window()
+            self._estimate = self._slide(lo) if sliding else self._estimate_window(k < n)
         return self._estimate
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
@@ -304,16 +377,103 @@ class WindowedDetector:
         return self.extend((record.ground.lat_deg,), (record.ground.lon_deg,),
                            (record.timestamp(),))
 
-    def _estimate_window(self) -> PositionEstimate:
-        lo = self._end - self.config.window_n
-        lat, lon, t_s = self._columns[:3, lo:self._end]
+    def _total(self, row: int) -> float:
+        """The compensated sum of buffer row ``row`` (3-8) over the window."""
+        return self._sums[row - 3] + self._errs[row - 3]
+
+    def _estimate_window(self, anchor: bool = True) -> PositionEstimate:
+        """The whole-window pass: the batch estimate, and unless ``anchor`` is
+        false the sliding state, anchored at the window's latest time with
+        its circular mean as branch."""
+        n, end = self.config.window_n, self._end
+        cols = self._columns[:, end - n:end]
+        lat, lon, t_s = cols[:3]
         if _moving(self.motion):
-            new = self._columns[:, self._start_rad_end:self._end]
-            new[3:] = start_rad(new[0], new[1])
-            self._start_rad_end = self._end
-            lat, lon = _compensate(self._columns[3:, lo:self._end], t_s, self.motion,
-                                   float(t_s.max()))
-        return _centroid(lat, lon, t_s)
+            self._t_a = float(t_s.max())
+            start = start_rad(lat, lon)
+            lat, lon = _compensate(start, t_s, self.motion, self._t_a)
+        self._branch, unwrapped = _unwrap(lon)
+        estimate = _centroid(lat, unwrapped, t_s)
+        if not anchor:  # no sliding state: the next extend passes the whole window
+            self._since = n
+            return estimate
+        if _moving(self.motion):
+            sin_phi, cos_phi, _ = start
+            theta = math.radians(self.motion.course_deg)
+            delta = self.motion.speed_kmh * (self._t_a - t_s) / (3600.0 * EARTH_RADIUS_KM)
+            cos_phi2 = np.cos(np.radians(lat))
+            cols[5] = (cos_phi * np.cos(delta) * math.cos(theta)
+                       - sin_phi * np.sin(delta)) / cos_phi2
+            # Clairaut: cos(lat) sin(course) is constant along a great circle
+            cols[6] = math.sin(theta) * cos_phi / cos_phi2 ** 2
+        else:
+            cols[5:7] = 0.0
+        cols[3], cols[4] = lat, unwrapped
+        cols[7] = (np.abs(unwrapped - self._branch) >= 90.0) | (np.abs(lat) > SLIDING_MAX_LAT_DEG)
+        cols[8, 0] = 0.0
+        cols[8, 1:] = t_s[1:] < t_s[:-1]
+        self._sums, self._errs = cols[3:].sum(axis=1).tolist(), [0.0] * 6
+        self._since = 0
+        return estimate
+
+    def _anchor(self, lat: float, lon: float, t: float) -> tuple[float, ...]:
+        """Rows 3-7 of one sliding point, as :meth:`_estimate_window` fills
+        them: the point compensated to ``t_a`` by the kernel's arithmetic, its
+        longitude unwrapped about the branch, its north and east rates there
+        (radians per radian of travel), and whether only the whole-window
+        pass may take it."""
+        north = east = 0.0
+        if _moving(self.motion):
+            theta = math.radians(self.motion.course_deg)
+            delta = self.motion.speed_kmh * (self._t_a - t) / (3600.0 * EARTH_RADIUS_KM)
+            phi = math.radians(lat)
+            sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+            sin_d, cos_d = math.sin(delta), math.cos(delta)
+            sin_phi2 = sin_phi * cos_d + cos_phi * sin_d * math.cos(theta)
+            phi2 = math.asin(min(max(sin_phi2, -1.0), 1.0))
+            lon += math.degrees(math.atan2(math.sin(theta) * sin_d * cos_phi,
+                                           cos_d - sin_phi * sin_phi2))
+            lat, cos_phi2 = math.degrees(phi2), math.cos(phi2)
+            north = (cos_phi * cos_d * math.cos(theta) - sin_phi * sin_d) / cos_phi2
+            east = math.sin(theta) * cos_phi / cos_phi2 ** 2
+        u = self._branch + (lon - self._branch + 180.0) % 360.0 - 180.0
+        far = abs(u - self._branch) >= 90.0 or abs(lat) > SLIDING_MAX_LAT_DEG
+        return lat, u, north, east, float(far)
+
+    def _slide(self, lo: int) -> PositionEstimate:
+        """The estimate once columns ``lo:`` have joined a full window: from the
+        running sums, or from the whole-window pass when those cannot hold
+        the stated bound."""
+        n, end = self.config.window_n, self._end
+        prev = float(self._columns[2, lo - 1])
+        rows = []
+        for lat, lon, t in zip(*self._columns[:3, lo:end].tolist()):
+            rows.append((*self._anchor(lat, lon, t), float(t < prev)))
+            _neumaier(self._sums, self._errs, rows[-1])
+            prev = t
+        self._columns[3:, lo:end] = np.array(rows).T
+        self._since += end - lo
+        t_s = self._columns[2, end - n:end]
+        if self._total(_DESCENTS) - self._columns[8, end - n]:
+            window = (float(t_s.min()), float(t_s.max()))
+        else:
+            window = (float(t_s[0]), float(t_s[-1]))
+        d_km = self.motion.speed_kmh * (window[1] - self._t_a) / 3600.0 \
+            if _moving(self.motion) else 0.0
+        if self._total(_FAR) or self._since >= n or abs(d_km) > REANCHOR_KM:
+            return self._estimate_window()
+        lat, lon, north, east = (self._total(row) / n for row in range(3, 7))
+        if d_km:
+            # every point moves on along its own great circle: the mean of
+            # their rates is the first-order term, and the mean point's
+            # second-order terms are the rest to well under a metre
+            theta, delta = math.radians(self.motion.course_deg), d_km / EARTH_RADIUS_KM
+            phi = math.radians(lat)
+            sin_t, cos_t, tan_phi = math.sin(theta), math.cos(theta), math.tan(phi)
+            lat += math.degrees(delta * north - delta * delta / 2 * sin_t * sin_t * tan_phi)
+            lon += math.degrees(delta * east
+                                + delta * delta * sin_t * cos_t * tan_phi / math.cos(phi))
+        return PositionEstimate(GeoPoint(lat, lon), n, window)
 
     @property
     def latest_estimate(self) -> PositionEstimate | None:

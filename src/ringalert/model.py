@@ -19,6 +19,12 @@ from .geo import GeoPoint
 
 MAX_BEAM_ID = 48
 
+#: Fastest receiver or spoofed-track speed (km/h) a profile accepts: above
+#: any airliner's cruise speed and 65 times the fastest ship class. It keeps
+#: every displacement of a run finite, so a huge speed is a usage error, not
+#: a NaN position.
+MAX_SPEED_KMH = 3000.0
+
 #: Seconds per unit of the raw sub-second counter. The log format carries a
 #: 9-digit counter whose unit is not self-describing; microseconds is the
 #: default interpretation and the CLI exposes the knob. A parsed stream keeps
@@ -360,8 +366,8 @@ class MotionProfile:
     def __post_init__(self):
         if not math.isfinite(self.course_deg):
             raise ValueError(f"course must be finite, got {self.course_deg}")
-        if not math.isfinite(self.speed_kmh) or self.speed_kmh < 0:
-            raise ValueError(f"speed must be finite and >= 0, got {self.speed_kmh}")
+        if not 0 <= self.speed_kmh <= MAX_SPEED_KMH:
+            raise ValueError(f"speed must be in [0, {MAX_SPEED_KMH}] km/h, got {self.speed_kmh}")
 
     def position_at(self, elapsed_s: float) -> GeoPoint:
         from .geo import displace  # local import to keep module load light

@@ -29,7 +29,7 @@ from .geo import (
     haversine_km,
     unit_vectors,
 )
-from .model import MAX_BEAM_ID, MotionProfile, RecordTable, valid_sat_ids
+from .model import MAX_BEAM_ID, MAX_SPEED_KMH, MotionProfile, RecordTable, valid_sat_ids
 
 DEFAULT_RING_RADII_KM = (3.36, 7.98, 14.35)
 DEFAULT_RING_COUNTS = (8, 16, 24)
@@ -93,8 +93,8 @@ class SpoofProfile:
             raise ValueError(f"spoof course must be finite, got {self.offset_course_deg}")
         if not 0 <= self.start_s < math.inf:
             raise ValueError(f"spoof start must be finite and >= 0, got {self.start_s}")
-        if not 0 <= self.offset_speed_kmh < math.inf:
-            raise ValueError(f"spoof offset speed must be finite and >= 0, "
+        if not 0 <= self.offset_speed_kmh <= MAX_SPEED_KMH:
+            raise ValueError(f"spoof offset speed must be in [0, {MAX_SPEED_KMH}] km/h, "
                              f"got {self.offset_speed_kmh}")
 
     def to_dict(self) -> dict:

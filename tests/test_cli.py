@@ -461,6 +461,9 @@ class TestSimulatorConfigErrors:
         ["evaluate", "--duration", "inf"],
         ["simulate", "--motion", "0,0,nan,10"],
         ["simulate", "--spoof", "100,nan,nan"],
+        ["simulate", "--motion", "0,0,0,1e308"],
+        ["simulate", "--spoof", "0,90,1e308"],
+        ["simulate", "--spoof", "0,90,3000.5"],
         ["simulate", "--coverage-radius", "nan"],
         ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", "inf"],
         ["evaluate", "--n-grid", "10,ten"],
@@ -475,12 +478,14 @@ class TestSimulatorConfigErrors:
         ["evaluate", "--thresholds", "-5"],
         ["evaluate", "--thresholds", "0"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "sim.txt"
-        extra = ["--output", out] if argv[0] == "simulate" else ["--report", tmp_path / "r"]
+        out, track = tmp_path / "sim.txt", tmp_path / "track.txt"
+        extra = (["--output", out, "--track-out", track] if argv[0] == "simulate"
+                 else ["--report", tmp_path / "r"])
         assert run_cli(argv + extra) == 1
         assert_one_line_error(capsys)
-        assert not out.exists()
+        assert not out.exists() and not track.exists()
 
     @pytest.mark.parametrize("interval", [0, -1, "nan", "inf", "1e-300", "1e-6"])
     def test_bad_track_interval_is_usage_error(self, tmp_path, capsys, interval):
@@ -572,7 +577,10 @@ class TestDetectInputErrors:
         ["--threshold-km", 0, "--window-n", 2],
         ["--threshold-km", 20, "--window-n", 0],
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0"],
+        ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,1e308"],
+        ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,inf"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
         log, track = self._inputs(tmp_path)
         assert run_cli(["detect", "--input", log, "--gnss-track", track,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringalert import detector
@@ -312,19 +312,56 @@ def ring_stream(n_beams: int, seed: int):
                         beam_ids=beam_ids.tolist())
 
 
+#: How far a sliding estimate may sit from the batch one: degrees of latitude
+#: and of longitude for a stationary receiver, km for a moving one.
+STILL_BOUND_DEG = 1e-9
+MOVING_BOUND_KM = 0.05
+
+
+def record_exact(det: detector.WindowedDetector) -> list:
+    """The list that each estimate of ``det``'s whole-window pass joins."""
+    exact = []
+    whole_window = det._estimate_window
+
+    def recorded(*args):
+        exact.append(whole_window(*args))
+        return exact[-1]
+
+    det._estimate_window = recorded
+    return exact
+
+
+def assert_matches_batch(est, ref, motion, exact: bool):
+    """A whole-window estimate equals the batch one; a sliding one keeps its
+    count and time span and sits within the stated bound."""
+    assert (est.n_used, est.window) == (ref.n_used, ref.window)
+    if exact:
+        assert est == ref
+    elif motion is None:
+        assert abs(est.i_pos.lat_deg - ref.i_pos.lat_deg) <= STILL_BOUND_DEG
+        d_lon = (est.i_pos.lon_deg - ref.i_pos.lon_deg + 180.0) % 360.0 - 180.0
+        assert abs(d_lon) <= STILL_BOUND_DEG
+    else:
+        assert great_circle_km(est.i_pos, ref.i_pos).km <= MOVING_BOUND_KM
+
+
 @functools.lru_cache(maxsize=None)
 def pushed_estimates(window_n: int, motion_index: int):
-    """The beam table of a ring stream and the push-by-push estimate after each beam."""
+    """The beam table of a ring stream, the push-by-push estimate after each
+    beam, and whether the whole-window pass made it."""
     records = ring_stream(8 * window_n + 7, seed=window_n)
     det = detector.WindowedDetector(DetectorConfig(20.0, window_n), RING_MOTIONS[motion_index])
+    exact = record_exact(det)
     estimates = [det.push(r) for r in records if r.beam_id >= 1]
-    return records[records.is_beam], estimates
+    return records[records.is_beam], estimates, [bool(exact) and e is exact[-1] for e in estimates]
 
 
 def chunk_sizes(window_n: int):
-    """Chunk lengths of 0, 1, under window_n, window_n and over 2 window_n."""
+    """Chunk lengths of 0, 1, up to the longest sliding extend, under
+    window_n, window_n and over 2 window_n."""
     under = st.integers(1, window_n - 1) if window_n > 1 else st.just(0)
-    return st.lists(st.one_of(st.just(0), st.just(1), under, st.just(window_n),
+    return st.lists(st.one_of(st.just(0), st.just(1), st.integers(1, max(window_n // 32, 1)),
+                              under, st.just(window_n),
                               st.integers(2 * window_n + 1, 3 * window_n)),
                     min_size=1, max_size=30)
 
@@ -336,10 +373,11 @@ class TestWindowedDetector:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_extend_equals_push_and_batch(self, window_n, motion_index, data):
-        beams, pushed = pushed_estimates(window_n, motion_index)
+        beams, pushed, pushed_exact = pushed_estimates(window_n, motion_index)
         motion = RING_MOTIONS[motion_index]
         lat, lon, t_s = beams.lat, beams.lon, beams.t_s(origin=(0, 0))
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
         end = 0
         for size in data.draw(chunk_sizes(window_n)):
             chunk = slice(end, min(end + size, len(beams)))
@@ -348,8 +386,9 @@ class TestWindowedDetector:
             if end < window_n:
                 assert est is None
             else:
-                assert est == pushed[end - 1]
-                assert est == detector.estimate_position(beams[end - window_n:end], motion)
+                batch = detector.estimate_position(beams[end - window_n:end], motion)
+                assert_matches_batch(pushed[end - 1], batch, motion, pushed_exact[end - 1])
+                assert_matches_batch(est, batch, motion, est is exact[-1])
 
     @pytest.mark.parametrize("motion", RING_MOTIONS,
                              ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
@@ -361,6 +400,7 @@ class TestWindowedDetector:
         beams = records[records.is_beam]
         assert len(beams) == 5 * window_n
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
         pushed = 0
         for record in records:
             est = det.push(record)
@@ -368,7 +408,8 @@ class TestWindowedDetector:
             if pushed < window_n:
                 assert est is None
             else:
-                assert est == detector.estimate_position(beams[pushed - window_n:pushed], motion)
+                batch = detector.estimate_position(beams[pushed - window_n:pushed], motion)
+                assert_matches_batch(est, batch, motion, est is exact[-1])
 
     @pytest.mark.parametrize("lengths", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (9, 8, 8)])
     def test_extend_rejects_columns_of_unequal_length(self, lengths):
@@ -393,9 +434,128 @@ class TestWindowedDetector:
                 ref = detector.estimate_position(RecordTable.from_records(beams[-window_n:]),
                                                  motion)
                 assert (est.n_used, est.window) == (ref.n_used, ref.window)
+                if motion is not None:
+                    assert great_circle_km(est.i_pos, ref.i_pos).km <= MOVING_BOUND_KM
+                    continue
                 assert est.i_pos.lat_deg == pytest.approx(ref.i_pos.lat_deg, abs=1e-9)
                 d_lon = (est.i_pos.lon_deg - ref.i_pos.lon_deg + 180.0) % 360.0 - 180.0
                 assert abs(d_lon) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(3))
+    def test_extend_rejects_non_finite_columns_first(self, column, bad):
+        beams, _, _ = pushed_estimates(3, len(RING_MOTIONS) - 1)
+        lat, lon, t_s = beams.lat, beams.lon, beams.t_s(origin=(0, 0))
+        det, twin = (detector.WindowedDetector(DetectorConfig(20.0, 3), RING_MOTIONS[-1])
+                     for _ in range(2))
+        for d in (det, twin):
+            d.extend(lat[:4], lon[:4], t_s[:4])
+        cols = [lat[4:6].copy(), lon[4:6].copy(), t_s[4:6].copy()]
+        cols[column][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            det.extend(*cols)
+        assert det.latest_estimate == twin.latest_estimate
+        for i in range(4, 12):  # the detector goes on as if the bad call never came
+            w = slice(i, i + 1)
+            assert det.extend(lat[w], lon[w], t_s[w]) == twin.extend(lat[w], lon[w], t_s[w])
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["still", "S5_top"])
+    def test_push_makes_amortized_whole_window_passes(self, moving):
+        # one beam a second: the whole-window pass runs when the window fills,
+        # after every window_n sliding beams and after every REANCHOR_KM of
+        # travel, never once per push
+        window_n, pushes = 1000, 20 * 1000
+        motion = SHIP_CLASSES["S5"].motion(GeoPoint(10.0, 179.0), 57.0) if moving else None
+        rng = np.random.default_rng(5)
+        size = window_n + pushes
+        lat, lon = rng.uniform(5.0, 15.0, size), rng.uniform(-180.0, 180.0, size)
+        lon = np.where(lon > 0, 175.0 + lon / 36.0, -175.0 + lon / 36.0)  # across the seam
+        t_s = np.arange(size, dtype=float)
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
+        det.extend(lat[:window_n - 1], lon[:window_n - 1], t_s[:window_n - 1])
+        for i in range(window_n - 1, size):
+            det.extend(lat[i:i + 1], lon[i:i + 1], t_s[i:i + 1])
+        if not moving:
+            assert len(exact) == pushes // window_n + 1
+            return
+        travel_km = motion.speed_kmh * (t_s[-1] - t_s[window_n - 1]) / 3600.0
+        assert (travel_km // detector.REANCHOR_KM <= len(exact)
+                <= travel_km / detector.REANCHOR_KM + pushes / window_n + 2)
+
+    @pytest.mark.parametrize("motion_index", range(len(RING_MOTIONS)),
+                             ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
+    @pytest.mark.parametrize("window_n", [1, 3, 500])
+    @given(course=st.floats(0.0, 360.0), lat0=st.floats(-75.0, 75.0),
+           seed=st.integers(0, 2**32 - 1), fills=st.lists(st.floats(0.0, 3.0), max_size=4))
+    # mid latitudes off the meridians, where moving the anchor centroid without
+    # the points' own rates misses the bound after a few km of travel
+    @example(course=45.0, lat0=60.0, seed=1, fills=[])
+    @example(course=135.0, lat0=-60.0, seed=2, fills=[0.5, 1.0])
+    @example(course=90.0, lat0=70.0, seed=3, fills=[])
+    @settings(max_examples=6, deadline=None)
+    def test_sliding_estimates_hold_the_bound(self, window_n, motion_index, course, lat0,
+                                              seed, fills):
+        speed = RING_MOTIONS[motion_index]
+        motion = None if speed is None else MotionProfile(speed.start, course, speed.speed_kmh)
+        rng = np.random.default_rng(seed)
+        size = 2 * window_n + 40
+        lat = rng.uniform(lat0 - 5.0, lat0 + 5.0, size)  # |lat| <= 80
+        lon = (rng.uniform(175.0, 185.0, size) + 180.0) % 360.0 - 180.0
+        t_s = np.cumsum(rng.choice([0.0, 0.09, 0.27, 40.0], size=size))
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
+        # chunks of the drawn fractions of a window first, then one beam at a
+        # time to the end of the stream
+        chunks = [*(round(f * window_n) for f in fills), *[1] * size]
+        end = 0
+        for chunk in chunks:
+            if end == size:
+                break
+            w = slice(end, min(end + chunk, size))
+            est = det.extend(lat[w], lon[w], t_s[w])
+            end = w.stop
+            if end >= window_n:
+                w = slice(end - window_n, end)
+                batch = detector.estimate_position_arrays(lat[w], lon[w], t_s[w], motion)
+                assert_matches_batch(est, batch, motion, est is exact[-1])
+
+    @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
+    def test_wide_window_takes_the_whole_window_pass(self, motion):
+        # a window within 5 degrees of lon 0, then beams at lon 100 and 190
+        window_n = 50
+        rng = np.random.default_rng(8)
+        lon = np.concatenate([rng.uniform(-5.0, 5.0, window_n), rng.uniform(95.0, 105.0, 30),
+                              rng.uniform(-175.0, -165.0, 40)])
+        lat, t_s = rng.uniform(-20.0, 20.0, lon.size), np.arange(lon.size, dtype=float)
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
+        for end in range(1, lon.size + 1):
+            est = det.extend(lat[end - 1:end], lon[end - 1:end], t_s[end - 1:end])
+            if end >= window_n:
+                w = slice(end - window_n, end)
+                batch = detector.estimate_position_arrays(lat[w], lon[w], t_s[w], motion)
+                assert_matches_batch(est, batch, motion, est is exact[-1])
+            if end in (window_n, window_n + 1):
+                # the first fill, then a beam 90 degrees or more from its branch
+                assert est is exact[-1]
+
+    def test_polar_beam_takes_the_whole_window_pass(self):
+        # a beam on the pole: any travel swings its longitude, which no rate
+        # follows, so the whole-window pass takes every window that holds it
+        window_n, motion = 20, RING_MOTIONS[-1]
+        rng = np.random.default_rng(9)
+        lat, lon = rng.uniform(60.0, 70.0, 3 * window_n), rng.uniform(-5.0, 5.0, 3 * window_n)
+        lat[window_n - 1] = 90.0
+        t_s = np.arange(3 * window_n, dtype=float)
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        exact = record_exact(det)
+        for end in range(1, 3 * window_n + 1):
+            est = det.extend(lat[end - 1:end], lon[end - 1:end], t_s[end - 1:end])
+            if end >= window_n:
+                w = slice(end - window_n, end)
+                batch = detector.estimate_position_arrays(lat[w], lon[w], t_s[w], motion)
+                assert_matches_batch(est, batch, motion, est is exact[-1])
 
     def test_estimates_appear_after_window_fills(self):
         config = DetectorConfig(threshold_km=10.0, window_n=3)

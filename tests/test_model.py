@@ -9,6 +9,7 @@ from ringalert.errors import InvalidBeamId, InvalidSatId
 from ringalert.geo import GeoPoint
 from ringalert.ingest import segment_passes
 from ringalert.model import (
+    MAX_SPEED_KMH,
     BeamConstellation,
     DetectorConfig,
     Direction,
@@ -222,8 +223,10 @@ class TestSmallValueTypes:
         assert PowerLawCoeffs.from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
     def test_motion_profile(self):
-        with pytest.raises(ValueError):
-            MotionProfile(GeoPoint(0, 0), 0.0, -1.0)
+        for speed in (-1.0, MAX_SPEED_KMH * (1 + 1e-15), 1e308, float("inf")):
+            with pytest.raises(ValueError, match="speed"):
+                MotionProfile(GeoPoint(0, 0), 0.0, speed)
+        assert MotionProfile(GeoPoint(0, 0), 0.0, MAX_SPEED_KMH).speed_kmh == MAX_SPEED_KMH
         m = MotionProfile(GeoPoint(10, 20), 90.0, 40.0)
         assert MotionProfile.from_dict(json.loads(json.dumps(m.to_dict()))) == m
         # half an hour east at 40 km/h is 20 km

@@ -8,7 +8,7 @@ from ringalert import simulator
 from ringalert.errors import InsufficientWindows, InvalidPer
 from ringalert.geo import GeoPoint, great_circle_km
 from ringalert.ingest import format_line, parse_line
-from ringalert.model import MotionProfile, valid_sat_ids
+from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
 from ringalert.simulator import (
     SHIP_CLASSES,
     Scenario,
@@ -176,6 +176,12 @@ class TestEmitStream:
         )
         with pytest.raises(ValueError):
             emit_stream(overhead_config(duration_s=500.0), scenario)
+
+    def test_spoof_speed_limit(self):
+        assert SpoofProfile(0.0, 90.0, MAX_SPEED_KMH).offset_speed_kmh == MAX_SPEED_KMH
+        for speed in (-1.0, MAX_SPEED_KMH * (1 + 1e-15), 1e308, math.nan):
+            with pytest.raises(ValueError, match="speed"):
+                SpoofProfile(0.0, 90.0, speed)
 
     def test_burst_channel_keeps_grid_and_ratio(self):
         config = overhead_config(per=0.985, loss_model="burst", duration_s=30_000.0, seed=23)
