@@ -429,12 +429,10 @@ class WindowedDetector:
             phi = math.radians(lat)
             sin_phi, cos_phi = math.sin(phi), math.cos(phi)
             sin_d, cos_d = math.sin(delta), math.cos(delta)
-            cos_theta = math.cos(theta)
-            sin_phi2 = sin_phi * cos_d + cos_phi * sin_d * cos_theta
-            x = cos_phi * cos_d - sin_phi * sin_d * cos_theta
-            y = math.sin(theta) * sin_d
-            phi2 = math.atan2(sin_phi2, math.sqrt(x * x + y * y))
-            lon += math.degrees(math.atan2(y, x))
+            sin_phi2 = sin_phi * cos_d + cos_phi * sin_d * math.cos(theta)
+            phi2 = math.asin(min(max(sin_phi2, -1.0), 1.0))
+            lon += math.degrees(math.atan2(math.sin(theta) * sin_d * cos_phi,
+                                           cos_d - sin_phi * sin_phi2))
             lat, cos_phi2 = math.degrees(phi2), math.cos(phi2)
             north = (cos_phi * cos_d * math.cos(theta) - sin_phi * sin_d) / cos_phi2
             east = math.sin(theta) * cos_phi / cos_phi2 ** 2

@@ -134,15 +134,9 @@ def displace_rad(sin_phi, cos_phi, lam, course_deg, d_km):
     delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
     sin_delta = np.sin(delta)
     cos_delta = np.cos(delta)
-    cos_theta = np.cos(theta)
-    sin_phi2 = sin_phi * cos_delta + cos_phi * sin_delta * cos_theta
-    # cos(phi2) times the cosine and sine of the longitude change: taking the
-    # latitude by atan2 against their norm keeps full precision near the
-    # poles, where arcsin(sin_phi2) loses digits
-    x = cos_phi * cos_delta - sin_phi * sin_delta * cos_theta
-    y = np.sin(theta) * sin_delta
-    phi2 = np.arctan2(sin_phi2, np.sqrt(x * x + y * y))
-    lam2 = lam + np.arctan2(y, x)
+    sin_phi2 = sin_phi * cos_delta + cos_phi * sin_delta * np.cos(theta)
+    phi2 = np.arcsin(np.clip(sin_phi2, -1.0, 1.0))
+    lam2 = lam + np.arctan2(np.sin(theta) * sin_delta * cos_phi, cos_delta - sin_phi * sin_phi2)
     return np.degrees(phi2), normalize_lon_array(np.degrees(lam2))
 
 
