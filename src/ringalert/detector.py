@@ -119,16 +119,15 @@ def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float)
     return _compensate(start_rad(lat, lon), t_s, motion, t_ref)
 
 
-def _unwrap(lon: np.ndarray, ref: float | None = None) -> tuple[float, np.ndarray]:
-    """Longitudes unwrapped into [ref - 180, ref + 180), and ``ref``.
+def _unwrap(lon: np.ndarray) -> tuple[float, np.ndarray]:
+    """Longitudes unwrapped into [ref - 180, ref + 180) about their circular
+    mean ``ref``, and ``ref``.
 
-    ``ref`` defaults to the circular mean, whose branch makes the plain
-    average of the unwrapped longitudes the arithmetic mean away from the
-    +/-180 seam while staying correct across it.
+    That branch makes the plain average of the unwrapped longitudes the
+    arithmetic mean away from the +/-180 seam while staying correct across it.
     """
-    if ref is None:
-        lam = np.radians(lon)
-        ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
+    lam = np.radians(lon)
+    ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
     return ref, ref + mod360(lon - ref + 180.0) - 180.0
 
 
@@ -282,6 +281,16 @@ def _neumaier(sums: list[float], errs: list[float], xs) -> None:
         sums[i] = t
 
 
+def _rates(sin_phi, cos_phi, sin_delta, cos_delta, cos_phi2, course_deg: float):
+    """North and east rates (radians per radian of travel) of points that
+    left latitude phi a distance delta ago on ``course_deg`` and now lie at
+    latitude phi2; scalars or arrays alike."""
+    theta = math.radians(course_deg)
+    north = (cos_phi * cos_delta * math.cos(theta) - sin_phi * sin_delta) / cos_phi2
+    # Clairaut: cos(lat) sin(course) is constant along a great circle
+    return north, math.sin(theta) * cos_phi / cos_phi2 ** 2
+
+
 class WindowedDetector:
     """Sliding-window position verifier.
 
@@ -399,13 +408,9 @@ class WindowedDetector:
             return estimate
         if _moving(self.motion):
             sin_phi, cos_phi, _ = start
-            theta = math.radians(self.motion.course_deg)
             delta = self.motion.speed_kmh * (self._t_a - t_s) / (3600.0 * EARTH_RADIUS_KM)
-            cos_phi2 = np.cos(np.radians(lat))
-            cols[5] = (cos_phi * np.cos(delta) * math.cos(theta)
-                       - sin_phi * np.sin(delta)) / cos_phi2
-            # Clairaut: cos(lat) sin(course) is constant along a great circle
-            cols[6] = math.sin(theta) * cos_phi / cos_phi2 ** 2
+            cols[5], cols[6] = _rates(sin_phi, cos_phi, np.sin(delta), np.cos(delta),
+                                      np.cos(np.radians(lat)), self.motion.course_deg)
         else:
             cols[5:7] = 0.0
         cols[3], cols[4] = lat, unwrapped
@@ -433,9 +438,9 @@ class WindowedDetector:
             phi2 = math.asin(min(max(sin_phi2, -1.0), 1.0))
             lon += math.degrees(math.atan2(math.sin(theta) * sin_d * cos_phi,
                                            cos_d - sin_phi * sin_phi2))
-            lat, cos_phi2 = math.degrees(phi2), math.cos(phi2)
-            north = (cos_phi * cos_d * math.cos(theta) - sin_phi * sin_d) / cos_phi2
-            east = math.sin(theta) * cos_phi / cos_phi2 ** 2
+            lat = math.degrees(phi2)
+            north, east = _rates(sin_phi, cos_phi, sin_d, cos_d, math.cos(phi2),
+                                 self.motion.course_deg)
         u = self._branch + (lon - self._branch + 180.0) % 360.0 - 180.0
         far = abs(u - self._branch) >= 90.0 or abs(lat) > SLIDING_MAX_LAT_DEG
         return lat, u, north, east, float(far)

@@ -352,8 +352,11 @@ def pushed_estimates(window_n: int, motion_index: int):
     records = ring_stream(8 * window_n + 7, seed=window_n)
     det = detector.WindowedDetector(DetectorConfig(20.0, window_n), RING_MOTIONS[motion_index])
     exact = record_exact(det)
-    estimates = [det.push(r) for r in records if r.beam_id >= 1]
-    return records[records.is_beam], estimates, [bool(exact) and e is exact[-1] for e in estimates]
+    estimates, made_exact = [], []
+    for record in records[records.is_beam]:
+        estimates.append(det.push(record))
+        made_exact.append(bool(exact) and estimates[-1] is exact[-1])
+    return records[records.is_beam], estimates, made_exact
 
 
 def chunk_sizes(window_n: int):
@@ -539,6 +542,29 @@ class TestWindowedDetector:
             if end in (window_n, window_n + 1):
                 # the first fill, then a beam 90 degrees or more from its branch
                 assert est is exact[-1]
+
+    @pytest.mark.parametrize("course", [0.0, 57.0, 135.0, 270.0, 333.0])
+    @pytest.mark.parametrize("motion_index", range(len(RING_MOTIONS)),
+                             ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
+    def test_sliding_point_rows_equal_the_whole_window_rows(self, motion_index, course):
+        # _anchor computes a sliding point's rows 3-7 in scalar math, the
+        # whole-window pass in numpy: for the same points, anchor and branch
+        # they agree to a few ulp of each row's scale (90, 180 degrees; 1)
+        window_n = 200
+        speed = RING_MOTIONS[motion_index]
+        motion = None if speed is None else MotionProfile(speed.start, course, speed.speed_kmh)
+        rng = np.random.default_rng(12)
+        lat = rng.uniform(-79.0, 79.0, window_n)
+        lon = (rng.uniform(170.0, 190.0, window_n) + 180.0) % 360.0 - 180.0
+        t_s = np.sort(rng.uniform(0.0, 3600.0, window_n))
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
+        det.extend(lat[:-1], lon[:-1], t_s[:-1])
+        det.extend(lat[-1:], lon[-1:], t_s[-1:])  # the first fill anchors the window
+        window = det._columns[:, det._end - window_n:det._end]
+        rows = np.array([det._anchor(*point) for point in window[:3].T]).T
+        scale = np.maximum(np.maximum(abs(rows), abs(window[3:8])),
+                           np.array([90.0, 180.0, 1.0, 1.0, 1.0])[:, None])
+        assert (abs(rows - window[3:8]) <= 32 * np.spacing(scale)).all()
 
     def test_polar_beam_takes_the_whole_window_pass(self):
         # a beam on the pole: any travel swings its longitude, which no rate
