@@ -248,31 +248,15 @@ def pratt_circle_fit(points) -> tuple[tuple[float, float], float]:
 # ---------------------------------------------------------------------------
 # extreme-value fit of pass durations
 
-def evd_pdf(t, mu: float, sigma: float):
-    """Left-skewed extreme-value density (heavy left tail)."""
-    u = (np.asarray(t, dtype=float) - mu) / sigma
-    return np.exp(u - np.exp(u)) / sigma
-
-
-def evd_cdf(t, mu: float, sigma: float):
-    u = (np.asarray(t, dtype=float) - mu) / sigma
-    return 1.0 - np.exp(-np.exp(u))
-
-
-def evd_ppf(p, mu: float, sigma: float):
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0) | (p >= 1)):
-        raise ValueError("quantile argument must lie in (0, 1)")
-    return mu + sigma * np.log(-np.log1p(-p))
-
-
 def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdParams:
     """Maximum-likelihood (mu, sigma) via Newton iterations on the profiled scale.
 
-    The scale solves sigma = S(sigma) - mean(t), where S is the exp(t/sigma)
-    weighted mean of the data; the location then follows in closed form. The
-    profile equation is strictly decreasing, so Newton with a bisection
-    safeguard always converges for non-degenerate data.
+    The density is the left-skewed extreme-value one, exp(u - exp(u)) / sigma
+    with u = (t - mu) / sigma. The scale solves sigma = S(sigma) - mean(t),
+    where S is the exp(t/sigma) weighted mean of the data; the location then
+    follows in closed form. The profile equation is strictly decreasing, so
+    Newton with a bisection safeguard always converges for non-degenerate
+    data.
     """
     t = np.asarray(durations_min, dtype=float)
     if t.size < 10:
@@ -329,11 +313,6 @@ def pass_durations_min(passes, *, min_records: int = 2) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # beam constellation reconstruction
-
-def mirror_offsets(offsets):
-    """Mirror (east, north) offsets across the east axis. Applying twice is the identity."""
-    return [(east, -north) for east, north in offsets]
-
 
 def kmeans_1d(values, k: int = 3) -> list[float]:
     """Exact 1-D k-means (global optimum), returning ascending cluster means.

@@ -41,12 +41,13 @@ class _UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _flag_values():
-    """Report a bad value met while building objects from flags as a usage error."""
+def _flag_values(flag: str | None = None):
+    """Report a bad value met while building objects from flags as a usage
+    error, naming ``flag`` when the value is that one flag's."""
     try:
         yield
     except (ValueError, InvalidCoordinate) as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -96,20 +97,21 @@ def _report_dir(args) -> Path:
 
 
 def _parse_floats(text: str, fields: str) -> list[float]:
-    """The comma-separated numbers of a flag value laid out as ``fields``."""
+    """The comma-separated numbers of a flag value laid out as ``fields``;
+    ValueError for a wrong count or a bad number."""
     parts = text.split(",")
     if len(parts) != len(fields.split(",")):
-        raise _UsageError(f"expected '{fields}', got {text!r}")
+        raise ValueError(f"expected '{fields}', got {text!r}")
     return [float(p) for p in parts]
 
 
-def _parse_latlon(text: str) -> GeoPoint:
-    with _flag_values():
+def _parse_receiver(text: str) -> GeoPoint:
+    with _flag_values("--receiver"):
         return GeoPoint(*_parse_floats(text, "lat,lon"))
 
 
 def _parse_motion(text: str) -> MotionProfile:
-    with _flag_values():
+    with _flag_values("--motion"):
         lat, lon, course, speed = _parse_floats(text, "lat,lon,course,speed")
         return MotionProfile(GeoPoint(lat, lon), course, speed)
 
@@ -154,7 +156,7 @@ def _cmd_analyze(args) -> int:
     for flag, value in (("--gap-threshold-s", args.gap_threshold_s),
                         ("--max-speed-dt-s", args.max_speed_dt_s)):
         _check_positive(flag, value, finite=False)
-    receiver = _parse_latlon(args.receiver) if args.receiver else None
+    receiver = _parse_receiver(args.receiver) if args.receiver else None
     records, report = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     if not len(records):
         raise EmptyInput("no valid records to analyze")
@@ -239,29 +241,27 @@ def _build_sim_config(args) -> simulator.SimConfig:
         else simulator.SimConfig()
     overrides = {name: getattr(args, name) for name in base.to_dict()
                  if getattr(args, name, None) is not None}
-    with _flag_values():
-        if "plane_nodes_deg" in overrides:
+    if "plane_nodes_deg" in overrides:
+        with _flag_values("--plane-nodes"):
             overrides["plane_nodes_deg"] = tuple(
                 float(x) for x in overrides["plane_nodes_deg"].split(","))
+    with _flag_values():
         return simulator.SimConfig(**{**base.to_dict(), **overrides}) if overrides else base
 
 
-def _build_scenario(args, duration_s: float) -> simulator.Scenario:
+def _build_scenario(args) -> simulator.Scenario:
+    """``--scenario``, or the receiver and spoof flags; ``emit_stream``
+    checks that the spoof starts inside the run."""
     if args.scenario:
-        scenario = _load_json(args.scenario, simulator.Scenario.from_dict)
-    else:
-        receiver = MotionProfile(_parse_latlon(args.receiver or "0,0"), 0.0, 0.0) \
-            if args.motion is None else _parse_motion(args.motion)
-        spoof = None
-        if args.spoof:
-            with _flag_values():
-                spoof = simulator.SpoofProfile(
-                    *_parse_floats(args.spoof, "start_s,course_deg,speed_kmh"))
-        scenario = simulator.Scenario(receiver, spoof)
-    if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= duration_s:
-        raise _UsageError(f"spoof start {scenario.spoof.start_s} s falls outside "
-                          f"the simulated {duration_s} s")
-    return scenario
+        return _load_json(args.scenario, simulator.Scenario.from_dict)
+    receiver = MotionProfile(_parse_receiver(args.receiver or "0,0"), 0.0, 0.0) \
+        if args.motion is None else _parse_motion(args.motion)
+    spoof = None
+    if args.spoof:
+        with _flag_values("--spoof"):
+            spoof = simulator.SpoofProfile(
+                *_parse_floats(args.spoof, "start_s,course_deg,speed_kmh"))
+    return simulator.Scenario(receiver, spoof)
 
 
 def _cmd_simulate(args) -> int:
@@ -270,8 +270,9 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--track-interval-s must be a finite number of seconds >= 0.001, "
                           f"got {step}")
     config = _build_sim_config(args)
-    scenario = _build_scenario(args, config.duration_s)
-    with _flag_values():  # a duration past simulator.MAX_EMIT_DURATION_S
+    scenario = _build_scenario(args)
+    # a duration past simulator.MAX_EMIT_DURATION_S, or a spoof start outside the run
+    with _flag_values():
         records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)
     if args.track_out:
@@ -379,9 +380,10 @@ def _cmd_detect(args) -> int:
 def _cmd_evaluate(args) -> int:
     _check_positive("--windows", args.windows)
     config = _build_sim_config(args)
-    receiver = _parse_latlon(args.receiver or "0,0")
-    with _flag_values():
+    receiver = _parse_receiver(args.receiver or "0,0")
+    with _flag_values("--n-grid"):
         n_grid = [int(x) for x in args.n_grid.split(",")]
+    with _flag_values("--thresholds"):
         thresholds = [float(x) for x in args.thresholds.split(",")]
     if min(n_grid) < 1:
         raise _UsageError(f"--n-grid sizes must be >= 1, got {args.n_grid!r}")

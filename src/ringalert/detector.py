@@ -380,7 +380,9 @@ class WindowedDetector:
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
         """:meth:`extend` by one record, its counter read in microseconds; a
-        beam-0 record leaves the window as it is."""
+        beam-0 record leaves the window as it is. One arrival is the unit of
+        a live feed, so this takes a record where :meth:`extend` takes
+        columns."""
         if record.beam_id < 1:
             return self._estimate
         return self.extend((record.ground.lat_deg,), (record.ground.lon_deg,),

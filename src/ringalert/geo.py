@@ -81,10 +81,6 @@ class KmDistance:
         object.__setattr__(self, "km", km)
 
 
-def _km(distance) -> float:
-    return distance.km if isinstance(distance, KmDistance) else float(distance)
-
-
 # ---------------------------------------------------------------------------
 # array kernels
 
@@ -192,39 +188,13 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> KmDistance:
     return KmDistance(EARTH_RADIUS_KM * math.atan2(y, x))
 
 
-def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
-    return float(bearing_deg(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))
-
-
-def displace(p: GeoPoint, course_deg: float, distance) -> GeoPoint:
-    """Move ``distance`` km from ``p`` along the great circle with the given initial course."""
-    d = _km(distance)
+def displace(p: GeoPoint, course_deg: float, d_km: float) -> GeoPoint:
+    """Move ``d_km`` km from ``p`` along the great circle with the given initial course."""
+    d = float(d_km)
     if d == 0.0:
         return p
     lat, lon = displace_deg(p.lat_deg, p.lon_deg, course_deg, d)
     return GeoPoint(float(lat), float(lon))
-
-
-def enu_offset_km(origin: GeoPoint, point: GeoPoint) -> tuple[float, float]:
-    """(east_km, north_km) of ``point`` relative to ``origin``.
-
-    Uses range and initial bearing, so it is the exact inverse of
-    :func:`offset_point` on the sphere.
-    """
-    d = float(haversine_km(origin.lat_deg, origin.lon_deg, point.lat_deg, point.lon_deg))
-    if d == 0.0:
-        return 0.0, 0.0
-    theta = math.radians(initial_bearing_deg(origin, point))
-    return d * math.sin(theta), d * math.cos(theta)
-
-
-def offset_point(origin: GeoPoint, east_km: float, north_km: float) -> GeoPoint:
-    """Point at a local (east, north) km offset from ``origin``."""
-    d = math.hypot(east_km, north_km)
-    if d == 0.0:
-        return origin
-    course = math.degrees(math.atan2(east_km, north_km))
-    return displace(origin, course, d)
 
 
 def interpolate(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:

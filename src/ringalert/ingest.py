@@ -9,8 +9,8 @@ The expected layout is one message per line, whitespace- or comma-delimited:
 default microseconds), latitudes/longitudes are signed decimal degrees.
 Invalid lines are quarantined and counted, never silently dropped.
 
-That example line is in the general canonical layout. :func:`format_line`
-and :func:`write_records` write one fixed layout of it, with six decimals:
+That example line is in the general canonical layout. :func:`write_records`
+writes one fixed layout of it, with six decimals:
 ``1580712040 000000739 115 0 +29.810000 +046.100000``. :func:`parse_table`
 reads lines in that layout at fixed byte offsets, the other canonical lines
 by splitting at their spaces, both column-wise over the whole file, and
@@ -93,7 +93,9 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
     """Parse one log line into a validated record.
 
     Raises MalformedLine, InvalidSatId, InvalidBeamId, or InvalidCoordinate.
-    The two time fields must fit in 64 bits.
+    The two time fields must fit in 64 bits. One line is the unit here: this
+    is :func:`parse_table`'s tier for lines outside the canonical layout, and
+    the per-line rule its column-wise tiers must agree with.
     """
     parts = line.replace(",", " ").split()
     if len(parts) != 6:
@@ -114,14 +116,6 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
     return IraRecord(epoch_s, frac, sat_id, beam_id, GeoPoint(lat, lon))
 
 
-def format_line(record: IraRecord) -> str:
-    """Render a record in the canonical log layout (inverse of parse_line)."""
-    return (
-        f"{record.epoch_s} {record.frac:09d} {record.sat_id} {record.beam_id} "
-        f"{record.ground.lat_deg:+010.6f} {record.ground.lon_deg:+011.6f}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # columnar parsing
 
@@ -133,7 +127,7 @@ _MAX_DECIMAL_DIGITS = 15
 _POW10_FLOAT = 10.0 ** np.arange(_MAX_DECIMAL_DIGITS + 1)
 _SAT_IDS = np.array(sorted(valid_sat_ids()), dtype=np.int64)
 
-#: The layout :func:`format_line` writes, byte by byte: ``d`` is a digit,
+#: The layout :func:`write_records` writes, byte by byte: ``d`` is a digit,
 #: ``s`` a sign, ``m`` a byte of the "sat beam" middle, anything else itself.
 #: The head (time_s, time_frac) is read from the line start, the tail (the
 #: widest middle, lat, lon) from the line end; the middle is 3 to 6 bytes.
@@ -254,7 +248,7 @@ def _fixed6(block: np.ndarray, at: int, width: int) -> np.ndarray:
 
 
 def _parse_fixed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Lines in the writer's layout (:func:`format_line`), every byte checked.
+    """Lines in the writer's layout (:func:`write_records`), every byte checked.
 
     Returns the indices of those lines and their six columns (longitudes not
     yet folded), which equal what :func:`_parse_canonical` gives them.
@@ -489,9 +483,14 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
 
 
 def parse_stream(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[list[IraRecord], IngestReport]:
-    """:func:`parse_table` with the accepted rows as a time-sorted record list."""
+    """:func:`parse_table` with the accepted rows as a time-sorted record list.
+
+    One arrival is the unit here: the list feeds a replay that pushes record
+    by record into :meth:`detector.WindowedDetector.push`.
+    """
     table, report = parse_table(source, frac_unit_s)
-    return table.rows(), report
+    return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
+            for e, f, s, b, lat, lon in zip(*(c.tolist() for c in table.columns()))], report
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +534,8 @@ def _fixed6_chars(values: np.ndarray, min_width: int) -> np.ndarray:
 def write_records(table: RecordTable, path) -> None:
     """Write a table to ``path`` in the canonical log layout, column by column.
 
-    Each line is byte-identical to :func:`format_line` of its row.
+    Each line is ``f"{epoch_s} {frac:09d} {sat_id} {beam_id} {lat:+010.6f}
+    {lon:+011.6f}"`` of its row, byte for byte.
     """
     n = len(table)
     space = np.full((n, 1), _SPACE, dtype=np.uint8)

@@ -1,15 +1,18 @@
 """Domain types shared by ingestion, analytics, simulation, and detection.
 
-All types are immutable values with loss-free ``to_dict``/``from_dict``
-round-trips, so they can be shared freely across threads and serialized to
-JSON reports.
+All types are immutable values, so they can be shared freely across threads.
+A record stream is a :class:`RecordTable` of numpy columns; one
+:class:`IraRecord` is built only where a single record is the natural unit.
+:class:`BeamConstellation`, :class:`EvdParams`, :class:`PowerLawCoeffs`,
+:class:`MotionProfile` and :class:`DetectorConfig` have loss-free
+``to_dict``/``from_dict`` round-trips for JSON; records, tables and passes
+are not serialized.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +61,10 @@ class IraRecord:
 
     ``beam_id`` 0 marks the sub-satellite point; 1..48 mark beam centers.
     ``frac`` is the raw sub-second counter; its unit is supplied where a
-    timestamp is needed (see :data:`FRAC_UNITS_S`).
+    timestamp is needed (see :data:`FRAC_UNITS_S`). Streams are
+    :class:`RecordTable` columns; a record is built only where one line or
+    one arrival is the unit: ``ingest.parse_line``, ``ingest.parse_stream``
+    and ``detector.WindowedDetector.push``.
     """
 
     epoch_s: int
@@ -79,31 +85,8 @@ class IraRecord:
         if not 0 <= self.beam_id <= MAX_BEAM_ID:
             raise InvalidBeamId(f"beam id {self.beam_id} outside [0, {MAX_BEAM_ID}]")
 
-    @property
-    def is_track(self) -> bool:
-        return self.beam_id == 0
-
     def timestamp(self, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> float:
         return self.epoch_s + self.frac * frac_unit_s
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.epoch_s, self.frac)
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch_s": self.epoch_s,
-            "frac": self.frac,
-            "sat_id": self.sat_id,
-            "beam_id": self.beam_id,
-            "ground": self.ground.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IraRecord":
-        return cls(
-            data["epoch_s"], data["frac"], data["sat_id"], data["beam_id"],
-            GeoPoint.from_dict(data["ground"]),
-        )
 
 
 def _key_steps(epoch_s: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -116,7 +99,7 @@ def _key_steps(epoch_s: np.ndarray, frac: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RecordTable(Sequence):
+class RecordTable:
     """A record stream as numpy columns, stable-sorted by (epoch_s, frac).
 
     ``epoch_s``, ``frac``, ``sat_id`` and ``beam_id`` are int64; ``lat`` and
@@ -124,9 +107,9 @@ class RecordTable(Sequence):
     :class:`GeoPoint` folds them. ``frac_unit_s`` is the seconds per unit of
     the ``frac`` counter, a property of the whole stream, not a column.
     Construction sorts stably when the rows are out of order and makes the
-    columns read-only views. As a sequence its rows are :class:`IraRecord`
-    values; slicing or indexing with a mask or index array gives another
-    table with the same unit.
+    columns read-only views. Slicing or indexing with a mask or index array
+    gives another table with the same unit; one row is read from the
+    columns, never as a record.
     """
 
     epoch_s: np.ndarray
@@ -154,16 +137,6 @@ class RecordTable(Sequence):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_records(cls, records, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> "RecordTable":
-        """Table of a sequence of :class:`IraRecord` values."""
-        records = list(records)
-        ints = np.array([(r.epoch_s, r.frac, r.sat_id, r.beam_id) for r in records],
-                        dtype=np.int64).reshape(-1, 4)
-        floats = np.array([(r.ground.lat_deg, r.ground.lon_deg) for r in records],
-                          dtype=float).reshape(-1, 2)
-        return cls(*ints.T, *floats.T, frac_unit_s)
-
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
 
@@ -172,22 +145,15 @@ class RecordTable(Sequence):
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            e, f, s, b, lat, lon = (c[key].item() for c in self.columns())
-            return IraRecord(e, f, s, b, GeoPoint(lat, lon))
+            raise TypeError(f"a RecordTable takes a slice, a mask or an index array, not the "
+                            f"integer {key}: read one row from the columns")
         return RecordTable(*(c[key] for c in self.columns()), self.frac_unit_s)
-
-    def __iter__(self):
-        return iter(self.rows())
 
     def __eq__(self, other):
         if not isinstance(other, RecordTable):
             return NotImplemented
         return self.frac_unit_s == other.frac_unit_s and all(
             np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
-
-    def rows(self) -> list[IraRecord]:
-        return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
-                for e, f, s, b, lat, lon in zip(*(c.tolist() for c in self.columns()))]
 
     @property
     def is_track(self) -> np.ndarray:
@@ -203,8 +169,8 @@ class RecordTable(Sequence):
         """Seconds of each row relative to ``origin`` (default: the first row).
 
         Working relative to the first row keeps full float precision even for
-        epoch-scale timestamps; ``origin=(0, 0)`` gives each row's
-        :meth:`IraRecord.timestamp`.
+        epoch-scale timestamps; ``origin=(0, 0)`` gives each row's absolute
+        time, ``epoch_s + frac * frac_unit_s``.
         """
         if origin is None:
             origin = (self.epoch_s[0], self.frac[0])
@@ -247,28 +213,6 @@ class Pass:
             raise ValueError("pass records must share one satellite id")
         if self.duration_min < 0:
             raise ValueError("pass duration must be >= 0")
-
-    def track_records(self) -> RecordTable:
-        return self.records[self.records.is_track]
-
-    def to_dict(self) -> dict:
-        return {
-            "sat_id": self.sat_id,
-            "records": [r.to_dict() for r in self.records],
-            "frac_unit_s": self.records.frac_unit_s,
-            "direction": self.direction.value,
-            "duration_min": self.duration_min,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Pass":
-        return cls(
-            data["sat_id"],
-            RecordTable.from_records((IraRecord.from_dict(r) for r in data["records"]),
-                                     data["frac_unit_s"]),
-            Direction(data["direction"]),
-            data["duration_min"],
-        )
 
 
 @dataclass(frozen=True)

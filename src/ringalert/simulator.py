@@ -300,16 +300,6 @@ def _sat_positions(config: SimConfig, basis, sat_index: int, t_s: np.ndarray):
     return lat, lon, northbound
 
 
-def propagate(config: SimConfig, t_s: float) -> list[GeoPoint]:
-    """Ground position of every satellite at time ``t_s`` (seconds into the run)."""
-    basis = _orbit_basis(config)
-    points = []
-    for j in range(config.n_sats):
-        lat, lon, _ = _sat_positions(config, basis, j, np.array([float(t_s)]))
-        points.append(GeoPoint(float(lat[0]), float(lon[0])))
-    return points
-
-
 def orbital_period_s(config: SimConfig) -> float:
     return 2.0 * math.pi * EARTH_RADIUS_KM / config.ground_speed_kms
 
@@ -523,7 +513,8 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
     if scenario is None:
         scenario = _DEFAULT_SCENARIO
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
-        raise ValueError("spoof start must fall inside the simulated window")
+        raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
+                         f"{config.duration_s} s")
     return _emit(config, _orbit_basis(config), scenario.receiver, 0, _slot_count(config),
                  np.random.default_rng(config.seed))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ringalert.errors import InvalidBeamId, InvalidCoordinate, InvalidSatId, MalformedLine
-from ringalert.geo import GeoPoint
+from ringalert.geo import GeoPoint, normalize_lon_array
 from ringalert.ingest import parse_line
 from ringalert.model import DEFAULT_FRAC_UNIT_S, IraRecord, RecordTable
 from ringalert.simulator import SimConfig
@@ -37,19 +37,36 @@ SAMPLE_LOG_FIELDS = [
 EQUATOR_RECEIVER = GeoPoint(0.0, 0.0)
 
 
+def table_of(records, unit: float = DEFAULT_FRAC_UNIT_S) -> RecordTable:
+    """The table of a list of :class:`IraRecord` values, counters in ``unit``."""
+    return RecordTable(*np.array([(r.epoch_s, r.frac, r.sat_id, r.beam_id) for r in records],
+                                 dtype=np.int64).reshape(-1, 4).T,
+                       *np.array([(r.ground.lat_deg, r.ground.lon_deg) for r in records],
+                                 dtype=float).reshape(-1, 2).T, unit)
+
+
+def records_of(table: RecordTable) -> list[IraRecord]:
+    """The rows of a table as :class:`IraRecord` values, for comparison with
+    per-record references."""
+    return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
+            for e, f, s, b, lat, lon in zip(*(c.tolist() for c in table.columns()))]
+
+
+def format_line(record: IraRecord) -> str:
+    """One record in the writer's layout: the per-record reference of
+    ``ingest.write_records``, and the inverse of ``ingest.parse_line``."""
+    return (f"{record.epoch_s} {record.frac:09d} {record.sat_id} {record.beam_id} "
+            f"{record.ground.lat_deg:+010.6f} {record.ground.lon_deg:+011.6f}")
+
+
 def make_records(times_s, lats, lons, sat_id=78, beam_ids=None,
                  start_epoch=1_600_000_000) -> RecordTable:
     """Build a table from relative times in seconds (microsecond resolution)."""
     n = len(times_s)
-    beam_ids = beam_ids if beam_ids is not None else [0] * n
-    records = []
-    for t, lat, lon, beam in zip(times_s, lats, lons, beam_ids):
-        total_us = round(float(t) * 1e6)
-        records.append(IraRecord(
-            start_epoch + total_us // 1_000_000, total_us % 1_000_000,
-            sat_id, beam, GeoPoint(float(lat), float(lon)),
-        ))
-    return RecordTable.from_records(records)
+    total_us = np.array([round(float(t) * 1e6) for t in times_s], dtype=np.int64)
+    return RecordTable(start_epoch + total_us // 1_000_000, total_us % 1_000_000,
+                       np.full(n, sat_id), [0] * n if beam_ids is None else beam_ids,
+                       lats, normalize_lon_array(lons))
 
 
 def run_times_s(stream: RecordTable, config: SimConfig) -> np.ndarray:
@@ -93,7 +110,7 @@ def reference_parse(lines, frac_unit_s: float = DEFAULT_FRAC_UNIT_S):
                 continue
         counts[cls] += 1
         quarantined.append(lineno)
-    accepted.sort(key=IraRecord.sort_key)
+    accepted.sort(key=lambda r: (r.epoch_s, r.frac))
     return accepted, counts, quarantined
 
 

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,10 +17,10 @@ import ringalert
 from ringalert import cli, detector
 from ringalert.cli import build_parser, main
 from ringalert.geo import GeoPoint, interpolate
-from ringalert.ingest import format_line, parse_table
+from ringalert.ingest import parse_table
 from ringalert.model import DetectorConfig, MotionProfile
 from ringalert.simulator import SimConfig, emit_stream
-from tests.conftest import SAMPLE_LOG_ROWS, reference_parse
+from tests.conftest import SAMPLE_LOG_ROWS, format_line, records_of, reference_parse
 
 
 def run_cli(args) -> int:
@@ -247,12 +250,13 @@ class TestAnalyzeInputErrors:
         ["--gap-threshold-s", -5],
         ["--gap-threshold-s", 0],
         ["--max-speed-dt-s", 0],
+        ["--receiver", "north,0"],
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
         log = write_sample_log(tmp_path)
         report = tmp_path / "r"
         assert run_cli(["analyze", "--input", log, "--report", report] + flags) == 1
-        assert_one_line_error(capsys)
+        assert_usage_error(capsys, flags)
         assert not report.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -412,6 +416,24 @@ def assert_one_line_error(capsys):
     return err
 
 
+#: flag values that are not numbers, or not as many numbers as the flag
+#: takes; the error names the flag
+UNCONVERTIBLE = {("--receiver", "1,2,3"), ("--receiver", "north,0"), ("--motion", "0,0,0"),
+                 ("--motion", "0,0,east,10"), ("--spoof", "1,90"), ("--spoof", "0,east,10"),
+                 ("--plane-nodes", ""), ("--n-grid", "10,ten"), ("--thresholds", "10,x")}
+
+
+def assert_usage_error(capsys, argv):
+    """One error line, led by the flag name when ``argv`` gives a flag a
+    value in :data:`UNCONVERTIBLE`."""
+    err = assert_one_line_error(capsys)
+    argv = [str(a) for a in argv]
+    for flag, value in zip(argv, argv[1:]):
+        if (flag, value) in UNCONVERTIBLE:
+            assert err.startswith(f"ringalert: error: {flag}: "), err
+    return err
+
+
 class TestSimulatorConfigErrors:
     @pytest.mark.parametrize("in_file, code", [(False, 1), (True, 2)], ids=["flag", "config"])
     @pytest.mark.parametrize("duration", [1e13, 1e300])
@@ -477,6 +499,11 @@ class TestSimulatorConfigErrors:
         ["evaluate", "--thresholds", "10,inf"],
         ["evaluate", "--thresholds", "-5"],
         ["evaluate", "--thresholds", "0"],
+        ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", ""],
+        ["evaluate", "--planes", 1, "--n-sats", 11, "--plane-nodes", ""],
+        ["simulate", "--motion", "0,0,east,10"],
+        ["evaluate", "--thresholds", "10,x"],
+        ["evaluate", "--receiver", "north,0"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
@@ -484,7 +511,9 @@ class TestSimulatorConfigErrors:
         extra = (["--output", out, "--track-out", track] if argv[0] == "simulate"
                  else ["--report", tmp_path / "r"])
         assert run_cli(argv + extra) == 1
-        assert_one_line_error(capsys)
+        err = assert_usage_error(capsys, argv)
+        if argv[-2:] == ["--spoof", "100,90,10"]:  # emit_stream's check, with its values
+            assert "spoof start 100.0 s falls outside the simulated 60.0 s" in err
         assert not out.exists() and not track.exists()
 
     @pytest.mark.parametrize("interval", [0, -1, "nan", "inf", "1e-300", "1e-6"])
@@ -579,13 +608,14 @@ class TestDetectInputErrors:
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0"],
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,1e308"],
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,inf"],
+        ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,east,10"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
         log, track = self._inputs(tmp_path)
         assert run_cli(["detect", "--input", log, "--gnss-track", track,
                         "--report", tmp_path / "r"] + flags) == 1
-        assert_one_line_error(capsys)
+        assert_usage_error(capsys, flags)
 
     @pytest.mark.parametrize("bad_row", [
         "1580712040.0 29.8",
@@ -609,7 +639,7 @@ class TestDetectInputErrors:
 def _mutation_base() -> list[str]:
     config = SimConfig(n_sats=11, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
                        per=0.2, duration_s=30.0, seed=6)
-    return [format_line(r) for r in emit_stream(config)]
+    return [format_line(r) for r in records_of(emit_stream(config))]
 
 
 MUTATION_BASE = _mutation_base()
@@ -756,3 +786,129 @@ class TestNanosecondCounters:
         cells = [float(row.split(b"\t")[1])
                  for row in b["detect_windows.tsv"].splitlines()[1:]]
         assert cells == last_beams.tolist()
+
+
+#: values drawn for numeric flags: zero, negative, subnormal, huge, infinite,
+#: not a number, and not numeric
+NUMERIC_VALUES = ["0", "-1", "5e-324", "1e308", "inf", "-inf", "nan", "x"]
+#: values drawn for size flags (durations, counts, window sizes): small, so
+#: that an accepted run stays short, or not a size
+SIZE_VALUES = ["0", "-1", "1", "2", "3", "x"]
+#: a non-finite number as JSON (NaN, Infinity) or a TSV cell (nan, inf) spells it
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+NUMBER = st.sampled_from(NUMERIC_VALUES)
+SIZE = st.sampled_from(SIZE_VALUES)
+
+
+def joined(values, k: int):
+    """``k`` comma-separated values, or one fewer or one more."""
+    return st.lists(values, min_size=max(k - 1, 0), max_size=k + 1).map(",".join)
+
+
+@st.composite
+def flag_values(draw, drawn: dict, fixed: dict | None = None) -> list[str]:
+    """Up to three flags of ``drawn`` (flag -> strategy) with drawn values,
+    and the flags of ``fixed`` (flag -> value) not drawn, each as
+    ``--flag=value`` so that a value led by '-' stays a value. Few odd
+    values at a time leave many runs that succeed."""
+    chosen = draw(st.lists(st.sampled_from(sorted(drawn)), unique=True, max_size=3))
+    values = {**(fixed or {}), **{flag: draw(drawn[flag]) for flag in chosen}}
+    return [f"{flag}={value}" for flag, value in values.items()]
+
+
+def run_in_process(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``; any other exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_contract(argv, out: Path) -> None:
+    """Exit 0, 1 or 2; on failure one error line (after argparse's usage, for
+    a value argparse itself rejects) and, on a usage error, nothing written;
+    on success no non-finite number in any file written."""
+    code, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    lines = err.splitlines()
+    if code == 0:
+        assert not err, (argv, err)
+        for path in out.rglob("*"):
+            if path.is_file():
+                assert not NON_FINITE.search(path.read_text()), (argv, path.name)
+        return
+    assert re.match(r"ringalert( \w+)?: error: ", lines[-1]), (argv, err)
+    usage = lines[:-1]
+    assert not usage or (usage[0].startswith("usage: ")
+                         and all(line[:1].isspace() for line in usage[1:])), (argv, err)
+    if code == 1:
+        assert not any(out.iterdir()), (argv, sorted(p.name for p in out.iterdir()))
+
+
+class TestArgvContract:
+    """Odd flag values on every subcommand: the exit-code and one-line error
+    contract holds, and accepted runs report finite numbers."""
+
+    @staticmethod
+    def run(argv_of):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out"
+            out.mkdir()
+            assert_contract(argv_of(tmp, out), out)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_values({"--frac-unit": st.sampled_from(["us", "tenus", "ns", "x"])}),
+           joined(st.sampled_from(NUMERIC_VALUES + ["115", "1580712040"]), 6))
+    def test_ingest(self, flags, row):
+        def argv(tmp, out):
+            log = write_sample_log(tmp, [row.replace(",", " ")])
+            return ["ingest", "--input", log, "--report", out / "r",
+                    "--normalized-out", out / "normalized.txt", *flags]
+        self.run(argv)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_values({"--receiver": joined(NUMBER, 2), "--gap-threshold-s": NUMBER,
+                        "--speed-bin-kms": NUMBER, "--interarrival-bin-s": NUMBER,
+                        "--coverage-bin-km": NUMBER, "--max-speed-dt-s": NUMBER}))
+    def test_analyze(self, flags):
+        self.run(lambda tmp, out: ["analyze", "--input", write_sample_log(tmp),
+                                   "--report", out / "r", *flags])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_values({"--per": NUMBER, "--seed": NUMBER, "--n-sats": SIZE, "--planes": SIZE,
+                        "--inclination": NUMBER, "--coverage-radius": NUMBER,
+                        "--plane-nodes": joined(NUMBER, 1),
+                        "--loss-model": st.sampled_from(["iid", "burst"]),
+                        "--receiver": joined(NUMBER, 2), "--motion": joined(NUMBER, 4),
+                        "--spoof": joined(NUMBER, 3), "--track-interval-s": NUMBER,
+                        "--duration": SIZE},
+                       {"--duration": "3"}))
+    def test_simulate(self, flags):
+        self.run(lambda tmp, out: ["simulate", "--output", out / "sim.txt",
+                                   "--track-out", out / "track.txt", *flags])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_values({"--motion": joined(NUMBER, 4), "--threshold-km": NUMBER,
+                        "--window-n": SIZE},
+                       {"--threshold-km": "20", "--window-n": "2"}))
+    def test_detect(self, flags):
+        def argv(tmp, out):
+            track = tmp / "track.txt"
+            track.write_text("1580712040.0 29.8 46.1\n")
+            return ["detect", "--input", write_sample_log(tmp), "--gnss-track", track,
+                    "--report", out / "r", *flags]
+        self.run(argv)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(flag_values({"--per": NUMBER, "--seed": NUMBER, "--receiver": joined(NUMBER, 2),
+                        "--thresholds": joined(NUMBER, 2),
+                        "--loss-model": st.sampled_from(["iid", "burst"]),
+                        "--windows": SIZE, "--n-grid": joined(SIZE, 3)},
+                       {"--windows": "2", "--n-grid": "1,2,3"}))
+    def test_evaluate(self, flags):
+        # --per is not drawn from (0.9999, 1), where collecting a window takes seconds
+        self.run(lambda tmp, out: ["evaluate", "--report", out / "r", *flags])

@@ -16,9 +16,9 @@ from ringalert.errors import (
     UnknownThreshold,
 )
 from ringalert.geo import GeoPoint, displace, great_circle_km
-from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs, RecordTable
+from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs
 from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
-from tests.conftest import corridor_config, make_records, run_times_s
+from tests.conftest import corridor_config, make_records, records_of, run_times_s, table_of
 
 
 def literal_compensation(lat, lon, t_s, motion: MotionProfile, t_ref: float):
@@ -353,7 +353,7 @@ def pushed_estimates(window_n: int, motion_index: int):
     det = detector.WindowedDetector(DetectorConfig(20.0, window_n), RING_MOTIONS[motion_index])
     exact = record_exact(det)
     estimates, made_exact = [], []
-    for record in records[records.is_beam]:
+    for record in records_of(records[records.is_beam]):
         estimates.append(det.push(record))
         made_exact.append(bool(exact) and estimates[-1] is exact[-1])
     return records[records.is_beam], estimates, made_exact
@@ -405,7 +405,7 @@ class TestWindowedDetector:
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
         exact = record_exact(det)
         pushed = 0
-        for record in records:
+        for record in records_of(records):
             est = det.push(record)
             pushed += record.beam_id >= 1
             if pushed < window_n:
@@ -424,7 +424,7 @@ class TestWindowedDetector:
     @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
     def test_shuffled_pushes_match_sorted_window(self, motion):
         window_n = 40
-        records = ring_stream(6 * window_n, seed=11)
+        records = records_of(ring_stream(6 * window_n, seed=11))
         order = np.random.default_rng(12).permutation(len(records))
         det = detector.WindowedDetector(DetectorConfig(20.0, window_n), motion)
         beams = []
@@ -434,8 +434,7 @@ class TestWindowedDetector:
                 beams.append(records[i])
             if len(beams) >= window_n:
                 # the table sorts the window; the buffer keeps push order
-                ref = detector.estimate_position(RecordTable.from_records(beams[-window_n:]),
-                                                 motion)
+                ref = detector.estimate_position(table_of(beams[-window_n:]), motion)
                 assert (est.n_used, est.window) == (ref.n_used, ref.window)
                 if motion is not None:
                     assert great_circle_km(est.i_pos, ref.i_pos).km <= MOVING_BOUND_KM
@@ -586,8 +585,8 @@ class TestWindowedDetector:
     def test_estimates_appear_after_window_fills(self):
         config = DetectorConfig(threshold_km=10.0, window_n=3)
         det = detector.WindowedDetector(config)
-        records = make_records([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 30.0],
-                               [0.0] * 4, beam_ids=[1, 1, 1, 1])
+        records = records_of(make_records([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 30.0],
+                                          [0.0] * 4, beam_ids=[1, 1, 1, 1]))
         assert det.push(records[0]) is None
         assert det.push(records[1]) is None
         est = det.push(records[2])
@@ -600,11 +599,11 @@ class TestWindowedDetector:
         config = DetectorConfig(threshold_km=10.0, window_n=1)
         det = detector.WindowedDetector(config)
         assert det.check(GeoPoint(0, 0)) is None
-        det.push(make_records([0.0], [0.0], [0.0], beam_ids=[1])[0])
+        det.push(records_of(make_records([0.0], [0.0], [0.0], beam_ids=[1]))[0])
         outcome = det.check(displace(GeoPoint(0, 0), 90.0, 25.0))
         assert outcome.alarm
 
     def test_track_records_ignored(self):
         config = DetectorConfig(threshold_km=10.0, window_n=1)
         det = detector.WindowedDetector(config)
-        assert det.push(make_records([0.0], [5.0], [5.0], beam_ids=[0])[0]) is None
+        assert det.push(records_of(make_records([0.0], [5.0], [5.0], beam_ids=[0]))[0]) is None

@@ -17,7 +17,6 @@ from ringalert.errors import (
 from ringalert import ingest
 from ringalert.geo import GeoPoint
 from ringalert.ingest import (
-    format_line,
     group_by_satellite,
     parse_line,
     parse_stream,
@@ -25,13 +24,16 @@ from ringalert.ingest import (
     segment_passes,
     write_records,
 )
-from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, RecordTable, valid_sat_ids
+from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, valid_sat_ids
 from ringalert.simulator import SimConfig, emit_stream
 from tests.conftest import (
     SAMPLE_LOG_FIELDS,
     SAMPLE_LOG_ROWS,
+    format_line,
     make_records,
+    records_of,
     reference_parse,
+    table_of,
 )
 
 
@@ -150,7 +152,7 @@ class TestParseStream:
     def test_output_sorted_by_time(self):
         rows = list(reversed(SAMPLE_LOG_ROWS))
         records, _ = parse_stream(io.StringIO("\n".join(rows)))
-        keys = [r.sort_key() for r in records]
+        keys = [(r.epoch_s, r.frac) for r in records]
         assert keys == sorted(keys)
 
     def test_missing_file_raises_io_failure(self, tmp_path):
@@ -183,7 +185,7 @@ def mixed_log_lines() -> list[str]:
     valid lines the canonical layout does not cover."""
     config = SimConfig(n_sats=11, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
                        per=0.5, duration_s=60.0, seed=4)
-    lines = [format_line(r) for r in emit_stream(config)]
+    lines = [format_line(r) for r in records_of(emit_stream(config))]
     e, f, s, b, lat, lon = lines[3].split()
     fields = [line.split() for line in lines]
     fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")
@@ -254,8 +256,8 @@ class TestParseTable:
             "quarantined": sum(counts.values()) - counts["blank"]}.items() if v}
         assert report.quarantined_lines == quarantined
         assert report.reconciles()
-        assert table == RecordTable.from_records(accepted)
-        assert table.rows() == accepted
+        assert table == table_of(accepted)
+        assert records_of(table) == accepted
         # every class and the non-canonical numerals are present
         assert min(report.to_dict().values()) > 0
         assert len(accepted) > 100
@@ -270,7 +272,7 @@ class TestParseTable:
     def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch, layout):
         # the writer's layout and the general one that SAMPLE_LOG_ROWS uses
         lines = [" ".join(layout(format_line(r).split(" ")))
-                 for r in emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8))]
+                 for r in records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))]
 
         def refuse(line, lineno=None):
             raise AssertionError(f"line {lineno} left the column-wise path")
@@ -294,8 +296,8 @@ class TestParseTable:
 
     def test_other_lines_scattered_among_writer_lines(self, tmp_path):
         # far apart, so the second tier reads them from several slices
-        lines = [format_line(r) for r in emit_stream(SimConfig(per=0.5, duration_s=600.0,
-                                                               seed=8))]
+        stream = emit_stream(SimConfig(per=0.5, duration_s=600.0, seed=8))
+        lines = [format_line(r) for r in records_of(stream)]
         for k, row in enumerate(SAMPLE_LOG_ROWS + ["", "1580712040 7 115 9 +29.81 +046.10 x"]):
             lines.insert(1 + 150 * k, row)
         path = tmp_path / "log.txt"
@@ -305,7 +307,7 @@ class TestParseTable:
             table, report = parse_table(source)
             assert (report.blank, report.malformed, report.quarantined_lines) == \
                 (1, 1, quarantined)
-            assert table.rows() == accepted and len(accepted) > 1200
+            assert records_of(table) == accepted and len(accepted) > 1200
 
     @pytest.mark.parametrize("text", [
         "", "\n", "\n\n", SAMPLE_LOG_ROWS[0],
@@ -321,7 +323,7 @@ class TestParseTable:
             accepted, counts, quarantined = reference_parse(fh)
         assert (report.total_lines, report.blank, report.quarantined_lines) == \
             (len(open(path, encoding="utf-8").readlines()), counts["blank"], quarantined)
-        assert table.rows() == accepted
+        assert records_of(table) == accepted
 
     def test_lines_holding_newlines(self):
         row = SAMPLE_LOG_ROWS[0].split()
@@ -330,7 +332,7 @@ class TestParseTable:
         table, report = parse_table(lines)
         accepted, counts, quarantined = reference_parse(lines)
         assert (report.total_lines, report.blank, report.quarantined_lines) == (6, 2, quarantined)
-        assert table.rows() == accepted and len(accepted) == 4
+        assert records_of(table) == accepted and len(accepted) == 4
 
     @pytest.mark.parametrize("unit, accepted", [("us", False), ("tenus", False), ("ns", True)])
     def test_counter_of_one_second_is_quarantined(self, unit, accepted):
@@ -381,7 +383,7 @@ def assert_matches_reference(result, expected, n_lines):
                                   "invalid_coordinate", "invalid_frac", "duplicate")},
         "quarantined": sum(counts.values()) - counts["blank"]}
     assert report.quarantined_lines == quarantined
-    assert table == RecordTable.from_records(accepted)
+    assert table == table_of(accepted)
 
 
 class TestMutatedWriterLines:
@@ -443,19 +445,19 @@ class TestWriteRecords:
     ), min_size=1, max_size=20))
     @example([IraRecord(1_600_000_000, 0, 115, 0, GeoPoint(-1e-300, -5e-324))])
     def test_lines_equal_format_line(self, records):
-        table = RecordTable.from_records(records)
-        assert _written(table) == "".join(format_line(r) + "\n" for r in table)
+        table = table_of(records)
+        assert _written(table) == "".join(format_line(r) + "\n" for r in records_of(table))
 
     def test_edge_coordinates(self):
         records = [IraRecord(1_600_000_000 + i, 7, 115, i % 49, GeoPoint(lat, lon))
                    for i, (lat, lon) in enumerate(
                        (lat, lon) for lat in EDGE_DEGREES if abs(lat) <= 90 for lon in EDGE_DEGREES)]
-        table = RecordTable.from_records(records)
+        table = table_of(records)
         assert _written(table) == "".join(format_line(r) + "\n" for r in records)
 
     def test_simulated_stream(self):
         table = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2))
-        assert _written(table) == "".join(format_line(r) + "\n" for r in table)
+        assert _written(table) == "".join(format_line(r) + "\n" for r in records_of(table))
 
 
 class TestSegmentPasses:
@@ -478,8 +480,8 @@ class TestSegmentPasses:
             segment_passes(make_records([], [], []))
 
     def test_multiple_satellites_rejected(self):
-        records = RecordTable.from_records([*make_records([0.0], [0], [0], sat_id=78),
-                                            *make_records([1.0], [0], [0], sat_id=115)])
+        records = table_of(records_of(make_records([0.0], [0], [0], sat_id=78))
+                           + records_of(make_records([1.0], [0], [0], sat_id=115)))
         with pytest.raises(ValueError):
             segment_passes(records)
 
@@ -496,7 +498,7 @@ class TestSegmentPasses:
             lats = [(-1) ** seed * (i - 5) * 0.5 for i in range(10)]
             passes = segment_passes(make_records(times, lats, [0] * 10))
             for p in passes:
-                track = [r.ground.lat_deg for r in p.records if r.is_track]
+                track = p.records.lat[p.records.is_track].tolist()
                 if p.direction is Direction.UPWARD:
                     assert track[-1] >= track[0]
                 else:
@@ -524,5 +526,5 @@ class TestGroupBySatellite:
     def test_groups_and_sorts(self):
         r1 = make_records([1.0], [0], [0], sat_id=115)
         r2 = make_records([0.0], [0], [0], sat_id=78)
-        grouped = group_by_satellite(RecordTable.from_records([*r1, *r2]))
+        grouped = group_by_satellite(table_of(records_of(r1) + records_of(r2)))
         assert list(grouped) == [78, 115]

@@ -7,7 +7,7 @@ import pytest
 from ringalert import simulator
 from ringalert.errors import InsufficientWindows, InvalidPer
 from ringalert.geo import GeoPoint, great_circle_km
-from ringalert.ingest import format_line, parse_line
+from ringalert.ingest import parse_line
 from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
 from ringalert.simulator import (
     SHIP_CLASSES,
@@ -17,13 +17,12 @@ from ringalert.simulator import (
     default_beam_offsets,
     emit_stream,
     orbital_period_s,
-    propagate,
     _FIRST_WINDOW_CHUNK_SLOTS,
     _MAX_WINDOW_SLOTS,
     _WINDOW_CHUNK_SLOTS,
     sample_windows,
 )
-from tests.conftest import corridor_config, overhead_config, run_times_s
+from tests.conftest import corridor_config, format_line, overhead_config, records_of, run_times_s
 
 
 class TestSimConfig:
@@ -86,6 +85,16 @@ class TestDefaultBeamOffsets:
         assert radii[24:] == pytest.approx([14.35] * 24)
 
 
+def propagate(config: SimConfig, t_s: float) -> list[GeoPoint]:
+    """Ground position of every satellite at time ``t_s`` (seconds into the run)."""
+    basis = simulator._orbit_basis(config)
+    points = []
+    for j in range(config.n_sats):
+        lat, lon, _ = simulator._sat_positions(config, basis, j, np.array([float(t_s)]))
+        points.append(GeoPoint(float(lat[0]), float(lon[0])))
+    return points
+
+
 class TestPropagate:
     def test_initial_position_at_node(self):
         config = overhead_config()
@@ -121,8 +130,7 @@ class TestEmitStream:
     def test_lossless_slot_spacing(self):
         records = emit_stream(overhead_config(duration_s=0.9))
         assert len(records) == 10
-        times = [(r.epoch_s - records[0].epoch_s) + (r.frac - records[0].frac) * 1e-6
-                 for r in records]
+        times = records.t_s().tolist()
         assert times == pytest.approx([0.09 * i for i in range(10)], abs=1e-9)
 
     def test_determinism(self):
@@ -150,8 +158,8 @@ class TestEmitStream:
         # every emitted record must pass ingest validation; coordinates agree
         # at the 1e-6 degree precision of the file format
         records = emit_stream(corridor_config(duration_s=30.0))
-        assert records
-        for record in records[:200]:
+        assert len(records)
+        for record in records_of(records[:200]):
             back = parse_line(format_line(record))
             assert (back.epoch_s, back.frac, back.sat_id, back.beam_id) == \
                 (record.epoch_s, record.frac, record.sat_id, record.beam_id)
@@ -160,21 +168,19 @@ class TestEmitStream:
 
     def test_beam_zero_cadence(self):
         records = emit_stream(overhead_config(duration_s=30.0))
-        track_times = [(r.epoch_s - records[0].epoch_s) + (r.frac - records[0].frac) * 1e-6
-                       for r in records if r.beam_id == 0]
-        gaps = np.diff(track_times)
+        gaps = np.diff(records.t_s()[records.is_track])
         assert np.allclose(gaps, 4.32, atol=1e-9)
 
     def test_all_beams_emitted(self):
         records = emit_stream(overhead_config(duration_s=300.0))
-        assert {r.beam_id for r in records} == set(range(49))
+        assert set(records.beam_id.tolist()) == set(range(49))
 
     def test_spoof_start_outside_run_rejected(self):
         scenario = Scenario(
             MotionProfile(GeoPoint(0, 0), 0.0, 0.0),
             SpoofProfile(1000.0, 90.0, 10.0),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start 1000.0 s falls outside the simulated 500.0 s"):
             emit_stream(overhead_config(duration_s=500.0), scenario)
 
     def test_spoof_speed_limit(self):
@@ -186,9 +192,7 @@ class TestEmitStream:
     def test_burst_channel_keeps_grid_and_ratio(self):
         config = overhead_config(per=0.985, loss_model="burst", duration_s=30_000.0, seed=23)
         records = emit_stream(config)
-        times = np.array([(r.epoch_s - records[0].epoch_s) + (r.frac - records[0].frac) * 1e-6
-                          for r in records])
-        gaps = np.diff(times)
+        gaps = np.diff(records.t_s())
         on_grid = np.abs(gaps - np.round(gaps / 0.09) * 0.09)
         assert np.max(on_grid) < 1e-9
         ratio = len(records) / (30_000.0 / 0.09)
