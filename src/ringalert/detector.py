@@ -436,10 +436,10 @@ class WindowedDetector:
             phi = math.radians(lat)
             sin_phi, cos_phi = math.sin(phi), math.cos(phi)
             sin_d, cos_d = math.sin(delta), math.cos(delta)
-            sin_phi2 = sin_phi * cos_d + cos_phi * sin_d * math.cos(theta)
-            phi2 = math.asin(min(max(sin_phi2, -1.0), 1.0))
-            lon += math.degrees(math.atan2(math.sin(theta) * sin_d * cos_phi,
-                                           cos_d - sin_phi * sin_phi2))
+            ahead = sin_d * math.cos(theta)
+            x, y = cos_phi * cos_d - sin_phi * ahead, math.sin(theta) * sin_d
+            phi2 = math.atan2(sin_phi * cos_d + cos_phi * ahead, math.sqrt(x * x + y * y))
+            lon += math.degrees(math.atan2(y, x))
             lat = math.degrees(phi2)
             north, east = _rates(sin_phi, cos_phi, sin_d, cos_d, math.cos(phi2),
                                  self.motion.course_deg)

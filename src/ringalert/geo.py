@@ -125,14 +125,23 @@ def displace_rad(sin_phi, cos_phi, lam, course_deg, d_km):
 
     The operation order is part of the contract: estimates that cache the
     start point's trig must equal those that do not, bit for bit.
+
+    The destination is taken as a unit vector: ``sin_phi2`` up the polar
+    axis, ``x`` and ``y`` in the equatorial plane along and across the start
+    meridian. Both angles then come from ``arctan2``, which keeps them
+    accurate near the poles, where ``arcsin`` of a sine close to 1 and the
+    ``cos_delta - sin_phi * sin_phi2`` longitude term lose digits.
     """
     theta = np.radians(course_deg)
     delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
     sin_delta = np.sin(delta)
     cos_delta = np.cos(delta)
-    sin_phi2 = sin_phi * cos_delta + cos_phi * sin_delta * np.cos(theta)
-    phi2 = np.arcsin(np.clip(sin_phi2, -1.0, 1.0))
-    lam2 = lam + np.arctan2(np.sin(theta) * sin_delta * cos_phi, cos_delta - sin_phi * sin_phi2)
+    north = sin_delta * np.cos(theta)
+    sin_phi2 = sin_phi * cos_delta + cos_phi * north
+    x = cos_phi * cos_delta - sin_phi * north
+    y = np.sin(theta) * sin_delta
+    phi2 = np.arctan2(sin_phi2, np.sqrt(x * x + y * y))
+    lam2 = lam + np.arctan2(y, x)
     return np.degrees(phi2), normalize_lon_array(np.degrees(lam2))
 
 

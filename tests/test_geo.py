@@ -110,6 +110,8 @@ class TestDisplace:
 
     @given(points_st, st.floats(min_value=0, max_value=360),
            st.floats(min_value=1e-3, max_value=100))
+    @example(GeoPoint(89.0, 0.0), 89.0, 1e-3)
+    @example(GeoPoint(89.0, 0.0), 235.0, 1e-3)
     def test_bearing_matches_course(self, p, course, d):
         q = displace(p, course, d)
         back = float(bearing_deg(p.lat_deg, p.lon_deg, q.lat_deg, q.lon_deg))
@@ -133,12 +135,12 @@ def displace_deg_unsplit(lat, lon, course_deg, d_km):
     lam = np.radians(lon)
     theta = np.radians(course_deg)
     delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
-    sin_phi2 = np.sin(phi) * np.cos(delta) + np.cos(phi) * np.sin(delta) * np.cos(theta)
-    phi2 = np.arcsin(np.clip(sin_phi2, -1.0, 1.0))
-    lam2 = lam + np.arctan2(
-        np.sin(theta) * np.sin(delta) * np.cos(phi),
-        np.cos(delta) - np.sin(phi) * sin_phi2,
-    )
+    north = np.sin(delta) * np.cos(theta)
+    x = np.cos(phi) * np.cos(delta) - np.sin(phi) * north
+    y = np.sin(theta) * np.sin(delta)
+    sin_phi2 = np.sin(phi) * np.cos(delta) + np.cos(phi) * north
+    phi2 = np.arctan2(sin_phi2, np.sqrt(x * x + y * y))
+    lam2 = lam + np.arctan2(y, x)
     return np.degrees(phi2), normalize_lon_array_by_percent(np.degrees(lam2))
 
 
