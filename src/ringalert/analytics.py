@@ -383,11 +383,9 @@ def beam_constellation(table: RecordTable, passes=None, *, max_bracket_s: float 
         lo = hi - 1
         inside = (hi > 0) & (hi < len(track_t))
         # a beam record stamped exactly on a track point brackets itself
-        exact = np.flatnonzero(np.isin(beam_t, track_t))
-        for i in exact:
-            pos = int(np.searchsorted(track_t, beam_t[i]))
-            lo[i] = hi[i] = pos
-            inside[i] = True
+        exact = np.isin(beam_t, track_t)
+        lo[exact] = hi[exact]
+        inside[exact] = True
         span = np.where(inside, track_t[np.clip(hi, 0, len(track_t) - 1)]
                         - track_t[np.clip(lo, 0, None)], np.inf)
         usable = inside & (span <= max_bracket_s)

@@ -28,35 +28,30 @@ from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 REPORT_DIR_ENV = "RINGALERT_REPORT_DIR"
 
 
+class _UsageError(Exception):
+    """A usage error: argv that does not parse, or flag values that the
+    command cannot use (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant whose usage errors reach :func:`main` as
+    :class:`_UsageError`, not as argparse's usage block and exit 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _UsageError(Exception):
-    """A flag value that parses but that the command cannot use (exit 1)."""
+        # argparse words a bad flag value "argument --per: ..."; lead with the flag
+        raise _UsageError(message.removeprefix("argument "))
 
 
 @contextlib.contextmanager
 def _flag_values(flag: str | None = None):
-    """Report a bad value met while building objects from flags as a usage
-    error, naming ``flag`` when the value is that one flag's."""
+    """Report a value that flags decide together, or with other input, as a
+    usage error: a simulator config (the flags over ``--config``), a detector
+    config, a duration or spoof start the emitter refuses, or a bin width
+    ``flag`` too small for the data."""
     try:
         yield
-    except (ValueError, InvalidCoordinate) as exc:
+    except (ValueError, BinOverflow) as exc:
         raise _UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
-
-
-@contextlib.contextmanager
-def _bin_width(flag: str):
-    """Report a bin width too small for the values it bins as a bad ``flag``."""
-    try:
-        yield
-    except BinOverflow as exc:
-        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _load_json(path: str, from_dict):
@@ -96,24 +91,61 @@ def _report_dir(args) -> Path:
     return path
 
 
-def _parse_floats(text: str, fields: str) -> list[float]:
-    """The comma-separated numbers of a flag value laid out as ``fields``;
-    ValueError for a wrong count or a bad number."""
-    parts = text.split(",")
-    if len(parts) != len(fields.split(",")):
-        raise ValueError(f"expected '{fields}', got {text!r}")
-    return [float(p) for p in parts]
+# ---------------------------------------------------------------------------
+# flag types: argparse turns each flag's text into the value its command uses
+
+def _flag_type(convert):
+    """An argparse ``type`` from ``convert``, whose ValueError or bad
+    coordinate becomes argparse's error for the flag."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, InvalidCoordinate) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _parse_receiver(text: str) -> GeoPoint:
-    with _flag_values("--receiver"):
-        return GeoPoint(*_parse_floats(text, "lat,lon"))
+def _number(convert, accept, what: str):
+    """``convert`` of a flag's text, which must ``accept`` it (it is ``what``)."""
+    def check(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(f"must be {what}, got {value}")
+        return value
+    return _flag_type(check)
 
 
-def _parse_motion(text: str) -> MotionProfile:
-    with _flag_values("--motion"):
-        lat, lon, course, speed = _parse_floats(text, "lat,lon,course,speed")
-        return MotionProfile(GeoPoint(lat, lon), course, speed)
+_POSITIVE = _number(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_POSITIVE_OR_INF = _number(float, lambda v: v > 0, "a positive number")
+_COUNT = _number(int, lambda v: v >= 1, "an integer >= 1")
+# track times are written to the millisecond
+_TRACK_STEP = _number(float, lambda v: 1e-3 <= v < math.inf, "a finite number of seconds >= 0.001")
+
+
+def _list_of(item, *, distinct: bool = False):
+    """Comma-separated values, each converted by ``item``."""
+    def convert(text: str) -> list:
+        values = [item(x) for x in text.split(",")]
+        if distinct and len(set(values)) != len(values):
+            raise ValueError(f"values must be distinct, got {text!r}")
+        return values
+    return _flag_type(convert)
+
+
+def _fields(fields: str, build):
+    """``build`` of the comma-separated numbers laid out as ``fields``."""
+    def convert(text: str):
+        parts = text.split(",")
+        if len(parts) != len(fields.split(",")):
+            raise ValueError(f"expected '{fields}', got {text!r}")
+        return build(*map(float, parts))
+    return _flag_type(convert)
+
+
+_GEO_POINT = _fields("lat,lon", GeoPoint)
+_MOTION = _fields("lat,lon,course,speed",
+                  lambda lat, lon, course, speed: MotionProfile(GeoPoint(lat, lon), course, speed))
+_SPOOF = _fields("start_s,course_deg,speed_kmh", simulator.SpoofProfile)
 
 
 def _histogram_rows(values: np.ndarray, bin_width: float):
@@ -142,21 +174,7 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _check_positive(flag: str, value: float | None, *, finite: bool = True) -> None:
-    """A flag value that must be > 0 (and finite, unless ``finite`` is False)."""
-    if value is not None and not (value > 0 and (math.isfinite(value) or not finite)):
-        raise _UsageError(f"{flag} must be a positive number, got {value}")
-
-
 def _cmd_analyze(args) -> int:
-    for flag, value in (("--speed-bin-kms", args.speed_bin_kms),
-                        ("--interarrival-bin-s", args.interarrival_bin_s),
-                        ("--coverage-bin-km", args.coverage_bin_km)):
-        _check_positive(flag, value)
-    for flag, value in (("--gap-threshold-s", args.gap_threshold_s),
-                        ("--max-speed-dt-s", args.max_speed_dt_s)):
-        _check_positive(flag, value, finite=False)
-    receiver = _parse_receiver(args.receiver) if args.receiver else None
     records, report = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     if not len(records):
         raise EmptyInput("no valid records to analyze")
@@ -167,7 +185,7 @@ def _cmd_analyze(args) -> int:
     speeds = analytics.ground_speeds(records, gap_threshold_s=args.gap_threshold_s,
                                      max_dt_s=args.max_speed_dt_s)
     if speeds.size:
-        with _bin_width("--speed-bin-kms"):
+        with _flag_values("--speed-bin-kms"):
             tables["speed_histogram.tsv"] = (["v_kms", "count"],
                                              _histogram_rows(speeds, args.speed_bin_kms))
             summary["speed"] = {
@@ -176,7 +194,7 @@ def _cmd_analyze(args) -> int:
             }
 
     if len(records) >= 2:
-        with _bin_width("--interarrival-bin-s"):
+        with _flag_values("--interarrival-bin-s"):
             stats = analytics.interarrival_stats(records, bin_width_s=args.interarrival_bin_s)
             tables["interarrival_histogram.tsv"] = (
                 ["duration_s", "count"],
@@ -213,11 +231,11 @@ def _cmd_analyze(args) -> int:
     except InsufficientBrackets:
         summary["beams"] = None
 
-    if receiver is not None and not np.any(records.is_track):
+    if args.receiver is not None and not np.any(records.is_track):
         summary["coverage"] = None  # coverage is measured on sub-satellite records only
-    elif receiver is not None:
-        with _bin_width("--coverage-bin-km"):
-            cov = analytics.coverage_extent(records, receiver,
+    elif args.receiver is not None:
+        with _flag_values("--coverage-bin-km"):
+            cov = analytics.coverage_extent(records, args.receiver,
                                             bin_width_km=args.coverage_bin_km)
             tables["coverage_histogram.tsv"] = (
                 ["distance_km", "count"],
@@ -241,10 +259,6 @@ def _build_sim_config(args) -> simulator.SimConfig:
         else simulator.SimConfig()
     overrides = {name: getattr(args, name) for name in base.to_dict()
                  if getattr(args, name, None) is not None}
-    if "plane_nodes_deg" in overrides:
-        with _flag_values("--plane-nodes"):
-            overrides["plane_nodes_deg"] = tuple(
-                float(x) for x in overrides["plane_nodes_deg"].split(","))
     with _flag_values():
         return simulator.SimConfig(**{**base.to_dict(), **overrides}) if overrides else base
 
@@ -254,21 +268,12 @@ def _build_scenario(args) -> simulator.Scenario:
     checks that the spoof starts inside the run."""
     if args.scenario:
         return _load_json(args.scenario, simulator.Scenario.from_dict)
-    receiver = MotionProfile(_parse_receiver(args.receiver or "0,0"), 0.0, 0.0) \
-        if args.motion is None else _parse_motion(args.motion)
-    spoof = None
-    if args.spoof:
-        with _flag_values("--spoof"):
-            spoof = simulator.SpoofProfile(
-                *_parse_floats(args.spoof, "start_s,course_deg,speed_kmh"))
-    return simulator.Scenario(receiver, spoof)
+    receiver = MotionProfile(args.receiver, 0.0, 0.0) if args.motion is None else args.motion
+    return simulator.Scenario(receiver, args.spoof)
 
 
 def _cmd_simulate(args) -> int:
     step = args.track_interval_s
-    if not 1e-3 <= step < math.inf:  # track times are written to the millisecond
-        raise _UsageError(f"--track-interval-s must be a finite number of seconds >= 0.001, "
-                          f"got {step}")
     config = _build_sim_config(args)
     scenario = _build_scenario(args)
     # a duration past simulator.MAX_EMIT_DURATION_S, or a spoof start outside the run
@@ -331,7 +336,6 @@ def _track_positions(times: np.ndarray, points: list[GeoPoint], t: np.ndarray) -
 def _cmd_detect(args) -> int:
     with _flag_values():
         config = DetectorConfig(args.threshold_km, args.window_n)
-    motion = _parse_motion(args.motion) if args.motion else None
     records, _ = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     beams = records[records.is_beam]
     if len(beams) < config.window_n:
@@ -341,7 +345,7 @@ def _cmd_detect(args) -> int:
     times = beams.t_s(origin=(0, 0))
     track_times, track_points = _load_track(args.gnss_track)
     out = _report_dir(args)
-    det = detector.WindowedDetector(config, motion)
+    det = detector.WindowedDetector(config, args.motion)
     n_windows = len(beams) // config.window_n
     # each window's estimate is taken at its latest beam time
     t_refs = times[:n_windows * config.window_n].reshape(n_windows, -1).max(axis=1)
@@ -378,33 +382,21 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_positive("--windows", args.windows)
     config = _build_sim_config(args)
-    receiver = _parse_receiver(args.receiver or "0,0")
-    with _flag_values("--n-grid"):
-        n_grid = [int(x) for x in args.n_grid.split(",")]
-    with _flag_values("--thresholds"):
-        thresholds = [float(x) for x in args.thresholds.split(",")]
-    if min(n_grid) < 1:
-        raise _UsageError(f"--n-grid sizes must be >= 1, got {args.n_grid!r}")
-    if len(set(n_grid)) != len(n_grid):
-        raise _UsageError(f"--n-grid sizes must be distinct, got {args.n_grid!r}")
-    for thr in thresholds:
-        _check_positive("--thresholds", thr)
     deviations_by_n = {}
-    for n in n_grid:
+    for n in args.n_grid:
         rng = np.random.default_rng([config.seed, n])
-        windows = simulator.sample_windows(config, receiver, window_messages=n,
+        windows = simulator.sample_windows(config, args.receiver, window_messages=n,
                                            n_windows=args.windows, rng=rng)
         deviations_by_n[n] = [
             great_circle_km(
-                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, receiver
+                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, args.receiver
             ).km
             for w in windows
         ]
-    rates = detector.evaluate_fp(deviations_by_n, thresholds, min_windows=args.windows)
+    rates = detector.evaluate_fp(deviations_by_n, args.thresholds, min_windows=args.windows)
     # the per-threshold decay fit needs at least three grid points
-    fits = detector.fp_exponent_fits(rates) if len(n_grid) >= 3 else {}
+    fits = detector.fp_exponent_fits(rates) if len(args.n_grid) >= 3 else {}
     out = _report_dir(args)
     _write_table(out / "fp_rates.tsv", ["n", "threshold_km", "windows", "fp_rate"],
                  [(n, thr, args.windows, rate) for (n, thr), rate in sorted(rates.items())])
@@ -412,12 +404,12 @@ def _cmd_evaluate(args) -> int:
                  [(thr, c.m, c.q) for thr, c in sorted(fits.items())])
     _write_json(out / "evaluate_summary.json", {
         "config": config.to_dict(),
-        "receiver": receiver.to_dict(),
+        "receiver": args.receiver.to_dict(),
         "windows": args.windows,
         "rates": {f"{n}:{thr}": rate for (n, thr), rate in sorted(rates.items())},
         "fits": {str(thr): c.to_dict() for thr, c in sorted(fits.items())},
     })
-    print(f"evaluated {len(n_grid)} window sizes x {len(thresholds)} thresholds")
+    print(f"evaluated {len(args.n_grid)} window sizes x {len(args.thresholds)} thresholds")
     return 0
 
 
@@ -435,7 +427,7 @@ def _constellation_flags() -> _Parser:
     p.add_argument("--planes", type=int, default=None)
     p.add_argument("--inclination", type=float, default=None, dest="inclination_deg")
     p.add_argument("--coverage-radius", type=float, default=None, dest="coverage_radius_km")
-    p.add_argument("--plane-nodes", default=None, dest="plane_nodes_deg",
+    p.add_argument("--plane-nodes", type=_list_of(float), default=None, dest="plane_nodes_deg",
                    help="comma-separated ascending-node longitudes")
     p.add_argument("--loss-model", choices=simulator.LOSS_MODELS, default=None,
                    dest="loss_model")
@@ -461,13 +453,13 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--frac-unit", choices=sorted(FRAC_UNITS_S), default="us")
     p.add_argument("--report", help="report directory")
-    p.add_argument("--receiver", help="receiver 'lat,lon' for coverage analysis")
-    p.add_argument("--gap-threshold-s", type=float, default=600.0,
+    p.add_argument("--receiver", type=_GEO_POINT, help="receiver 'lat,lon' for coverage analysis")
+    p.add_argument("--gap-threshold-s", type=_POSITIVE_OR_INF, default=600.0,
                    help="pass segmentation gap (seconds)")
-    p.add_argument("--speed-bin-kms", type=float, default=0.05)
-    p.add_argument("--interarrival-bin-s", type=float, default=0.1)
-    p.add_argument("--coverage-bin-km", type=float, default=25.0)
-    p.add_argument("--max-speed-dt-s", type=float, default=None,
+    p.add_argument("--speed-bin-kms", type=_POSITIVE, default=0.05)
+    p.add_argument("--interarrival-bin-s", type=_POSITIVE, default=0.1)
+    p.add_argument("--coverage-bin-km", type=_POSITIVE, default=25.0)
+    p.add_argument("--max-speed-dt-s", type=_POSITIVE_OR_INF, default=None,
                    help="drop speed samples spanning gaps longer than this")
     p.set_defaults(func=_cmd_analyze)
 
@@ -475,11 +467,12 @@ def build_parser() -> _Parser:
                        parents=[constellation])
     p.add_argument("--output", required=True, help="stream file to write")
     p.add_argument("--scenario", help="JSON file with receiver/spoof scenario")
-    p.add_argument("--receiver", help="stationary receiver 'lat,lon' (default 0,0)")
-    p.add_argument("--motion", help="moving receiver 'lat,lon,course,speed'")
-    p.add_argument("--spoof", help="spoof 'start_s,course_deg,speed_kmh'")
+    p.add_argument("--receiver", type=_GEO_POINT, default="0,0",
+                   help="stationary receiver 'lat,lon' (default 0,0)")
+    p.add_argument("--motion", type=_MOTION, help="moving receiver 'lat,lon,course,speed'")
+    p.add_argument("--spoof", type=_SPOOF, help="spoof 'start_s,course_deg,speed_kmh'")
     p.add_argument("--track-out", help="write the reported-position track here")
-    p.add_argument("--track-interval-s", type=float, default=60.0)
+    p.add_argument("--track-interval-s", type=_TRACK_STEP, default=60.0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("detect", help="verify reported positions against a stream")
@@ -488,18 +481,20 @@ def build_parser() -> _Parser:
     p.add_argument("--window-n", type=int, required=True)
     p.add_argument("--gnss-track", required=True,
                    help="reported positions: lines of 'epoch_s lat lon'")
-    p.add_argument("--motion", help="receiver motion 'lat,lon,course,speed'")
+    p.add_argument("--motion", type=_MOTION, help="receiver motion 'lat,lon,course,speed'")
     p.add_argument("--frac-unit", choices=sorted(FRAC_UNITS_S), default="us")
     p.add_argument("--report", help="report directory")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("evaluate", help="empirical false-positive rates on simulator windows",
                        parents=[constellation])
-    p.add_argument("--windows", type=int, default=100, help="windows per grid cell")
-    p.add_argument("--n-grid", default="10,100,1000,10000",
-                   help="comma-separated window message counts")
-    p.add_argument("--thresholds", default="10,15,20", help="comma-separated thresholds (km)")
-    p.add_argument("--receiver", help="receiver 'lat,lon' (default 0,0)")
+    p.add_argument("--windows", type=_COUNT, default=100, help="windows per grid cell")
+    p.add_argument("--n-grid", type=_list_of(_COUNT, distinct=True), default="10,100,1000,10000",
+                   help="comma-separated distinct window message counts")
+    p.add_argument("--thresholds", type=_list_of(_POSITIVE), default="10,15,20",
+                   help="comma-separated thresholds (km)")
+    p.add_argument("--receiver", type=_GEO_POINT, default="0,0",
+                   help="receiver 'lat,lon' (default 0,0)")
     p.add_argument("--report", help="report directory")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -507,12 +502,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, RingAlertError) as exc:
-        print(f"ringalert: error: {exc}", file=sys.stderr)
+        message = str(exc).replace("\n", " ")  # one line, whatever the text holds
+        print(f"ringalert: error: {message}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 2
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBeamId, InvalidSatId
-from .geo import GeoPoint
+from .geo import GeoPoint, displace
 
 MAX_BEAM_ID = 48
 
@@ -314,8 +314,6 @@ class MotionProfile:
             raise ValueError(f"speed must be in [0, {MAX_SPEED_KMH}] km/h, got {self.speed_kmh}")
 
     def position_at(self, elapsed_s: float) -> GeoPoint:
-        from .geo import displace  # local import to keep module load light
-
         return displace(self.start, self.course_deg, self.speed_kmh * elapsed_s / 3600.0)
 
     def to_dict(self) -> dict:

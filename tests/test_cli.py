@@ -50,15 +50,42 @@ class TestParserContract:
                 for option in action.option_strings:
                     assert option in help_text, f"{name}: {option} missing from --help"
 
-    def test_unknown_flag_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["ingest", "--nonsense"])
-        assert exc.value.code == 1
+    def test_unknown_flag_exits_one(self, tmp_path, capsys):
+        assert run_cli(["ingest", "--input", tmp_path / "x", "--nonsense"]) == 1
+        assert assert_one_line_error(capsys) == "ringalert: error: unrecognized arguments: --nonsense\n"
 
-    def test_missing_subcommand_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli([])
-        assert exc.value.code == 1
+    def test_missing_subcommand_exits_one(self, capsys):
+        assert run_cli([]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--per", "x"],
+        ["evaluate", "--n-sats", "1.5"],
+        ["detect", "--window-n", "x"],
+        ["analyze", "--speed-bin-kms", "x"],
+        ["simulate", "--loss-model", "x"],
+        ["simulate", "--output"],
+    ])
+    def test_argparse_rejection_is_one_line_led_by_the_flag(self, capsys, argv):
+        assert run_cli(argv) == 1
+        assert assert_one_line_error(capsys).startswith(f"ringalert: error: {argv[1]}: ")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ingest", "--input", "a\nb"], 2),
+        (["ingest", "--input", "x", "a\nb"], 1),
+    ], ids=["data", "usage"])
+    def test_newline_in_the_message_stays_one_line(self, tmp_path, capsys, argv, code):
+        assert run_cli(argv + ["--report", tmp_path / "r"]) == code
+        assert "a b" in assert_one_line_error(capsys)
+
+    def test_console_exit_status(self, tmp_path):
+        # the process exits 1 with one line, as the console script does
+        src = str(Path(ringalert.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "ringalert.cli", "simulate", "--per", "x",
+                               "--output", str(tmp_path / "sim.txt")],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, "ringalert: error: --per: invalid float value: 'x'\n")
 
 
 class TestIngestCommand:
@@ -251,6 +278,7 @@ class TestAnalyzeInputErrors:
         ["--gap-threshold-s", 0],
         ["--max-speed-dt-s", 0],
         ["--receiver", "north,0"],
+        ["--speed-bin-kms", "x"],
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
         log = write_sample_log(tmp_path)
@@ -504,6 +532,8 @@ class TestSimulatorConfigErrors:
         ["simulate", "--motion", "0,0,east,10"],
         ["evaluate", "--thresholds", "10,x"],
         ["evaluate", "--receiver", "north,0"],
+        ["simulate", "--per", "x"],
+        ["evaluate", "--n-sats", 1.5],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
@@ -609,6 +639,7 @@ class TestDetectInputErrors:
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,1e308"],
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,0,inf"],
         ["--threshold-km", 20, "--window-n", 2, "--motion", "0,0,east,10"],
+        ["--threshold-km", 20, "--window-n", "x"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags):
@@ -828,9 +859,9 @@ def run_in_process(argv) -> tuple[int, str]:
 
 
 def assert_contract(argv, out: Path) -> None:
-    """Exit 0, 1 or 2; on failure one error line (after argparse's usage, for
-    a value argparse itself rejects) and, on a usage error, nothing written;
-    on success no non-finite number in any file written."""
+    """Exit 0, 1 or 2; on failure exactly one error line and, on a usage
+    error, nothing written; on success no non-finite number in any file
+    written."""
     code, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     lines = err.splitlines()
@@ -840,10 +871,7 @@ def assert_contract(argv, out: Path) -> None:
             if path.is_file():
                 assert not NON_FINITE.search(path.read_text()), (argv, path.name)
         return
-    assert re.match(r"ringalert( \w+)?: error: ", lines[-1]), (argv, err)
-    usage = lines[:-1]
-    assert not usage or (usage[0].startswith("usage: ")
-                         and all(line[:1].isspace() for line in usage[1:])), (argv, err)
+    assert len(lines) == 1 and re.match(r"ringalert: error: ", lines[0]), (argv, err)
     if code == 1:
         assert not any(out.iterdir()), (argv, sorted(p.name for p in out.iterdir()))
 
