@@ -292,8 +292,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
-    times, points = [], []
+def _load_track(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixes of a GNSS track file as time, latitude and longitude
+    columns, in time order."""
+    fixes = []
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -308,29 +310,31 @@ def _load_track(path) -> tuple[np.ndarray, list[GeoPoint]]:
                     t, lat, lon = (float(x) for x in line.split())
                     if not math.isfinite(t):
                         raise ValueError(f"time {t} is not finite")
-                    points.append(GeoPoint(lat, lon))
-                    times.append(t)
+                    fix = GeoPoint(lat, lon)
+                    fixes.append((t, fix.lat_deg, fix.lon_deg))
                 except (ValueError, InvalidCoordinate) as exc:
                     raise MalformedLine(f"track {path}, line {lineno}: {line!r}: {exc}") from None
     except OSError as exc:
         raise IoFailure(f"cannot read track {path}: {exc}") from exc
-    if not times:
+    if not fixes:
         raise EmptyInput(f"track file {path} holds no positions")
+    times, lat, lon = np.array(fixes).T
     order = np.argsort(times)
-    return np.asarray(times, dtype=float)[order], [points[i] for i in order]
+    return times[order], lat[order], lon[order]
 
 
-def _track_positions(times: np.ndarray, points: list[GeoPoint], t: np.ndarray) -> list[GeoPoint]:
-    """The track position at each time of ``t``: the great-circle blend of the
-    fixes around it, or the first or last fix for a time outside the track."""
+def _track_positions(times: np.ndarray, lat: np.ndarray, lon: np.ndarray, t: np.ndarray):
+    """The track's latitude and longitude at each time of ``t``: the
+    great-circle blend of the fixes around it, or the first or last fix for
+    a time outside the track."""
     hi = np.minimum(np.searchsorted(times, t), times.size - 1)
     lo = np.maximum(hi - 1, 0)
     span = times[hi] - times[lo]
     fraction = np.where(span > 0, (t - times[lo]) / np.where(span > 0, span, 1.0), 0.0)
-    lat, lon = np.array([(p.lat_deg, p.lon_deg) for p in points]).T
     blend_lat, blend_lon = interpolate_deg(lat[lo], lon[lo], lat[hi], lon[hi], fraction)
-    return [points[0] if tk <= times[0] else points[-1] if tk >= times[-1] else GeoPoint(a, b)
-            for tk, a, b in zip(t.tolist(), blend_lat.tolist(), blend_lon.tolist())]
+    inside = (times[0] < t) & (t < times[-1])
+    end = np.where(t <= times[0], 0, -1)  # the fix that a time outside the track takes
+    return np.where(inside, blend_lat, lat[end]), np.where(inside, blend_lon, lon[end])
 
 
 def _cmd_detect(args) -> int:
@@ -338,46 +342,43 @@ def _cmd_detect(args) -> int:
         config = DetectorConfig(args.threshold_km, args.window_n)
     records, _ = ingest.parse_table(args.input, FRAC_UNITS_S[args.frac_unit])
     beams = records[records.is_beam]
-    if len(beams) < config.window_n:
-        raise EmptyInput(
-            f"stream holds {len(beams)} beam records, fewer than window_n={config.window_n}"
-        )
-    times = beams.t_s(origin=(0, 0))
-    track_times, track_points = _load_track(args.gnss_track)
+    n = config.window_n
+    if len(beams) < n:
+        raise EmptyInput(f"stream holds {len(beams)} beam records, fewer than window_n={n}")
+    track_times, track_lat, track_lon = _load_track(args.gnss_track)
     out = _report_dir(args)
-    det = detector.WindowedDetector(config, args.motion)
-    n_windows = len(beams) // config.window_n
+    n_windows = len(beams) // n
+    estimates = detector.estimate_windows(
+        *(c[:n_windows * n].reshape(n_windows, n)
+          for c in (beams.lat, beams.lon, beams.t_s(origin=(0, 0)))), args.motion)[0]
     # each window's estimate is taken at its latest beam time
-    t_refs = times[:n_windows * config.window_n].reshape(n_windows, -1).max(axis=1)
-    g_positions = _track_positions(track_times, track_points, t_refs)
+    t_refs = np.array([est.window[1] for est in estimates])
+    g_lat, g_lon = _track_positions(track_times, track_lat, track_lon, t_refs)
     rows = []
-    alarms = clamped = 0
-    for start, g_pos in zip(range(0, n_windows * config.window_n, config.window_n), g_positions):
-        w = slice(start, start + config.window_n)
-        est = det.extend(beams.lat[w], beams.lon[w], times[w])
-        t_ref = est.window[1]
-        clamped += not track_times[0] <= t_ref <= track_times[-1]
-        outcome = det.check(g_pos)
-        alarms += outcome.alarm
+    for est, a, b in zip(estimates, g_lat.tolist(), g_lon.tolist()):
+        g_pos = GeoPoint(a, b)
+        outcome = detector.detect(est, g_pos, config)
         rows.append((
-            len(rows), repr(t_ref), est.n_used,  # repr: full precision of an epoch-scale time
+            len(rows), repr(est.window[1]), est.n_used,  # repr: an epoch-scale time in full
             est.i_pos.lat_deg, est.i_pos.lon_deg,
             g_pos.lat_deg, g_pos.lon_deg,
             outcome.deviation_km, int(outcome.alarm),
         ))
+    alarms = sum(row[-1] for row in rows)
     _write_table(out / "detect_windows.tsv",
                  ["window", "t_ref", "n_used", "i_lat", "i_lon",
                   "g_lat", "g_lon", "deviation_km", "alarm"], rows)
     _write_json(out / "detect_summary.json", {
         "input": os.path.basename(args.input),
         "threshold_km": config.threshold_km,
-        "window_n": config.window_n,
-        "windows": len(rows),
+        "window_n": n,
+        "windows": n_windows,
         "alarms": alarms,
-        "tail_beams": len(beams) - len(rows) * config.window_n,
-        "track_clamped_windows": clamped,
+        "tail_beams": len(beams) - n_windows * n,
+        "track_clamped_windows": int(np.count_nonzero((t_refs < track_times[0])
+                                                      | (t_refs > track_times[-1]))),
     })
-    print(f"{alarms}/{len(rows)} windows raised an alarm")
+    print(f"{alarms}/{n_windows} windows raised an alarm")
     return 0
 
 

@@ -99,53 +99,58 @@ def _moving(motion: MotionProfile | None) -> bool:
     return motion is not None and motion.speed_kmh != 0.0
 
 
-def _compensate(start, t_s, motion: MotionProfile, t_ref: float):
-    """The compensation kernel: ``start`` is :func:`geo.start_rad` of the points."""
-    d_km = motion.speed_kmh * (t_ref - t_s) / 3600.0
-    return displace_rad(*start, motion.course_deg, d_km)
-
-
-def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref: float):
-    """Translate each point by the receiver displacement between its time and t_ref.
+def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref):
+    """Translate each point by the receiver displacement between its time and
+    ``t_ref`` (one time, or times that broadcast against ``t_s``).
 
     This is the kinematic reading of the published compensation: a
     stationary receiver (or none) returns the points unchanged.
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
-    t_s = np.asarray(t_s, dtype=float)
     if not _moving(motion):
         return lat, lon
-    return _compensate(start_rad(lat, lon), t_s, motion, t_ref)
+    d_km = motion.speed_kmh * (t_ref - np.asarray(t_s, dtype=float)) / 3600.0
+    return displace_rad(*start_rad(lat, lon), motion.course_deg, d_km)
 
 
-def _unwrap(lon: np.ndarray) -> tuple[float, np.ndarray]:
-    """Longitudes unwrapped into [ref - 180, ref + 180) about their circular
-    mean ``ref``, and ``ref``.
+def estimate_windows(lat, lon, t_s, motion: MotionProfile | None = None):
+    """The whole-window estimator on beam columns shaped ``(windows, n)``,
+    one window a row: each row is compensated to its latest time, its
+    longitudes are unwrapped about their circular mean (the row's branch),
+    and the estimate is the row's mean.
 
-    That branch makes the plain average of the unwrapped longitudes the
-    arithmetic mean away from the +/-180 seam while staying correct across it.
+    The branch ``c`` keeps unwrapped longitudes in [c - 180, c + 180), so their
+    plain average is the arithmetic mean away from the +/-180 seam while
+    staying correct across it. numpy reduces each row of a C-contiguous array
+    as it reduces that row alone, so each estimate equals the one its window
+    gets by itself.
+
+    Returns the estimates, the compensated latitudes, the unwrapped
+    longitudes and the branches.
     """
+    t_s = np.asarray(t_s, dtype=float)
+    t_ref = t_s.max(axis=-1)
+    lat, lon = compensate_arrays(lat, lon, t_s, motion, t_ref[:, None])
     lam = np.radians(lon)
-    ref = math.degrees(math.atan2(np.sin(lam).mean(), np.cos(lam).mean()))
-    return ref, ref + mod360(lon - ref + 180.0) - 180.0
-
-
-def _centroid(lat: np.ndarray, unwrapped: np.ndarray, t_s: np.ndarray) -> PositionEstimate:
-    """The estimate of compensated points taken at ``t_s``, longitudes unwrapped."""
-    return PositionEstimate(
-        GeoPoint(float(lat.mean()), normalize_lon(float(unwrapped.mean()))),
-        int(t_s.size), (float(t_s.min()), float(t_s.max())),
-    )
+    sin_mean, cos_mean = np.sin(lam).mean(axis=-1).tolist(), np.cos(lam).mean(axis=-1).tolist()
+    # math.atan2, not np.arctan2: the two differ in the last bits
+    branch = np.array([math.degrees(math.atan2(s, c)) for s, c in zip(sin_mean, cos_mean)])
+    unwrapped = branch[:, None] + mod360(lon - branch[:, None] + 180.0) - 180.0
+    estimates = [PositionEstimate(GeoPoint(a, normalize_lon(b)), t_s.shape[-1], (lo, hi))
+                 for a, b, lo, hi in zip(lat.mean(axis=-1).tolist(),
+                                         unwrapped.mean(axis=-1).tolist(),
+                                         t_s.min(axis=-1).tolist(), t_ref.tolist())]
+    return estimates, lat, unwrapped, branch
 
 
 def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None) -> PositionEstimate:
-    """Centroid of columnar beam positions (already beam-only) compensated to ``t_s.max()``."""
-    t_s = np.asarray(t_s, dtype=float)
+    """Centroid of columnar beam positions (already beam-only) compensated to
+    ``t_s.max()``: :func:`estimate_windows` of one window."""
+    lat, lon, t_s = (np.asarray(x, dtype=float) for x in (lat, lon, t_s))
     if t_s.size == 0:
         raise NoBeamRecords("position estimation needs at least one beam record")
-    lat, lon = compensate_arrays(lat, lon, t_s, motion, float(t_s.max()))
-    return _centroid(lat, _unwrap(lon)[1], t_s)
+    return estimate_windows(lat[None], lon[None], t_s[None], motion)[0][0]
 
 
 def estimate_position(table: RecordTable,
@@ -318,15 +323,15 @@ class WindowedDetector:
     takes the whole-window pass, which costs about as much, so any extend
     by ``k < window_n`` beams costs O(k) amortized.
 
-    The whole-window pass compensates the window to its latest time, which
-    becomes ``t_a``, and takes the circular mean as ``c``; its estimate
-    equals ``estimate_position_arrays`` of the window exactly. It runs when
-    the window first fills, on every extend by more than
-    ``max(window_n // 32, 1)`` beams (``cli detect`` extends by
-    ``window_n``, so it reports batch estimates), after ``window_n`` sliding
-    beams, once the receiver has travelled ``REANCHOR_KM`` since ``t_a``,
-    and while a windowed point lies 90 degrees of longitude or more from
-    ``c`` or beyond ``SLIDING_MAX_LAT_DEG``. Nearer, every point unwraps
+    The whole-window pass is :func:`estimate_windows` of the window: it
+    compensates the window to its latest time, which becomes ``t_a``, and
+    takes the circular mean as ``c``, so its estimate equals
+    ``estimate_position_arrays`` of the window exactly. It runs when the
+    window first fills, on every extend by more than
+    ``max(window_n // 32, 1)`` beams, after ``window_n`` sliding beams,
+    once the receiver has travelled ``REANCHOR_KM`` since ``t_a``, and
+    while a windowed point lies 90 degrees of longitude or more from ``c``
+    or beyond ``SLIDING_MAX_LAT_DEG``. Nearer, every point unwraps
     about ``c`` as about the window's circular mean, so no sine and cosine
     sums are needed, and wide and polar windows stay exact, just not faster.
 
@@ -375,7 +380,7 @@ class WindowedDetector:
         lo, self._end = self._end, self._end + k
         self._columns[:3, lo:self._end] = new
         if k and self._end >= n:
-            self._estimate = self._slide(lo) if sliding else self._estimate_window(k < n)
+            self._estimate = self._slide(lo) if sliding else self._estimate_window()
         return self._estimate
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
@@ -392,26 +397,18 @@ class WindowedDetector:
         """The compensated sum of buffer row ``row`` (3-8) over the window."""
         return self._sums[row - 3] + self._errs[row - 3]
 
-    def _estimate_window(self, anchor: bool = True) -> PositionEstimate:
-        """The whole-window pass: the batch estimate, and unless ``anchor`` is
-        false the sliding state, anchored at the window's latest time with
-        its circular mean as branch."""
+    def _estimate_window(self) -> PositionEstimate:
+        """The whole-window pass: the batch estimate, and the sliding state,
+        anchored at the window's latest time with its circular mean as branch."""
         n, end = self.config.window_n, self._end
         cols = self._columns[:, end - n:end]
-        lat, lon, t_s = cols[:3]
+        (estimate,), lat, unwrapped, branch = estimate_windows(*cols[:3, None], self.motion)
+        lat, unwrapped, t_s = lat[0], unwrapped[0], cols[2]
+        self._t_a, self._branch = estimate.window[1], float(branch[0])
         if _moving(self.motion):
-            self._t_a = float(t_s.max())
-            start = start_rad(lat, lon)
-            lat, lon = _compensate(start, t_s, self.motion, self._t_a)
-        self._branch, unwrapped = _unwrap(lon)
-        estimate = _centroid(lat, unwrapped, t_s)
-        if not anchor:  # no sliding state: the next extend passes the whole window
-            self._since = n
-            return estimate
-        if _moving(self.motion):
-            sin_phi, cos_phi, _ = start
+            phi = np.radians(cols[0])
             delta = self.motion.speed_kmh * (self._t_a - t_s) / (3600.0 * EARTH_RADIUS_KM)
-            cols[5], cols[6] = _rates(sin_phi, cos_phi, np.sin(delta), np.cos(delta),
+            cols[5], cols[6] = _rates(np.sin(phi), np.cos(phi), np.sin(delta), np.cos(delta),
                                       np.cos(np.radians(lat)), self.motion.course_deg)
         else:
             cols[5:7] = 0.0

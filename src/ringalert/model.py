@@ -3,10 +3,10 @@
 All types are immutable values, so they can be shared freely across threads.
 A record stream is a :class:`RecordTable` of numpy columns; one
 :class:`IraRecord` is built only where a single record is the natural unit.
-:class:`BeamConstellation`, :class:`EvdParams`, :class:`PowerLawCoeffs`,
-:class:`MotionProfile` and :class:`DetectorConfig` have loss-free
-``to_dict``/``from_dict`` round-trips for JSON; records, tables and passes
-are not serialized.
+:class:`BeamConstellation`, :class:`EvdParams` and :class:`PowerLawCoeffs`
+have a ``to_dict`` for the JSON summaries the CLI writes, and
+:class:`MotionProfile` a ``from_dict`` for the scenario files it reads;
+records, tables and passes are not serialized.
 """
 
 from __future__ import annotations
@@ -251,13 +251,6 @@ class BeamConstellation:
             "ring_radii_km": list(self.ring_radii_km),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BeamConstellation":
-        return cls(
-            {int(k): (v[0], v[1]) for k, v in data["centroids"].items()},
-            tuple(data["ring_radii_km"]),
-        )
-
 
 @dataclass(frozen=True)
 class EvdParams:
@@ -275,10 +268,6 @@ class EvdParams:
     def to_dict(self) -> dict:
         return {"mu": self.mu, "sigma": self.sigma}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvdParams":
-        return cls(data["mu"], data["sigma"])
-
 
 @dataclass(frozen=True)
 class PowerLawCoeffs:
@@ -293,10 +282,6 @@ class PowerLawCoeffs:
 
     def to_dict(self) -> dict:
         return {"m": self.m, "q": self.q}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerLawCoeffs":
-        return cls(data["m"], data["q"])
 
 
 @dataclass(frozen=True)
@@ -316,13 +301,6 @@ class MotionProfile:
     def position_at(self, elapsed_s: float) -> GeoPoint:
         return displace(self.start, self.course_deg, self.speed_kmh * elapsed_s / 3600.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start.to_dict(),
-            "course_deg": self.course_deg,
-            "speed_kmh": self.speed_kmh,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "MotionProfile":
         return cls(GeoPoint.from_dict(data["start"]), data["course_deg"], data["speed_kmh"])
@@ -341,10 +319,3 @@ class DetectorConfig:
             raise ValueError(f"threshold_km must be > 0, got {self.threshold_km}")
         if self.window_n < 1:
             raise ValueError(f"window_n must be >= 1, got {self.window_n}")
-
-    def to_dict(self) -> dict:
-        return {"threshold_km": self.threshold_km, "window_n": self.window_n}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectorConfig":
-        return cls(data["threshold_km"], data["window_n"])

@@ -97,13 +97,6 @@ class SpoofProfile:
             raise ValueError(f"spoof offset speed must be in [0, {MAX_SPEED_KMH}] km/h, "
                              f"got {self.offset_speed_kmh}")
 
-    def to_dict(self) -> dict:
-        return {
-            "start_s": self.start_s,
-            "offset_course_deg": self.offset_course_deg,
-            "offset_speed_kmh": self.offset_speed_kmh,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SpoofProfile":
         return cls(data["start_s"], data["offset_course_deg"], data["offset_speed_kmh"])
@@ -125,12 +118,6 @@ class Scenario:
             return truth
         drift_km = self.spoof.offset_speed_kmh * (t_s - self.spoof.start_s) / 3600.0
         return displace(truth, self.spoof.offset_course_deg, drift_km)
-
-    def to_dict(self) -> dict:
-        return {
-            "receiver": self.receiver.to_dict(),
-            "spoof": None if self.spoof is None else self.spoof.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

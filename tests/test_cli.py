@@ -318,12 +318,12 @@ def _track_position(times, points, t):
 
 
 class TestDetectCommand:
-    def _simulate_scenario(self, tmp_path, spoof):
+    def _simulate_scenario(self, tmp_path, spoof, speed_kmh=40):
         stream = tmp_path / "sim.txt"
         track = tmp_path / "track.txt"
         args = ["simulate", "--duration", 600, "--per", 0.2, "--seed", 5,
                 "--n-sats", 22, "--planes", 2, "--plane-nodes=-0.02,0.02",
-                "--inclination", 90, "--motion", "0,0,0,40",
+                "--inclination", 90, "--motion", f"0,0,0,{speed_kmh}",
                 "--output", stream, "--track-out", track, "--track-interval-s", 10]
         if spoof:
             args += ["--spoof", "0,90,300"]  # 50 km detour by t = 600 s
@@ -343,21 +343,26 @@ class TestDetectCommand:
         assert table[0].split("\t") == ["window", "t_ref", "n_used", "i_lat", "i_lon",
                                         "g_lat", "g_lon", "deviation_km", "alarm"]
 
-    def test_windows_match_the_record_wrapper(self, tmp_path):
+    @pytest.mark.parametrize("window_n, speed_kmh", [(500, 40), (1, 0), (3, 0)],
+                             ids=["500_moving", "1_still", "3_still"])
+    def test_windows_match_the_record_wrapper(self, tmp_path, window_n, speed_kmh):
         # each row is what the record/table wrapper estimate_position gives
         # for the window's beam records, byte for byte as written
-        stream, track = self._simulate_scenario(tmp_path, spoof=True)
+        stream, track = self._simulate_scenario(tmp_path, spoof=True, speed_kmh=speed_kmh)
         report = tmp_path / "r"
-        window_n = 500
+        motion_flag = ["--motion", f"0,0,0,{speed_kmh}"] if speed_kmh else []
         assert run_cli(["detect", "--input", stream, "--threshold-km", 20,
                         "--window-n", window_n, "--gnss-track", track,
-                        "--motion", "0,0,0,40", "--report", report]) == 0
-        assert json.loads((report / "detect_summary.json").read_text())["tail_beams"] > 0
+                        *motion_flag, "--report", report]) == 0
         records, _ = parse_table(stream)
         beams = records[records.is_beam]
-        motion = MotionProfile(GeoPoint(0.0, 0.0), 0.0, 40.0)
+        tail = json.loads((report / "detect_summary.json").read_text())["tail_beams"]
+        assert tail == len(beams) % window_n
+        assert tail > 0 or window_n < 500  # the long windows leave beams unused
+        motion = MotionProfile(GeoPoint(0.0, 0.0), 0.0, speed_kmh) if speed_kmh else None
         config = DetectorConfig(20.0, window_n)
-        track_times, track_points = cli._load_track(track)
+        track_times, track_lat, track_lon = cli._load_track(track)
+        track_points = [GeoPoint(a, b) for a, b in zip(track_lat, track_lon)]
         expected = []
         for k in range(len(beams) // window_n):
             window = beams[k * window_n:(k + 1) * window_n]
@@ -377,13 +382,15 @@ class TestDetectCommand:
     def test_track_positions_match_the_scalar_lookup(self, fixes):
         # one array call gives each time the fix or blend the scalar lookup gives:
         # clamped before the first and after the last fix, at fix times, between them
-        times = np.array([f[0] for f in fixes])
-        points = [GeoPoint(lat, lon) for _, lat, lon in fixes]
+        times, lat, lon = (np.array(column) for column in zip(*fixes))
+        points = [GeoPoint(a, b) for _, a, b in fixes]
         t = np.array([0.0, 100.0, 130.0, 160.0, 161.0, 250.0, 399.9, 400.0, 1e6])
-        for got, t_k in zip(cli._track_positions(times, points, t), t.tolist()):
+        got_lat, got_lon = cli._track_positions(times, lat, lon, t)
+        assert got_lat.shape == got_lon.shape == t.shape
+        for got_a, got_b, t_k in zip(got_lat.tolist(), got_lon.tolist(), t.tolist()):
             want = _track_position(times, points, t_k)
-            assert got.lat_deg == pytest.approx(want.lat_deg, abs=1e-12), t_k
-            assert got.lon_deg == pytest.approx(want.lon_deg, abs=1e-12), t_k
+            assert got_a == pytest.approx(want.lat_deg, abs=1e-12), t_k
+            assert got_b == pytest.approx(want.lon_deg, abs=1e-12), t_k
 
     def test_t_ref_is_the_last_beam_time_exactly(self, tmp_path):
         stream, track = self._simulate_scenario(tmp_path, spoof=False)

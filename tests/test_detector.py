@@ -299,6 +299,32 @@ class TestEvaluateFp:
 RING_MOTIONS = [None] + [c.motion(GeoPoint(10.0, 179.0), 57.0) for c in SHIP_CLASSES.values()]
 
 
+class TestEstimateWindows:
+    @pytest.mark.parametrize("motion", RING_MOTIONS,
+                             ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 500])
+    @given(windows=st.integers(1, 6), lat0=st.floats(-75.0, 75.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rows_equal_estimate_position_arrays(self, n, motion, windows, lat0, seed):
+        # every row of the batched kernel is its window's estimate, bit for
+        # bit, as are the compensated and unwrapped rows the detector anchors
+        rng = np.random.default_rng(seed)
+        shape = (windows, n)
+        lat = rng.uniform(lat0 - 5.0, lat0 + 5.0, shape)
+        lon = (rng.uniform(175.0, 185.0, shape) + 180.0) % 360.0 - 180.0  # across the seam
+        gaps = rng.choice([0.0, 0.09, 0.27, 40.0], size=windows * n)
+        t_s = 1.6e9 + np.cumsum(gaps).reshape(shape)
+        batch = detector.estimate_windows(lat, lon, t_s, motion)
+        assert len(batch[0]) == windows
+        for row in range(windows):
+            assert batch[0][row] == detector.estimate_position_arrays(lat[row], lon[row], t_s[row],
+                                                                      motion)
+            alone = detector.estimate_windows(lat[row:row + 1], lon[row:row + 1],
+                                              t_s[row:row + 1], motion)
+            for got, want in zip(batch[1:], alone[1:]):
+                assert got[row].tolist() == want[0].tolist()
+
+
 def ring_stream(n_beams: int, seed: int):
     """Time-ordered records straddling the antimeridian with ``n_beams`` beam
     records; a sub-satellite (beam 0) record follows every third one, and

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -184,23 +182,15 @@ class TestBeamConstellation:
         with pytest.raises(ValueError):
             BeamConstellation({1: (float("inf"), 0.0)}, (1, 2, 3))
 
-    def test_round_trip(self):
-        c = BeamConstellation({1: (0.5, -1.5), 48: (2.0, 3.0)}, (3.36, 7.98, 14.35))
-        assert BeamConstellation.from_dict(json.loads(json.dumps(c.to_dict()))) == c
-
 
 class TestSmallValueTypes:
     def test_evd_params(self):
         with pytest.raises(ValueError):
             EvdParams(1.0, 0.0)
-        p = EvdParams(7.28, 1.67)
-        assert EvdParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
     def test_power_law(self):
         with pytest.raises(ValueError):
             PowerLawCoeffs(float("nan"), 0.0)
-        c = PowerLawCoeffs(-0.5974, 3.2826)
-        assert PowerLawCoeffs.from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
     def test_motion_profile(self):
         for speed in (-1.0, MAX_SPEED_KMH * (1 + 1e-15), 1e308, float("inf")):
@@ -208,7 +198,6 @@ class TestSmallValueTypes:
                 MotionProfile(GeoPoint(0, 0), 0.0, speed)
         assert MotionProfile(GeoPoint(0, 0), 0.0, MAX_SPEED_KMH).speed_kmh == MAX_SPEED_KMH
         m = MotionProfile(GeoPoint(10, 20), 90.0, 40.0)
-        assert MotionProfile.from_dict(json.loads(json.dumps(m.to_dict()))) == m
         # half an hour east at 40 km/h is 20 km
         from ringalert.geo import great_circle_km
         assert great_circle_km(m.position_at(1800.0), m.start).km == pytest.approx(20.0, abs=1e-9)
@@ -218,5 +207,3 @@ class TestSmallValueTypes:
             DetectorConfig(0.0, 10)
         with pytest.raises(ValueError):
             DetectorConfig(10.0, 0)
-        c = DetectorConfig(20.0, 6100)
-        assert DetectorConfig.from_dict(json.loads(json.dumps(c.to_dict()))) == c

@@ -299,12 +299,6 @@ class TestScenario:
         displaced = great_circle_km(motion.position_at(360.0), motion.start)
         assert displaced.km == pytest.approx(4.1, abs=1e-9)
 
-    def test_round_trip(self):
-        scenario = Scenario(
-            MotionProfile(GeoPoint(1, 2), 3.0, 4.0), SpoofProfile(5.0, 6.0, 7.0)
-        )
-        assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
-
 
 class TestShipClasses:
     def test_speed_envelopes(self):
