@@ -20,9 +20,9 @@ import numpy as np
 from . import analytics, detector, ingest, simulator
 from .errors import (BinOverflow, EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
                      InvalidCoordinate, IoFailure, MalformedLine, RingAlertError)
-# interpolate is no longer called here, but the benchmark's span tracer still
-# wraps it by this module's binding (bench/spans.py TARGETS)
-from .geo import GeoPoint, great_circle_km, interpolate, interpolate_deg  # noqa: F401
+# great_circle_km and interpolate stay bound here because bench/spans.py
+# TARGETS wraps them by this module's bindings; interpolate is not called here
+from .geo import GeoPoint, arc_km, great_circle_km, interpolate, interpolate_deg  # noqa: F401
 from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 
 REPORT_DIR_ENV = "RINGALERT_REPORT_DIR"
@@ -65,29 +65,36 @@ def _load_json(path: str, from_dict):
         raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".8g")
-    return str(value)
+@contextlib.contextmanager
+def _write_failures():
+    """Report an OS failure to make or write an output file as a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"write failure: {exc}") from exc
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_table(path: Path, header: list[str], columns) -> None:
+    """A TSV table of ``columns`` under ``header``, one format per column by its
+    numpy kind: ``%.8g`` for floats, ``%d`` for integers and booleans, else ``%s``."""
+    columns = [np.asarray(c) for c in columns]
+    line = "\t".join({"f": "%.8g", "i": "%d", "u": "%d", "b": "%d"}.get(c.dtype.kind, "%s")
+                     for c in columns) + "\n"
+    with _write_failures(), open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in columns)))))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_failures(), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _report_dir(args) -> Path:
-    report = args.report or os.environ.get(REPORT_DIR_ENV, "reports")
-    path = Path(report)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.report or os.environ.get(REPORT_DIR_ENV, "reports"))
+    with _write_failures():
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -148,11 +155,6 @@ _MOTION = _fields("lat,lon,course,speed",
 _SPOOF = _fields("start_s,course_deg,speed_kmh", simulator.SpoofProfile)
 
 
-def _histogram_rows(values: np.ndarray, bin_width: float):
-    centers, counts = analytics.histogram(values, bin_width)
-    return list(zip(centers.tolist(), counts.tolist()))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -179,15 +181,15 @@ def _cmd_analyze(args) -> int:
     if not len(records):
         raise EmptyInput("no valid records to analyze")
     summary: dict = {"input": os.path.basename(args.input), "ingest": report.to_dict()}
-    # report name -> (header, rows), written once every statistic is in
-    tables: dict[str, tuple[list[str], list]] = {}
+    # report name -> (header, columns), written once every statistic is in
+    tables: dict[str, tuple] = {}
 
     speeds = analytics.ground_speeds(records, gap_threshold_s=args.gap_threshold_s,
                                      max_dt_s=args.max_speed_dt_s)
     if speeds.size:
         with _flag_values("--speed-bin-kms"):
             tables["speed_histogram.tsv"] = (["v_kms", "count"],
-                                             _histogram_rows(speeds, args.speed_bin_kms))
+                                             analytics.histogram(speeds, args.speed_bin_kms))
             summary["speed"] = {
                 "samples": int(speeds.size),
                 "mode_kms": analytics.speed_mode_kms(speeds, args.speed_bin_kms),
@@ -198,7 +200,7 @@ def _cmd_analyze(args) -> int:
             stats = analytics.interarrival_stats(records, bin_width_s=args.interarrival_bin_s)
             tables["interarrival_histogram.tsv"] = (
                 ["duration_s", "count"],
-                _histogram_rows(stats.durations_s, args.interarrival_bin_s))
+                analytics.histogram(stats.durations_s, args.interarrival_bin_s))
         summary["interarrival"] = {
             "mode_s": stats.mode_s,
             "max_grid_residual_s": float(np.abs(stats.residuals_s).max()),
@@ -213,7 +215,7 @@ def _cmd_analyze(args) -> int:
             pass_rows.append((sat_id, int(p.records.epoch_s[0]), p.duration_min,
                               p.direction.value, len(p.records)))
     tables["passes.tsv"] = (["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
-                            pass_rows)
+                            zip(*pass_rows))
     durations = analytics.pass_durations_min(all_passes)
     summary["passes"] = {"count": len(all_passes)}
     try:
@@ -226,7 +228,7 @@ def _cmd_analyze(args) -> int:
         beams = analytics.beam_constellation(records, all_passes)
         tables["beam_centroids.tsv"] = (
             ["beam_id", "east_km", "north_km"],
-            [(b, e, n) for b, (e, n) in sorted(beams.centroids.items())])
+            zip(*((b, e, n) for b, (e, n) in sorted(beams.centroids.items()))))
         summary["beams"] = beams.to_dict()
     except InsufficientBrackets:
         summary["beams"] = None
@@ -239,7 +241,7 @@ def _cmd_analyze(args) -> int:
                                             bin_width_km=args.coverage_bin_km)
             tables["coverage_histogram.tsv"] = (
                 ["distance_km", "count"],
-                _histogram_rows(cov.distances_km, args.coverage_bin_km))
+                analytics.histogram(cov.distances_km, args.coverage_bin_km))
         summary["coverage"] = {
             "max_km": cov.max_km, "area_km2": cov.area_km2, "mode_km": cov.mode_km,
         }
@@ -282,7 +284,7 @@ def _cmd_simulate(args) -> int:
     ingest.write_records(records, args.output)
     if args.track_out:
         times = np.arange(0.0, config.duration_s + 0.5 * step, step)
-        with open(args.track_out, "w", encoding="utf-8") as fh:
+        with _write_failures(), open(args.track_out, "w", encoding="utf-8") as fh:
             fh.write("# epoch_s lat_deg lon_deg\n")
             for t in times:
                 pos = scenario.reported_position(float(t))
@@ -348,26 +350,20 @@ def _cmd_detect(args) -> int:
     track_times, track_lat, track_lon = _load_track(args.gnss_track)
     out = _report_dir(args)
     n_windows = len(beams) // n
-    estimates = detector.estimate_windows(
-        *(c[:n_windows * n].reshape(n_windows, n)
-          for c in (beams.lat, beams.lon, beams.t_s(origin=(0, 0)))), args.motion)[0]
+    lat, lon, t_s = (c[:n_windows * n].reshape(n_windows, n)
+                     for c in (beams.lat, beams.lon, beams.t_s(origin=(0, 0))))
+    i_lat, i_lon = detector.estimate_windows(lat, lon, t_s, args.motion)[:2]
     # each window's estimate is taken at its latest beam time
-    t_refs = np.array([est.window[1] for est in estimates])
+    t_refs = t_s.max(axis=1)
     g_lat, g_lon = _track_positions(track_times, track_lat, track_lon, t_refs)
-    rows = []
-    for est, a, b in zip(estimates, g_lat.tolist(), g_lon.tolist()):
-        g_pos = GeoPoint(a, b)
-        outcome = detector.detect(est, g_pos, config)
-        rows.append((
-            len(rows), repr(est.window[1]), est.n_used,  # repr: an epoch-scale time in full
-            est.i_pos.lat_deg, est.i_pos.lon_deg,
-            g_pos.lat_deg, g_pos.lon_deg,
-            outcome.deviation_km, int(outcome.alarm),
-        ))
-    alarms = sum(row[-1] for row in rows)
+    deviation = arc_km(i_lat, i_lon, g_lat, g_lon)
+    alarm = detector.exceeds(deviation, config.threshold_km)
+    alarms = int(np.count_nonzero(alarm))
     _write_table(out / "detect_windows.tsv",
                  ["window", "t_ref", "n_used", "i_lat", "i_lon",
-                  "g_lat", "g_lon", "deviation_km", "alarm"], rows)
+                  "g_lat", "g_lon", "deviation_km", "alarm"],
+                 [np.arange(n_windows), [repr(t) for t in t_refs.tolist()],  # t_ref in full
+                  np.full(n_windows, n), i_lat, i_lon, g_lat, g_lon, deviation, alarm])
     _write_json(out / "detect_summary.json", {
         "input": os.path.basename(args.input),
         "threshold_km": config.threshold_km,
@@ -400,9 +396,9 @@ def _cmd_evaluate(args) -> int:
     fits = detector.fp_exponent_fits(rates) if len(args.n_grid) >= 3 else {}
     out = _report_dir(args)
     _write_table(out / "fp_rates.tsv", ["n", "threshold_km", "windows", "fp_rate"],
-                 [(n, thr, args.windows, rate) for (n, thr), rate in sorted(rates.items())])
+                 zip(*((n, thr, args.windows, rate) for (n, thr), rate in sorted(rates.items()))))
     _write_table(out / "fp_fits.tsv", ["threshold_km", "m", "q"],
-                 [(thr, c.m, c.q) for thr, c in sorted(fits.items())])
+                 zip(*((thr, c.m, c.q) for thr, c in sorted(fits.items()))))
     _write_json(out / "evaluate_summary.json", {
         "config": config.to_dict(),
         "receiver": args.receiver.to_dict(),

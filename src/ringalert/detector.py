@@ -29,7 +29,7 @@ from .geo import (
     displace_rad,
     great_circle_km,
     mod360,
-    normalize_lon,
+    normalize_lon_array,
     start_rad,
 )
 from .model import (
@@ -80,6 +80,11 @@ class PositionEstimate:
             raise ValueError("an estimate needs at least one beam record")
 
 
+def exceeds(deviation_km, threshold_km):
+    """The alarm rule, strict exceedance, for one deviation or a column of them."""
+    return deviation_km > threshold_km
+
+
 @dataclass(frozen=True)
 class DetectionOutcome:
     alarm: bool
@@ -87,12 +92,8 @@ class DetectionOutcome:
     threshold_km: float
 
     def __post_init__(self):
-        if self.alarm != (self.deviation_km > self.threshold_km):
+        if self.alarm != exceeds(self.deviation_km, self.threshold_km):
             raise ValueError("alarm must equal deviation_km > threshold_km (strict)")
-
-    @classmethod
-    def from_deviation(cls, deviation_km: float, threshold_km: float) -> "DetectionOutcome":
-        return cls(deviation_km > threshold_km, deviation_km, threshold_km)
 
 
 def _moving(motion: MotionProfile | None) -> bool:
@@ -126,22 +127,18 @@ def estimate_windows(lat, lon, t_s, motion: MotionProfile | None = None):
     as it reduces that row alone, so each estimate equals the one its window
     gets by itself.
 
-    Returns the estimates, the compensated latitudes, the unwrapped
-    longitudes and the branches.
+    Returns the estimates' latitude and longitude (in (-180, +180]) columns,
+    the compensated latitudes, the unwrapped longitudes and the branches.
     """
     t_s = np.asarray(t_s, dtype=float)
-    t_ref = t_s.max(axis=-1)
-    lat, lon = compensate_arrays(lat, lon, t_s, motion, t_ref[:, None])
+    lat, lon = compensate_arrays(lat, lon, t_s, motion, t_s.max(axis=-1)[:, None])
     lam = np.radians(lon)
     sin_mean, cos_mean = np.sin(lam).mean(axis=-1).tolist(), np.cos(lam).mean(axis=-1).tolist()
     # math.atan2, not np.arctan2: the two differ in the last bits
     branch = np.array([math.degrees(math.atan2(s, c)) for s, c in zip(sin_mean, cos_mean)])
     unwrapped = branch[:, None] + mod360(lon - branch[:, None] + 180.0) - 180.0
-    estimates = [PositionEstimate(GeoPoint(a, normalize_lon(b)), t_s.shape[-1], (lo, hi))
-                 for a, b, lo, hi in zip(lat.mean(axis=-1).tolist(),
-                                         unwrapped.mean(axis=-1).tolist(),
-                                         t_s.min(axis=-1).tolist(), t_ref.tolist())]
-    return estimates, lat, unwrapped, branch
+    return (lat.mean(axis=-1), normalize_lon_array(unwrapped.mean(axis=-1)),
+            lat, unwrapped, branch)
 
 
 def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None) -> PositionEstimate:
@@ -150,7 +147,9 @@ def estimate_position_arrays(lat, lon, t_s, motion: MotionProfile | None = None)
     lat, lon, t_s = (np.asarray(x, dtype=float) for x in (lat, lon, t_s))
     if t_s.size == 0:
         raise NoBeamRecords("position estimation needs at least one beam record")
-    return estimate_windows(lat[None], lon[None], t_s[None], motion)[0][0]
+    i_lat, i_lon = estimate_windows(lat[None], lon[None], t_s[None], motion)[:2]
+    return PositionEstimate(GeoPoint(i_lat[0], i_lon[0]), t_s.size,
+                            (float(t_s.min()), float(t_s.max())))
 
 
 def estimate_position(table: RecordTable,
@@ -165,7 +164,7 @@ def detect(estimate: PositionEstimate, g_pos: GeoPoint,
            config: DetectorConfig) -> DetectionOutcome:
     """Compare the estimate with the reported position; alarm on strict exceedance."""
     deviation = great_circle_km(estimate.i_pos, g_pos).km
-    return DetectionOutcome.from_deviation(deviation, config.threshold_km)
+    return DetectionOutcome(exceeds(deviation, config.threshold_km), deviation, config.threshold_km)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +401,10 @@ class WindowedDetector:
         anchored at the window's latest time with its circular mean as branch."""
         n, end = self.config.window_n, self._end
         cols = self._columns[:, end - n:end]
-        (estimate,), lat, unwrapped, branch = estimate_windows(*cols[:3, None], self.motion)
+        i_lat, i_lon, lat, unwrapped, branch = estimate_windows(*cols[:3, None], self.motion)
         lat, unwrapped, t_s = lat[0], unwrapped[0], cols[2]
-        self._t_a, self._branch = estimate.window[1], float(branch[0])
+        self._t_a, self._branch = float(t_s.max()), float(branch[0])
+        estimate = PositionEstimate(GeoPoint(i_lat[0], i_lon[0]), n, (float(t_s.min()), self._t_a))
         if _moving(self.motion):
             phi = np.radians(cols[0])
             delta = self.motion.speed_kmh * (self._t_a - t_s) / (3600.0 * EARTH_RADIUS_KM)

@@ -260,9 +260,11 @@ def test_10_determinism(tmp_path):
                 "--n-sats", "22", "--planes", "2", "--plane-nodes=-0.02,0.02",
                 "--inclination", "90"]
     out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert cli_main(sim_args + ["--output", str(out_a)]) == 0
-    assert cli_main(sim_args + ["--output", str(out_b)]) == 0
+    track_a, track_b = tmp_path / "a_track.txt", tmp_path / "b_track.txt"
+    assert cli_main(sim_args + ["--output", str(out_a), "--track-out", str(track_a)]) == 0
+    assert cli_main(sim_args + ["--output", str(out_b), "--track-out", str(track_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+    assert track_a.read_bytes() == track_b.read_bytes()
 
     rep_a, rep_b = tmp_path / "ra", tmp_path / "rb"
     for rep in (rep_a, rep_b):
@@ -281,4 +283,12 @@ def test_10_determinism(tmp_path):
         assert cli_main(ev_args + ["--report", str(rep)]) == 0
     assert {p.name: p.read_bytes() for p in ev_a.iterdir()} == \
         {p.name: p.read_bytes() for p in ev_b.iterdir()}
+
+    det_a, det_b = tmp_path / "da", tmp_path / "db"
+    for rep in (det_a, det_b):
+        assert cli_main(["detect", "--input", str(out_a), "--gnss-track", str(track_a),
+                         "--threshold-km", "20", "--window-n", "3", "--report", str(rep)]) == 0
+    files_a = {p.name: p.read_bytes() for p in det_a.iterdir()}
+    assert set(files_a) == {"detect_windows.tsv", "detect_summary.json"}
+    assert files_a == {p.name: p.read_bytes() for p in det_b.iterdir()}
     _report(10, "determinism")

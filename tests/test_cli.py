@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ringalert
@@ -343,8 +344,8 @@ class TestDetectCommand:
         assert table[0].split("\t") == ["window", "t_ref", "n_used", "i_lat", "i_lon",
                                         "g_lat", "g_lon", "deviation_km", "alarm"]
 
-    @pytest.mark.parametrize("window_n, speed_kmh", [(500, 40), (1, 0), (3, 0)],
-                             ids=["500_moving", "1_still", "3_still"])
+    @pytest.mark.parametrize("window_n, speed_kmh", [(500, 40), (1, 0), (3, 0), (3, 40)],
+                             ids=["500_moving", "1_still", "3_still", "3_moving"])
     def test_windows_match_the_record_wrapper(self, tmp_path, window_n, speed_kmh):
         # each row is what the record/table wrapper estimate_position gives
         # for the window's beam records, byte for byte as written
@@ -370,9 +371,11 @@ class TestDetectCommand:
             est = detector.estimate_position(window, motion)
             g_pos = _track_position(track_times, track_points, t_ref)
             outcome = detector.detect(est, g_pos, config)
-            expected.append("\t".join(cli._fmt(v) for v in (
-                k, repr(t_ref), est.n_used, est.i_pos.lat_deg, est.i_pos.lon_deg,
-                g_pos.lat_deg, g_pos.lon_deg, outcome.deviation_km, int(outcome.alarm))))
+            floats = (est.i_pos.lat_deg, est.i_pos.lon_deg, g_pos.lat_deg, g_pos.lon_deg,
+                      outcome.deviation_km)
+            expected.append("\t".join([str(k), repr(t_ref), str(est.n_used),
+                                       *(format(v, ".8g") for v in floats),
+                                       str(int(outcome.alarm))]))
         assert (report / "detect_windows.tsv").read_text().splitlines()[1:] == expected
 
     @pytest.mark.parametrize("fixes", [
@@ -449,6 +452,56 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("ringalert: error: ") and err.count("\n") == 1, err
     return err
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("command", ["ingest", "analyze", "detect", "evaluate", "simulate"])
+    def test_unwritable_report_is_data_error(self, tmp_path, capsys, command):
+        # a path under a regular file can be neither made nor opened
+        log = write_sample_log(tmp_path)
+        track = tmp_path / "track.txt"
+        track.write_text("1580712040.0 29.8 46.1\n")
+        unwritable = log / "out"
+        argv = {
+            "ingest": ["ingest", "--input", log, "--report", unwritable],
+            "analyze": ["analyze", "--input", log, "--report", unwritable],
+            "detect": ["detect", "--input", log, "--gnss-track", track, "--threshold-km", 20,
+                       "--window-n", 1, "--report", unwritable],
+            "evaluate": ["evaluate", "--windows", 1, "--n-grid", 10, "--per", 0, "--seed", 2,
+                         "--n-sats", 22, "--planes", 2, "--plane-nodes=-0.02,0.02",
+                         "--inclination", 90, "--report", unwritable],
+            "simulate": ["simulate", "--duration", 10, "--output", tmp_path / "sim.txt",
+                         "--track-out", unwritable],
+        }[command]
+        assert run_cli(argv) == 2
+        assert_one_line_error(capsys)
+
+
+#: a table cell as the report tables write it, taken independently of the writer
+def _cell(v) -> str:
+    return format(v, ".8g") if isinstance(v, float) else str(v)
+
+
+class TestTableWriter:
+    @given(st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1)), max_size=20))
+    @example([(v, k) for v, k in zip(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+         1e308, -1e308, 1.7976931348623157e308], [0, -1, 2**63 - 1, -2**63] * 3)])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cells_are_8g_floats_and_str_ints(self, tmp_path, rows):
+        # every double (nan, +-inf, -0.0, subnormals, +-1e308 alike) is written
+        # as format(v, ".8g") and every integer as str(v), from Python and
+        # numpy scalars alike
+        floats = [v for v, _ in rows]
+        ints = [k for _, k in rows]
+        path = tmp_path / "t.tsv"
+        cli._write_table(path, ["a", "b", "c", "d", "e", "f"],
+                         [floats, np.array(floats), [np.float64(v) for v in floats],
+                          ints, np.array(ints, dtype=np.int64), [np.int64(k) for k in ints]])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "a\tb\tc\td\te\tf"
+        assert lines[1:] == ["\t".join([_cell(v)] * 3 + [_cell(k)] * 3) for v, k in rows]
 
 
 #: flag values that are not numbers, or not as many numbers as the flag

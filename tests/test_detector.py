@@ -142,9 +142,13 @@ class TestDetect:
         assert outcome.deviation_km == 0.0
 
     def test_boundary_is_strict(self):
-        outcome = detector.DetectionOutcome.from_deviation(20.0, 20.0)
-        assert not outcome.alarm
-        assert detector.DetectionOutcome.from_deviation(20.0000001, 20.0).alarm
+        assert not detector.exceeds(20.0, 20.0)
+        assert detector.exceeds(20.0000001, 20.0)
+        with pytest.raises(ValueError):  # a deviation equal to the threshold raises no alarm
+            detector.DetectionOutcome(alarm=True, deviation_km=20.0, threshold_km=20.0)
+        # the one rule takes a deviation column as it takes one value
+        assert detector.exceeds(np.array([19.9, 20.0, 20.0000001]), 20.0).tolist() == \
+            [False, False, True]
 
     def test_inconsistent_outcome_rejected(self):
         with pytest.raises(ValueError):
@@ -315,13 +319,15 @@ class TestEstimateWindows:
         gaps = rng.choice([0.0, 0.09, 0.27, 40.0], size=windows * n)
         t_s = 1.6e9 + np.cumsum(gaps).reshape(shape)
         batch = detector.estimate_windows(lat, lon, t_s, motion)
-        assert len(batch[0]) == windows
+        i_lat, i_lon = batch[:2]
+        assert i_lat.shape == i_lon.shape == (windows,)
         for row in range(windows):
-            assert batch[0][row] == detector.estimate_position_arrays(lat[row], lon[row], t_s[row],
-                                                                      motion)
+            est = detector.estimate_position_arrays(lat[row], lon[row], t_s[row], motion)
+            assert (est.i_pos.lat_deg, est.i_pos.lon_deg) == (i_lat[row], i_lon[row])
+            assert est.n_used == n and est.window == (t_s[row].min(), t_s[row].max())
             alone = detector.estimate_windows(lat[row:row + 1], lon[row:row + 1],
                                               t_s[row:row + 1], motion)
-            for got, want in zip(batch[1:], alone[1:]):
+            for got, want in zip(batch, alone):
                 assert got[row].tolist() == want[0].tolist()
 
 

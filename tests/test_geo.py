@@ -10,6 +10,7 @@ from ringalert.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
     KmDistance,
+    arc_km,
     bearing_deg,
     displace,
     great_circle_km,
@@ -82,6 +83,15 @@ class TestGreatCircle:
         d_ab = great_circle_km(a, b).km
         d_bc = great_circle_km(b, c).km
         assert d_ac <= d_ab + d_bc + 1e-9
+
+    @given(st.lists(st.tuples(points_st, points_st), min_size=1, max_size=40))
+    @example([(GeoPoint(0, 0.00390625), GeoPoint(0, 180)), (GeoPoint(10, 20), GeoPoint(10, 20))])
+    def test_scalar_equals_the_array_kernel(self, pairs):
+        # a distance column and the same distances taken pair by pair agree bit for bit
+        lat1, lon1, lat2, lon2 = (np.array(c) for c in zip(*(
+            (a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg) for a, b in pairs)))
+        column = arc_km(lat1, lon1, lat2, lon2)
+        assert column.tolist() == [great_circle_km(a, b).km for a, b in pairs]
 
 
 class TestDisplace:
