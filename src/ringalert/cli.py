@@ -488,7 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--windows", type=_COUNT, default=100, help="windows per grid cell")
     p.add_argument("--n-grid", type=_list_of(_COUNT, distinct=True), default="10,100,1000,10000",
                    help="comma-separated distinct window message counts")
-    p.add_argument("--thresholds", type=_list_of(_POSITIVE), default="10,15,20",
+    p.add_argument("--thresholds", type=_list_of(_POSITIVE, distinct=True), default="10,15,20",
                    help="comma-separated thresholds (km)")
     p.add_argument("--receiver", type=_GEO_POINT, default="0,0",
                    help="receiver 'lat,lon' (default 0,0)")

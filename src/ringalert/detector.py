@@ -26,11 +26,10 @@ from .errors import (
 from .geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
-    displace_rad,
+    displace_deg,
     great_circle_km,
     mod360,
     normalize_lon_array,
-    start_rad,
 )
 from .model import (
     DetectorConfig,
@@ -112,7 +111,7 @@ def compensate_arrays(lat, lon, t_s, motion: MotionProfile | None, t_ref):
     if not _moving(motion):
         return lat, lon
     d_km = motion.speed_kmh * (t_ref - np.asarray(t_s, dtype=float)) / 3600.0
-    return displace_rad(*start_rad(lat, lon), motion.course_deg, d_km)
+    return displace_deg(lat, lon, motion.course_deg, d_km)
 
 
 def estimate_windows(lat, lon, t_s, motion: MotionProfile | None = None):

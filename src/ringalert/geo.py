@@ -117,34 +117,18 @@ def bearing_deg(lat1, lon1, lat2, lon2):
     return np.degrees(np.arctan2(y, x)) % 360.0
 
 
-def start_rad(lat, lon):
-    """(sin phi, cos phi, lambda) of degree coordinates: what :func:`displace_rad`
-    needs of a start point, so a caller that displaces one point many times
-    computes it once."""
-    phi = np.radians(lat)
-    return np.sin(phi), np.cos(phi), np.radians(lon)
-
-
 def displace_deg(lat, lon, course_deg, d_km):
     """Destination along the initial-course great circle; broadcasts over arrays.
 
-    Returns (lat2_deg, lon2_deg).
+    Returns (lat2_deg, lon2_deg). The destination is taken as a unit vector:
+    ``sin_phi2`` up the polar axis, ``x`` and ``y`` in the equatorial plane
+    along and across the start meridian. Both angles then come from
+    ``arctan2``, which keeps them accurate near the poles, where ``arcsin``
+    of a sine close to 1 and the ``cos_delta - sin_phi * sin_phi2`` longitude
+    term lose digits.
     """
-    return displace_rad(*start_rad(lat, lon), course_deg, d_km)
-
-
-def displace_rad(sin_phi, cos_phi, lam, course_deg, d_km):
-    """:func:`displace_deg` from a start point given by :func:`start_rad`.
-
-    The operation order is part of the contract: estimates that cache the
-    start point's trig must equal those that do not, bit for bit.
-
-    The destination is taken as a unit vector: ``sin_phi2`` up the polar
-    axis, ``x`` and ``y`` in the equatorial plane along and across the start
-    meridian. Both angles then come from ``arctan2``, which keeps them
-    accurate near the poles, where ``arcsin`` of a sine close to 1 and the
-    ``cos_delta - sin_phi * sin_phi2`` longitude term lose digits.
-    """
+    phi = np.radians(lat)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     theta = np.radians(course_deg)
     delta = np.asarray(d_km, dtype=float) / EARTH_RADIUS_KM
     sin_delta = np.sin(delta)
@@ -154,7 +138,7 @@ def displace_rad(sin_phi, cos_phi, lam, course_deg, d_km):
     x = cos_phi * cos_delta - sin_phi * north
     y = np.sin(theta) * sin_delta
     phi2 = np.arctan2(sin_phi2, np.sqrt(x * x + y * y))
-    lam2 = lam + np.arctan2(y, x)
+    lam2 = np.radians(lon) + np.arctan2(y, x)
     return np.degrees(phi2), normalize_lon_array(np.degrees(lam2))
 
 

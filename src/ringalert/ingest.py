@@ -9,19 +9,19 @@ The expected layout is one message per line, whitespace- or comma-delimited:
 default microseconds), latitudes/longitudes are signed decimal degrees.
 Invalid lines are quarantined and counted, never silently dropped.
 
-That example line is in the general canonical layout. :func:`write_records`
-writes one fixed layout of it, with six decimals:
+That example line is in the receiver's layout, two decimals of degrees.
+:func:`write_records` writes the same fields with six:
 ``1580712040 000000739 115 0 +29.810000 +046.100000``. :func:`parse_table`
-reads lines in that layout at fixed byte offsets, the other canonical lines
-by splitting at their spaces, both column-wise over the whole file, and
-hands every other line to :func:`parse_line`; every tier puts a line in the
-same class.
+reads lines in either layout at fixed byte offsets, column-wise over the
+whole file, and hands every other line to :func:`parse_line`; both tiers
+put a line in the same class.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,8 +94,8 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
 
     Raises MalformedLine, InvalidSatId, InvalidBeamId, or InvalidCoordinate.
     The two time fields must fit in 64 bits. One line is the unit here: this
-    is :func:`parse_table`'s tier for lines outside the canonical layout, and
-    the per-line rule its column-wise tiers must agree with.
+    is :func:`parse_table`'s tier for lines outside the fixed layouts, and
+    the per-line rule its column-wise tier must agree with.
     """
     parts = line.replace(",", " ").split()
     if len(parts) != 6:
@@ -120,26 +120,41 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
 # columnar parsing
 
 _SPACE, _DOT, _PLUS, _MINUS, _NEWLINE, _RETURN = (ord(c) for c in " .+-\n\r")
-#: digits of an integer field in the canonical layout; more may not fit int64
-_MAX_INT_DIGITS = 18
-#: digits of a decimal field; up to 15 the mantissa is exact in a double
-_MAX_DECIMAL_DIGITS = 15
-_POW10_FLOAT = 10.0 ** np.arange(_MAX_DECIMAL_DIGITS + 1)
 _SAT_IDS = np.array(sorted(valid_sat_ids()), dtype=np.int64)
 
-#: The layout :func:`write_records` writes, byte by byte: ``d`` is a digit,
-#: ``s`` a sign, ``m`` a byte of the "sat beam" middle, anything else itself.
-#: The head (time_s, time_frac) is read from the line start, the tail (the
-#: widest middle, lat, lon) from the line end; the middle is 3 to 6 bytes.
+#: Layouts are spelled byte by byte: ``d`` is a digit, ``s`` a sign, ``m`` a
+#: byte of the "sat beam" middle, anything else itself. Every fixed layout
+#: shares this head (time_s, time_frac), read from the line start; its tail
+#: (the widest middle, lat, lon) is read from the line end. The middle is 3
+#: to 6 bytes.
 _HEAD = "dddddddddd ddddddddd "
-_TAIL = "mmmmmm sdd.dddddd sddd.dddddd"
-_MIDDLE = _TAIL.count("m")
-_OUTSIDE_MIDDLE = len(_HEAD) + len(_TAIL) - _MIDDLE
-_FIXED_WIDTHS = range(_OUTSIDE_MIDDLE + 3, _OUTSIDE_MIDDLE + _MIDDLE + 1)
+_MIDDLE = 6
 #: lines gathered per step of :func:`_block`
 _BLOCK_LINES = 4096
-#: bytes between two lines that :func:`_pack` copies as one slice
-_PACK_GAP = 4096
+
+
+class _Layout(NamedTuple):
+    """A layout read at fixed offsets: lat as ``%+0{lat_width}.{decimals}f``,
+    lon as ``%+0{lon_width}.{decimals}f``."""
+
+    decimals: int
+    lat_width: int
+    lon_width: int
+    tail: str
+    widths: range  # of whole lines, from the narrowest middle to the widest
+
+
+def _layout(decimals: int) -> _Layout:
+    digits = "d" * decimals
+    tail = f"{'m' * _MIDDLE} sdd.{digits} sddd.{digits}"
+    outside = len(_HEAD) + len(tail) - _MIDDLE
+    return _Layout(decimals, decimals + 4, decimals + 5, tail,
+                   range(outside + 3, outside + _MIDDLE + 1))
+
+
+#: the layout :func:`write_records` writes, and the receiver's two-decimal
+#: one; their line widths (47-50 and 39-42 bytes) do not overlap
+_WRITER, _RECEIVER = _layout(6), _layout(2)
 
 
 def _read_lines(source) -> tuple[bytes | str, np.ndarray, np.ndarray, np.ndarray]:
@@ -196,7 +211,7 @@ def _line_text(content: bytes | str, start: int, end: int) -> str:
     return line.decode("utf-8", "replace") if isinstance(line, bytes) else line
 
 
-# ---- first tier: the writer's layout at fixed offsets
+# ---- first tier: the fixed layouts, column-wise
 
 def _block(buf: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes from each ``lo``, as the columns of one contiguous
@@ -236,32 +251,31 @@ def _horner(rows: np.ndarray) -> np.ndarray:
     return value
 
 
-def _fixed6(block: np.ndarray, at: int, width: int) -> np.ndarray:
-    """The ``%+0{width}.6f`` field whose sign is row ``at``, as float() reads it."""
-    dot = at + width - 7
-    micro = _horner(block[at + 1:dot])
-    micro *= 1_000_000
-    micro += _horner(block[dot + 1:at + width])
-    # below 2**53 the mantissa and 1e6 are exact, so one division rounds correctly
-    value = micro / 1e6
+def _fixed(block: np.ndarray, at: int, width: int, decimals: int) -> np.ndarray:
+    """The ``%+0{width}.{decimals}f`` field whose sign is row ``at``, as float() reads it."""
+    dot = at + width - 1 - decimals
+    mantissa = _horner(block[at + 1:dot])
+    mantissa *= 10 ** decimals
+    mantissa += _horner(block[dot + 1:at + width])
+    # below 2**53 the mantissa and the power of ten are exact, so one division rounds correctly
+    value = mantissa / 10.0 ** decimals
     return np.negative(value, out=value, where=block[at] == _MINUS)
 
 
-def _parse_fixed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Lines in the writer's layout (:func:`write_records`), every byte checked.
+def _parse_fixed(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, layout: _Layout):
+    """Lines in ``layout``, every byte checked, given the lines' starts and widths.
 
     Returns the indices of those lines and their six columns (longitudes not
-    yet folded), which equal what :func:`_parse_canonical` gives them.
+    yet folded), which equal what :func:`parse_line` gives them.
     """
-    width = ends - starts
-    idx = np.flatnonzero((width >= _FIXED_WIDTHS.start) & (width < _FIXED_WIDTHS.stop))
+    idx = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
     head = _block(buf, starts[idx], len(_HEAD))
-    tail = _block(buf, ends[idx] - len(_TAIL), len(_TAIL))
-    ok = _matches(head, _HEAD) & _matches(tail, _TAIL)
+    tail = _block(buf, starts[idx] + width[idx] - len(layout.tail), len(layout.tail))
+    ok = _matches(head, _HEAD) & _matches(tail, layout.tail)
     # The middle ends its rows: sat digits, one space, and a 1- or 2-digit
     # beam. The head's bytes before it are checked there.
     middle, rows = tail[:_MIDDLE], np.arange(_MIDDLE)[:, None]
-    n_middle = width[idx] - _OUTSIDE_MIDDLE
+    n_middle = width[idx] - (layout.widths.start - 3)
     beam_digits = 1 + (middle[_MIDDLE - 3] == _SPACE)
     outside, is_space = rows < _MIDDLE - n_middle, rows == _MIDDLE - 1 - beam_digits
     ok &= n_middle >= beam_digits + 2
@@ -270,120 +284,27 @@ def _parse_fixed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     ok &= np.all(middle - np.uint8(48) <= 9, axis=0)
     keep = np.flatnonzero(ok)
     sat_beam, beam_scale = _horner(middle)[keep], 10 ** beam_digits[keep]
-    return idx[keep], [_horner(head[0:10])[keep], _horner(head[11:20])[keep],
-                       sat_beam // (10 * beam_scale), sat_beam % beam_scale,
-                       _fixed6(tail, _TAIL.index("s"), 10)[keep],
-                       _fixed6(tail, _TAIL.rindex("s"), 11)[keep]]
-
-
-# ---- second tier: any line of six single-space-separated plain numbers
-
-def _pack(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The given lines, in file order, in a buffer that holds little else,
-    with their spans there.
-
-    Lines less than ``_PACK_GAP`` bytes apart are taken as one slice with
-    the bytes between them, which belong to no span: a few scattered lines
-    cost a few small copies, and lines close together one slice of ``buf``,
-    used as it is when it is the only one.
-    """
-    if not starts.size:
-        return buf[:0], starts, ends
-    first = np.flatnonzero(np.concatenate(([True], starts[1:] - ends[:-1] > _PACK_GAP)))
-    lo, hi = starts[first], ends[np.append(first[1:], starts.size) - 1]
-    pieces = [buf[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
-    packed = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    # a slice moves from lo to the summed sizes of the slices before it
-    sizes = hi - lo
-    shift = np.repeat(lo - (np.cumsum(sizes) - sizes), np.diff(np.append(first, starts.size)))
-    return packed, starts - shift, ends - shift
-
-
-def _columns(buf, hi, width: int):
-    """The last ``width`` bytes before each ``hi``, one array per byte position."""
-    for k in range(width):
-        yield buf.take(hi - (width - k), mode="clip")
-
-
-def _int_field(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, value) of fields that must be 1 to 18 plain decimal digits."""
-    n_digits = hi - lo
-    width = int(min(n_digits.max(initial=1), _MAX_INT_DIGITS))
-    ok = (n_digits >= 1) & (n_digits <= width)
-    value = np.zeros(lo.size, dtype=np.int64)
-    for k, chars in enumerate(_columns(buf, hi, width)):
-        digit = np.where(n_digits >= width - k, chars - np.uint8(48), 0)
-        ok &= digit <= 9
-        value = value * 10 + digit
-    return ok, value
-
-
-def _decimal_field(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, value) of fields of the form [+-]digits.digits with at most 15
-    digits; the value is the correctly rounded double, as float() gives."""
-    n_chars = hi - lo
-    width = int(min(n_chars.max(initial=1), _MAX_DECIMAL_DIGITS + 2))
-    first = buf.take(lo, mode="clip")
-    signed = (first == _PLUS) | (first == _MINUS)
-    body_from = width - n_chars + signed  # first byte column after the sign
-    ok = n_chars <= width
-    dots = np.zeros(lo.size, dtype=np.int64)
-    n_frac = np.zeros(lo.size, dtype=np.int64)
-    mantissa = np.zeros(lo.size, dtype=np.int64)
-    for k, chars in enumerate(_columns(buf, hi, width)):
-        body = k >= body_from
-        is_dot = body & (chars == _DOT)
-        digit = chars - np.uint8(48)
-        is_digit = body & (digit <= 9)
-        ok &= ~body | is_dot | is_digit
-        dots += is_dot
-        n_frac += is_digit & (dots > 0)
-        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
-    n_int = n_chars - signed - 1 - n_frac
-    ok &= (dots == 1) & (n_frac >= 1) & (n_int >= 1) & (n_int + n_frac <= _MAX_DECIMAL_DIGITS)
-    # below 2**53 the mantissa and the power of ten are exact, so one division rounds correctly
-    value = mantissa / _POW10_FLOAT[np.clip(n_frac, 0, _MAX_DECIMAL_DIGITS)]
-    return ok, np.where(first == _MINUS, -value, value)
-
-
-def _parse_canonical(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Lines in the canonical layout: six fields split by single spaces, four
-    plain-digit integers then two [+-]d.d decimals.
-
-    Returns the indices of those lines and their six columns (longitudes not
-    yet folded); every other line is left to :func:`parse_line`.
-    """
-    spaces = np.concatenate((np.flatnonzero(buf == _SPACE), np.full(6, buf.size)))
-    first = np.searchsorted(spaces, starts)
-    # the line holds its first five spaces but not a sixth
-    idx = np.flatnonzero((spaces[first + 4] < ends) & (spaces[first + 5] >= ends))
-    first = first[idx]
-    ok = np.ones(idx.size, dtype=bool)
-    columns = []
-    lo = starts[idx]
-    for k in range(6):
-        hi = spaces[first + k] if k < 5 else ends[idx]
-        field_ok, value = (_int_field if k < 4 else _decimal_field)(buf, lo, hi)
-        ok &= field_ok
-        columns.append(value)
-        lo = hi + 1
-    return idx[ok], [c[ok] for c in columns]
+    return idx[keep], [
+        _horner(head[0:10])[keep], _horner(head[11:20])[keep],
+        sat_beam // (10 * beam_scale), sat_beam % beam_scale,
+        _fixed(tail, layout.tail.index("s"), layout.lat_width, layout.decimals)[keep],
+        _fixed(tail, layout.tail.rindex("s"), layout.lon_width, layout.decimals)[keep]]
 
 
 def _parse_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The first two tiers: the indices of the lines that the writer's layout
-    or else the canonical layout accepts, and their six columns."""
-    fixed, fixed_columns = _parse_fixed(buf, starts, ends)
-    rest = np.ones(starts.size, dtype=bool)
-    rest[fixed] = False
-    rest = np.flatnonzero(rest)
-    general, general_columns = _parse_canonical(*_pack(buf, starts[rest], ends[rest]))
-    return (_joined(fixed, rest[general]),
-            [_joined(*pair) for pair in zip(fixed_columns, general_columns)])
+    """The first tier: the indices of the lines in the writer's or the
+    receiver's layout, and their six columns."""
+    width = ends - starts
+    (writer, writer_columns), (receiver, receiver_columns) = (
+        _parse_fixed(buf, starts, width, layout) for layout in (_WRITER, _RECEIVER))
+    return (_joined(writer, receiver),
+            [_joined(*pair) for pair in zip(writer_columns, receiver_columns)])
 
 
 def _joined(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``np.concatenate((first, second))``, with no copy when ``second`` is empty."""
+    """``np.concatenate((first, second))``, with no copy when either is empty."""
+    if not first.size:
+        return second
     return np.concatenate((first, second)) if second.size else first
 
 
@@ -397,15 +318,14 @@ def _in_key_order(epoch_s: np.ndarray, frac: np.ndarray, sat_id: np.ndarray) -> 
 def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
     """Parse a path, file object, or iterable of lines into a record table.
 
-    Lines take the first of three tiers that accepts them: the writer's
-    layout (:func:`write_records`), read at fixed offsets; the canonical
-    layout, split at its spaces; both column-wise over the whole input.
-    Every other line goes through :func:`parse_line`, and each line lands in
-    the class ``parse_line`` gives it. Accepted lines whose sub-second
-    counter reaches one second in ``frac_unit_s`` are quarantined as
-    ``invalid_frac``; a line whose (epoch_s, frac, sat_id) equals an earlier
-    accepted line's as ``duplicate``. The table carries ``frac_unit_s``.
-    Only OS-level failures raise (IoFailure).
+    Lines in the writer's layout (:func:`write_records`) or the receiver's
+    (lat and lon to two decimals) are read at fixed offsets, column-wise over
+    the whole input. Every other line goes through :func:`parse_line`, and
+    each line lands in the class ``parse_line`` gives it. Accepted lines
+    whose sub-second counter reaches one second in ``frac_unit_s`` are
+    quarantined as ``invalid_frac``; a line whose (epoch_s, frac, sat_id)
+    equals an earlier accepted line's as ``duplicate``. The table carries
+    ``frac_unit_s``. Only OS-level failures raise (IoFailure).
     """
     content, buf, starts, ends = _read_lines(source)
     report = IngestReport(total_lines=int(starts.size))
@@ -532,7 +452,7 @@ def _fixed6_chars(values: np.ndarray, min_width: int) -> np.ndarray:
 
 
 def write_records(table: RecordTable, path) -> None:
-    """Write a table to ``path`` in the canonical log layout, column by column.
+    """Write a table to ``path`` in the writer's layout, column by column.
 
     Each line is ``f"{epoch_s} {frac:09d} {sat_id} {beam_id} {lat:+010.6f}
     {lon:+011.6f}"`` of its row, byte for byte.
@@ -542,7 +462,8 @@ def write_records(table: RecordTable, path) -> None:
     chars = np.hstack((
         _int_chars(table.epoch_s, 1), space, _int_chars(table.frac, 9), space,
         _int_chars(table.sat_id, 1), space, _int_chars(table.beam_id, 1), space,
-        _fixed6_chars(table.lat, 10), space, _fixed6_chars(table.lon, 11),
+        _fixed6_chars(table.lat, _WRITER.lat_width), space,
+        _fixed6_chars(table.lon, _WRITER.lon_width),
         np.full((n, 1), _NEWLINE, dtype=np.uint8),
     ))
     try:

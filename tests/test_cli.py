@@ -587,6 +587,7 @@ class TestSimulatorConfigErrors:
         ["evaluate", "--thresholds", "10,inf"],
         ["evaluate", "--thresholds", "-5"],
         ["evaluate", "--thresholds", "0"],
+        ["evaluate", "--thresholds", "10,10"],
         ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", ""],
         ["evaluate", "--planes", 1, "--n-sats", 11, "--plane-nodes", ""],
         ["simulate", "--motion", "0,0,east,10"],

@@ -155,7 +155,7 @@ def displace_deg_unsplit(lat, lon, course_deg, d_km):
 
 
 class TestExactKernel:
-    """The fmod remainder and the split displacement change no output bit."""
+    """The fmod remainder and the displacement change no output bit."""
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @example(0.0)

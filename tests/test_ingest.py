@@ -90,7 +90,7 @@ class TestParseLine:
         st.integers(min_value=-179_999_999, max_value=180_000_000),
     )
     def test_format_parse_round_trip(self, epoch, frac, sat, beam, lat_u, lon_u):
-        # coordinates on the microdegree grid survive the canonical format exactly
+        # coordinates on the microdegree grid survive the writer's format exactly
         record = IraRecord(epoch, frac, sat, beam, GeoPoint(lat_u / 1e6, lon_u / 1e6))
         assert parse_line(format_line(record)) == record
 
@@ -182,14 +182,14 @@ class TestParseStream:
 
 def mixed_log_lines() -> list[str]:
     """A small simulated log holding every quarantine class, repeats, and
-    valid lines the canonical layout does not cover."""
+    valid lines the fixed layouts do not cover."""
     config = SimConfig(n_sats=11, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
                        per=0.5, duration_s=60.0, seed=4)
     lines = [format_line(r) for r in records_of(emit_stream(config))]
     e, f, s, b, lat, lon = lines[3].split()
     fields = [line.split() for line in lines]
     fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")
-    # valid lines outside the canonical layout replace their originals
+    # valid lines outside the fixed layouts replace their originals
     lines[10] = " ".join(fields[10][:2] + ["00" + fields[10][2]] + fields[10][3:])
     lines[11] = " ".join(fields[11][:3] + ["+" + fields[11][3]] + fields[11][4:])
     lines[12] = " ".join(fields[12][:4] + ["1e1", fields[12][5]])
@@ -264,38 +264,25 @@ class TestParseTable:
 
     @pytest.mark.parametrize("layout", [
         lambda f: f,
-        lambda f: f[:4] + [f"{float(f[4]):+.2f}", f"{float(f[5]):+07.2f}"],
-        lambda f: [str(int(f[0]) - 10**9)] + f[1:],
-        lambda f: [str(int(f[0]) + 9 * 10**9)] + f[1:],
-        lambda f: f[:1] + [str(int(f[1]))] + f[2:],
-    ], ids=["writer", "two-decimal-degrees", "9-digit-time", "11-digit-time", "unpadded-frac"])
-    def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch, layout):
-        # the writer's layout and the general one that SAMPLE_LOG_ROWS uses
+        lambda f: f[:4] + [f"{float(f[4]):+06.2f}", f"{float(f[5]):+07.2f}"],
+    ], ids=["writer", "two-decimal-degrees"])
+    def test_canonical_lines_skip_the_per_line_parser(self, monkeypatch, tmp_path, layout):
+        # the writer's layout and the receiver's, which SAMPLE_LOG_ROWS uses
         lines = [" ".join(layout(format_line(r).split(" ")))
                  for r in records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))]
+        path = tmp_path / "log.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         def refuse(line, lineno=None):
             raise AssertionError(f"line {lineno} left the column-wise path")
 
         monkeypatch.setattr(ingest, "parse_line", refuse)
-        table, report = parse_table(lines)
-        assert report.accepted == len(table) == len(lines) > 300
-
-    def test_writer_lines_take_the_fixed_offsets(self, monkeypatch, tmp_path):
-        path = tmp_path / "sim.log"
-        write_records(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)), path)
-        general = ingest._parse_canonical
-
-        def only_empty(buf, starts, ends):
-            assert starts.size == 0, f"{starts.size} writer lines left the fixed offsets"
-            return general(buf, starts, ends)
-
-        monkeypatch.setattr(ingest, "_parse_canonical", only_empty)
-        table, report = parse_table(path)
-        assert report.accepted == len(table) > 300
+        for source in (lines, path):
+            table, report = parse_table(source)
+            assert report.accepted == len(table) == len(lines) > 300
 
     def test_other_lines_scattered_among_writer_lines(self, tmp_path):
-        # far apart, so the second tier reads them from several slices
+        # far apart: receiver-layout lines and lines for parse_line keep their line numbers
         stream = emit_stream(SimConfig(per=0.5, duration_s=600.0, seed=8))
         lines = [format_line(r) for r in records_of(stream)]
         for k, row in enumerate(SAMPLE_LOG_ROWS + ["", "1580712040 7 115 9 +29.81 +046.10 x"]):
@@ -354,18 +341,27 @@ MUTATIONS = [c.encode() for c in "0123456789/: +-.,\teEx"] + [b"\xff", "\uff15".
                                                               "\u00a0".encode()]
 
 
+def fixed_layout_line(epoch, frac, sat, beam, lat, lon, decimals) -> bytes:
+    """One line in the fixed layout whose degrees have ``decimals`` places:
+    6 is the writer's layout, 2 the receiver's."""
+    return (f"{epoch} {frac:09d} {sat} {beam} {lat:+0{decimals + 4}.{decimals}f} "
+            f"{lon:+0{decimals + 5}.{decimals}f}").encode()
+
+
 @st.composite
 def mutated_writer_logs(draw):
-    """Lines in the writer's layout, valid or not, one byte of one line replaced."""
+    """Lines in the writer's or the receiver's layout, valid or not, one
+    byte of one line replaced."""
     sat_ids = st.one_of(st.sampled_from(sorted(valid_sat_ids())), st.integers(0, 999))
     rows = draw(st.lists(st.tuples(
         st.integers(10**9, 10**10 - 1),
         st.one_of(st.integers(0, 999_999), st.integers(0, 10**9 - 1)),
         sat_ids, st.integers(0, 99),
-        st.integers(-99_999_999, 99_999_999), st.integers(-180_000_000, 180_000_000)),
+        st.integers(-99_999_999, 99_999_999), st.integers(-180_000_000, 180_000_000),
+        st.sampled_from([6, 2])),
         min_size=1, max_size=6))
-    lines = [f"{e} {f:09d} {s} {b} {lat / 1e6:+010.6f} {lon / 1e6:+011.6f}".encode()
-             for e, f, s, b, lat, lon in rows]
+    lines = [fixed_layout_line(e, f, s, b, lat / 1e6, lon / 1e6, decimals)
+             for e, f, s, b, lat, lon, decimals in rows]
     if draw(st.booleans()):
         lines.append(lines[0])
     k = draw(st.integers(0, len(lines) - 1))
@@ -387,8 +383,9 @@ def assert_matches_reference(result, expected, n_lines):
 
 
 class TestMutatedWriterLines:
-    """One byte changed anywhere in a writer line: the three parsing tiers
-    put every line where the per-line reference does."""
+    """One byte changed anywhere in a line of the writer's or the receiver's
+    layout: both parsing tiers put every line where the per-line reference
+    does."""
 
     @staticmethod
     def check(raw, tmp_path):
@@ -407,14 +404,13 @@ class TestMutatedWriterLines:
             self.check(raw, Path(tmp))
 
     def test_every_offset_and_byte(self, tmp_path):
-        # sat ids of 1 to 3 digits and beams of 1 and 2; at every offset of
-        # each line, each mutation replaces or is inserted before the byte
-        # there, or the byte is deleted; all in one log
-        bases = [f"1580712040 {f:09d} {s} {b} {lat:+010.6f} {lon:+011.6f}".encode()
-                 for f, s, b, lat, lon in [(739, 2, 0, 29.81, 46.1), (4519, 13, 7, -0.5, -179.25),
-                                           (4520, 4, 12, 0.0, -0.000001),
-                                           (5059, 115, 44, -89.999999, 0.0),
-                                           (999999, 99, 48, 9.000001, 180.0)]]
+        # sat ids of 1 to 3 digits and beams of 1 and 2, in both layouts; at
+        # every offset of each line, each mutation replaces or is inserted
+        # before the byte there, or the byte is deleted; all in one log
+        bases = [fixed_layout_line(1580712040, *row, decimals) for decimals in (6, 2)
+                 for row in [(739, 2, 0, 29.81, 46.1), (4519, 13, 7, -0.5, -179.25),
+                             (4520, 4, 12, 0.0, -0.000001), (5059, 115, 44, -89.999999, 0.0),
+                             (999999, 99, 48, 9.000001, 180.0)]]
         raw = bases + [line[:at] + new + line[at + skip:] for line in bases
                        for at in range(len(line)) for new in [b"", *MUTATIONS] for skip in (0, 1)]
         self.check(raw, tmp_path)
