@@ -281,6 +281,44 @@ class TestParseTable:
             table, report = parse_table(source)
             assert report.accepted == len(table) == len(lines) > 300
 
+    def test_writer_lines_take_the_fixed_offsets(self, monkeypatch, tmp_path):
+        # write_records writes every line at the widths the writer's layout reads
+        path = tmp_path / "sim.log"
+        write_records(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)), path)
+
+        def refuse(line, lineno=None):
+            raise AssertionError(f"line {lineno} left the fixed offsets")
+
+        monkeypatch.setattr(ingest, "parse_line", refuse)
+        table, report = parse_table(path)
+        assert report.accepted == len(table) > 300
+
+    @pytest.mark.parametrize("layout", [
+        lambda f: [str(int(f[0]) - 10**9)] + f[1:],
+        lambda f: [str(int(f[0]) + 9 * 10**9)] + f[1:],
+        lambda f: f[:1] + [str(int(f[1]))] + f[2:],
+    ], ids=["9-digit-time", "11-digit-time", "unpadded-frac"])
+    def test_other_layouts_match_the_per_line_parser(self, monkeypatch, tmp_path, layout):
+        # valid lines outside both fixed layouts go through parse_line and
+        # give the records the per-line reference gives
+        lines = [" ".join(layout(format_line(r).split(" ")))
+                 for r in records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))]
+        path = tmp_path / "log.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        accepted, _, _ = reference_parse(lines)
+        calls = []
+
+        def counted(line, lineno=None):
+            calls.append(lineno)
+            return parse_line(line, lineno)
+
+        monkeypatch.setattr(ingest, "parse_line", counted)
+        for source in (lines, path):
+            calls.clear()
+            table, report = parse_table(source)
+            assert records_of(table) == accepted and report.accepted == len(lines) > 300
+            assert len(calls) == len(lines)
+
     def test_other_lines_scattered_among_writer_lines(self, tmp_path):
         # far apart: receiver-layout lines and lines for parse_line keep their line numbers
         stream = emit_stream(SimConfig(per=0.5, duration_s=600.0, seed=8))
