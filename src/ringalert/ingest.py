@@ -11,10 +11,13 @@ Invalid lines are quarantined and counted, never silently dropped.
 
 That example line is in the receiver's layout, two decimals of degrees.
 :func:`write_records` writes the same fields with six:
-``1580712040 000000739 115 0 +29.810000 +046.100000``. :func:`parse_table`
-reads lines in either layout at fixed byte offsets, column-wise over the
-whole file, and hands every other line to :func:`parse_line`; both tiers
-put a line in the same class.
+``1580712040 000000739 115 0 +29.810000 +046.100000``. Both sides work on
+blocks of lines held as byte columns, row k holding byte k of every line:
+the writer builds each block's fields as digit rows at their offsets and
+writes the block to a binary file as is; :func:`parse_table` reads lines in
+either layout at fixed byte offsets, a block of lines at a time, and hands
+every other line to :func:`parse_line`; both tiers put a line in the same
+class.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -129,8 +131,9 @@ _SAT_IDS = np.array(sorted(valid_sat_ids()), dtype=np.int64)
 #: to 6 bytes.
 _HEAD = "dddddddddd ddddddddd "
 _MIDDLE = 6
-#: lines gathered per step of :func:`_block`
-_BLOCK_LINES = 4096
+#: lines per block of :func:`parse_table`'s first tier and of
+#: :func:`write_records`: a block's columns stay in cache
+_BLOCK_ROWS = 1 << 14
 
 
 class _Layout(NamedTuple):
@@ -215,17 +218,11 @@ def _line_text(content: bytes | str, start: int, end: int) -> str:
 
 def _block(buf: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes from each ``lo``, as the columns of one contiguous
-    (width, n) block: row k holds byte k of every line.
-
-    Lines are gathered and transposed a few thousand at a time, which keeps
-    both sides of the transpose in cache (twice as fast as one transpose).
-    """
-    block = np.empty((width, lo.size), dtype=np.uint8)
-    if lo.size:  # else the buffer may be shorter than width
-        windows = sliding_window_view(buf, width)
-        for i in range(0, lo.size, _BLOCK_LINES):
-            block[:, i:i + _BLOCK_LINES] = windows[lo[i:i + _BLOCK_LINES]].T
-    return block
+    (width, n) block: row k holds byte k of every line."""
+    if not lo.size:  # the buffer may be shorter than width
+        return np.empty((width, 0), dtype=np.uint8)
+    items = np.ndarray((buf.size - width + 1,), f"V{width}", buf, strides=(1,))
+    return np.ascontiguousarray(items[lo].view(np.uint8).reshape(-1, width).T)
 
 
 def _matches(block: np.ndarray, pattern: str) -> np.ndarray:
@@ -242,12 +239,13 @@ def _matches(block: np.ndarray, pattern: str) -> np.ndarray:
 
 
 def _horner(rows: np.ndarray) -> np.ndarray:
-    """The decimal value of rows of ASCII digits, most significant first."""
-    value = rows[0].astype(np.int64)
-    for row in rows[1:]:
+    """The decimal value of rows of ASCII digits, most significant first:
+    int32 up to nine digits, int64 above."""
+    digits = rows - np.uint8(48)
+    value = digits[0].astype(np.int32 if len(rows) < 10 else np.int64)
+    for row in digits[1:]:
         value *= 10
         value += row
-    value -= 48 * (10 ** len(rows) - 1) // 9  # each byte is its digit + 48
     return value
 
 
@@ -263,42 +261,27 @@ def _fixed(block: np.ndarray, at: int, width: int, decimals: int) -> np.ndarray:
 
 
 def _parse_fixed(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, layout: _Layout):
-    """Lines in ``layout``, every byte checked, given the lines' starts and widths.
-
-    Returns the indices of those lines and their six columns (longitudes not
-    yet folded), which equal what :func:`parse_line` gives them.
-    """
-    idx = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
-    head = _block(buf, starts[idx], len(_HEAD))
-    tail = _block(buf, starts[idx] + width[idx] - len(layout.tail), len(layout.tail))
+    """Which of the lines of ``layout``'s widths at ``starts`` are in it, every
+    byte checked, and the six columns of all of them (longitudes not yet
+    folded), equal to what :func:`parse_line` gives a line in the layout."""
+    head = _block(buf, starts, len(_HEAD))
+    tail = _block(buf, starts + width - len(layout.tail), len(layout.tail))
     ok = _matches(head, _HEAD) & _matches(tail, layout.tail)
     # The middle ends its rows: sat digits, one space, and a 1- or 2-digit
     # beam. The head's bytes before it are checked there.
     middle, rows = tail[:_MIDDLE], np.arange(_MIDDLE)[:, None]
-    n_middle = width[idx] - (layout.widths.start - 3)
+    n_middle = width - (layout.widths.start - 3)
     beam_digits = 1 + (middle[_MIDDLE - 3] == _SPACE)
     outside, is_space = rows < _MIDDLE - n_middle, rows == _MIDDLE - 1 - beam_digits
     ok &= n_middle >= beam_digits + 2
     ok &= np.all(outside | ((middle == _SPACE) == is_space), axis=0)
     middle[outside | is_space] = ord("0")  # sat, a zero digit for the space, beam
     ok &= np.all(middle - np.uint8(48) <= 9, axis=0)
-    keep = np.flatnonzero(ok)
-    sat_beam, beam_scale = _horner(middle)[keep], 10 ** beam_digits[keep]
-    return idx[keep], [
-        _horner(head[0:10])[keep], _horner(head[11:20])[keep],
-        sat_beam // (10 * beam_scale), sat_beam % beam_scale,
-        _fixed(tail, layout.tail.index("s"), layout.lat_width, layout.decimals)[keep],
-        _fixed(tail, layout.tail.rindex("s"), layout.lon_width, layout.decimals)[keep]]
-
-
-def _parse_columns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The first tier: the indices of the lines in the writer's or the
-    receiver's layout, and their six columns."""
-    width = ends - starts
-    (writer, writer_columns), (receiver, receiver_columns) = (
-        _parse_fixed(buf, starts, width, layout) for layout in (_WRITER, _RECEIVER))
-    return (_joined(writer, receiver),
-            [_joined(*pair) for pair in zip(writer_columns, receiver_columns)])
+    sat = _horner(middle[:_MIDDLE - 2])  # times ten when the beam has two digits
+    return (ok, _horner(head[0:10]), _horner(head[11:20]),
+            np.where(beam_digits == 2, sat // 10, sat), _horner(middle[_MIDDLE - 2:]),
+            _fixed(tail, layout.tail.index("s"), layout.lat_width, layout.decimals),
+            _fixed(tail, layout.tail.rindex("s"), layout.lon_width, layout.decimals))
 
 
 def _joined(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -319,8 +302,8 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     """Parse a path, file object, or iterable of lines into a record table.
 
     Lines in the writer's layout (:func:`write_records`) or the receiver's
-    (lat and lon to two decimals) are read at fixed offsets, column-wise over
-    the whole input. Every other line goes through :func:`parse_line`, and
+    (lat and lon to two decimals) are read at fixed offsets, column-wise, a
+    block of lines at a time. Every other line goes through :func:`parse_line`, and
     each line lands in the class ``parse_line`` gives it. Accepted lines
     whose sub-second counter reaches one second in ``frac_unit_s`` are
     quarantined as ``invalid_frac``; a line whose (epoch_s, frac, sat_id)
@@ -329,19 +312,31 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     """
     content, buf, starts, ends = _read_lines(source)
     report = IngestReport(total_lines=int(starts.size))
-    idx, (epoch_s, frac, sat_id, beam_id, lat, lon) = _parse_columns(buf, starts, ends)
-    bad_coordinate = (lat < -90.0) | (lat > 90.0)
-    bad_sat = ~bad_coordinate & ~np.isin(sat_id, _SAT_IDS)
-    bad_beam = ~bad_coordinate & ~bad_sat & ((beam_id < 0) | (beam_id > MAX_BEAM_ID))
-    good = ~(bad_coordinate | bad_sat | bad_beam)
-    report.invalid_coordinate = int(bad_coordinate.sum())
-    report.invalid_sat_id = int(bad_sat.sum())
-    report.invalid_beam_id = int(bad_beam.sum())
-    quarantined = [idx[~good] + 1]
+    width, slow, quarantined = ends - starts, np.ones(starts.size, dtype=bool), []
+    # the accepted lines' line numbers and columns, filled block by block
+    fast, n_fast = [np.empty(starts.size, dtype) for dtype in [np.int64] * 5 + [float] * 2], 0
+    for layout in (_WRITER, _RECEIVER):
+        candidates = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
+        for lo in range(0, candidates.size, _BLOCK_ROWS):
+            idx = candidates[lo:lo + _BLOCK_ROWS]
+            ok, epoch_s, frac, sat_id, beam_id, lat, lon = _parse_fixed(
+                buf, starts[idx], width[idx], layout)
+            bad_coordinate = ok & ((lat < -90.0) | (lat > 90.0))
+            bad_sat = ok & ~bad_coordinate & ~np.isin(sat_id, _SAT_IDS)
+            bad_beam = ok & ~bad_coordinate & ~bad_sat & ((beam_id < 0) | (beam_id > MAX_BEAM_ID))
+            good = ok & ~(bad_coordinate | bad_sat | bad_beam)
+            report.invalid_coordinate += int(bad_coordinate.sum())
+            report.invalid_sat_id += int(bad_sat.sum())
+            report.invalid_beam_id += int(bad_beam.sum())
+            quarantined.append(idx[ok & ~good] + 1)
+            slow[idx] = ~ok
+            n_good = n_fast + int(good.sum())
+            for column, values in zip(fast, (idx + 1, epoch_s, frac, sat_id, beam_id, lat)):
+                column[n_fast:n_good] = values[good]  # each column taken once
+            fast[-1][n_fast:n_good] = normalize_lon_array(lon[good])  # folded once taken
+            n_fast = n_good
 
     slow_rows, slow_quarantined = [], []
-    slow = np.ones(starts.size, dtype=bool)
-    slow[idx] = False
     for i in np.flatnonzero(slow).tolist():
         lineno = i + 1
         stripped = _line_text(content, starts[i], ends[i]).strip()
@@ -368,10 +363,9 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     # the rows parse_line's rules accept, in line order
     slow_ints = np.array([row[:5] for row in slow_rows], dtype=np.int64).reshape(-1, 5)
     slow_floats = np.array([row[5:] for row in slow_rows], dtype=float).reshape(-1, 2)
-    lon = normalize_lon_array(lon)
     lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
-        _joined(column[good], slow_column) for column, slow_column in zip(
-            (idx + 1, epoch_s, frac, sat_id, beam_id, lat, lon), (*slow_ints.T, *slow_floats.T)))
+        _joined(column[:n_fast], slow_column)
+        for column, slow_column in zip(fast, (*slow_ints.T, *slow_floats.T)))
     if np.any(lines[1:] < lines[:-1]):
         by_line = np.argsort(lines, kind="stable")
         lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
@@ -416,59 +410,78 @@ def parse_stream(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[list
 # ---------------------------------------------------------------------------
 # columnar writing
 
-_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+#: per column of the writer's layout: the digits it is zero-padded to, and its decimals
+_WRITER_FIELDS = ((1, 0), (9, 0), (1, 0), (1, 0), (_WRITER.lat_width - 2, _WRITER.decimals),
+                  (_WRITER.lon_width - 2, _WRITER.decimals))
 
 
-def _int_chars(values: np.ndarray, min_width: int) -> np.ndarray:
-    """``f"{v:0{min_width}d}"`` of each value as right-aligned byte rows,
-    padded on the left with NUL."""
-    negative = values < 0
-    rest = np.abs(values).astype(np.uint64)  # |int64 min| wraps to 2**63 here
-    n_digits = np.maximum(np.searchsorted(_POW10_U64, rest, side="right"), 1)
-    width = np.maximum(n_digits + negative, min_width)
-    chars = np.zeros((values.size, int(width.max(initial=min_width))), dtype=np.uint8)
-    for power in range(chars.shape[1]):
-        quotient = rest // np.uint64(10)
-        digit = (rest - quotient * np.uint64(10)).astype(np.uint8) + 48
-        chars[:, -1 - power] = np.where(power < width - negative, digit,
-                                        np.where(negative & (power == width - 1), _MINUS, 0))
-        rest = quotient
-    return chars
-
-
-def _fixed6_chars(values: np.ndarray, min_width: int) -> np.ndarray:
-    """``f"{v:+0{min_width}.6f}"`` of each value as byte rows padded with NUL."""
-    magnitude = np.abs(values)
-    scaled = magnitude * 1e6
-    micro = np.rint(scaled).astype(np.int64)
+def _units(degrees: np.ndarray, decimals: int) -> np.ndarray:
+    """``abs(degrees)`` in units of its last of ``decimals`` places, as ``format`` rounds it."""
+    magnitude = np.abs(degrees)
+    scaled = magnitude * 10.0 ** decimals
+    units = np.rint(scaled).astype(np.uint64)
     # near a half the product's rounding may pick the wrong neighbour: ask float formatting
     tie = np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.spacing(scaled))
-    micro[tie] = [int(format(v, ".6f").replace(".", "")) for v in magnitude[tie].tolist()]
-    sign = np.where(np.signbit(values), _MINUS, _PLUS).astype(np.uint8)
-    return np.hstack((sign[:, None],
-                      _int_chars(micro // 1_000_000, min_width - 8),
-                      np.full((values.size, 1), _DOT, dtype=np.uint8),
-                      _int_chars(micro % 1_000_000, 6)))
+    units[tie] = [int(format(v, f".{decimals}f").replace(".", "")) for v in magnitude[tie].tolist()]
+    return units
+
+
+def _put(lines: np.ndarray, rows: list[int], units: np.ndarray, pad, sign) -> None:
+    """Write the digits of ``units`` into ``rows`` of ``lines``, least significant first,
+    zero-padded to ``pad`` digits, then ``sign``, then NUL; ``pad`` and ``sign`` may vary."""
+    rest = units.astype(np.uint32 if units.max(initial=0) < 2**32 else np.uint64)
+    ten, digit_ok = rest.dtype.type(10), True
+    for k, row in enumerate(rows):
+        quotient = rest // ten
+        digit = rest - quotient * ten + 48
+        if np.all(k < pad) or rest.min() > 0:
+            lines[row] = digit
+        else:
+            was_ok, digit_ok = digit_ok, (rest != 0) | (k < pad)
+            lines[row] = np.where(digit_ok, digit, np.where(was_ok, sign, 0))
+        rest = quotient
+
+
+def _line_block(*columns: np.ndarray) -> np.ndarray:
+    """Rows of a table's columns as lines in the writer's layout, in one
+    (width, rows) block: row k holds byte k of every line, and a field
+    narrower than the block's widest has NUL before it."""
+    fields, at = [], 0
+    for values, (pad, places) in zip(columns, _WRITER_FIELDS):
+        if places:
+            units, sign = _units(values, places), np.where(np.signbit(values), _MINUS, _PLUS)
+        elif values.min(initial=0) >= 0:
+            units, sign = values, 0
+        else:  # f"{v:0{pad}d}": a minus sign takes one of the padded places
+            units, sign = np.abs(values).astype(np.uint64), np.where(values < 0, _MINUS, 0)
+            pad = pad - (values < 0)
+        end = (at + max(int(np.max(pad)), len(str(int(units.max(initial=0)))))
+               + bool(np.any(sign)) + bool(places))
+        fields.append((list(range(end - 1, at - 1, -1)), units, pad, sign, places))
+        at = end + 1  # the space after, or the line break
+    lines = np.empty((at, columns[0].size), dtype=np.uint8)
+    for rows, units, pad, sign, places in fields:
+        lines[rows[0] + 1] = _SPACE
+        if places:
+            lines[rows.pop(places)] = _DOT
+        _put(lines, rows, units, pad, sign)
+    lines[-1] = _NEWLINE
+    return lines
 
 
 def write_records(table: RecordTable, path) -> None:
-    """Write a table to ``path`` in the writer's layout, column by column.
+    """Write a table to ``path`` in the writer's layout, block by block.
 
     Each line is ``f"{epoch_s} {frac:09d} {sat_id} {beam_id} {lat:+010.6f}
-    {lon:+011.6f}"`` of its row, byte for byte.
+    {lon:+011.6f}"`` of its row, byte for byte. Each block of rows is built
+    column-wise as one array of bytes and written to the binary file as is,
+    with the NUL bytes that narrower fields leave dropped.
     """
-    n = len(table)
-    space = np.full((n, 1), _SPACE, dtype=np.uint8)
-    chars = np.hstack((
-        _int_chars(table.epoch_s, 1), space, _int_chars(table.frac, 9), space,
-        _int_chars(table.sat_id, 1), space, _int_chars(table.beam_id, 1), space,
-        _fixed6_chars(table.lat, _WRITER.lat_width), space,
-        _fixed6_chars(table.lon, _WRITER.lon_width),
-        np.full((n, 1), _NEWLINE, dtype=np.uint8),
-    ))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(chars[chars != 0].tobytes().decode("ascii"))
+        with open(path, "wb") as fh:
+            for lo in range(0, len(table), _BLOCK_ROWS):
+                lines = _line_block(*(c[lo:lo + _BLOCK_ROWS] for c in table.columns())).T.copy()
+                fh.write(lines[lines != 0])
     except OSError as exc:
         raise IoFailure(f"write failure: {exc}") from exc
 

@@ -2,6 +2,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from ringalert.ingest import (
     segment_passes,
     write_records,
 )
-from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, valid_sat_ids
+from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, RecordTable, valid_sat_ids
 from ringalert.simulator import SimConfig, emit_stream
 from tests.conftest import (
     SAMPLE_LOG_FIELDS,
@@ -371,6 +372,34 @@ class TestParseTable:
         table, report = parse_table(["1580712040 999999 115 3 +29.81 +046.10"])
         assert (len(table), report.invalid_frac) == (1, 0)
 
+    @pytest.mark.parametrize("decimals", [6, 2], ids=["writer", "receiver"])
+    def test_zero_signs_and_longitude_folds(self, monkeypatch, tmp_path, decimals):
+        # signed zeros and the antimeridian, read at the fixed offsets: the
+        # same values as parse_line, bit for bit, signs of zeros included
+        lines = [fixed_layout_line(1580712040, k, 115, 3, lat, lon, decimals).decode()
+                 for k, (lat, lon) in enumerate(
+                     (lat, lon) for lat in (-0.0, 0.0, -45.5)
+                     for lon in (-0.0, 0.0, -180.0, 180.0, -179.5))]
+        zeros = "0" * decimals
+        assert {f"-00.{zeros}", f"-000.{zeros}", f"-180.{zeros}", f"+180.{zeros}"} <= {
+            field for line in lines for field in line.split()}
+        expected = [parse_line(line).ground for line in lines]
+
+        def refuse(line, lineno=None):
+            raise AssertionError(f"line {lineno} left the fixed offsets")
+
+        monkeypatch.setattr(ingest, "parse_line", refuse)
+        path = tmp_path / "log.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table, report = parse_table(path)
+        assert report.accepted == len(lines)
+        for got, want in ((table.lat, [p.lat_deg for p in expected]),
+                          (table.lon, [p.lon_deg for p in expected])):
+            assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert np.signbit(table.lat).tolist() == [True] * 5 + [False] * 5 + [True] * 5
+        assert table.lon.tolist() == [0.0, 0.0, 180.0, 180.0, -179.5] * 3
+        assert np.signbit(table.lon).tolist() == ([False] * 4 + [True]) * 3
+
 
 #: what a mutation writes over one byte of a writer line: bytes the
 #: fixed-offset check tells apart, one undecodable byte, and non-ASCII
@@ -492,6 +521,39 @@ class TestWriteRecords:
     def test_simulated_stream(self):
         table = emit_stream(SimConfig(per=0.5, duration_s=120.0, seed=2))
         assert _written(table) == "".join(format_line(r) + "\n" for r in records_of(table))
+
+    def test_field_widths_change_between_blocks(self, monkeypatch):
+        # blocks of 7 rows: epochs of 9, 10 and 11 digits and one negative,
+        # sat ids of 1 to 3 digits and beams of 1 and 2, in changing mixes
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        epochs = [-5] + [10**8 + k for k in range(12)] + [16 * 10**8 + k for k in range(15)] \
+            + [10**10 + k for k in range(12)]
+        sats = [2] * 7 + [3, 13, 115, 9, 22, 4, 99] + [115] * 7 + [13] * 7 + [4, 114] * 6
+        beams = [5] * 7 + [48] * 7 + [0, 10] * 7 + [9] * 7 + [1, 47, 9, 12, 3]
+        records = [IraRecord(e, 739 * k, s, b, GeoPoint(k * 2.25 - 45.0, 179.5 - k * 9.0))
+                   for k, (e, s, b) in enumerate(zip(epochs, sats, beams))]
+        assert len(records) == len(epochs) == len(sats) == len(beams) == 40
+        assert _written(table_of(records)) == "".join(format_line(r) + "\n" for r in records)
+        # negative counters, ids and beams no record holds: still as format writes them
+        odd = RecordTable([7, 8], [-5, -123456789], [-1, 3], [-12, 0], [0.0, 1.0], [0.0, 1.0])
+        assert _written(odd) == ("7 -00000005 -1 -12 +00.000000 +000.000000\n"
+                                 "8 -123456789 3 0 +01.000000 +001.000000\n")
+
+    def test_empty_table_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.log"
+        write_records(table_of([]), path)
+        assert path.read_bytes() == b""
+
+    def test_three_whole_blocks_round_trip(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 7)
+        table = emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8))[:21]
+        path = tmp_path / "out.log"
+        write_records(table, path)
+        back, report = parse_table(path)
+        assert (len(back), report.quarantined) == (21, 0)
+        expected = [IraRecord(*row[:4], GeoPoint(*(float(f"{v:.6f}") for v in row[4:])))
+                    for row in zip(*(c.tolist() for c in table.columns()))]
+        assert back == table_of(expected)
 
 
 class TestSegmentPasses:
