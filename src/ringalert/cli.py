@@ -21,11 +21,13 @@ from . import analytics, detector, ingest, simulator
 from .errors import (BinOverflow, EmptyInput, InsufficientBrackets, InsufficientData, InvalidConfig,
                      InvalidCoordinate, IoFailure, MalformedLine, RingAlertError)
 # great_circle_km and interpolate stay bound here because bench/spans.py
-# TARGETS wraps them by this module's bindings; interpolate is not called here
+# TARGETS wraps them by this module's bindings; neither is called here
 from .geo import GeoPoint, arc_km, great_circle_km, interpolate, interpolate_deg  # noqa: F401
 from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 
 REPORT_DIR_ENV = "RINGALERT_REPORT_DIR"
+# elements per block of windows that evaluate estimates at once: its temporaries stay in cache
+_ESTIMATE_BLOCK = 1 << 16
 
 
 class _UsageError(Exception):
@@ -385,12 +387,12 @@ def _cmd_evaluate(args) -> int:
         rng = np.random.default_rng([config.seed, n])
         windows = simulator.sample_windows(config, args.receiver, window_messages=n,
                                            n_windows=args.windows, rng=rng)
-        deviations_by_n[n] = [
-            great_circle_km(
-                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, args.receiver
-            ).km
-            for w in windows
-        ]
+        rows = max(1, _ESTIMATE_BLOCK // n)
+        deviations_by_n[n] = np.concatenate([
+            arc_km(*detector.estimate_windows(block.lat, block.lon, block.t_s)[:2],
+                   args.receiver.lat_deg, args.receiver.lon_deg)
+            for block in (windows[k:k + rows] for k in range(0, args.windows, rows))
+        ])
     rates = detector.evaluate_fp(deviations_by_n, args.thresholds, min_windows=args.windows)
     # the per-threshold decay fit needs at least three grid points
     fits = detector.fp_exponent_fits(rates) if len(args.n_grid) >= 3 else {}

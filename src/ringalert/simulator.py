@@ -463,8 +463,9 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
         rx, ry, rz = unit_vectors(receiver.start.lat_deg, receiver.start.lon_deg)
     cos_coverage = math.cos(min(config.coverage_radius_km / EARTH_RADIUS_KM, math.pi))
     visible = ux * rx + uy * ry + uz * rz >= cos_coverage
-    slot, sat_idx, ux, uy, uz, northbound = (
-        a[visible] for a in (slot, sat_idx, ux, uy, uz, northbound))
+    if not visible.all():  # a stationary receiver's slot ranges are exact, so all usually are
+        slot, sat_idx, ux, uy, uz, northbound = (
+            a[visible] for a in (slot, sat_idx, ux, uy, uz, northbound))
     beam_id = _beam_ids_for_slots(config, slot, sat_idx)
     c, a_e, a_n = (column[beam_id] for column in _beam_table(config))
     a_n = np.where(northbound, a_n, -a_n)
@@ -483,9 +484,9 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
 
 
 def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_hi: int,
-          rng: np.random.Generator) -> RecordTable:
-    """Every emission in slots [slot_lo, slot_hi) that survives the loss channel
-    and reaches ``receiver``, sorted by slot, then satellite.
+          rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Columns (slot, sat_idx, beam_id, lat, lon) of every emission in slots [slot_lo,
+    slot_hi) that survives the loss channel and reaches ``receiver``, by slot, then satellite.
 
     The loss channel draws one renewal per satellite over its in-view slots
     laid end to end, satellite by satellite, so one generator state gives one
@@ -509,18 +510,14 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
         drawn = _kept_offsets(int(laid_end[-1]), config, rng)
         slots.append(drawn + (last + 1 - laid_end)[np.searchsorted(laid_end, drawn, side="right")])
         sats.append(np.full(drawn.size, j))
-    slot, sat_idx = np.concatenate(slots), np.concatenate(sats)
-    # (slot, satellite) pairs are distinct; the stable sort runs fastest on the sorted runs
-    order = np.argsort(slot * config.n_sats + sat_idx, kind="stable")
-    slot, sat_idx = slot[order], sat_idx[order]
+    # (slot, satellite) keys are distinct, so sorting the keys orders the rows
+    slot, sat_idx = np.divmod(np.sort(np.concatenate(slots) * config.n_sats
+                                      + np.concatenate(sats)), config.n_sats)
     # at least one block, so the columns keep their dtypes when nothing is in view
     parts = [_in_view_records(config, basis, receiver, slot[k:k + _GEOMETRY_ROWS],
                               sat_idx[k:k + _GEOMETRY_ROWS])
              for k in range(0, max(slot.size, 1), _GEOMETRY_ROWS)]
-    slot, sat_idx, beam_id, lat, lon = (np.concatenate(column) for column in zip(*parts))
-    total_us = slot * config.slot_us
-    return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
-                       np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 #: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
@@ -544,8 +541,11 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
         raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
                          f"{config.duration_s} s")
-    return _emit(config, _orbit_basis(config), scenario.receiver, 0, _slot_count(config),
-                 np.random.default_rng(config.seed))
+    slot, sat_idx, beam_id, lat, lon = _emit(config, _orbit_basis(config), scenario.receiver, 0,
+                                             _slot_count(config), np.random.default_rng(config.seed))
+    total_us = slot * config.slot_us
+    return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
+                       np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
 
 
 # ---------------------------------------------------------------------------
@@ -578,25 +578,31 @@ def _next_chunk_slots(last: int, slots_done: int, beams_seen: int, beams_needed:
 
 @dataclass(frozen=True)
 class WindowSample:
-    """Beam-record positions and times for one collection window."""
+    """Beam-record times and positions of consecutive windows, one window a row of
+    C-contiguous ``(windows, window_messages)`` columns. ``len`` counts the windows,
+    ``ws[k]`` holds one window's 1-D row views and ``ws[a:b]`` a block of windows."""
 
     t_s: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-    sat_id: np.ndarray
-    beam_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_s)
+
+    def __getitem__(self, index) -> "WindowSample":
+        return WindowSample(self.t_s[index], self.lat[index], self.lon[index])
 
 
 def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: int,
-                   n_windows: int, rng: np.random.Generator | None = None) -> list[WindowSample]:
+                   n_windows: int, rng: np.random.Generator | None = None) -> WindowSample:
     """Consecutive disjoint windows of ``window_messages`` beam records each.
 
     A fast path for Monte Carlo studies with a stationary receiver, on either
     loss channel. The stream comes from the same emitter as
     :func:`emit_stream`, one chunk of slots at a time, each chunk sized from
     the beams still needed (the last one too, so it emits about what the
-    windows use), so cost scales with the message count; windows are cut
-    from it back to back.
+    windows use), so cost scales with the message count; the beam rows the
+    windows use are joined once and cut into windows back to back.
     """
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
@@ -606,32 +612,24 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         rng = np.random.default_rng(config.seed)
     basis = _orbit_basis(config)
     stationary = MotionProfile(receiver, 0.0, 0.0)
-    windows: list[WindowSample] = []
-    carry = None  # beam rows left over from the previous chunk, one array per field
+    needed = n_windows * window_messages
+    parts = []  # (t_s, lat, lon) of each chunk's beam rows that the windows use
     lo, size, beams_seen = 0, _FIRST_WINDOW_CHUNK_SLOTS, 0
     while lo < _MAX_WINDOW_SLOTS:
         hi = min(lo + size, _MAX_WINDOW_SLOTS)
-        chunk = _emit(config, basis, stationary, lo, hi, rng)
-        beams = chunk.is_beam
-        # whole microseconds since the run start, so t_s is the emitter's slot time exactly
-        elapsed_us = (chunk.epoch_s[beams] - config.start_epoch_s) * 1_000_000 + chunk.frac[beams]
-        columns = [elapsed_us * 1e-6, chunk.lat[beams], chunk.lon[beams],
-                   chunk.sat_id[beams], chunk.beam_id[beams]]
-        beams_seen += elapsed_us.size
-        if carry is not None:
-            columns = [np.concatenate(pair) for pair in zip(carry, columns)]
-        cut = min(columns[0].size // window_messages, n_windows - len(windows))
-        for k in range(cut):
-            rows = slice(k * window_messages, (k + 1) * window_messages)
-            windows.append(WindowSample(*(c[rows].copy() for c in columns)))
-        if len(windows) >= n_windows:
-            return windows
-        carry = [c[cut * window_messages:] for c in columns]
-        beams_needed = (n_windows - len(windows)) * window_messages - carry[0].size
-        size = _next_chunk_slots(size, hi, beams_seen, beams_needed)
+        slot, _, beam_id, lat, lon = _emit(config, basis, stationary, lo, hi, rng)
+        beams = np.flatnonzero(beam_id)
+        rows = beams[:needed - beams_seen]
+        # whole microseconds since the run start, scaled once: the emitter's slot time exactly
+        parts.append(((slot[rows] * config.slot_us) * 1e-6, lat[rows], lon[rows]))
+        beams_seen += beams.size
+        if beams_seen >= needed:
+            return WindowSample(*(np.concatenate(column).reshape(n_windows, window_messages)
+                                  for column in zip(*parts)))
+        size = _next_chunk_slots(size, hi, beams_seen, needed - beams_seen)
         lo = hi
     hours = _MAX_WINDOW_SLOTS * config.slot_s / 3600.0
     raise InsufficientWindows(
-        f"collected only {len(windows)}/{n_windows} windows in {_MAX_WINDOW_SLOTS} slots "
-        f"({hours:.0f} h); no satellite may be in view of this receiver"
+        f"collected only {beams_seen // window_messages}/{n_windows} windows in "
+        f"{_MAX_WINDOW_SLOTS} slots ({hours:.0f} h); no satellite may be in view of this receiver"
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ringalert import analytics, detector, ingest
-from ringalert.geo import GeoPoint, great_circle_km
+from ringalert.geo import GeoPoint, arc_km, great_circle_km
 from ringalert.model import DetectorConfig
 from ringalert.simulator import (
     SHIP_CLASSES,
@@ -170,6 +170,13 @@ def test_06_beam_constellation_closed_loop():
     _report(6, "beam constellation closed loop")
 
 
+def _deviations_km(windows, receiver: GeoPoint) -> np.ndarray:
+    """Each window's centroid deviation from the receiver, as ``evaluate`` finds
+    it: the block estimator on the windows' rows, then ``arc_km``."""
+    lat, lon = detector.estimate_windows(windows.lat, windows.lon, windows.t_s)[:2]
+    return arc_km(lat, lon, receiver.lat_deg, receiver.lon_deg)
+
+
 def test_07_centroid_error_power_law():
     receiver = GeoPoint(0.0, 0.0)
     config = corridor_config(seed=101)
@@ -179,13 +186,7 @@ def test_07_centroid_error_power_law():
         rng = np.random.default_rng([config.seed, n])
         windows = sample_windows(config, receiver, window_messages=n,
                                  n_windows=40, rng=rng)
-        errors = [
-            great_circle_km(
-                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, receiver
-            ).km
-            for w in windows
-        ]
-        mean_err.append(float(np.mean(errors)))
+        mean_err.append(float(np.mean(_deviations_km(windows, receiver))))
     fit = detector.fit_power_law(n_grid, mean_err)
     assert -0.65 <= fit.m <= -0.45
     predicted_6100 = 10.0 ** fit.q * 6100 ** fit.m
@@ -241,12 +242,7 @@ def test_09_detection_end_to_end():
         rng = np.random.default_rng([fp_config.seed, n])
         windows = sample_windows(fp_config, receiver, window_messages=n,
                                  n_windows=100, rng=rng)
-        deviations[n] = [
-            great_circle_km(
-                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, receiver
-            ).km
-            for w in windows
-        ]
+        deviations[n] = _deviations_km(windows, receiver)
     rates = detector.evaluate_fp(deviations, [10.0, 15.0, 20.0], min_windows=100)
     assert rates[(10_000, 20.0)] < rates[(10, 20.0)]
     fits = detector.fp_exponent_fits(rates)

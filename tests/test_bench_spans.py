@@ -1,7 +1,9 @@
 """The benchmark's span tracer must keep resolving the functions it wraps."""
 
 from bench import spans
-from ringalert import cli
+from ringalert import cli, simulator
+from ringalert.geo import GeoPoint
+from tests.conftest import corridor_config
 
 
 def _bound():
@@ -24,3 +26,10 @@ def test_install_then_uninstall_restores_originals():
     finally:
         tracer.uninstall()
     assert all(a is o for a, o in zip(_bound(), originals))
+
+
+def test_window_counter_reads_a_window_sample():
+    # sample_windows returns one WindowSample: the counter takes its len and iterates it
+    windows = simulator.sample_windows(corridor_config(per=0.9, seed=7), GeoPoint(0, 0),
+                                       window_messages=50, n_windows=7)
+    assert spans._windows_counts(windows, (), {}) == {"windows": 7, "records": 350}

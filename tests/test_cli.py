@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import ringalert
 from ringalert import cli, detector
 from ringalert.cli import build_parser, main
-from ringalert.geo import GeoPoint, interpolate
+from ringalert.geo import GeoPoint, great_circle_km, interpolate
 from ringalert.ingest import parse_table
 from ringalert.model import DetectorConfig, MotionProfile
-from ringalert.simulator import SimConfig, emit_stream
+from ringalert.simulator import SimConfig, emit_stream, sample_windows
 from tests.conftest import SAMPLE_LOG_ROWS, format_line, records_of, reference_parse
 
 
@@ -436,6 +436,35 @@ class TestEvaluateCommand:
         assert set(summary["rates"]) == {"10:10.0", "10:20.0", "50:10.0", "50:20.0"}
         assert (report / "fp_rates.tsv").exists()
         assert (report / "fp_fits.tsv").exists()
+
+    @pytest.mark.parametrize("block", [1, 90, cli._ESTIMATE_BLOCK])
+    def test_block_estimates_equal_per_window_estimates(self, tmp_path, monkeypatch, block):
+        # 1 element holds one row a block; 90 holds 9 rows at n = 10 and 3 at n = 30,
+        # neither of which divides the 10 windows; the default holds each cell whole
+        monkeypatch.setattr(cli, "_ESTIMATE_BLOCK", block)
+        deviations = {}
+        evaluate_fp = detector.evaluate_fp
+
+        def recording_evaluate_fp(deviations_by_n, *args, **kwargs):
+            deviations.update(deviations_by_n)
+            return evaluate_fp(deviations_by_n, *args, **kwargs)
+
+        monkeypatch.setattr(detector, "evaluate_fp", recording_evaluate_fp)
+        assert run_cli(["evaluate", "--windows", 10, "--n-grid", "10,30", "--thresholds", "20",
+                        "--per", 0.9, "--seed", 4, "--n-sats", 22, "--planes", 2,
+                        "--plane-nodes=-0.02,0.02", "--inclination", 90, "--receiver", "5,-3",
+                        "--report", tmp_path]) == 0
+        config = SimConfig(n_sats=22, planes=2, plane_nodes_deg=(-0.02, 0.02),
+                           inclination_deg=90.0, per=0.9, seed=4)
+        receiver = GeoPoint(5.0, -3.0)
+        for n in (10, 30):
+            windows = sample_windows(config, receiver, window_messages=n, n_windows=10,
+                                     rng=np.random.default_rng([config.seed, n]))
+            # the per-window estimate and distance, bit for bit
+            expected = [great_circle_km(
+                detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, receiver).km
+                for w in windows]
+            assert np.asarray(deviations[n]).tolist() == expected, n
 
     def test_burst_grid_reruns_byte_identical(self, tmp_path):
         argv = ["evaluate", "--windows", 5, "--n-grid", "10,30", "--thresholds", "20",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ringalert import simulator
 from ringalert.errors import InsufficientWindows, InvalidPer
@@ -320,33 +322,48 @@ class TestPerSatelliteDraw:
         4: [(45, 47), (48, 48), (49, 49), (99, 99)],
     }
 
-    def _emit_ranges(self, monkeypatch, ranges, per=0.0, seed=5):
+    @staticmethod
+    def _emit_ranges(monkeypatch, ranges, per=0.0, seed=5, n_sats=5):
         monkeypatch.setattr(simulator, "_view_slot_ranges",
-                            lambda *args: [ranges.get(j, []) for j in range(5)])
+                            lambda *args: [ranges.get(j, []) for j in range(n_sats)])
         # whole-sphere coverage, so the exact in-view check keeps every slot
-        config = overhead_config(n_sats=5, per=per, seed=seed)
+        config = overhead_config(n_sats=n_sats, per=per, seed=seed)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
         return simulator._emit(config, simulator._orbit_basis(config), receiver, 40, 100,
                                np.random.default_rng(seed)), config
 
     @staticmethod
-    def _slots_by_sat(table, config):
-        slots = ((table.epoch_s - config.start_epoch_s) * 1_000_000 + table.frac) // config.slot_us
-        return {j: slots[table.sat_id == sat_id].tolist()
-                for j, sat_id in enumerate(config.sat_ids)}
+    def _slots_by_sat(columns, config):
+        slot, sat_idx = columns[:2]
+        return {j: slot[sat_idx == j].tolist() for j in range(config.n_sats)}
 
     def test_lossless_keeps_every_in_view_slot(self, monkeypatch):
-        table, config = self._emit_ranges(monkeypatch, self.RANGES)
+        columns, config = self._emit_ranges(monkeypatch, self.RANGES)
         expected = {j: [k for k0, k1 in self.RANGES[j] for k in range(k0, k1 + 1)]
                     for j in self.RANGES}
-        assert self._slots_by_sat(table, config) == expected
+        assert self._slots_by_sat(columns, config) == expected
 
     @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
     def test_lossy_draw_stays_in_its_ranges(self, monkeypatch, loss_model):
         ranges = {j: [(k, k) for k in range(40, 100, 2)] for j in range(5)}
-        table, config = self._emit_ranges(monkeypatch, ranges, per=0.5)
-        for j, kept in self._slots_by_sat(table, config).items():
+        columns, config = self._emit_ranges(monkeypatch, ranges, per=0.5)
+        for j, kept in self._slots_by_sat(columns, config).items():
             assert kept and all(k % 2 == 0 for k in kept), j
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.integers(40, 99), unique=True), min_size=1, max_size=6))
+    def test_key_sort_is_the_stable_argsort_order(self, monkeypatch, runs):
+        # one sorted run of distinct in-view slots per satellite, laid satellite by
+        # satellite: sorting the distinct (slot, satellite) keys and splitting them
+        # back gives the order a stable argsort of the keys gives
+        ranges = {j: [(k, k) for k in sorted(run)] for j, run in enumerate(runs)}
+        (slot, sat_idx, *_), config = self._emit_ranges(monkeypatch, ranges, n_sats=len(runs))
+        laid_slot = np.array([k for run in runs for k in sorted(run)], dtype=np.int64)
+        laid_sat = np.array([j for j, run in enumerate(runs) for _ in run], dtype=np.int64)
+        order = np.argsort(laid_slot * config.n_sats + laid_sat, kind="stable")
+        assert slot.dtype == sat_idx.dtype == np.int64
+        assert np.array_equal(slot, laid_slot[order]) and np.array_equal(sat_idx, laid_sat[order])
 
     def test_lossless_chunks_concatenate_to_the_stream(self):
         # passes cut at a chunk edge keep every slot on both sides of the cut
@@ -357,10 +374,17 @@ class TestPerSatelliteDraw:
         cut = simulator._slot_count(config) // 3 + 7
         parts = [simulator._emit(config, basis, receiver, lo, hi, np.random.default_rng(0))
                  for lo, hi in ((0, cut), (cut, simulator._slot_count(config)))]
-        assert all(len(part) for part in parts)
-        for name in ("epoch_s", "frac", "sat_id", "beam_id", "lat", "lon"):
-            joined = np.concatenate([getattr(part, name) for part in parts])
-            assert np.array_equal(joined, getattr(whole, name)), name
+        assert all(part[0].size for part in parts)
+        slot, sat_idx, beam_id, lat, lon = (np.concatenate(column) for column in zip(*parts))
+        joined = {"slot_us": slot * config.slot_us,
+                  "sat_id": np.array(config.sat_ids)[sat_idx], "beam_id": beam_id,
+                  "lat": lat, "lon": lon}
+        emitted = {"slot_us": (whole.epoch_s - config.start_epoch_s) * 1_000_000 + whole.frac,
+                   "sat_id": whole.sat_id, "beam_id": whole.beam_id,
+                   "lat": whole.lat, "lon": whole.lon}
+        for name, column in joined.items():
+            assert column.dtype == emitted[name].dtype, name
+            assert np.array_equal(column, emitted[name]), name
 
 
 class TestScenario:
@@ -411,7 +435,32 @@ class TestSampleWindows:
         for w in windows:
             assert w.lat.size == 500
             assert np.all(np.diff(w.t_s) >= 0)
-            assert np.all(w.beam_id >= 1)
+
+    def test_window_sample_contract(self):
+        config = corridor_config(per=0.9, seed=7)
+        windows = sample_windows(config, GeoPoint(0, 0), window_messages=50, n_windows=7)
+        assert len(windows) == 7
+        for name in ("t_s", "lat", "lon"):
+            column = getattr(windows, name)
+            assert column.shape == (7, 50) and column.dtype == np.float64, name
+            assert column.flags.c_contiguous, name
+        # an int index gives one window's rows as 1-D views
+        one = windows[3]
+        for name in ("t_s", "lat", "lon"):
+            row = getattr(one, name)
+            assert row.shape == (50,) and np.shares_memory(row, getattr(windows, name)), name
+            assert np.array_equal(row, getattr(windows, name)[3]), name
+        assert windows[-1].t_s[-1] == windows.t_s[-1, -1]
+        # a slice gives a block of windows, still C-contiguous
+        block = windows[2:5]
+        assert len(block) == 3 and block.lat.flags.c_contiguous
+        assert np.array_equal(block.lon, windows.lon[2:5])
+        with pytest.raises(IndexError):
+            windows[7]
+        # iteration ends after the last window, as bench/spans.py counts them
+        rows = list(windows)
+        assert len(rows) == 7
+        assert all(np.array_equal(w.t_s, windows.t_s[k]) for k, w in enumerate(rows))
 
     def test_windows_are_disjoint_in_time(self):
         config = corridor_config(per=0.9, seed=7)
@@ -458,10 +507,10 @@ class TestSampleWindows:
         windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=30)
         stream = emit_stream(config)
         emitted_columns = {"t_s": run_times_s(stream, config), "lat": stream.lat,
-                           "lon": stream.lon, "sat_id": stream.sat_id, "beam_id": stream.beam_id}
+                           "lon": stream.lon}
         for name, column in emitted_columns.items():
             emitted = column[stream.is_beam]
-            sampled = np.concatenate([getattr(w, name) for w in windows])
+            sampled = getattr(windows, name).ravel()
             assert sampled.size > emitted.size > 0  # the windows run past the first chunk
             assert sampled.dtype == emitted.dtype
             assert np.array_equal(sampled[:emitted.size], emitted), name
