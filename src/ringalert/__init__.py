@@ -4,11 +4,9 @@ from .geo import EARTH_RADIUS_KM, GeoPoint, KmDistance, displace, great_circle_k
 from .model import (
     BeamConstellation,
     DetectorConfig,
-    Direction,
     EvdParams,
     IraRecord,
     MotionProfile,
-    Pass,
     PowerLawCoeffs,
     valid_sat_ids,
 )
@@ -23,11 +21,9 @@ __all__ = [
     "great_circle_km",
     "BeamConstellation",
     "DetectorConfig",
-    "Direction",
     "EvdParams",
     "IraRecord",
     "MotionProfile",
-    "Pass",
     "PowerLawCoeffs",
     "valid_sat_ids",
     "__version__",

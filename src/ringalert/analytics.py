@@ -21,24 +21,16 @@ from .errors import (
     InsufficientData,
     NonConvergence,
 )
-from .geo import (
-    GeoPoint,
-    bearing_deg,
-    haversine_km,
-    interpolate_deg,
-)
-from .ingest import DEFAULT_GAP_THRESHOLD_S, group_by_satellite, segment_passes
-from .model import (
-    MAX_BEAM_ID,
-    BeamConstellation,
-    Direction,
-    EvdParams,
-    RecordTable,
-)
+from .geo import EARTH_RADIUS_KM, GeoPoint, local_offsets_km, slerp, unit_vectors
+# group_by_satellite is bound, not called, for bench/spans.py TARGETS (ROADMAP item 1)
+from .ingest import group_by_satellite, segment_passes  # noqa: F401
+from .model import MAX_BEAM_ID, BeamConstellation, EvdParams, Passes, RecordTable
 
 DEFAULT_BASE_INTERARRIVAL_S = 0.09
 DEFAULT_SPEED_BIN_KMS = 0.05
 DEFAULT_INTERARRIVAL_BIN_S = 0.1
+#: beam rows per block of :func:`beam_constellation`'s offsets: its temporaries stay small
+_BLOCK_ROWS = 1 << 14
 
 
 def histogram(values, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -78,26 +70,26 @@ def histogram_mode(values, bin_width: float) -> float:
 # ---------------------------------------------------------------------------
 # ground speed
 
-def ground_speeds(table: RecordTable, *, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
+def ground_speeds(table: RecordTable, passes: Passes | None = None, *,
                   max_dt_s: float | None = None) -> np.ndarray:
-    """Ground speeds (km/s) of consecutive sub-satellite points within each
-    pass, satellite by satellite in ascending id, each in time order.
+    """Ground speeds (km/s) of consecutive sub-satellite points of one pass,
+    in the passes' order; ``passes`` defaults to :func:`ingest.segment_passes`.
 
-    ``max_dt_s`` optionally drops pairs that span long loss gaps, which
-    otherwise produce unphysical speeds on real logs.
+    A pair counts when its time step is positive and at most the gap that cut
+    the passes, and, if given, ``max_dt_s``: long loss gaps otherwise produce
+    unphysical speeds on real logs. Its arc comes from the chord of its unit vectors.
     """
-    speeds = [np.empty(0)]
-    for track in group_by_satellite(table[table.is_track]).values():
-        if len(track) < 2:
-            continue
-        dt = np.diff(track.t_s())
-        lats, lons = track.lat, track.lon
-        d = haversine_km(lats[:-1], lons[:-1], lats[1:], lons[1:])
-        keep = (dt > 0) & (dt <= gap_threshold_s)
-        if max_dt_s is not None:
-            keep &= dt <= max_dt_s
-        speeds.append(d[keep] / dt[keep])
-    return np.concatenate(speeds)
+    if passes is None:
+        passes = segment_passes(table)
+    track = np.flatnonzero(table.beam_id[passes.order] == 0)
+    rows = passes.order[track]
+    dt = np.diff(passes.t_s[track])
+    keep = (table.sat_id[rows[1:]] == table.sat_id[rows[:-1]]) & (dt > 0)
+    keep &= dt <= (passes.gap_threshold_s if max_dt_s is None
+                   else min(passes.gap_threshold_s, max_dt_s))
+    u = unit_vectors(table.lat[rows], table.lon[rows])
+    half_chord = 0.5 * np.linalg.norm(u[1:][keep] - u[:-1][keep], axis=-1)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(half_chord, 1.0)) / dt[keep]
 
 
 def speed_mode_kms(speeds, bin_width: float = DEFAULT_SPEED_BIN_KMS) -> float:
@@ -158,11 +150,8 @@ def coverage_extent(table: RecordTable, receiver: GeoPoint, *,
     track = table.is_track
     if not np.any(track):
         raise EmptyInput("coverage_extent needs sub-satellite records")
-    lats, lons = table.lat[track], table.lon[track]
-    d = haversine_km(receiver.lat_deg, receiver.lon_deg, lats, lons)
-    theta = np.radians(bearing_deg(receiver.lat_deg, receiver.lon_deg, lats, lons))
-    east = d * np.sin(theta)
-    north = d * np.cos(theta)
+    east, north, d = local_offsets_km(unit_vectors(receiver.lat_deg, receiver.lon_deg),
+                                      unit_vectors(table.lat[track], table.lon[track]))
     area = _hull_area(east, north)
     return CoverageExtent(float(d.max()), area, d, histogram_mode(d, bin_width_km))
 
@@ -304,11 +293,9 @@ def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdPar
     return EvdParams(float(mu), float(sigma))
 
 
-def pass_durations_min(passes, *, min_records: int = 2) -> np.ndarray:
+def pass_durations_min(passes: Passes, *, min_records: int = 2) -> np.ndarray:
     """Durations (minutes) of passes with at least ``min_records`` records."""
-    return np.array(
-        [p.duration_min for p in passes if len(p.records) >= min_records], dtype=float
-    )
+    return passes.duration_min[passes.hi - passes.lo >= min_records]
 
 
 # ---------------------------------------------------------------------------
@@ -327,87 +314,64 @@ def kmeans_1d(values, k: int = 3) -> list[float]:
         raise InsufficientData(f"kmeans_1d needs >= {k} values, got {n}")
     s1 = np.concatenate([[0.0], np.cumsum(values)])
     s2 = np.concatenate([[0.0], np.cumsum(values ** 2)])
-
-    def cost(i, j):  # sum of squared deviations of values[i..j] inclusive
-        length = j - i + 1
-        total = s1[j + 1] - s1[i]
-        return (s2[j + 1] - s2[i]) - total * total / length
-
-    best = np.full((k + 1, n + 1), np.inf)
-    split = np.zeros((k + 1, n + 1), dtype=int)
-    best[0, 0] = 0.0
-    for m in range(1, k + 1):
-        for j in range(m, n + 1):
-            for i in range(m - 1, j):
-                candidate = best[m - 1, i] + cost(i, j - 1)
-                if candidate < best[m, j]:
-                    best[m, j] = candidate
-                    split[m, j] = i
+    # cost[i, j]: sum of squared deviations of values[i:j], infinite unless i < j
+    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)
+    total = s1[j] - s1[i]
+    cost = np.where(i < j, (s2[j] - s2[i]) - total * total / np.maximum(j - i, 1), np.inf)
+    # best[j]: least cost of values[:j] in m clusters, whose last starts at splits[m - 1][j]
+    best = np.where(j == 0, 0.0, np.inf)
+    splits = []
+    for _ in range(k):
+        candidate = best[:, None] + cost
+        splits.append(candidate.argmin(axis=0))
+        best = candidate.min(axis=0)
     bounds = [n]
-    for m in range(k, 0, -1):
-        bounds.append(split[m, bounds[-1]])
+    for split in reversed(splits):
+        bounds.append(int(split[bounds[-1]]))
     bounds.reverse()
-    return [
-        float(values[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    return [float(values[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def beam_constellation(table: RecordTable, passes=None, *, max_bracket_s: float = 20.0,
-                       gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> BeamConstellation:
+def beam_constellation(table: RecordTable, passes: Passes | None = None, *,
+                       max_bracket_s: float = 20.0) -> BeamConstellation:
     """Reconstruct per-beam centroid offsets and the three ring radii.
 
     Each beam record is referenced to the sub-satellite point interpolated (in
     time, along the great circle) between the bracketing track records of the
     same pass; brackets wider than ``max_bracket_s`` are dropped as
     loss-corrupted. Offsets from downward passes are mirrored across the east
-    axis so every sample lands in the upward-travel frame.
+    axis so every sample lands in the upward-travel frame. ``passes``
+    defaults to :func:`ingest.segment_passes` of the table.
     """
     if passes is None:
-        passes = []
-        for sat_records in group_by_satellite(table).values():
-            passes.extend(segment_passes(sat_records, gap_threshold_s))
-    sum_east = np.zeros(MAX_BEAM_ID + 1)
-    sum_north = np.zeros(MAX_BEAM_ID + 1)
-    counts = np.zeros(MAX_BEAM_ID + 1, dtype=np.int64)
-    bracketed_any = False
-    for pas in passes:
-        records = pas.records
-        track = records.is_track
-        beams = ~track
-        if np.count_nonzero(track) < 2 or not np.any(beams):
-            continue
-        times = records.t_s()
-        track_t, beam_t = times[track], times[beams]
-        t_lat, t_lon = records.lat[track], records.lon[track]
-        hi = np.searchsorted(track_t, beam_t, side="left")
-        lo = hi - 1
-        inside = (hi > 0) & (hi < len(track_t))
-        # a beam record stamped exactly on a track point brackets itself
-        exact = np.isin(beam_t, track_t)
-        lo[exact] = hi[exact]
-        inside[exact] = True
-        span = np.where(inside, track_t[np.clip(hi, 0, len(track_t) - 1)]
-                        - track_t[np.clip(lo, 0, None)], np.inf)
-        usable = inside & (span <= max_bracket_s)
-        if not np.any(usable):
-            continue
-        bracketed_any = True
-        idx = np.flatnonzero(usable)
-        lo_u, hi_u = lo[idx], hi[idx]
-        frac = np.where(span[idx] > 0, (beam_t[idx] - track_t[lo_u]) / np.where(span[idx] > 0, span[idx], 1.0), 0.0)
-        sub_lat, sub_lon = interpolate_deg(t_lat[lo_u], t_lon[lo_u], t_lat[hi_u], t_lon[hi_u], frac)
-        b_lat, b_lon = records.lat[beams][idx], records.lon[beams][idx]
-        d = haversine_km(sub_lat, sub_lon, b_lat, b_lon)
-        theta = np.radians(bearing_deg(sub_lat, sub_lon, b_lat, b_lon))
-        east = d * np.sin(theta)
-        north = d * np.cos(theta)
-        if pas.direction is Direction.DOWNWARD:
-            north = -north
-        beam_ids = records.beam_id[beams][idx]
-        sum_east += np.bincount(beam_ids, weights=east, minlength=MAX_BEAM_ID + 1)
-        sum_north += np.bincount(beam_ids, weights=north, minlength=MAX_BEAM_ID + 1)
-        counts += np.bincount(beam_ids, minlength=MAX_BEAM_ID + 1)
-    if not bracketed_any:
+        passes = segment_passes(table)
+    order, t = passes.order, passes.t_s
+    beam_ids = table.beam_id[order]
+    track, beam_rows = np.flatnonzero(beam_ids == 0), np.flatnonzero(beam_ids != 0)
+    u = unit_vectors(table.lat[order[track]], table.lon[order[track]])
+    counts, sum_east, sum_north = np.zeros((3, MAX_BEAM_ID + 1))
+    for lo in range(0, beam_rows.size, _BLOCK_ROWS):
+        beams = beam_rows[lo:lo + _BLOCK_ROWS]
+        # the track rows around each beam row, kept where both are in its pass
+        after = np.searchsorted(track, beams)
+        inside = (after > 0) & (after < track.size)
+        beams, after = beams[inside], after[inside]
+        before, in_pass = after - 1, np.searchsorted(passes.hi, beams, side="right")
+        span = t[track[after]] - t[track[before]]
+        usable = ((track[before] >= passes.lo[in_pass]) & (track[after] < passes.hi[in_pass])
+                  & (span <= max_bracket_s))
+        beams, before, after, in_pass, span = (
+            c[usable] for c in (beams, before, after, in_pass, span))
+        fraction = np.divide(t[beams] - t[track[before]], span, out=np.zeros_like(span),
+                             where=span > 0)
+        east, north, _ = local_offsets_km(slerp(u[before], u[after], fraction), unit_vectors(
+            table.lat[order[beams]], table.lon[order[beams]]))
+        north = np.where(passes.upward[in_pass], north, -north)
+        ids = beam_ids[beams]
+        counts += np.bincount(ids, minlength=MAX_BEAM_ID + 1)
+        sum_east += np.bincount(ids, weights=east, minlength=MAX_BEAM_ID + 1)
+        sum_north += np.bincount(ids, weights=north, minlength=MAX_BEAM_ID + 1)
+    if not counts.any():
         raise InsufficientBrackets("no beam record was bracketed by track points")
     centroids = {
         beam_id: (float(sum_east[beam_id] / counts[beam_id]),

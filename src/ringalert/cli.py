@@ -186,8 +186,8 @@ def _cmd_analyze(args) -> int:
     # report name -> (header, columns), written once every statistic is in
     tables: dict[str, tuple] = {}
 
-    speeds = analytics.ground_speeds(records, gap_threshold_s=args.gap_threshold_s,
-                                     max_dt_s=args.max_speed_dt_s)
+    passes = ingest.segment_passes(records, args.gap_threshold_s)
+    speeds = analytics.ground_speeds(records, passes, max_dt_s=args.max_speed_dt_s)
     if speeds.size:
         with _flag_values("--speed-bin-kms"):
             tables["speed_histogram.tsv"] = (["v_kms", "count"],
@@ -209,25 +209,19 @@ def _cmd_analyze(args) -> int:
             "delivery_ratio": analytics.packet_delivery_ratio(records),
         }
 
-    pass_rows = []
-    all_passes = []
-    for sat_id, sat_records in ingest.group_by_satellite(records).items():
-        for p in ingest.segment_passes(sat_records, args.gap_threshold_s):
-            all_passes.append(p)
-            pass_rows.append((sat_id, int(p.records.epoch_s[0]), p.duration_min,
-                              p.direction.value, len(p.records)))
-    tables["passes.tsv"] = (["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
-                            zip(*pass_rows))
-    durations = analytics.pass_durations_min(all_passes)
-    summary["passes"] = {"count": len(all_passes)}
+    tables["passes.tsv"] = (
+        ["sat_id", "start_epoch_s", "duration_min", "direction", "records"],
+        (passes.sat_id, records.epoch_s[passes.order[passes.lo]], passes.duration_min,
+         np.where(passes.upward, "upward", "downward"), passes.hi - passes.lo))
+    summary["passes"] = {"count": len(passes)}
     try:
-        evd = analytics.fit_evd(durations)
+        evd = analytics.fit_evd(analytics.pass_durations_min(passes))
         summary["passes"]["evd"] = evd.to_dict()
     except InsufficientData:
         summary["passes"]["evd"] = None
 
     try:
-        beams = analytics.beam_constellation(records, all_passes)
+        beams = analytics.beam_constellation(records, passes)
         tables["beam_centroids.tsv"] = (
             ["beam_id", "east_km", "north_km"],
             zip(*((b, e, n) for b, (e, n) in sorted(beams.centroids.items()))))

@@ -1,13 +1,13 @@
-"""Spherical-earth geodesy: points, great-circle distances, bearings, displacement.
+"""Spherical-earth geodesy: points, great-circle distances, local offsets, displacement.
 
 Everything works on a sphere of radius ``EARTH_RADIUS_KM``; distances are in
 kilometers, angles in degrees, and courses are measured clockwise from true
 north. Scalar functions take :class:`GeoPoint`; array kernels (suffix
-``_deg`` / ``_km``) broadcast over numpy arrays. Distances come from one
-``atan2`` kernel, :func:`arc_km` (Vincenty, Survey Review 23(176), 1975), and
-:func:`great_circle_km` is it on one pair, bit for bit. :func:`haversine_km`
-remains for the analytics, where it suffices at about half the cost per
-point. The simulator works on :func:`unit_vectors` instead.
+``_deg`` / ``_km``) broadcast over numpy arrays. Degree pairs take one
+``atan2`` distance kernel, :func:`arc_km` (Vincenty, Survey Review 23(176),
+1975); :func:`great_circle_km` is it on one pair, bit for bit. The simulator
+and the analytics work on :func:`unit_vectors` (n-vectors: Gade,
+J. Navigation 63(3), 2010), measured by :func:`local_offsets_km`.
 """
 
 from __future__ import annotations
@@ -97,26 +97,6 @@ def arc_km(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_KM * np.arctan2(y, sin_phi1 * sin_phi2 + cos_phi1 * cos_phi2 * cos_dlam)
 
 
-def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in km; broadcasts over degree arrays."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = np.radians(lon2) - np.radians(lon1)
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-def bearing_deg(lat1, lon1, lat2, lon2):
-    """Initial bearing from point 1 to point 2, degrees in [0, 360)."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dlam = np.radians(lon2) - np.radians(lon1)
-    y = np.sin(dlam) * np.cos(phi2)
-    x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlam)
-    return np.degrees(np.arctan2(y, x)) % 360.0
-
-
 def displace_deg(lat, lon, course_deg, d_km):
     """Destination along the initial-course great circle; broadcasts over arrays.
 
@@ -152,13 +132,32 @@ def unit_vectors(lat, lon):
     )
 
 
-def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
-    """Geodesic (constant-speed great-circle) interpolation between two points.
+def local_offsets_km(s, b):
+    """(east, north, distance) km of unit vectors ``b`` in the azimuthal-
+    equidistant frame of unit vectors ``s``; broadcasts over (..., 3) arrays.
 
-    ``fraction`` 0 gives point 1, 1 gives point 2; broadcasts over arrays.
+    ``b·ê`` and ``b·n̂``, of length ``|s×b|``, are scaled by ``Rδ / |s×b|``
+    with ``δ = atan2(|s×b|, s·b)``. At an exact pole, the frame is longitude 0's.
     """
-    u = unit_vectors(lat1, lon1)
-    v = unit_vectors(lat2, lon2)
+    sx, sy, sz = np.moveaxis(s, -1, 0)
+    bx, by, bz = np.moveaxis(b, -1, 0)
+    rho = np.hypot(sx, sy)
+    pole = rho == 0
+    rho_or_1 = np.where(pole, 1.0, rho)
+    cos_lam, sin_lam = np.where(pole, 1.0, sx / rho_or_1), sy / rho_or_1
+    east = by * cos_lam - bx * sin_lam
+    north = bz * rho - sz * (bx * cos_lam + by * sin_lam)
+    sin_delta = np.hypot(east, north)
+    delta = np.arctan2(sin_delta, sx * bx + sy * by + sz * bz)
+    # delta / sin(delta) tends to 1 where b meets s
+    moved = sin_delta > 0
+    scale = EARTH_RADIUS_KM * np.where(moved, delta / np.where(moved, sin_delta, 1.0), 1.0)
+    return east * scale, north * scale, EARTH_RADIUS_KM * delta
+
+
+def slerp(u, v, fraction):
+    """Unit vectors ``fraction`` of the way from ``u`` to ``v`` along the
+    great circle, at constant speed; broadcasts over (..., 3) arrays."""
     dot = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
     omega = np.arccos(dot)
     f = np.asarray(fraction, dtype=float)
@@ -169,7 +168,15 @@ def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
     w2 = np.where(safe, np.sin(f * omega) / np.where(safe, sin_omega, 1.0), f)
     w = u * w1[..., None] + v * w2[..., None]
     norm = np.linalg.norm(w, axis=-1)
-    w = w / norm[..., None]
+    return w / norm[..., None]
+
+
+def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
+    """Geodesic (constant-speed great-circle) interpolation between two points.
+
+    ``fraction`` 0 gives point 1, 1 gives point 2; broadcasts over arrays.
+    """
+    w = slerp(unit_vectors(lat1, lon1), unit_vectors(lat2, lon2), fraction)
     lat = np.degrees(np.arcsin(np.clip(w[..., 2], -1.0, 1.0)))
     lon = np.degrees(np.arctan2(w[..., 1], w[..., 0]))
     return lat, normalize_lon_array(lon)

@@ -40,10 +40,10 @@ from .geo import GeoPoint, normalize_lon_array
 from .model import (
     DEFAULT_FRAC_UNIT_S,
     MAX_BEAM_ID,
-    Direction,
     IraRecord,
-    Pass,
+    Passes,
     RecordTable,
+    _key_steps,
     valid_sat_ids,
 )
 
@@ -490,33 +490,36 @@ def write_records(table: RecordTable, path) -> None:
 # grouping and pass segmentation
 
 def segment_passes(table: RecordTable,
-                   gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> list[Pass]:
-    """Split one satellite's records into passes.
+                   gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> Passes:
+    """A table's passes, in the (satellite, time) order of one stable sort.
 
-    Records separated by more than ``gap_threshold_s`` start a new pass. The
-    default of 600 s sits between loss-induced intra-pass gaps (seconds to a
-    few minutes) and the revisit time of the same satellite (>= the orbital
-    period). Direction is the sign of the net latitude change of the
-    sub-satellite track; duration is last minus first timestamp.
+    A pass ends where the satellite changes or the time step exceeds
+    ``gap_threshold_s``. The default of 600 s sits between loss-induced
+    intra-pass gaps (seconds to a few minutes) and the revisit time of the
+    same satellite (>= the orbital period). Two rows of one satellite with
+    the same timestamp raise ValueError.
     """
     if not len(table):
         raise EmptyInput("segment_passes needs at least one record")
-    sat_id = int(table.sat_id[0])
-    if np.any(table.sat_id != sat_id):
-        raise ValueError("segment_passes expects a single satellite, "
-                         f"got {np.unique(table.sat_id).tolist()}")
-    times = table.t_s()
-    cuts = (np.flatnonzero(np.diff(times) > gap_threshold_s) + 1).tolist()
-    track = table.is_track
-    passes = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(table)]):
-        lats = table.lat[lo:hi][track[lo:hi]]
-        if not lats.size:  # degraded chunk without track points: fall back to all records
-            lats = table.lat[lo:hi]
-        direction = Direction.UPWARD if lats[-1] >= lats[0] else Direction.DOWNWARD
-        duration_min = float(times[hi - 1] - times[lo]) / 60.0
-        passes.append(Pass(sat_id, table[lo:hi], direction, duration_min))
-    return passes
+    order = np.argsort(table.sat_id, kind="stable")
+    sat_id, epoch_s, frac = table.sat_id[order], table.epoch_s[order], table.frac[order]
+    same_sat = sat_id[1:] == sat_id[:-1]
+    if np.any(same_sat & (_key_steps(epoch_s, frac) <= 0)):
+        raise ValueError("pass records must have strictly increasing timestamps")
+    # each satellite's first row is the time origin of its rows, as in RecordTable.t_s
+    first = np.maximum.accumulate(np.where(np.append(True, ~same_sat), np.arange(order.size), 0))
+    t_s = (epoch_s.astype(float) - epoch_s[first]) + (frac - frac[first]) * table.frac_unit_s
+    cuts = np.flatnonzero(~same_sat | (np.diff(t_s) > gap_threshold_s)) + 1
+    lo, hi = np.append(0, cuts), np.append(cuts, order.size)
+    # the first and last track row of each pass, or its first and last row
+    track = np.flatnonzero(table.beam_id[order] == 0)
+    a, b = np.searchsorted(track, (lo, hi))
+    has_track = a < b
+    start, end = lo.copy(), hi - 1
+    start[has_track], end[has_track] = track[a[has_track]], track[b[has_track] - 1]
+    lat = table.lat[order]
+    return Passes(order, lo, hi, t_s, sat_id[lo], lat[end] >= lat[start],
+                  (t_s[hi - 1] - t_s[lo]) / 60.0, float(gap_threshold_s))
 
 
 def group_by_satellite(table: RecordTable) -> dict[int, RecordTable]:

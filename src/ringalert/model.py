@@ -11,7 +11,6 @@ records, tables and passes are not serialized.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -46,13 +45,6 @@ _VALID_SAT_IDS = frozenset({
 def valid_sat_ids() -> frozenset[int]:
     """The 66 satellite IDs ever observed on the ring-alert channel."""
     return _VALID_SAT_IDS
-
-
-class Direction(enum.Enum):
-    """Travel direction of a satellite pass (sign of the latitude trend)."""
-
-    UPWARD = "upward"
-    DOWNWARD = "downward"
 
 
 @dataclass(frozen=True)
@@ -194,25 +186,28 @@ _COLUMNS = ("epoch_s", "frac", "sat_id", "beam_id", "lat", "lon")
 _DTYPES = (np.int64, np.int64, np.int64, np.int64, float, float)
 
 
-@dataclass(frozen=True)
-class Pass:
-    """A contiguous sighting of one satellite; ``records`` is a table."""
+@dataclass(frozen=True, eq=False)
+class Passes:
+    """The passes of a record table, as runs of one row order.
 
-    sat_id: int
-    records: RecordTable
-    direction: Direction
-    duration_min: float
+    ``order`` puts the table's rows in (satellite, time) order; pass k is
+    rows ``order[lo[k]:hi[k]]``, cut at gaps over ``gap_threshold_s``.
+    ``t_s`` holds each ordered row's seconds from its satellite's first row.
+    Per pass: ``sat_id``, ``upward`` (the net latitude trend of its track, or
+    of all its rows when it has none) and ``duration_min``.
+    """
 
-    def __post_init__(self):
-        epoch_s, frac, sat_id = self.records.columns()[:3]
-        if not epoch_s.size:
-            raise ValueError("a pass needs at least one record")
-        if np.any(_key_steps(epoch_s, frac) <= 0):
-            raise ValueError("pass records must have strictly increasing timestamps")
-        if np.any(sat_id != self.sat_id):
-            raise ValueError("pass records must share one satellite id")
-        if self.duration_min < 0:
-            raise ValueError("pass duration must be >= 0")
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    t_s: np.ndarray
+    sat_id: np.ndarray
+    upward: np.ndarray
+    duration_min: np.ndarray
+    gap_threshold_s: float
+
+    def __len__(self) -> int:
+        return int(self.lo.size)
 
 
 @dataclass(frozen=True)

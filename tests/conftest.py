@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ringalert.errors import InvalidBeamId, InvalidCoordinate, InvalidSatId, MalformedLine
-from ringalert.geo import GeoPoint, normalize_lon_array
+from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, normalize_lon_array
 from ringalert.ingest import parse_line
 from ringalert.model import DEFAULT_FRAC_UNIT_S, IraRecord, RecordTable
 from ringalert.simulator import SimConfig
@@ -35,6 +35,28 @@ SAMPLE_LOG_FIELDS = [
 ]
 
 EQUATOR_RECEIVER = GeoPoint(0.0, 0.0)
+
+
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km by the haversine; broadcasts over degree
+    arrays. The latitude/longitude oracle of the unit-vector kernels."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = np.radians(lon2) - np.radians(lon1)
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def bearing_deg(lat1, lon1, lat2, lon2):
+    """Initial bearing from point 1 to point 2, degrees in [0, 360); the
+    latitude/longitude oracle of ``geo.local_offsets_km``'s direction."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dlam = np.radians(lon2) - np.radians(lon1)
+    y = np.sin(dlam) * np.cos(phi2)
+    x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlam)
+    return np.degrees(np.arctan2(y, x)) % 360.0
 
 
 def table_of(records, unit: float = DEFAULT_FRAC_UNIT_S) -> RecordTable:

@@ -108,10 +108,7 @@ def test_04_evd_fit_recovery():
     assert fit.sigma == pytest.approx(sigma, abs=0.1)
     if REAL_DATASET:
         records, _ = ingest.parse_table(REAL_DATASET)
-        passes = []
-        for sat_records in ingest.group_by_satellite(records).values():
-            passes.extend(ingest.segment_passes(sat_records))
-        real_fit = analytics.fit_evd(analytics.pass_durations_min(passes))
+        real_fit = analytics.fit_evd(analytics.pass_durations_min(ingest.segment_passes(records)))
         assert real_fit.mu == pytest.approx(mu, abs=0.5)
         assert real_fit.sigma == pytest.approx(sigma, abs=0.5)
     _report(4, "EVD fit recovery")

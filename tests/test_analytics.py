@@ -14,9 +14,9 @@ from ringalert.errors import (
 )
 from ringalert.geo import GeoPoint, displace_deg
 from ringalert.ingest import segment_passes
-from ringalert.model import Direction
+from ringalert.model import RecordTable
 from ringalert.simulator import SimConfig, default_beam_offsets, emit_stream
-from tests.conftest import make_records, overhead_config
+from tests.conftest import bearing_deg, haversine_km, make_records, overhead_config
 
 
 class TestHistogramMode:
@@ -56,6 +56,24 @@ class TestGroundSpeeds:
         assert speeds.size
         mode = analytics.speed_mode_kms(speeds)
         assert mode == pytest.approx(6.89, abs=0.05)
+
+    def test_pairs_stay_within_the_pass_gap(self):
+        # beams bridge the 990 s between the second and third track points, so
+        # the pass is not cut there, but that pair spans more than the gap
+        records = make_records([0.0, 10.0, 400.0, 800.0, 1000.0, 1001.0], [0.0] * 6, [0.0] * 6,
+                               beam_ids=[0, 0, 5, 6, 0, 0])
+        assert len(segment_passes(records)) == 1
+        assert analytics.ground_speeds(records).tolist() == [0.0, 0.0]
+        assert analytics.ground_speeds(records, segment_passes(records, 5.0)).tolist() == [0.0]
+
+    def test_satellites_are_not_paired(self):
+        # sat 115's track point is 49.5 s after its first row: a later time
+        # than sat 78's last track point, so only the satellite tells them apart
+        a = make_records([0.0, 1.0], [0.0, 0.01], [0.0, 0.0], sat_id=78)
+        b = make_records([0.5, 50.0], [30.0, 30.0], [30.0, 30.0], sat_id=115, beam_ids=[3, 0])
+        records = RecordTable(*(np.concatenate(c) for c in zip(a.columns(), b.columns())))
+        speeds = analytics.ground_speeds(records)
+        assert speeds.tolist() == analytics.ground_speeds(a).tolist()
 
     def test_max_dt_knob_bounds_speeds(self):
         records = emit_stream(overhead_config(duration_s=2000.0, per=0.9, seed=5))
@@ -126,6 +144,21 @@ class TestCoverage:
         cov = analytics.coverage_extent(records, receiver)
         assert cov.max_km == pytest.approx(1625.0, abs=2.0)
         assert cov.area_km2 == pytest.approx(math.pi * 1625.0 ** 2, rel=0.01)
+
+    @pytest.mark.parametrize("lat, lon", [(90.0, 0.0), (-90.0, 30.0), (0.0, 180.0)])
+    def test_matches_the_oracle_at_poles_and_antimeridian(self, lat, lon):
+        # the hull of the oracle's (d sin θ, d cos θ) offsets has the same area
+        rng = np.random.default_rng(1978)
+        receiver = GeoPoint(lat, lon)
+        p_lat, p_lon = displace_deg(lat, lon, rng.uniform(0.0, 360.0, 3000),
+                                    1625.0 * np.sqrt(rng.random(3000)))
+        records = make_records(np.arange(3000) * 0.09, p_lat, p_lon)
+        cov = analytics.coverage_extent(records, receiver)
+        d = haversine_km(lat, lon, records.lat, records.lon)
+        theta = np.radians(bearing_deg(lat, lon, records.lat, records.lon))
+        area = analytics._hull_area(d * np.sin(theta), d * np.cos(theta))
+        assert cov.area_km2 == pytest.approx(area, rel=1e-12)
+        assert np.max(np.abs(cov.distances_km - d)) < 1e-9
 
     def test_empty_raises(self):
         for records in (make_records([], [], []), make_records([0.0], [1.0], [1.0], beam_ids=[7])):
@@ -249,7 +282,68 @@ class TestEvd:
             analytics.fit_evd([3.0] * 50)  # zero variance
 
 
+def kmeans_1d_loop(values, k=3):
+    """The O(k n^2) Python programme that ``kmeans_1d`` replaced: each split
+    taken by a strict ``<`` over ascending starts, so the first minimum wins."""
+    values = np.sort(np.asarray(values, dtype=float))
+    n = values.size
+    s1 = np.concatenate([[0.0], np.cumsum(values)])
+    s2 = np.concatenate([[0.0], np.cumsum(values ** 2)])
+
+    def cost(i, j):  # sum of squared deviations of values[i..j] inclusive
+        total = s1[j + 1] - s1[i]
+        return (s2[j + 1] - s2[i]) - total * total / (j - i + 1)
+
+    best = np.full((k + 1, n + 1), np.inf)
+    split = np.zeros((k + 1, n + 1), dtype=int)
+    best[0, 0] = 0.0
+    for m in range(1, k + 1):
+        for j in range(m, n + 1):
+            for i in range(m - 1, j):
+                candidate = best[m - 1, i] + cost(i, j - 1)
+                if candidate < best[m, j]:
+                    best[m, j] = candidate
+                    split[m, j] = i
+    bounds = [n]
+    for m in range(k, 0, -1):
+        bounds.append(split[m, bounds[-1]])
+    bounds.reverse()
+    return [float(values[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def optimal_three_splits(values):
+    """Means of every contiguous 3-split of the sorted values whose sum of
+    squared deviations is least, found by enumerating them all."""
+    v = np.sort(np.asarray(values, dtype=float))
+    splits = [(v[:a], v[a:b], v[b:]) for a in range(1, v.size - 1) for b in range(a + 1, v.size)]
+    costs = [sum(float(((c - c.mean()) ** 2).sum()) for c in split) for split in splits]
+    least = min(costs)
+    return [[float(c.mean()) for c in split] for split, cost in zip(splits, costs)
+            if cost <= least + 1e-9 * (1.0 + least)]
+
+
+def kmeans_sets():
+    rng = np.random.default_rng(1701)
+    for _ in range(12):
+        n = int(rng.integers(3, 30))
+        yield rng.uniform(0.0, 20.0, n)  # distinct values
+        yield rng.integers(0, 4, n).astype(float)  # many ties
+    yield np.array([3.36] * 8 + [7.98] * 16 + [14.35] * 24)
+    yield np.array([0.0, 1.0, 2.0, 3.0])  # three splits of equal cost
+    yield np.full(5, 2.5)
+
+
 class TestKmeans1d:
+    @pytest.mark.parametrize("values", list(kmeans_sets()))
+    def test_matches_the_loop_bit_for_bit(self, values):
+        assert analytics.kmeans_1d(values, 3) == kmeans_1d_loop(values, 3)
+
+    @pytest.mark.parametrize("values", list(kmeans_sets()))
+    def test_is_an_optimal_split(self, values):
+        means = analytics.kmeans_1d(values, 3)
+        assert any(np.allclose(means, best, rtol=0.0, atol=1e-9)
+                   for best in optimal_three_splits(values))
+
     def test_exact_three_rings(self):
         values = [3.36] * 8 + [7.98] * 16 + [14.35] * 24
         assert analytics.kmeans_1d(values, 3) == pytest.approx([3.36, 7.98, 14.35])
@@ -301,17 +395,13 @@ class TestBeamConstellation:
             per=0.0, duration_s=5810.0, seed=11,
         )
         records = emit_stream(config)
-        directions = set()
-        from ringalert.ingest import group_by_satellite
-
-        for sat_records in group_by_satellite(records).values():
-            directions.update(p.direction for p in segment_passes(sat_records))
-        assert directions == {Direction.UPWARD, Direction.DOWNWARD}
+        assert set(segment_passes(records).upward.tolist()) == {True, False}
 
 
 class TestPassDurations:
     def test_min_record_filter(self):
-        single = segment_passes(make_records([0.0], [0], [0]))
-        double = segment_passes(make_records([1000.0, 1060.0], [0, 1], [0, 0]))
-        durations = analytics.pass_durations_min(single + double)
-        assert durations.tolist() == [1.0]
+        # a one-record pass, then a two-record one
+        passes = segment_passes(make_records([0.0, 1000.0, 1060.0], [0, 0, 1], [0, 0, 0]))
+        assert len(passes) == 2
+        assert analytics.pass_durations_min(passes).tolist() == [1.0]
+        assert analytics.pass_durations_min(passes, min_records=1).tolist() == [0.0, 1.0]

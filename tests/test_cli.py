@@ -19,7 +19,7 @@ from ringalert import cli, detector
 from ringalert.cli import build_parser, main
 from ringalert.geo import GeoPoint, great_circle_km, interpolate
 from ringalert.ingest import parse_table
-from ringalert.model import DetectorConfig, MotionProfile
+from ringalert.model import DetectorConfig, MotionProfile, RecordTable
 from ringalert.simulator import SimConfig, emit_stream, sample_windows
 from tests.conftest import SAMPLE_LOG_ROWS, format_line, records_of, reference_parse
 
@@ -193,6 +193,28 @@ class TestAnalyzeCommand:
         assert summary["coverage"]["max_km"] <= 1625.0 + 1e-6
         assert (rep_a / "speed_histogram.tsv").exists()
         assert (rep_a / "passes.tsv").exists()
+
+    def test_no_table_per_pass(self, tmp_path, monkeypatch):
+        # analyze builds the record tables that parse_table builds and no more:
+        # its passes are runs of one row order, not tables
+        stream = tmp_path / "sim.txt"
+        run_cli(["simulate", "--duration", 1200, "--per", 0.5, "--seed", 3, "--output", stream])
+        built = []
+        post_init = RecordTable.__post_init__
+
+        def counted(table):
+            built.append(table)
+            post_init(table)
+
+        monkeypatch.setattr(RecordTable, "__post_init__", counted)
+        parse_table(stream)
+        parsed = len(built)
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", stream, "--receiver", "0,0", "--report", report]) == 0
+        assert len(built) == 2 * parsed
+        count = json.loads((report / "analyze_summary.json").read_text())["passes"]["count"]
+        rows = (report / "passes.tsv").read_text().splitlines()[1:]
+        assert len(rows) == count > 1
 
     def test_table1_style_input(self, tmp_path):
         log = write_sample_log(tmp_path)

@@ -11,15 +11,17 @@ from ringalert.geo import (
     GeoPoint,
     KmDistance,
     arc_km,
-    bearing_deg,
     displace,
     great_circle_km,
     displace_deg,
     interpolate,
+    local_offsets_km,
     mod360,
     normalize_lon,
     normalize_lon_array,
+    unit_vectors,
 )
+from tests.conftest import bearing_deg, haversine_km
 
 lat_st = st.floats(min_value=-89.0, max_value=89.0)
 lon_st = st.floats(min_value=-179.999, max_value=180.0)
@@ -200,6 +202,38 @@ class TestExactKernel:
                      (lat[5], lon[5], course[5], d_km[5])):
             for got, want in zip(displace_deg(*args), displace_deg_unsplit(*args)):
                 assert np.array_equal(bits(got), bits(want))
+
+
+class TestLocalOffsets:
+    def test_matches_the_haversine_and_bearing_oracles(self):
+        # seeded pairs within 3,000 km: (d sin θ, d cos θ, d) of the oracles
+        rng = np.random.default_rng(2010)
+        lat = rng.uniform(-89.9, 89.9, 5000)
+        lon = rng.uniform(-180.0, 180.0, 5000)
+        lat2, lon2 = displace_deg(lat, lon, rng.uniform(0.0, 360.0, 5000),
+                                  rng.uniform(0.0, 3000.0, 5000))
+        east, north, d = local_offsets_km(unit_vectors(lat, lon), unit_vectors(lat2, lon2))
+        d_ref = haversine_km(lat, lon, lat2, lon2)
+        theta = np.radians(bearing_deg(lat, lon, lat2, lon2))
+        assert np.max(np.abs(d - d_ref)) < 1e-9
+        assert np.max(np.abs(east - d_ref * np.sin(theta))) < 1e-9
+        assert np.max(np.abs(north - d_ref * np.cos(theta))) < 1e-9
+
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_finite_at_an_exact_pole(self, z):
+        rng = np.random.default_rng(63)
+        lat, lon = rng.uniform(-90.0, 90.0, 200), rng.uniform(-180.0, 180.0, 200)
+        s = np.array([0.0, 0.0, z])
+        b = np.vstack([unit_vectors(lat, lon), s])
+        east, north, d = local_offsets_km(s, b)
+        assert np.all(np.isfinite(east) & np.isfinite(north))
+        assert (east[-1], north[-1], d[-1]) == (0.0, 0.0, 0.0)
+        assert np.allclose(d[:-1], arc_km(90.0 * z, 0.0, lat, lon), rtol=0.0, atol=1e-9)
+        assert np.allclose(np.hypot(east, north), d, rtol=0.0, atol=1e-9)
+
+    def test_point_on_itself_is_within_rounding_of_zero(self):
+        u = unit_vectors(np.array([10.0, -45.0, 89.9]), np.array([20.0, 170.0, -3.0]))
+        assert np.max(np.abs(local_offsets_km(u, u))) < 1e-12
 
 
 class TestInterpolate:

@@ -25,7 +25,7 @@ from ringalert.ingest import (
     segment_passes,
     write_records,
 )
-from ringalert.model import FRAC_UNITS_S, Direction, IraRecord, RecordTable, valid_sat_ids
+from ringalert.model import FRAC_UNITS_S, IraRecord, RecordTable, valid_sat_ids
 from ringalert.simulator import SimConfig, emit_stream
 from tests.conftest import (
     SAMPLE_LOG_FIELDS,
@@ -556,11 +556,50 @@ class TestWriteRecords:
         assert back == table_of(expected)
 
 
+def pass_rows(passes, table):
+    """(sat_id, start epoch, duration, upward, record count) of each pass."""
+    return list(zip(passes.sat_id.tolist(), table.epoch_s[passes.order[passes.lo]].tolist(),
+                    passes.duration_min.tolist(), passes.upward.tolist(),
+                    (passes.hi - passes.lo).tolist()))
+
+
+def reference_pass_rows(table, gap_threshold_s=600.0):
+    """Per-satellite reference of ``segment_passes``: each satellite's own
+    table, cut at its time steps above the gap, one pass at a time."""
+    rows = []
+    for sat_id, part in group_by_satellite(table).items():
+        times = part.t_s()
+        cuts = (np.flatnonzero(np.diff(times) > gap_threshold_s) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(part)]):
+            lats = part.lat[lo:hi][part.is_track[lo:hi]]
+            if not lats.size:  # a pass without track points: all its records
+                lats = part.lat[lo:hi]
+            rows.append((sat_id, int(part.epoch_s[lo]), float(times[hi - 1] - times[lo]) / 60.0,
+                         bool(lats[-1] >= lats[0]), hi - lo))
+    return rows
+
+
+def interleaved_table(seed, n_sats=5, n=400):
+    """Rows of several satellites interleaved in time: runs of seconds-apart
+    rows split by gaps of minutes to hours, beams mixed with track points."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for sat_id in rng.choice(sorted(valid_sat_ids()), n_sats, replace=False).tolist():
+        steps = np.where(rng.random(n) < 0.03, rng.uniform(300.0, 4000.0, n),
+                         rng.uniform(0.0, 20.0, n))
+        total_us = np.unique(np.round(np.cumsum(steps) * 1e6).astype(np.int64))
+        k = total_us.size
+        parts.append((1_600_000_000 + total_us // 1_000_000, total_us % 1_000_000,
+                      np.full(k, sat_id), np.where(rng.random(k) < 0.3, 0, rng.integers(1, 49, k)),
+                      rng.uniform(-80.0, 80.0, k), rng.uniform(-180.0, 180.0, k)))
+    return RecordTable(*(np.concatenate(c) for c in zip(*parts)))
+
+
 class TestSegmentPasses:
     def test_single_record(self):
         passes = segment_passes(make_records([0.0], [10.0], [20.0]))
         assert len(passes) == 1
-        assert passes[0].duration_min == 0.0
+        assert passes.duration_min.tolist() == [0.0]
 
     def test_gap_splits(self):
         passes = segment_passes(make_records([0.0, 700.0], [0, 1], [0, 0]))
@@ -569,36 +608,50 @@ class TestSegmentPasses:
     def test_gap_within_threshold_joins(self):
         passes = segment_passes(make_records([0.0, 599.0], [0, 1], [0, 0]))
         assert len(passes) == 1
-        assert passes[0].duration_min == pytest.approx(599.0 / 60.0)
+        assert passes.duration_min[0] == pytest.approx(599.0 / 60.0)
+
+    def test_gap_of_exactly_the_threshold_joins(self):
+        passes = segment_passes(make_records([0.0, 600.0, 1200.000001], [0, 1, 2], [0] * 3))
+        assert (passes.lo.tolist(), passes.hi.tolist()) == ([0, 2], [2, 3])
+        assert passes.gap_threshold_s == 600.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             segment_passes(make_records([], [], []))
 
-    def test_multiple_satellites_rejected(self):
-        records = table_of(records_of(make_records([0.0], [0], [0], sat_id=78))
-                           + records_of(make_records([1.0], [0], [0], sat_id=115)))
-        with pytest.raises(ValueError):
-            segment_passes(records)
+    def test_satellites_are_cut_apart(self):
+        # one second apart, but two satellites: two passes, ascending id
+        records = table_of(records_of(make_records([1.0], [0], [0], sat_id=115))
+                           + records_of(make_records([0.0], [0], [0], sat_id=78)))
+        passes = segment_passes(records)
+        assert passes.sat_id.tolist() == [78, 115]
+        assert records.sat_id[passes.order].tolist() == [78, 115]
 
     def test_record_count_conserved(self):
         times = [0, 1, 2, 1000, 1001, 5000]
         records = make_records(times, [0] * 6, [0] * 6)
         passes = segment_passes(records)
-        assert sum(len(p.records) for p in passes) == len(records)
+        assert int(np.sum(passes.hi - passes.lo)) == len(records)
         assert len(passes) == 3
 
     def test_upward_pass_latitudes_increase(self):
         for seed in range(5):
             times = list(range(0, 300, 30))
             lats = [(-1) ** seed * (i - 5) * 0.5 for i in range(10)]
-            passes = segment_passes(make_records(times, lats, [0] * 10))
-            for p in passes:
-                track = p.records.lat[p.records.is_track].tolist()
-                if p.direction is Direction.UPWARD:
-                    assert track[-1] >= track[0]
-                else:
-                    assert track[-1] < track[0]
+            records = make_records(times, lats, [0] * 10)
+            passes = segment_passes(records)
+            for lo, hi, upward in zip(passes.lo, passes.hi, passes.upward):
+                track = records.lat[passes.order[lo:hi]].tolist()
+                assert (track[-1] >= track[0]) == upward
+
+    def test_upward_antisymmetry(self):
+        times = [0, 60, 120, 180]
+        lats = [1.0, 2.0, 3.0, 4.0]
+        lons = [0.0] * 4
+        up = segment_passes(make_records(times, lats, lons))
+        down = segment_passes(make_records(times, list(reversed(lats)), lons))
+        assert up.upward.tolist() == [True]
+        assert down.upward.tolist() == [False]
 
     def test_overhead_pass_duration_matches_geometry(self):
         # a satellite passing straight overhead stays in view for
@@ -614,8 +667,44 @@ class TestSegmentPasses:
         passes = segment_passes(records)
         # the run starts mid-pass (phase 0 sits over the receiver), so the
         # first chunk is a half pass; the complete one is the longest
-        full = max(passes, key=lambda p: p.duration_min)
-        assert full.duration_min == pytest.approx(target_min, abs=0.01)
+        assert passes.duration_min.max() == pytest.approx(target_min, abs=0.01)
+
+    def test_tie_within_a_satellite_raises(self):
+        tie = make_records([0, 0], [0, 1], [0, 0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            segment_passes(tie)
+        # the same time on two satellites is no tie
+        other = make_records([0], [2], [0], sat_id=115)
+        assert len(segment_passes(table_of(records_of(tie)[:1] + records_of(other)))) == 2
+
+
+class TestSegmentPassesEquivalence:
+    """``segment_passes`` on a whole table against the per-satellite loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gap_threshold_s", [600.0, 60.0, float("inf")])
+    def test_matches_the_per_satellite_loop(self, seed, gap_threshold_s):
+        table = interleaved_table(seed)
+        passes = segment_passes(table, gap_threshold_s)
+        # durations bit for bit, directions, start epochs and counts equal
+        assert pass_rows(passes, table) == reference_pass_rows(table, gap_threshold_s)
+        rows = np.concatenate([passes.order[lo:hi] for lo, hi in zip(passes.lo, passes.hi)])
+        assert rows.tolist() == np.argsort(table.sat_id, kind="stable").tolist()
+
+    def test_pass_without_track_points(self):
+        # sat 78: a track pass, then a beam-only pass whose latitudes fall
+        table = make_records([0.0, 10.0, 1000.0, 1010.0], [1.0, 2.0, 5.0, 4.0], [0.0] * 4,
+                             beam_ids=[0, 0, 7, 9])
+        passes = segment_passes(table)
+        assert pass_rows(passes, table) == reference_pass_rows(table)
+        assert passes.upward.tolist() == [True, False]
+
+    def test_seconds_match_the_table(self):
+        table = interleaved_table(7)
+        passes = segment_passes(table)
+        for sat_id, part in group_by_satellite(table).items():
+            rows = table.sat_id[passes.order] == sat_id
+            assert passes.t_s[rows].tolist() == part.t_s().tolist()
 
 
 class TestGroupBySatellite:

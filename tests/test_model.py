@@ -8,11 +8,9 @@ from ringalert.model import (
     MAX_SPEED_KMH,
     BeamConstellation,
     DetectorConfig,
-    Direction,
     EvdParams,
     IraRecord,
     MotionProfile,
-    Pass,
     PowerLawCoeffs,
     RecordTable,
     valid_sat_ids,
@@ -135,7 +133,7 @@ class TestFracUnit:
                               1e-9)
         passes = segment_passes(one_sat)
         assert len(passes) == 2
-        parts += [p.records for p in passes] + [p.records[p.records.is_track] for p in passes]
+        assert passes.t_s.tolist() == one_sat.t_s().tolist()
         assert {part.frac_unit_s for part in parts} == {1e-9}
         part = table[3:9]
         assert part.t_s().tolist() == [(r.epoch_s - part.epoch_s[0]) + (r.frac - part.frac[0]) * 1e-9
@@ -150,27 +148,6 @@ class TestFracUnit:
     def test_unit_must_be_finite_and_positive(self, unit):
         with pytest.raises(ValueError, match="frac_unit_s"):
             RecordTable(*make_records([0.0], [0], [0]).columns(), unit)
-
-
-class TestPass:
-    def test_rejects_unsorted_and_mixed(self):
-        # a table sorts its rows, so the out-of-order pass left is one with a tie
-        records = make_records([0, 10], [0, 1], [0, 0])
-        other = make_records([20], [2], [0], sat_id=115)
-        with pytest.raises(ValueError):
-            Pass(78, table_of(records_of(records) + records_of(other)), Direction.UPWARD, 20 / 60)
-        tie = make_records([0, 0], [0, 1], [0, 0])
-        with pytest.raises(ValueError):
-            Pass(78, tie, Direction.UPWARD, 0.0)
-
-    def test_direction_antisymmetry(self):
-        times = [0, 60, 120, 180]
-        lats = [1.0, 2.0, 3.0, 4.0]
-        lons = [0.0] * 4
-        up = segment_passes(make_records(times, lats, lons))
-        down = segment_passes(make_records(times, list(reversed(lats)), lons))
-        assert up[0].direction is Direction.UPWARD
-        assert down[0].direction is Direction.DOWNWARD
 
 
 class TestBeamConstellation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ringalert import simulator
 from ringalert.errors import InsufficientWindows, InvalidPer
-from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_km, haversine_km
+from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_km
 from ringalert.ingest import parse_line
 from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
 from ringalert.simulator import (
@@ -24,7 +24,8 @@ from ringalert.simulator import (
     _WINDOW_CHUNK_SLOTS,
     sample_windows,
 )
-from tests.conftest import corridor_config, format_line, overhead_config, records_of, run_times_s
+from tests.conftest import (corridor_config, format_line, haversine_km, overhead_config, records_of,
+                            run_times_s)
 
 
 class TestSimConfig:
