@@ -29,6 +29,7 @@ from .model import MAX_BEAM_ID, BeamConstellation, EvdParams, Passes, RecordTabl
 DEFAULT_BASE_INTERARRIVAL_S = 0.09
 DEFAULT_SPEED_BIN_KMS = 0.05
 DEFAULT_INTERARRIVAL_BIN_S = 0.1
+DEFAULT_COVERAGE_BIN_KM = 25.0
 #: beam rows per block of :func:`beam_constellation`'s offsets: its temporaries stay small
 _BLOCK_ROWS = 1 << 14
 
@@ -141,7 +142,7 @@ class CoverageExtent:
 
 
 def coverage_extent(table: RecordTable, receiver: GeoPoint, *,
-                    bin_width_km: float = 25.0) -> CoverageExtent:
+                    bin_width_km: float = DEFAULT_COVERAGE_BIN_KM) -> CoverageExtent:
     """Receiver-to-track distances and the hull area of the observed ground points.
 
     The hull is taken in the azimuthal-equidistant plane centered on the

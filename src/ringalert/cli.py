@@ -447,11 +447,12 @@ def build_parser() -> _Parser:
     p.add_argument("--frac-unit", choices=sorted(FRAC_UNITS_S), default="us")
     p.add_argument("--report", help="report directory")
     p.add_argument("--receiver", type=_GEO_POINT, help="receiver 'lat,lon' for coverage analysis")
-    p.add_argument("--gap-threshold-s", type=_POSITIVE_OR_INF, default=600.0,
-                   help="pass segmentation gap (seconds)")
-    p.add_argument("--speed-bin-kms", type=_POSITIVE, default=0.05)
-    p.add_argument("--interarrival-bin-s", type=_POSITIVE, default=0.1)
-    p.add_argument("--coverage-bin-km", type=_POSITIVE, default=25.0)
+    p.add_argument("--gap-threshold-s", type=_POSITIVE_OR_INF,
+                   default=ingest.DEFAULT_GAP_THRESHOLD_S, help="pass segmentation gap (seconds)")
+    p.add_argument("--speed-bin-kms", type=_POSITIVE, default=analytics.DEFAULT_SPEED_BIN_KMS)
+    p.add_argument("--interarrival-bin-s", type=_POSITIVE,
+                   default=analytics.DEFAULT_INTERARRIVAL_BIN_S)
+    p.add_argument("--coverage-bin-km", type=_POSITIVE, default=analytics.DEFAULT_COVERAGE_BIN_KM)
     p.add_argument("--max-speed-dt-s", type=_POSITIVE_OR_INF, default=None,
                    help="drop speed samples spanning gaps longer than this")
     p.set_defaults(func=_cmd_analyze)

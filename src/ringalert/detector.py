@@ -132,9 +132,7 @@ def estimate_windows(lat, lon, t_s, motion: MotionProfile | None = None):
     t_s = np.asarray(t_s, dtype=float)
     lat, lon = compensate_arrays(lat, lon, t_s, motion, t_s.max(axis=-1)[:, None])
     lam = np.radians(lon)
-    sin_mean, cos_mean = np.sin(lam).mean(axis=-1).tolist(), np.cos(lam).mean(axis=-1).tolist()
-    # math.atan2, not np.arctan2: the two differ in the last bits
-    branch = np.array([math.degrees(math.atan2(s, c)) for s, c in zip(sin_mean, cos_mean)])
+    branch = np.degrees(np.arctan2(np.sin(lam).mean(axis=-1), np.cos(lam).mean(axis=-1)))
     unwrapped = branch[:, None] + mod360(lon - branch[:, None] + 180.0) - 180.0
     return (lat.mean(axis=-1), normalize_lon_array(unwrapped.mean(axis=-1)),
             lat, unwrapped, branch)

@@ -13,7 +13,7 @@ J. Navigation 63(3), 2010), measured by :func:`local_offsets_km`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,11 +64,11 @@ class GeoPoint:
         object.__setattr__(self, "lon_deg", normalize_lon(lon))
 
     def to_dict(self) -> dict:
-        return {"lat_deg": self.lat_deg, "lon_deg": self.lon_deg}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeoPoint":
-        return cls(data["lat_deg"], data["lon_deg"])
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ class.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -77,18 +77,10 @@ class IngestReport:
         return self.total_lines == self.accepted + self.blank + self.quarantined
 
     def to_dict(self) -> dict:
-        return {
-            "total_lines": self.total_lines,
-            "accepted": self.accepted,
-            "blank": self.blank,
-            "malformed": self.malformed,
-            "invalid_sat_id": self.invalid_sat_id,
-            "invalid_beam_id": self.invalid_beam_id,
-            "invalid_coordinate": self.invalid_coordinate,
-            "invalid_frac": self.invalid_frac,
-            "duplicate": self.duplicate,
-            "quarantined": self.quarantined,
-        }
+        """The counters, and ``quarantined`` in place of the quarantined lines."""
+        counts = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "quarantined_lines"}
+        return {**counts, "quarantined": self.quarantined}
 
 
 def parse_line(line: str, lineno: int | None = None) -> IraRecord:
@@ -284,20 +276,6 @@ def _parse_fixed(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, layout:
             _fixed(tail, layout.tail.rindex("s"), layout.lon_width, layout.decimals))
 
 
-def _joined(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``np.concatenate((first, second))``, with no copy when either is empty."""
-    if not first.size:
-        return second
-    return np.concatenate((first, second)) if second.size else first
-
-
-def _in_key_order(epoch_s: np.ndarray, frac: np.ndarray, sat_id: np.ndarray) -> bool:
-    """Whether (epoch_s, frac, sat_id) strictly increases from row to row."""
-    e0, e1, f0, f1 = epoch_s[:-1], epoch_s[1:], frac[:-1], frac[1:]
-    later = (f1 > f0) | ((f1 == f0) & (sat_id[1:] > sat_id[:-1]))
-    return bool(np.all((e1 > e0) | ((e1 == e0) & later)))
-
-
 def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
     """Parse a path, file object, or iterable of lines into a record table.
 
@@ -313,8 +291,9 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     content, buf, starts, ends = _read_lines(source)
     report = IngestReport(total_lines=int(starts.size))
     width, slow, quarantined = ends - starts, np.ones(starts.size, dtype=bool), []
-    # the accepted lines' line numbers and columns, filled block by block
-    fast, n_fast = [np.empty(starts.size, dtype) for dtype in [np.int64] * 5 + [float] * 2], 0
+    # the accepted lines' line numbers and columns: the first tier fills them
+    # block by block, then parse_line row by row
+    store, n = [np.empty(starts.size, dtype) for dtype in [np.int64] * 5 + [float] * 2], 0
     for layout in (_WRITER, _RECEIVER):
         candidates = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
         for lo in range(0, candidates.size, _BLOCK_ROWS):
@@ -330,13 +309,13 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
             report.invalid_beam_id += int(bad_beam.sum())
             quarantined.append(idx[ok & ~good] + 1)
             slow[idx] = ~ok
-            n_good = n_fast + int(good.sum())
-            for column, values in zip(fast, (idx + 1, epoch_s, frac, sat_id, beam_id, lat)):
-                column[n_fast:n_good] = values[good]  # each column taken once
-            fast[-1][n_fast:n_good] = normalize_lon_array(lon[good])  # folded once taken
-            n_fast = n_good
+            n_good = n + int(good.sum())
+            for column, values in zip(store, (idx + 1, epoch_s, frac, sat_id, beam_id, lat)):
+                column[n:n_good] = values[good]  # each column taken once
+            store[-1][n:n_good] = normalize_lon_array(lon[good])  # folded once taken
+            n = n_good
 
-    slow_rows, slow_quarantined = [], []
+    slow_quarantined = []
     for i in np.flatnonzero(slow).tolist():
         lineno = i + 1
         stripped = _line_text(content, starts[i], ends[i]).strip()
@@ -354,18 +333,16 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
         except InvalidCoordinate:
             report.invalid_coordinate += 1
         else:
-            slow_rows.append((lineno, r.epoch_s, r.frac, r.sat_id, r.beam_id,
-                              r.ground.lat_deg, r.ground.lon_deg))
+            for column, value in zip(store, (lineno, r.epoch_s, r.frac, r.sat_id, r.beam_id,
+                                             r.ground.lat_deg, r.ground.lon_deg)):
+                column[n] = value
+            n += 1
             continue
         slow_quarantined.append(lineno)
     quarantined.append(np.array(slow_quarantined, dtype=np.int64))
 
-    # the rows parse_line's rules accept, in line order
-    slow_ints = np.array([row[:5] for row in slow_rows], dtype=np.int64).reshape(-1, 5)
-    slow_floats = np.array([row[5:] for row in slow_rows], dtype=float).reshape(-1, 2)
-    lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
-        _joined(column[:n_fast], slow_column)
-        for column, slow_column in zip(fast, (*slow_ints.T, *slow_floats.T)))
+    # the accepted rows, in line order
+    lines, epoch_s, frac, sat_id, beam_id, lat, lon = (column[:n] for column in store)
     if np.any(lines[1:] < lines[:-1]):
         by_line = np.argsort(lines, kind="stable")
         lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
@@ -377,7 +354,8 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     if report.invalid_frac:
         lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
             c[~bad_frac] for c in (lines, epoch_s, frac, sat_id, beam_id, lat, lon))
-    if _in_key_order(epoch_s, frac, sat_id):
+    steps = _key_steps(epoch_s, frac)
+    if np.all((steps > 0) | ((steps == 0) & (sat_id[1:] > sat_id[:-1]))):
         kept = slice(None)  # no key repeats, and line order is (epoch_s, frac) order
     else:
         # one sort of the keys finds each repeat of an earlier line's (epoch_s, frac, sat_id)

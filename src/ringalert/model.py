@@ -6,13 +6,14 @@ A record stream is a :class:`RecordTable` of numpy columns; one
 :class:`BeamConstellation`, :class:`EvdParams` and :class:`PowerLawCoeffs`
 have a ``to_dict`` for the JSON summaries the CLI writes, and
 :class:`MotionProfile` a ``from_dict`` for the scenario files it reads;
-records, tables and passes are not serialized.
+records, tables and passes are not serialized. Dict forms hold the fields;
+only :meth:`BeamConstellation.to_dict` spells its keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -241,6 +242,7 @@ class BeamConstellation:
         object.__setattr__(self, "ring_radii_km", radii)
 
     def to_dict(self) -> dict:
+        # str beam ids: under sort_keys they keep the reports' order "1", "10", "11", ...
         return {
             "centroids": {str(k): list(v) for k, v in self.centroids.items()},
             "ring_radii_km": list(self.ring_radii_km),
@@ -261,7 +263,7 @@ class EvdParams:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
     def to_dict(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ class PowerLawCoeffs:
             raise ValueError("power-law coefficients must be finite")
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "q": self.q}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ class MotionProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MotionProfile":
-        return cls(GeoPoint.from_dict(data["start"]), data["course_deg"], data["speed_kmh"])
+        return cls(**{**data, "start": GeoPoint.from_dict(data["start"])})
 
 
 @dataclass(frozen=True)

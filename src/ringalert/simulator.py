@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class SpoofProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpoofProfile":
-        return cls(data["start_s"], data["offset_course_deg"], data["offset_speed_kmh"])
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        spoof = data.get("spoof")
-        return cls(
-            MotionProfile.from_dict(data["receiver"]),
-            None if spoof is None else SpoofProfile.from_dict(spoof),
-        )
+        data = {**data}  # a TypeError for anything but a mapping
+        data["receiver"] = MotionProfile.from_dict(data["receiver"])
+        if data.get("spoof") is not None:
+            data["spoof"] = SpoofProfile.from_dict(data["spoof"])
+        return cls(**data)
 
 
 _DEFAULT_SCENARIO = Scenario(MotionProfile(GeoPoint(0.0, 0.0), 0.0, 0.0))
@@ -161,10 +161,13 @@ class SimConfig:
         object.__setattr__(self, "beam_offsets", tuple(tuple(map(float, o)) for o in self.beam_offsets))
         if self.plane_nodes_deg is not None:
             object.__setattr__(self, "plane_nodes_deg", tuple(float(x) for x in self.plane_nodes_deg))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
+        for name in ("n_sats", "n_beams", "seed", "start_epoch_s", "planes", "burst_stages"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
         if not 1 <= self.n_sats <= len(valid_sat_ids()):
             raise ValueError(f"n_sats must be in [1, {len(valid_sat_ids())}]")
         if self.planes < 1 or self.n_sats % self.planes != 0:
@@ -178,8 +181,9 @@ class SimConfig:
             raise ValueError("per must be in [0, 1]")
         if not all(0 < v < math.inf for v in (self.ground_speed_kms, self.beam_period_s)):
             raise ValueError("ground speed and beam period must be finite and > 0")
-        if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams:
-            raise ValueError("beam_offsets must provide one (east, north) pair per beam")
+        if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams or not all(
+                len(o) == 2 and all(map(math.isfinite, o)) for o in self.beam_offsets):
+            raise ValueError("beam_offsets must provide one finite (east, north) pair per beam")
         if not self.coverage_radius_km > 0:
             raise ValueError(f"coverage_radius_km must be > 0, got {self.coverage_radius_km}")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
@@ -217,33 +221,12 @@ class SimConfig:
         return tuple(p * 180.0 / self.planes for p in range(self.planes))
 
     def to_dict(self) -> dict:
-        return {
-            "n_sats": self.n_sats,
-            "ground_speed_kms": self.ground_speed_kms,
-            "beam_period_s": self.beam_period_s,
-            "n_beams": self.n_beams,
-            "per": self.per,
-            "coverage_radius_km": self.coverage_radius_km,
-            "altitude_km": self.altitude_km,
-            "beam_offsets": [list(o) for o in self.beam_offsets],
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "start_epoch_s": self.start_epoch_s,
-            "planes": self.planes,
-            "inclination_deg": self.inclination_deg,
-            "plane_nodes_deg": None if self.plane_nodes_deg is None else list(self.plane_nodes_deg),
-            "loss_model": self.loss_model,
-            "burst_stages": self.burst_stages,
-        }
+        """The fields, shallow: tuples stay tuples, which JSON writes as lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        kwargs = dict(data)
-        if kwargs.get("beam_offsets") is not None:
-            kwargs["beam_offsets"] = tuple(tuple(o) for o in kwargs["beam_offsets"])
-        if kwargs.get("plane_nodes_deg") is not None:
-            kwargs["plane_nodes_deg"] = tuple(kwargs["plane_nodes_deg"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +333,6 @@ def _view_slot_ranges(config: SimConfig, basis, receiver: GeoPoint, radius_km: f
 # ---------------------------------------------------------------------------
 # loss channels
 
-def _renewal_slots(length: int, draw_gaps, batch_size) -> np.ndarray:
-    """Slots in [0, length) reached by adding up gaps from slot -1.
-
-    ``draw_gaps(n)`` draws n gaps and ``batch_size(pos)`` sizes the next batch
-    from the slot reached, so work scales with the kept count, not the slot
-    count. The batch sizes fix how many draws a stream consumes.
-    """
-    kept = []
-    pos = -1
-    while pos < length - 1:
-        positions = pos + np.cumsum(draw_gaps(batch_size(pos)))
-        take = positions[positions < length]
-        kept.append(take)
-        if take.size < positions.size:
-            break
-        pos = int(positions[-1])
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-
-
 def _iid_gaps(config: SimConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     """Independent drops: each emission is kept with probability 1 - per."""
     return rng.geometric(1.0 - config.per, size=n)
@@ -392,17 +356,30 @@ LOSS_MODELS = tuple(_GAP_SAMPLERS)
 
 
 def _kept_offsets(length: int, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Indices in [0, length) of one in-view slot range kept by the loss channel."""
+    """Indices in [0, length) of one in-view slot range kept by the loss channel.
+
+    They are the slots reached by adding up the channel's gaps from slot -1.
+    Gaps are drawn in batches sized from the slot reached, so work scales with
+    the kept count, not the slot count. The batch sizes fix how many draws a
+    stream consumes.
+    """
     keep_prob = 1.0 - config.per
     if keep_prob <= 0.0 or length <= 0:
         return np.empty(0, dtype=np.int64)
     if keep_prob >= 1.0:
         return np.arange(length, dtype=np.int64)
     draw_gaps = _GAP_SAMPLERS[config.loss_model]
-    return _renewal_slots(
-        length, lambda n: draw_gaps(config, rng, n),
-        lambda pos: max(64, int((int((length - max(pos, 0)) * keep_prob) + 1) * 1.2) + 16),
-    )
+    kept = []
+    pos = -1
+    while pos < length - 1:
+        batch = max(64, int((int((length - max(pos, 0)) * keep_prob) + 1) * 1.2) + 16)
+        positions = pos + np.cumsum(draw_gaps(config, rng, batch))
+        take = positions[positions < length]
+        kept.append(take)
+        if take.size < positions.size:
+            break
+        pos = int(positions[-1])
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------

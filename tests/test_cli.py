@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ringalert
-from ringalert import cli, detector
+from ringalert import analytics, cli, detector, ingest
 from ringalert.cli import build_parser, main
 from ringalert.geo import GeoPoint, great_circle_km, interpolate
 from ringalert.ingest import parse_table
@@ -50,6 +50,22 @@ class TestParserContract:
             for action in sub._actions:
                 for option in action.option_strings:
                     assert option in help_text, f"{name}: {option} missing from --help"
+
+    def test_analyze_defaults_are_the_library_constants(self, monkeypatch):
+        bindings = {"gap_threshold_s": (ingest, "DEFAULT_GAP_THRESHOLD_S"),
+                    "speed_bin_kms": (analytics, "DEFAULT_SPEED_BIN_KMS"),
+                    "interarrival_bin_s": (analytics, "DEFAULT_INTERARRIVAL_BIN_S"),
+                    "coverage_bin_km": (analytics, "DEFAULT_COVERAGE_BIN_KM")}
+        args = build_parser().parse_args(["analyze", "--input", "x"])
+        for dest, (module, name) in bindings.items():
+            assert getattr(args, dest) == getattr(module, name), dest
+        assert analytics.coverage_extent.__kwdefaults__["bin_width_km"] == \
+            analytics.DEFAULT_COVERAGE_BIN_KM
+        # the flags read the constants when the parser is built, not copies of their values
+        for k, (module, name) in enumerate(bindings.values()):
+            monkeypatch.setattr(module, name, 1.0 + k / 8)
+        args = build_parser().parse_args(["analyze", "--input", "x"])
+        assert [getattr(args, dest) for dest in bindings] == [1.0 + k / 8 for k in range(4)]
 
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         assert run_cli(["ingest", "--input", tmp_path / "x", "--nonsense"]) == 1
@@ -573,6 +589,9 @@ def assert_usage_error(capsys, argv):
     return err
 
 
+_RECEIVER = {"start": {"lat_deg": 0, "lon_deg": 0}, "course_deg": 0, "speed_kmh": 1}
+
+
 class TestSimulatorConfigErrors:
     @pytest.mark.parametrize("in_file, code", [(False, 1), (True, 2)], ids=["flag", "config"])
     @pytest.mark.parametrize("duration", [1e13, 1e300])
@@ -684,6 +703,25 @@ class TestSimulatorConfigErrors:
         ("simulate", "--config", {"seed": -1}),
         ("evaluate", "--config", {"seed": -1}),
         ("simulate", "--config", {"seed": 1.5}),
+        # the integer fields take integers, never whole floats or bools
+        ("simulate", "--config", {"planes": 2.0}),
+        ("evaluate", "--config", {"n_sats": 66.0}),
+        ("simulate", "--config", {"n_beams": 48.0}),
+        ("simulate", "--config", {"burst_stages": True}),
+        ("simulate", "--config", {"start_epoch_s": 1.6e9}),
+        # every beam offset is a finite (east, north) pair
+        ("simulate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),
+        ("evaluate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),
+        ("simulate", "--config", {"beam_offsets": [[1, float("nan")]] * 48}),
+        # an unknown key at any level of a scenario, or no mapping at all
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER, "typo": 3}}),
+        ("simulate", "--scenario", {"receiver": _RECEIVER, "typo": 3}),
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER,
+                                                 "start": {"lat_deg": 0, "lon_deg": 0, "alt_m": 5}}}),
+        ("simulate", "--scenario", {"receiver": _RECEIVER,
+                                    "spoof": {"start_s": 1, "offset_course_deg": 90,
+                                              "offset_speed_kmh": 5, "typo": 3}}),
+        ("simulate", "--scenario", [1, 2]),
     ])
     def test_bad_file_contents_are_data_errors(self, tmp_path, capsys, command, flag, contents):
         path = tmp_path / "in.json"

@@ -331,6 +331,17 @@ class TestEstimateWindows:
                 assert got[row].tolist() == want[0].tolist()
 
 
+    def test_branch_is_the_scalar_circular_mean(self):
+        # np.arctan2 may round differently from math.atan2, by a few ulp at most
+        rng = np.random.default_rng(5)
+        lon = rng.uniform(-180.0, 180.0, (2000, 7))
+        branch = detector.estimate_windows(np.zeros(lon.shape), lon, np.zeros(lon.shape))[4]
+        lam = np.radians(lon)
+        sin_mean, cos_mean = np.sin(lam).mean(axis=-1).tolist(), np.cos(lam).mean(axis=-1).tolist()
+        want = [math.degrees(math.atan2(s, c)) for s, c in zip(sin_mean, cos_mean)]
+        assert np.all(np.abs(branch - want) <= 4 * np.spacing(180.0))
+
+
 def ring_stream(n_beams: int, seed: int):
     """Time-ordered records straddling the antimeridian with ``n_beams`` beam
     records; a sub-satellite (beam 0) record follows every third one, and
