@@ -61,9 +61,11 @@ REANCHOR_KM = 10.0
 #: was measured for |lat| <= 80.
 SLIDING_MAX_LAT_DEG = 80.0
 
-# WindowedDetector buffer rows that flag the points only the whole-window pass
-# may take and the arrivals older than the column before them
-_FAR, _DESCENTS = 7, 8
+#: Sliding beams after which :class:`WindowedDetector` runs its whole-window
+#: pass in any window. A sliding beam adds two roundings at most to plain sums
+#: of coordinates within 270 degrees of 0, so a sliding mean drifts at most
+#: 2 * 4096 * 2**-53 * 270, about 2.5e-10 degrees, at any window size.
+MAX_SLIDING_BEAMS = 4096
 
 
 @dataclass(frozen=True)
@@ -271,17 +273,6 @@ def fp_exponent_fits(rates: dict[tuple[int, float], float], *,
 # ---------------------------------------------------------------------------
 # streaming wrapper
 
-def _neumaier(sums: list[float], errs: list[float], xs) -> None:
-    """Add ``xs`` to the running ``sums``, carrying the rounding error of each
-    addition in ``errs`` (Neumaier, ZAMM 54, 1974): ``sums[i] + errs[i]`` is
-    the compensated sum."""
-    for i, x in enumerate(xs):
-        s = sums[i]
-        t = s + x
-        errs[i] += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        sums[i] = t
-
-
 def _rates(sin_phi, cos_phi, sin_delta, cos_delta, cos_phi2, course_deg: float):
     """North and east rates (radians per radian of travel) of points that
     left latitude phi a distance delta ago on ``course_deg`` and now lie at
@@ -311,28 +302,32 @@ class WindowedDetector:
     branch ``c``) and the north and east rates at which it then moves on
     along its great circle; rows 7 and 8 flag the points that only the
     whole-window pass may take and the arrivals older than their
-    predecessor. Running sums of rows 3-8, compensated after Neumaier, slide
-    with the window: the estimate is the mean of rows 3-4, moved by the
-    receiver's travel since ``t_a`` at the mean rates (the first-order term)
-    plus the mean point's own second-order term. An extend by ``k`` beams
-    slides them in O(k) when ``k <= max(window_n // 32, 1)``; a longer one
-    takes the whole-window pass, which costs about as much, so any extend
-    by ``k < window_n`` beams costs O(k) amortized.
+    predecessor. Plain running sums of rows 3-8 slide with the window: the
+    estimate is the mean of rows 3-4, moved by the receiver's travel since
+    ``t_a`` at the mean rates (the first-order term) plus the mean point's
+    own second-order term. An extend by ``k`` beams slides them in O(k) when
+    ``k <= max(window_n // 32, 1)``; a longer one takes the whole-window
+    pass, which costs about as much, so any extend by ``k < window_n`` beams
+    costs O(k) amortized, or O(k window_n / MAX_SLIDING_BEAMS) in windows of
+    more than ``MAX_SLIDING_BEAMS`` beams.
 
     The whole-window pass is :func:`estimate_windows` of the window: it
     compensates the window to its latest time, which becomes ``t_a``, and
     takes the circular mean as ``c``, so its estimate equals
     ``estimate_position_arrays`` of the window exactly. It runs when the
     window first fills, on every extend by more than
-    ``max(window_n // 32, 1)`` beams, after ``window_n`` sliding beams,
-    once the receiver has travelled ``REANCHOR_KM`` since ``t_a``, and
-    while a windowed point lies 90 degrees of longitude or more from ``c``
-    or beyond ``SLIDING_MAX_LAT_DEG``. Nearer, every point unwraps
-    about ``c`` as about the window's circular mean, so no sine and cosine
-    sums are needed, and wide and polar windows stay exact, just not faster.
+    ``max(window_n // 32, 1)`` beams, after
+    ``min(window_n, MAX_SLIDING_BEAMS)`` sliding beams, once the receiver
+    has travelled ``REANCHOR_KM`` since ``t_a``, and while a windowed point
+    lies 90 degrees of longitude or more from ``c`` or beyond
+    ``SLIDING_MAX_LAT_DEG``. Nearer, every point unwraps about ``c`` as
+    about the window's circular mean, so no sine and cosine sums are
+    needed, and wide and polar windows stay exact, just not faster.
 
     A sliding estimate keeps ``n_used`` and ``window`` exact. Its position
     is within 1e-9 degrees of the batch estimate for a stationary receiver
+    (the sums' rounding moves it 2.5e-10 degrees at most, as each pass
+    resets them before ``MAX_SLIDING_BEAMS`` sliding beams have added theirs)
     and within 0.05 km for one moving at any ``SHIP_CLASSES`` top speed: the
     worst gap measured over windows of 500 beams across the +/-180 seam at
     |lat| <= 80, on every course, was 0.004 km.
@@ -345,7 +340,7 @@ class WindowedDetector:
         self._end = 0
         self._estimate: PositionEstimate | None = None
         # the sliding state, set anew by each whole-window pass
-        self._sums, self._errs = [0.0] * 6, [0.0] * 6  # of rows 3-8 over the window
+        self._sums = [0.0] * 6  # of rows 3-8 over the window
         self._t_a = self._branch = 0.0
         self._since = 0
 
@@ -361,14 +356,14 @@ class WindowedDetector:
             raise ValueError("lat, lon and t_s must be finite")
         # a sliding beam costs some 25 times a windowed beam of the whole-
         # window pass, so an extend by over 1/32 of the window takes the pass
-        sliding = self._estimate is not None and k <= max(n // 32, 1) < n and self._since < n
+        sliding = self._estimate is not None and k <= max(n // 32, 1) < n
         if k >= n:
             new, k = new[:, -n:], n
             self._end = 0
         elif sliding:  # the k oldest leave the window
             lo = self._end - n
-            _neumaier(self._sums, self._errs,
-                      (-x for x in self._columns[3:, lo:lo + k].sum(axis=1).tolist()))
+            left = self._columns[3:, lo:lo + k].sum(axis=1).tolist()
+            self._sums = [s - x for s, x in zip(self._sums, left)]
         if self._end + k > self._columns.shape[1]:
             shift = self._end - (n - k)
             self._columns[:, :n - k] = self._columns[:, shift:self._end]
@@ -388,10 +383,6 @@ class WindowedDetector:
             return self._estimate
         return self.extend((record.ground.lat_deg,), (record.ground.lon_deg,),
                            (record.timestamp(),))
-
-    def _total(self, row: int) -> float:
-        """The compensated sum of buffer row ``row`` (3-8) over the window."""
-        return self._sums[row - 3] + self._errs[row - 3]
 
     def _estimate_window(self) -> PositionEstimate:
         """The whole-window pass: the batch estimate, and the sliding state,
@@ -413,7 +404,7 @@ class WindowedDetector:
         cols[7] = (np.abs(unwrapped - self._branch) >= 90.0) | (np.abs(lat) > SLIDING_MAX_LAT_DEG)
         cols[8, 0] = 0.0
         cols[8, 1:] = t_s[1:] < t_s[:-1]
-        self._sums, self._errs = cols[3:].sum(axis=1).tolist(), [0.0] * 6
+        self._sums = cols[3:].sum(axis=1).tolist()
         self._since = 0
         return estimate
 
@@ -450,20 +441,21 @@ class WindowedDetector:
         rows = []
         for lat, lon, t in zip(*self._columns[:3, lo:end].tolist()):
             rows.append((*self._anchor(lat, lon, t), float(t < prev)))
-            _neumaier(self._sums, self._errs, rows[-1])
+            self._sums = [s + x for s, x in zip(self._sums, rows[-1])]
             prev = t
         self._columns[3:, lo:end] = np.array(rows).T
         self._since += end - lo
+        *sums, far, descents = self._sums
         t_s = self._columns[2, end - n:end]
-        if self._total(_DESCENTS) - self._columns[8, end - n]:
+        if descents - self._columns[8, end - n]:
             window = (float(t_s.min()), float(t_s.max()))
         else:
             window = (float(t_s[0]), float(t_s[-1]))
         d_km = self.motion.speed_kmh * (window[1] - self._t_a) / 3600.0 \
             if _moving(self.motion) else 0.0
-        if self._total(_FAR) or self._since >= n or abs(d_km) > REANCHOR_KM:
+        if far or self._since >= min(n, MAX_SLIDING_BEAMS) or abs(d_km) > REANCHOR_KM:
             return self._estimate_window()
-        lat, lon, north, east = (self._total(row) / n for row in range(3, 7))
+        lat, lon, north, east = (s / n for s in sums)
         if d_km:
             # every point moves on along its own great circle: the mean of
             # their rates is the first-order term, and the mean point's

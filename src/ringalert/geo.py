@@ -13,6 +13,7 @@ J. Navigation 63(3), 2010), measured by :func:`local_offsets_km`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,6 +47,14 @@ def normalize_lon_array(lon_deg: np.ndarray) -> np.ndarray:
     return np.where(lon > 180.0, lon - 360.0, lon)
 
 
+def _real(name: str, value):
+    """``value`` if it is a real number, which a bool is not here; else a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """A ground position. Latitude in [-90, +90], longitude folded into (-180, +180]."""
@@ -68,7 +77,11 @@ class GeoPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeoPoint":
-        return cls(**data)
+        """The point of a JSON object, whose coordinates must be numbers."""
+        point = cls(**data)  # a TypeError for anything but a mapping of the fields
+        for name, value in data.items():
+            _real(name, value)
+        return point
 
 
 @dataclass(frozen=True)

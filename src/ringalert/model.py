@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidBeamId, InvalidSatId
-from .geo import GeoPoint, displace
+from .geo import GeoPoint, _real, displace
 
 MAX_BEAM_ID = 48
 
@@ -290,6 +290,9 @@ class MotionProfile:
     speed_kmh: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                _real(f.name, getattr(self, f.name))
         if not math.isfinite(self.course_deg):
             raise ValueError(f"course must be finite, got {self.course_deg}")
         if not 0 <= self.speed_kmh <= MAX_SPEED_KMH:

@@ -24,6 +24,7 @@ from .errors import InsufficientWindows, InvalidPer
 from .geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
+    _real,
     displace,
     displace_deg,
     unit_vectors,
@@ -88,6 +89,8 @@ class SpoofProfile:
     offset_speed_kmh: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _real(f.name, getattr(self, f.name))
         if not math.isfinite(self.offset_course_deg):
             raise ValueError(f"spoof course must be finite, got {self.offset_course_deg}")
         if not 0 <= self.start_s < math.inf:
@@ -158,14 +161,20 @@ class SimConfig:
     burst_stages: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "beam_offsets", tuple(tuple(map(float, o)) for o in self.beam_offsets))
+        # each number field by its declared type, and each entry of the tuples
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                _real(f.name, value)
+            elif f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+        object.__setattr__(self, "beam_offsets", tuple(
+            tuple(float(_real("each beam_offsets entry", x)) for x in o) for o in self.beam_offsets))
         if self.plane_nodes_deg is not None:
-            object.__setattr__(self, "plane_nodes_deg", tuple(float(x) for x in self.plane_nodes_deg))
-        for name in ("n_sats", "n_beams", "seed", "start_epoch_s", "planes", "burst_stages"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, "plane_nodes_deg", tuple(
+                float(_real("each plane_nodes_deg entry", x)) for x in self.plane_nodes_deg))
         if self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1 <= self.n_sats <= len(valid_sat_ids()):
@@ -184,8 +193,11 @@ class SimConfig:
         if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams or not all(
                 len(o) == 2 and all(map(math.isfinite, o)) for o in self.beam_offsets):
             raise ValueError("beam_offsets must provide one finite (east, north) pair per beam")
-        if not self.coverage_radius_km > 0:
-            raise ValueError(f"coverage_radius_km must be > 0, got {self.coverage_radius_km}")
+        if not 0 < self.coverage_radius_km < math.inf:
+            raise ValueError(f"coverage_radius_km must be finite and > 0, "
+                             f"got {self.coverage_radius_km}")
+        if not math.isfinite(self.altitude_km):
+            raise ValueError(f"altitude_km must be finite, got {self.altitude_km}")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
             raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s}")
         if self.loss_model not in LOSS_MODELS:

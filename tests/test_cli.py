@@ -645,6 +645,7 @@ class TestSimulatorConfigErrors:
         ["simulate", "--spoof", "0,90,1e308"],
         ["simulate", "--spoof", "0,90,3000.5"],
         ["simulate", "--coverage-radius", "nan"],
+        ["evaluate", "--coverage-radius", "inf"],
         ["simulate", "--planes", 1, "--n-sats", 11, "--plane-nodes", "inf"],
         ["evaluate", "--n-grid", "10,ten"],
         ["evaluate", "--n-grid", "0,10"],
@@ -713,6 +714,23 @@ class TestSimulatorConfigErrors:
         ("simulate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),
         ("evaluate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),
         ("simulate", "--config", {"beam_offsets": [[1, float("nan")]] * 48}),
+        # the number fields take numbers, never bools, strings or null
+        ("simulate", "--config", {"per": True}),
+        ("simulate", "--config", {"duration_s": True}),
+        ("evaluate", "--config", {"beam_period_s": True}),
+        ("evaluate", "--config", {"altitude_km": "x"}),
+        ("evaluate", "--config", {"altitude_km": None}),
+        ("simulate", "--config", {"plane_nodes_deg": "012345"}),
+        ("simulate", "--config", {"beam_offsets": ["12"] * 48}),
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER, "speed_kmh": True}}),
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER,
+                                                 "start": {"lat_deg": True, "lon_deg": 0}}}),
+        ("simulate", "--scenario", {"receiver": _RECEIVER,
+                                    "spoof": {"start_s": 1, "offset_course_deg": 90,
+                                              "offset_speed_kmh": True}}),
+        # the coverage radius and the altitude are finite
+        ("evaluate", "--config", {"coverage_radius_km": float("inf")}),
+        ("evaluate", "--config", {"altitude_km": float("inf")}),
         # an unknown key at any level of a scenario, or no mapping at all
         ("simulate", "--scenario", {"receiver": {**_RECEIVER, "typo": 3}}),
         ("simulate", "--scenario", {"receiver": _RECEIVER, "typo": 3}),

@@ -528,6 +528,29 @@ class TestWindowedDetector:
         assert (travel_km // detector.REANCHOR_KM <= len(exact)
                 <= travel_km / detector.REANCHOR_KM + pushes / window_n + 2)
 
+    def test_sliding_runs_are_capped_in_wide_windows(self):
+        # a window of more than MAX_SLIDING_BEAMS beams takes the whole-window
+        # pass after every MAX_SLIDING_BEAMS sliding beams, not window_n: the
+        # plain sums of points by the seam and the 80th parallel, where they
+        # round most, hold the bound between passes
+        window_n, pushes = 6000, 13000
+        rng = np.random.default_rng(25)
+        size = window_n + pushes
+        lat = rng.uniform(79.0, 80.0, size)
+        lon = (rng.uniform(175.0, 185.0, size) + 180.0) % 360.0 - 180.0
+        t_s = np.arange(size, dtype=float)
+        det = detector.WindowedDetector(DetectorConfig(20.0, window_n))
+        exact = record_exact(det)
+        det.extend(lat[:window_n], lon[:window_n], t_s[:window_n])
+        for end in range(window_n + 1, size + 1):
+            est = det.extend(lat[end - 1:end], lon[end - 1:end], t_s[end - 1:end])
+            if end % 500 == 0:
+                w = slice(end - window_n, end)
+                batch = detector.estimate_position_arrays(lat[w], lon[w], t_s[w])
+                assert_matches_batch(est, batch, None, est is exact[-1])
+        # the fill, then one pass after each 4096 sliding beams
+        assert len(exact) == 4
+
     @pytest.mark.parametrize("motion_index", range(len(RING_MOTIONS)),
                              ids=["still", *(f"{c}_top" for c in SHIP_CLASSES)])
     @pytest.mark.parametrize("window_n", [1, 3, 500])
