@@ -55,6 +55,20 @@ def _real(name: str, value):
     return value
 
 
+def _check_field_types(instance) -> None:
+    """Check each field of a dataclass ``instance`` against its declared type: a
+    ``float`` field takes a real number and an ``int`` field an integer, never a
+    bool (a ValueError naming the field). Integer fields become plain ``int``."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type == "float":
+            _real(f.name, value)
+        elif f.type == "int":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(instance, f.name, int(value))
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """A ground position. Latitude in [-90, +90], longitude folded into (-180, +180]."""

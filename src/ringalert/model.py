@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidBeamId, InvalidSatId
-from .geo import GeoPoint, _real, displace
+from .geo import GeoPoint, _check_field_types, displace
 
 MAX_BEAM_ID = 48
 
@@ -290,9 +290,7 @@ class MotionProfile:
     speed_kmh: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float":
-                _real(f.name, getattr(self, f.name))
+        _check_field_types(self)
         if not math.isfinite(self.course_deg):
             raise ValueError(f"course must be finite, got {self.course_deg}")
         if not 0 <= self.speed_kmh <= MAX_SPEED_KMH:
@@ -314,7 +312,7 @@ class DetectorConfig:
     window_n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "window_n", int(self.window_n))
+        _check_field_types(self)
         if not math.isfinite(self.threshold_km) or self.threshold_km <= 0:
             raise ValueError(f"threshold_km must be > 0, got {self.threshold_km}")
         if self.window_n < 1:

@@ -15,7 +15,6 @@ produce byte-identical streams.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import InsufficientWindows, InvalidPer
 from .geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
+    _check_field_types,
     _real,
     displace,
     displace_deg,
@@ -89,8 +89,7 @@ class SpoofProfile:
     offset_speed_kmh: float
 
     def __post_init__(self):
-        for f in fields(self):
-            _real(f.name, getattr(self, f.name))
+        _check_field_types(self)
         if not math.isfinite(self.offset_course_deg):
             raise ValueError(f"spoof course must be finite, got {self.offset_course_deg}")
         if not 0 <= self.start_s < math.inf:
@@ -132,6 +131,14 @@ class Scenario:
 
 _DEFAULT_SCENARIO = Scenario(MotionProfile(GeoPoint(0.0, 0.0), 0.0, 0.0))
 
+#: Fastest ground speed (km/s) a configuration accepts. A circular orbit of
+#: radius r moves at sqrt(GM / r) and its sub-satellite point at R / r of that,
+#: so no circular orbit has a faster ground track than the circular speed at
+#: the surface, sqrt(GM / R) = 7.91 km/s (Earth's rotation aside, which the
+#: model leaves out). The cap also bounds the revolutions a run covers, and so
+#: the work of finding its in-view slots.
+MAX_GROUND_SPEED_KMS = 7.91
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -162,14 +169,7 @@ class SimConfig:
 
     def __post_init__(self):
         # each number field by its declared type, and each entry of the tuples
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float":
-                _real(f.name, value)
-            elif f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, int(value))
+        _check_field_types(self)
         object.__setattr__(self, "beam_offsets", tuple(
             tuple(float(_real("each beam_offsets entry", x)) for x in o) for o in self.beam_offsets))
         if self.plane_nodes_deg is not None:
@@ -188,8 +188,17 @@ class SimConfig:
             raise ValueError("inclination_deg must be in (0, 90]")
         if not 0.0 <= self.per <= 1.0:
             raise ValueError("per must be in [0, 1]")
-        if not all(0 < v < math.inf for v in (self.ground_speed_kms, self.beam_period_s)):
-            raise ValueError("ground speed and beam period must be finite and > 0")
+        if not 0 < self.beam_period_s < math.inf:
+            raise ValueError("beam period must be finite and > 0")
+        if not 0 < self.ground_speed_kms <= MAX_GROUND_SPEED_KMS:
+            raise ValueError(f"ground_speed_kms must be in (0, {MAX_GROUND_SPEED_KMS}] km/s, the "
+                             f"fastest circular-orbit ground track, got {self.ground_speed_kms}")
+        if not orbital_period_s(self) * 1e6 < np.iinfo(np.int64).max:
+            raise ValueError(f"ground_speed_kms {self.ground_speed_kms} is too slow: its "
+                             "orbital period in microseconds overflows int64")
+        if not 0 <= self.start_epoch_s <= np.iinfo(np.int64).max - int(MAX_EMIT_DURATION_S):
+            raise ValueError(f"start_epoch_s must be in [0, int64 max - {MAX_EMIT_DURATION_S:g}], "
+                             f"so every emitted epoch fits int64, got {self.start_epoch_s}")
         if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams or not all(
                 len(o) == 2 and all(map(math.isfinite, o)) for o in self.beam_offsets):
             raise ValueError("beam_offsets must provide one finite (east, north) pair per beam")
@@ -473,15 +482,17 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
 
 
 def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_hi: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Columns (slot, sat_idx, beam_id, lat, lon) of every emission in slots [slot_lo,
-    slot_hi) that survives the loss channel and reaches ``receiver``, by slot, then satellite.
+          rng: np.random.Generator):
+    """Blocks of the columns (slot, sat_idx, beam_id, lat, lon) of every emission in slots
+    [slot_lo, slot_hi) that survives the loss channel and reaches ``receiver``, by slot,
+    then satellite.
 
     The loss channel draws one renewal per satellite over its in-view slots
     laid end to end, satellite by satellite, so one generator state gives one
     stream. A burst outage thus carries across the gap between two passes.
-    The kept emissions are then sorted and run through
-    :func:`_in_view_records` in blocks of :data:`_GEOMETRY_ROWS` rows.
+    The kept emissions are then sorted, and each block of :data:`_GEOMETRY_ROWS`
+    of them is yielded through :func:`_in_view_records`. :func:`emit_stream`
+    joins the blocks; :func:`sample_windows` stops at the one that fills its windows.
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
@@ -502,11 +513,11 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     # (slot, satellite) keys are distinct, so sorting the keys orders the rows
     slot, sat_idx = np.divmod(np.sort(np.concatenate(slots) * config.n_sats
                                       + np.concatenate(sats)), config.n_sats)
-    # at least one block, so the columns keep their dtypes when nothing is in view
-    parts = [_in_view_records(config, basis, receiver, slot[k:k + _GEOMETRY_ROWS],
-                              sat_idx[k:k + _GEOMETRY_ROWS])
-             for k in range(0, max(slot.size, 1), _GEOMETRY_ROWS)]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    # every draw is made before the first yield, so a caller that stops early leaves ``rng``
+    # where a full pass does; at least one block keeps the dtypes when nothing is in view
+    for k in range(0, max(slot.size, 1), _GEOMETRY_ROWS):
+        yield _in_view_records(config, basis, receiver, slot[k:k + _GEOMETRY_ROWS],
+                               sat_idx[k:k + _GEOMETRY_ROWS])
 
 
 #: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
@@ -530,8 +541,8 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
         raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
                          f"{config.duration_s} s")
-    slot, sat_idx, beam_id, lat, lon = _emit(config, _orbit_basis(config), scenario.receiver, 0,
-                                             _slot_count(config), np.random.default_rng(config.seed))
+    slot, sat_idx, beam_id, lat, lon = map(np.concatenate, zip(*_emit(config, _orbit_basis(config),
+        scenario.receiver, 0, _slot_count(config), np.random.default_rng(config.seed))))
     total_us = slot * config.slot_us
     return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
                        np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
@@ -590,8 +601,9 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
     loss channel. The stream comes from the same emitter as
     :func:`emit_stream`, one chunk of slots at a time, each chunk sized from
     the beams still needed (the last one too, so it emits about what the
-    windows use), so cost scales with the message count; the beam rows the
-    windows use are joined once and cut into windows back to back.
+    windows use), so cost scales with the message count. Each geometry block
+    writes the beam rows the windows use in place, back to back, and the
+    block that fills the last window ends the stream.
     """
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
@@ -602,19 +614,19 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
     basis = _orbit_basis(config)
     stationary = MotionProfile(receiver, 0.0, 0.0)
     needed = n_windows * window_messages
-    parts = []  # (t_s, lat, lon) of each chunk's beam rows that the windows use
+    t_s, lats, lons = columns = np.empty((3, needed))
     lo, size, beams_seen = 0, _FIRST_WINDOW_CHUNK_SLOTS, 0
     while lo < _MAX_WINDOW_SLOTS:
         hi = min(lo + size, _MAX_WINDOW_SLOTS)
-        slot, _, beam_id, lat, lon = _emit(config, basis, stationary, lo, hi, rng)
-        beams = np.flatnonzero(beam_id)
-        rows = beams[:needed - beams_seen]
-        # whole microseconds since the run start, scaled once: the emitter's slot time exactly
-        parts.append(((slot[rows] * config.slot_us) * 1e-6, lat[rows], lon[rows]))
-        beams_seen += beams.size
-        if beams_seen >= needed:
-            return WindowSample(*(np.concatenate(column).reshape(n_windows, window_messages)
-                                  for column in zip(*parts)))
+        for slot, _, beam_id, lat, lon in _emit(config, basis, stationary, lo, hi, rng):
+            beams = np.flatnonzero(beam_id)
+            rows = beams[:needed - beams_seen]
+            at = slice(beams_seen, beams_seen + rows.size)
+            # whole microseconds since the run start, scaled once: the emitter's slot time exactly
+            t_s[at], lats[at], lons[at] = (slot[rows] * config.slot_us) * 1e-6, lat[rows], lon[rows]
+            beams_seen += beams.size
+            if beams_seen >= needed:
+                return WindowSample(*columns.reshape(3, n_windows, window_messages))
         size = _next_chunk_slots(size, hi, beams_seen, needed - beams_seen)
         lo = hi
     hours = _MAX_WINDOW_SLOTS * config.slot_s / 3600.0

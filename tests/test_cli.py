@@ -710,6 +710,14 @@ class TestSimulatorConfigErrors:
         ("simulate", "--config", {"n_beams": 48.0}),
         ("simulate", "--config", {"burst_stages": True}),
         ("simulate", "--config", {"start_epoch_s": 1.6e9}),
+        # a ground speed no circular orbit has, or one whose period overflows int64
+        ("simulate", "--config", {"ground_speed_kms": 1e308}),
+        ("evaluate", "--config", {"ground_speed_kms": 1e308}),
+        ("simulate", "--config", {"ground_speed_kms": 1e-310}),
+        ("evaluate", "--config", {"ground_speed_kms": 1e-310}),
+        # an epoch whose emitted epochs would not fit int64, or a negative one
+        ("simulate", "--config", {"start_epoch_s": 10**19}),
+        ("simulate", "--config", {"start_epoch_s": -5}),
         # every beam offset is a finite (east, north) pair
         ("simulate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),
         ("evaluate", "--config", {"beam_offsets": [[1, 2, 3]] * 48}),

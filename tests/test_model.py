@@ -184,3 +184,18 @@ class TestSmallValueTypes:
             DetectorConfig(0.0, 10)
         with pytest.raises(ValueError):
             DetectorConfig(10.0, 0)
+
+    @pytest.mark.parametrize("threshold_km, window_n, field", [
+        (True, 3, "threshold_km"), ("20", 3, "threshold_km"), (None, 3, "threshold_km"),
+        (20.0, 2.7, "window_n"), (20.0, 5.0, "window_n"), (20.0, "5", "window_n"),
+        (20.0, True, "window_n"), (True, 2.7, "threshold_km"),
+    ])
+    def test_detector_config_fields_keep_their_types(self, threshold_km, window_n, field):
+        # the typed field check SimConfig uses: numbers and integers, never bools
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(threshold_km, window_n)
+
+    def test_detector_config_takes_numpy_numbers(self):
+        config = DetectorConfig(np.float64(20.0), np.int64(6))
+        assert config.threshold_km == 20.0
+        assert type(config.window_n) is int and config.window_n == 6

@@ -12,6 +12,8 @@ from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_
 from ringalert.ingest import parse_line
 from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
 from ringalert.simulator import (
+    MAX_EMIT_DURATION_S,
+    MAX_GROUND_SPEED_KMS,
     SHIP_CLASSES,
     Scenario,
     SimConfig,
@@ -67,6 +69,32 @@ class TestSimConfig:
         assert SimConfig(duration_s=slots * 0.09).duration_s == slots * 0.09
         with pytest.raises(ValueError, match="int64"):
             SimConfig(duration_s=(slots + 1) * 0.09)
+
+    @pytest.mark.parametrize("speed", [MAX_GROUND_SPEED_KMS * (1 + 1e-15), 1e308, 0.0, -1.0,
+                                       1e-310, 1e-300, 4e-9])
+    def test_ground_speed_outside_its_range_is_rejected(self, speed):
+        with pytest.raises(ValueError, match="ground_speed_kms"):
+            SimConfig(ground_speed_kms=speed)
+
+    def test_ground_speed_range(self):
+        # at most the circular speed at the surface; at least a period of 2**63 - 1 us
+        assert math.sqrt(398600.4418 / EARTH_RADIUS_KM) == pytest.approx(MAX_GROUND_SPEED_KMS,
+                                                                          abs=0.005)
+        assert SimConfig(ground_speed_kms=MAX_GROUND_SPEED_KMS).ground_speed_kms == 7.91
+        slowest = 2.0 * math.pi * EARTH_RADIUS_KM / (np.iinfo(np.int64).max * 1e-6)
+        assert SimConfig(ground_speed_kms=slowest * 1.001).ground_speed_kms == slowest * 1.001
+        with pytest.raises(ValueError, match="too slow"):
+            SimConfig(ground_speed_kms=slowest * 0.999)
+
+    def test_start_epoch_range(self):
+        # every emitted epoch fits int64: a run covers less than MAX_EMIT_DURATION_S
+        latest = np.iinfo(np.int64).max - int(MAX_EMIT_DURATION_S)
+        for epoch in (0, latest):
+            config = SimConfig(start_epoch_s=epoch, duration_s=60.0)
+            assert emit_stream(config).epoch_s.min() >= epoch
+        for epoch in (-1, latest + 1, 10**19):
+            with pytest.raises(ValueError, match="start_epoch_s"):
+                SimConfig(start_epoch_s=epoch)
 
     def test_sat_ids_are_valid(self):
         config = SimConfig(n_sats=66)
@@ -311,6 +339,11 @@ class TestVectorGeometry:
         assert on_antimeridian.sum() > 10 and np.all(stream.lon > -180.0)
 
 
+def _emit_columns(*args) -> tuple[np.ndarray, ...]:
+    """The emitter's blocks joined into its five columns, as ``emit_stream`` joins them."""
+    return tuple(np.concatenate(column) for column in zip(*simulator._emit(*args)))
+
+
 class TestPerSatelliteDraw:
     # each satellite's in-view ranges are laid end to end for one loss draw,
     # and the drawn offsets are mapped back to slots
@@ -330,8 +363,8 @@ class TestPerSatelliteDraw:
         # whole-sphere coverage, so the exact in-view check keeps every slot
         config = overhead_config(n_sats=n_sats, per=per, seed=seed)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
-        return simulator._emit(config, simulator._orbit_basis(config), receiver, 40, 100,
-                               np.random.default_rng(seed)), config
+        return _emit_columns(config, simulator._orbit_basis(config), receiver, 40, 100,
+                             np.random.default_rng(seed)), config
 
     @staticmethod
     def _slots_by_sat(columns, config):
@@ -373,7 +406,7 @@ class TestPerSatelliteDraw:
         basis = simulator._orbit_basis(config)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
         cut = simulator._slot_count(config) // 3 + 7
-        parts = [simulator._emit(config, basis, receiver, lo, hi, np.random.default_rng(0))
+        parts = [_emit_columns(config, basis, receiver, lo, hi, np.random.default_rng(0))
                  for lo, hi in ((0, cut), (cut, simulator._slot_count(config)))]
         assert all(part[0].size for part in parts)
         slot, sat_idx, beam_id, lat, lon = (np.concatenate(column) for column in zip(*parts))
@@ -575,6 +608,39 @@ class TestWindowSchedule:
         assert len(sizes) >= 3 and sizes[-1] < sizes[-2] == 30_000
         needed_slots = round(windows[-1].t_s[-1] / config.slot_s) + 1
         assert chunks[-1][1] <= 1.15 * needed_slots
+
+
+class TestGeometryBlocks:
+    def test_last_chunk_stops_at_the_block_that_fills_the_windows(self, monkeypatch):
+        # the n = 1000 x 100 cell of the false-positive grid, in blocks smaller than its
+        # last chunk's surplus (at 2^14 rows the filling block is that chunk's last anyway)
+        monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 1 << 10)
+        config = corridor_config()
+        chunks = _record_chunks(monkeypatch)
+        drawn, blocks = [], []  # (chunk count, rows) of each loss draw; (chunk count, rows, beams)
+        draw, in_view = simulator._kept_offsets, simulator._in_view_records
+
+        def recording_draw(*args):
+            offsets = draw(*args)
+            drawn.append((len(chunks), offsets.size))
+            return offsets
+
+        def recording_in_view(*args):
+            columns = in_view(*args)
+            blocks.append((len(chunks), args[3].size, np.count_nonzero(columns[2])))
+            return columns
+
+        monkeypatch.setattr(simulator, "_kept_offsets", recording_draw)
+        monkeypatch.setattr(simulator, "_in_view_records", recording_in_view)
+        sample_windows(config, GeoPoint(0, 0), window_messages=1000, n_windows=100,
+                       rng=np.random.default_rng([config.seed, 1000]))
+        # the block that completes the 100,000 beams is the last one run...
+        beams = np.cumsum([n for _, _, n in blocks])
+        assert beams[-2] < 100_000 <= beams[-1]
+        # ...although the last chunk drew more rows than its blocks turned into geometry
+        last = len(chunks)
+        assert (sum(rows for chunk, rows, _ in blocks if chunk == last)
+                < sum(rows for chunk, rows in drawn if chunk == last))
 
 
 class TestOrbitAxisReceiver:
