@@ -495,9 +495,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: _Parser | None = None  # built by the first main call, then kept: it holds no run state
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, RingAlertError) as exc:
         message = str(exc).replace("\n", " ")  # one line, whatever the text holds

@@ -306,8 +306,10 @@ class WindowedDetector:
     estimate is the mean of rows 3-4, moved by the receiver's travel since
     ``t_a`` at the mean rates (the first-order term) plus the mean point's
     own second-order term. An extend by ``k`` beams slides them in O(k) when
-    ``k <= max(window_n // 32, 1)``; a longer one takes the whole-window
-    pass, which costs about as much, so any extend by ``k < window_n`` beams
+    ``k <= max(window_n // 32, 1)``, carrying them as Python floats: such a
+    short extend builds no array and writes each beam's column once. A
+    longer one builds a ``(3, k)`` array and takes the whole-window pass,
+    which costs about as much, so any extend by ``k < window_n`` beams
     costs O(k) amortized, or O(k window_n / MAX_SLIDING_BEAMS) in windows of
     more than ``MAX_SLIDING_BEAMS`` beams.
 
@@ -341,37 +343,46 @@ class WindowedDetector:
         self._estimate: PositionEstimate | None = None
         # the sliding state, set anew by each whole-window pass
         self._sums = [0.0] * 6  # of rows 3-8 over the window
-        self._t_a = self._branch = 0.0
+        self._t_a = self._branch = self._t_last = 0.0  # t_last: the newest beam's time
         self._since = 0
 
     def extend(self, lat, lon, t_s) -> PositionEstimate | None:
         """Append finite beam columns in arrival order; the estimate over the
         newest ``window_n`` beams, computed once per call (None until they
-        arrived)."""
+        arrived). A short extend, by ``k <= max(window_n // 32, 1)`` beams,
+        carries them as Python floats and builds no array."""
         n, k = self.config.window_n, len(t_s)
         if not len(lat) == len(lon) == k:
             raise ValueError("lat, lon and t_s must be of equal length")
-        new = np.array((lat, lon, t_s), dtype=float)
-        if not np.isfinite(new).all():
-            raise ValueError("lat, lon and t_s must be finite")
         # a sliding beam costs some 25 times a windowed beam of the whole-
         # window pass, so an extend by over 1/32 of the window takes the pass
-        sliding = self._estimate is not None and k <= max(n // 32, 1) < n
+        short = k <= max(n // 32, 1)
+        if short:
+            new = [(float(a), float(b), float(t)) for a, b, t in zip(lat, lon, t_s)]
+            finite = all([math.isfinite(x) for point in new for x in point])
+        else:
+            new = np.array((lat, lon, t_s), dtype=float).T
+            finite = np.isfinite(new).all()
+        if not finite:
+            raise ValueError("lat, lon and t_s must be finite")
+        sliding = short and k < n and self._estimate is not None
         if k >= n:
-            new, k = new[:, -n:], n
+            new, k = new[-n:], n
             self._end = 0
-        elif sliding:  # the k oldest leave the window
-            lo = self._end - n
-            left = self._columns[3:, lo:lo + k].sum(axis=1).tolist()
-            self._sums = [s - x for s, x in zip(self._sums, left)]
+        elif sliding:  # the k oldest leave the window: their rows 3-8, one list a beam
+            left = self._columns[3:, self._end - n:self._end - n + k].T.tolist()
         if self._end + k > self._columns.shape[1]:
             shift = self._end - (n - k)
             self._columns[:, :n - k] = self._columns[:, shift:self._end]
             self._end = n - k
         lo, self._end = self._end, self._end + k
-        self._columns[:3, lo:self._end] = new
+        if not short:  # the write path follows the points' form, not k
+            self._columns[:3, lo:self._end] = new.T
+        elif not sliding:  # a sliding point's column is written whole by _slide
+            for j, point in enumerate(new, lo):
+                self._columns[:3, j] = point
         if k and self._end >= n:
-            self._estimate = self._slide(lo) if sliding else self._estimate_window()
+            self._estimate = self._slide(lo, new, left) if sliding else self._estimate_window()
         return self._estimate
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
@@ -392,6 +403,7 @@ class WindowedDetector:
         i_lat, i_lon, lat, unwrapped, branch = estimate_windows(*cols[:3, None], self.motion)
         lat, unwrapped, t_s = lat[0], unwrapped[0], cols[2]
         self._t_a, self._branch = float(t_s.max()), float(branch[0])
+        self._t_last = float(t_s[-1])
         estimate = PositionEstimate(GeoPoint(i_lat[0], i_lon[0]), n, (float(t_s.min()), self._t_a))
         if _moving(self.motion):
             phi = np.radians(cols[0])
@@ -432,25 +444,25 @@ class WindowedDetector:
         far = abs(u - self._branch) >= 90.0 or abs(lat) > SLIDING_MAX_LAT_DEG
         return lat, u, north, east, float(far)
 
-    def _slide(self, lo: int) -> PositionEstimate:
-        """The estimate once columns ``lo:`` have joined a full window: from the
-        running sums, or from the whole-window pass when those cannot hold
-        the stated bound."""
+    def _slide(self, lo: int, points: list, left: list) -> PositionEstimate:
+        """The estimate once ``points``, Python floats, have joined a full
+        window as columns ``lo:`` and as many beams, whose rows 3-8 are
+        ``left``, have left it: from the running sums, or from the
+        whole-window pass when those cannot hold the stated bound."""
         n, end = self.config.window_n, self._end
-        prev = float(self._columns[2, lo - 1])
-        rows = []
-        for lat, lon, t in zip(*self._columns[:3, lo:end].tolist()):
-            rows.append((*self._anchor(lat, lon, t), float(t < prev)))
-            self._sums = [s + x for s, x in zip(self._sums, rows[-1])]
-            prev = t
-        self._columns[3:, lo:end] = np.array(rows).T
+        for j, ((lat, lon, t), gone) in enumerate(zip(points, left), lo):
+            row = (*self._anchor(lat, lon, t), float(t < self._t_last))
+            self._columns[:, j] = (lat, lon, t, *row)
+            self._sums = [s - y + x for s, x, y in zip(self._sums, row, gone)]
+            self._t_last = t
         self._since += end - lo
         *sums, far, descents = self._sums
-        t_s = self._columns[2, end - n:end]
-        if descents - self._columns[8, end - n]:
+        t_first, *_, descent_first = self._columns[2:, end - n].tolist()
+        if descents - descent_first:
+            t_s = self._columns[2, end - n:end]
             window = (float(t_s.min()), float(t_s.max()))
         else:
-            window = (float(t_s[0]), float(t_s[-1]))
+            window = (t_first, self._t_last)
         d_km = self.motion.speed_kmh * (window[1] - self._t_a) / 3600.0 \
             if _moving(self.motion) else 0.0
         if far or self._since >= min(n, MAX_SLIDING_BEAMS) or abs(d_km) > REANCHOR_KM:

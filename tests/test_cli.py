@@ -67,6 +67,43 @@ class TestParserContract:
         args = build_parser().parse_args(["analyze", "--input", "x"])
         assert [getattr(args, dest) for dest in bindings] == [1.0 + k / 8 for k in range(4)]
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process: a usage error and then two
+        # subcommands give what each gives on a parser of its own
+        log = write_sample_log(tmp_path)
+        calls = [["analyze", "--input", log, "--speed-bin-kms", "x"],
+                 ["ingest", "--input", log],
+                 ["analyze", "--input", log, "--receiver", "0,0"]]
+        built = []
+
+        def counted_build():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+
+        def outcomes(cwd: Path, fresh: bool) -> list:
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)  # the same relative report paths in both runs
+            monkeypatch.setattr(cli, "_parser", None)
+            got = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    monkeypatch.setattr(cli, "_parser", None)
+                code = run_cli([*argv, "--report", f"r{i}"])
+                out = capsys.readouterr()
+                reports = dir_bytes(cwd / f"r{i}") if (cwd / f"r{i}").exists() else None
+                got.append((code, out.out, out.err, reports))
+            return got
+
+        fresh = outcomes(tmp_path / "fresh", fresh=True)
+        assert len(built) == len(calls)
+        shared = outcomes(tmp_path / "shared", fresh=False)
+        assert len(built) == len(calls) + 1
+        assert [c[0] for c in shared] == [1, 0, 0]
+        assert shared[0][3] is None and shared[1][3] and shared[2][3]
+        assert shared == fresh
+
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         assert run_cli(["ingest", "--input", tmp_path / "x", "--nonsense"]) == 1
         assert assert_one_line_error(capsys) == "ringalert: error: unrecognized arguments: --nonsense\n"

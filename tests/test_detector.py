@@ -486,23 +486,67 @@ class TestWindowedDetector:
                 d_lon = (est.i_pos.lon_deg - ref.i_pos.lon_deg + 180.0) % 360.0 - 180.0
                 assert abs(d_lon) <= 1e-9
 
+    # two beams take the array path; one beam, as Python floats, fills or slides
+    @pytest.mark.parametrize("start, width", [(4, 2), (1, 1), (5, 1)],
+                             ids=["two_beams", "one_beam_filling", "one_beam_sliding"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", range(3))
-    def test_extend_rejects_non_finite_columns_first(self, column, bad):
+    def test_extend_rejects_non_finite_columns_first(self, column, bad, start, width):
         beams, _, _ = pushed_estimates(3, len(RING_MOTIONS) - 1)
         lat, lon, t_s = beams.lat, beams.lon, beams.t_s(origin=(0, 0))
         det, twin = (detector.WindowedDetector(DetectorConfig(20.0, 3), RING_MOTIONS[-1])
                      for _ in range(2))
-        for d in (det, twin):
-            d.extend(lat[:4], lon[:4], t_s[:4])
-        cols = [lat[4:6].copy(), lon[4:6].copy(), t_s[4:6].copy()]
-        cols[column][1] = bad
+        for i in range(start):
+            for d in (det, twin):
+                d.extend(lat[i:i + 1], lon[i:i + 1], t_s[i:i + 1])
+        assert (det.latest_estimate is None) == (start < 3)
+        cols = [c[start:start + width].copy() for c in (lat, lon, t_s)]
+        cols[column][-1] = bad
         with pytest.raises(ValueError, match="finite"):
             det.extend(*cols)
         assert det.latest_estimate == twin.latest_estimate
-        for i in range(4, 12):  # the detector goes on as if the bad call never came
+        for i in range(start, start + 8):  # the detector goes on as if the bad call never came
             w = slice(i, i + 1)
             assert det.extend(lat[w], lon[w], t_s[w]) == twin.extend(lat[w], lon[w], t_s[w])
+
+    @pytest.mark.parametrize("motion", [RING_MOTIONS[0], RING_MOTIONS[-1]], ids=["still", "S5_top"])
+    def test_window_of_one_under_alternating_extends(self, motion):
+        # one beam or more: the window of one is the newest beam, exactly
+        beams, _, _ = pushed_estimates(1, RING_MOTIONS.index(motion))
+        lat, lon, t_s = beams.lat, beams.lon, beams.t_s(origin=(0, 0))
+        det = detector.WindowedDetector(DetectorConfig(20.0, 1), motion)
+        end = 0
+        for size in [1, 3, 1, 2, 1, 1, 4, 1]:
+            end += size
+            w = slice(end - 1, end)
+            est = det.extend(lat[end - size:end], lon[end - size:end], t_s[end - size:end])
+            assert est == detector.estimate_position_arrays(lat[w], lon[w], t_s[w], motion)
+
+    @pytest.mark.parametrize("form", ["int", "list", "float32"])
+    def test_one_beam_inputs_of_any_form(self, form):
+        # Python ints, lists of floats and float32 slices give the estimates
+        # of the same beams as float64 arrays, filling and sliding
+        rng = np.random.default_rng(4)
+        size = 40
+        columns = (rng.integers(5, 15, size), rng.integers(-5, 5, size),
+                   np.cumsum(rng.integers(0, 40, size)))
+        if form == "float32":
+            columns = [(c + rng.uniform(0.0, 1.0, size)).astype(np.float32) for c in columns]
+        as_float64 = [np.asarray(c, dtype=float) for c in columns]
+        det, twin = (detector.WindowedDetector(DetectorConfig(20.0, 8), RING_MOTIONS[-1])
+                     for _ in range(2))
+        exact = record_exact(det)
+        for i in range(size):
+            if form == "int":
+                beam = [[int(c[i])] for c in columns]
+            elif form == "list":
+                beam = [c[i:i + 1].tolist() for c in as_float64]
+            else:
+                beam = [c[i:i + 1] for c in columns]
+            want = twin.extend(*(c[i:i + 1] for c in as_float64))
+            assert det.extend(*beam) == want
+            assert (want is None) == (i < 7)
+        assert len(exact) < size - 7  # most estimates slid
 
     @pytest.mark.parametrize("moving", [False, True], ids=["still", "S5_top"])
     def test_push_makes_amortized_whole_window_passes(self, moving):

@@ -347,8 +347,10 @@ class TestParseTable:
         table, report = parse_table(path)
         with open(path, encoding="utf-8") as fh:
             accepted, counts, quarantined = reference_parse(fh)
+        with open(path, encoding="utf-8") as fh:
+            lines = len(fh.readlines())
         assert (report.total_lines, report.blank, report.quarantined_lines) == \
-            (len(open(path, encoding="utf-8").readlines()), counts["blank"], quarantined)
+            (lines, counts["blank"], quarantined)
         assert records_of(table) == accepted
 
     def test_lines_holding_newlines(self):
