@@ -48,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 def _flag_values(flag: str | None = None):
     """Report a value that flags decide together, or with other input, as a
     usage error: a simulator config (the flags over ``--config``), a detector
-    config, a duration or spoof start the emitter refuses, or a bin width
-    ``flag`` too small for the data."""
+    config, a spoof start the emitter refuses, or a bin width ``flag`` too
+    small for the data."""
     try:
         yield
     except (ValueError, BinOverflow) as exc:
@@ -63,7 +63,7 @@ def _load_json(path: str, from_dict):
             return from_dict(json.load(fh))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidCoordinate) as exc:
         raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -274,7 +274,7 @@ def _cmd_simulate(args) -> int:
     step = args.track_interval_s
     config = _build_sim_config(args)
     scenario = _build_scenario(args)
-    # a duration past simulator.MAX_EMIT_DURATION_S, or a spoof start outside the run
+    # a spoof start outside the run
     with _flag_values():
         records = simulator.emit_stream(config, scenario)
     ingest.write_records(records, args.output)

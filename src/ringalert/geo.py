@@ -47,43 +47,34 @@ def normalize_lon_array(lon_deg: np.ndarray) -> np.ndarray:
     return np.where(lon > 180.0, lon - 360.0, lon)
 
 
-def _real(name: str, value):
-    """``value`` if it is a real number, which a bool is not here; else a
-    ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _check_field_types(instance) -> None:
-    """Check each field of a dataclass ``instance`` against its declared type: a
-    ``float`` field takes a real number and an ``int`` field an integer, never a
-    bool (a ValueError naming the field). Integer fields become plain ``int``."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if f.type == "float":
-            _real(f.name, value)
-        elif f.type == "int":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(instance, f.name, int(value))
+def _coordinate(value) -> float:
+    """A coordinate as a float: a real number within a float's range, never a bool or a string."""
+    try:
+        # float first: numpy's float64 is one, and passes before the costlier ABC check
+        if isinstance(value, (float, numbers.Real)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an integer past the largest float
+        pass
+    raise InvalidCoordinate(f"coordinate must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """A ground position. Latitude in [-90, +90], longitude folded into (-180, +180]."""
+    """A ground position. Latitude in [-90, +90], longitude folded into (-180, +180].
+    Each coordinate is a real number, never a bool or a string."""
 
     lat_deg: float
     lon_deg: float
 
     def __post_init__(self):
-        lat = float(self.lat_deg)
-        lon = float(self.lon_deg)
+        lat, lon = self.lat_deg, self.lon_deg
+        if type(lat) is not float or type(lon) is not float:  # every push builds a point
+            lat, lon = _coordinate(lat), _coordinate(lon)
+            object.__setattr__(self, "lat_deg", lat)
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise InvalidCoordinate(f"non-finite coordinate ({self.lat_deg}, {self.lon_deg})")
         if not -90.0 <= lat <= 90.0:
             raise InvalidCoordinate(f"latitude {lat} outside [-90, +90]")
-        object.__setattr__(self, "lat_deg", lat)
         object.__setattr__(self, "lon_deg", normalize_lon(lon))
 
     def to_dict(self) -> dict:
@@ -91,11 +82,7 @@ class GeoPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeoPoint":
-        """The point of a JSON object, whose coordinates must be numbers."""
-        point = cls(**data)  # a TypeError for anything but a mapping of the fields
-        for name, value in data.items():
-            _real(name, value)
-        return point
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ only :meth:`BeamConstellation.to_dict` spells its keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidBeamId, InvalidSatId
-from .geo import GeoPoint, _check_field_types, displace
+from .geo import GeoPoint, displace
 
 MAX_BEAM_ID = 48
 
@@ -46,6 +48,47 @@ _VALID_SAT_IDS = frozenset({
 def valid_sat_ids() -> frozenset[int]:
     """The 66 satellite IDs ever observed on the ring-alert channel."""
     return _VALID_SAT_IDS
+
+
+def _bounded(default=MISSING, **bounds):
+    """A dataclass field whose number :func:`_check_fields` holds to ``bounds``:
+    ``min`` and ``max`` inclusive, ``above`` exclusive."""
+    return field(default=default, metadata=bounds)
+
+
+def _finite(name: str, value):
+    """``value`` if it is a real number that a float holds finitely, which a bool
+    is not here; else a ValueError naming ``name``."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return value
+    except OverflowError:  # an integer past the largest float
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+# each bound a field may declare: the test its value must pass, and its text
+_BOUNDS = {"min": (operator.ge, ">="), "max": (operator.le, "<="), "above": (operator.gt, ">")}
+
+
+def _check_fields(instance) -> None:
+    """Check each number field of a dataclass ``instance`` by its declared type
+    and bounds: an ``int`` field takes an integer and a ``float`` field a finite
+    real number, never a bool, within the bounds of :func:`_bounded`. Each
+    failure is a ValueError "<field> must be ..., got <value>". Integer fields
+    become plain ``int``."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type == "float":
+            _finite(f.name, value)
+        elif f.type == "int":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(instance, f.name, value := int(value))
+        for key, bound in f.metadata.items():
+            holds, sign = _BOUNDS[key]
+            if not holds(value, bound):
+                raise ValueError(f"{f.name} must be {sign} {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -287,14 +330,10 @@ class MotionProfile:
 
     start: GeoPoint
     course_deg: float
-    speed_kmh: float
+    speed_kmh: float = _bounded(min=0, max=MAX_SPEED_KMH)
 
     def __post_init__(self):
-        _check_field_types(self)
-        if not math.isfinite(self.course_deg):
-            raise ValueError(f"course must be finite, got {self.course_deg}")
-        if not 0 <= self.speed_kmh <= MAX_SPEED_KMH:
-            raise ValueError(f"speed must be in [0, {MAX_SPEED_KMH}] km/h, got {self.speed_kmh}")
+        _check_fields(self)
 
     def position_at(self, elapsed_s: float) -> GeoPoint:
         return displace(self.start, self.course_deg, self.speed_kmh * elapsed_s / 3600.0)
@@ -308,12 +347,8 @@ class MotionProfile:
 class DetectorConfig:
     """Alarm threshold and collection window size."""
 
-    threshold_km: float
-    window_n: int
+    threshold_km: float = _bounded(above=0)
+    window_n: int = _bounded(min=1)
 
     def __post_init__(self):
-        _check_field_types(self)
-        if not math.isfinite(self.threshold_km) or self.threshold_km <= 0:
-            raise ValueError(f"threshold_km must be > 0, got {self.threshold_km}")
-        if self.window_n < 1:
-            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
+        _check_fields(self)

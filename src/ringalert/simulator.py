@@ -20,16 +20,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InsufficientWindows, InvalidPer
-from .geo import (
-    EARTH_RADIUS_KM,
-    GeoPoint,
-    _check_field_types,
-    _real,
-    displace,
-    displace_deg,
-    unit_vectors,
-)
-from .model import MAX_BEAM_ID, MAX_SPEED_KMH, MotionProfile, RecordTable, valid_sat_ids
+from .geo import EARTH_RADIUS_KM, GeoPoint, displace, displace_deg, unit_vectors
+from .model import (MAX_BEAM_ID, MAX_SPEED_KMH, MotionProfile, RecordTable, _bounded,
+                    _check_fields, _finite, valid_sat_ids)
 
 DEFAULT_RING_RADII_KM = (3.36, 7.98, 14.35)
 DEFAULT_RING_COUNTS = (8, 16, 24)
@@ -84,19 +77,12 @@ SHIP_CLASSES: dict[str, ShipClassPreset] = {
 class SpoofProfile:
     """An adversarial detour: the reported track diverges from truth after start_s."""
 
-    start_s: float
+    start_s: float = _bounded(min=0)
     offset_course_deg: float
-    offset_speed_kmh: float
+    offset_speed_kmh: float = _bounded(min=0, max=MAX_SPEED_KMH)
 
     def __post_init__(self):
-        _check_field_types(self)
-        if not math.isfinite(self.offset_course_deg):
-            raise ValueError(f"spoof course must be finite, got {self.offset_course_deg}")
-        if not 0 <= self.start_s < math.inf:
-            raise ValueError(f"spoof start must be finite and >= 0, got {self.start_s}")
-        if not 0 <= self.offset_speed_kmh <= MAX_SPEED_KMH:
-            raise ValueError(f"spoof offset speed must be in [0, {MAX_SPEED_KMH}] km/h, "
-                             f"got {self.offset_speed_kmh}")
+        _check_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpoofProfile":
@@ -139,6 +125,11 @@ _DEFAULT_SCENARIO = Scenario(MotionProfile(GeoPoint(0.0, 0.0), 0.0, 0.0))
 #: the work of finding its in-view slots.
 MAX_GROUND_SPEED_KMS = 7.91
 
+#: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
+#: slot ranges are found one orbital revolution (~5,810 s) at a time. It also
+#: bounds the beam period, so every slot time in microseconds fits int64.
+MAX_EMIT_DURATION_S = 1e7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -150,74 +141,45 @@ class SimConfig:
     independent drops with outage periods whose mean preserves ``per``.
     """
 
-    n_sats: int = 66
-    ground_speed_kms: float = 6.89
-    beam_period_s: float = 4.32
-    n_beams: int = MAX_BEAM_ID
-    per: float = 0.0
-    coverage_radius_km: float = 1625.0
+    n_sats: int = _bounded(66, min=1, max=len(valid_sat_ids()))
+    ground_speed_kms: float = _bounded(6.89, above=0, max=MAX_GROUND_SPEED_KMS)
+    beam_period_s: float = _bounded(4.32, above=0, max=MAX_EMIT_DURATION_S)
+    n_beams: int = _bounded(MAX_BEAM_ID, min=1, max=MAX_BEAM_ID)  # ingest's beam ids
+    per: float = _bounded(0.0, min=0, max=1)
+    coverage_radius_km: float = _bounded(1625.0, above=0)
     altitude_km: float = 800.0  # descriptive only; the model works at ground level
     beam_offsets: tuple[tuple[float, float], ...] = field(default_factory=default_beam_offsets)
-    seed: int = 0
-    duration_s: float = 600.0
-    start_epoch_s: int = 1_600_000_000
-    planes: int = 6
-    inclination_deg: float = 86.4
+    seed: int = _bounded(0, min=0)
+    duration_s: float = _bounded(600.0, min=0, max=MAX_EMIT_DURATION_S)
+    start_epoch_s: int = _bounded(1_600_000_000, min=0,  # every emitted epoch fits int64
+                                  max=np.iinfo(np.int64).max - int(MAX_EMIT_DURATION_S))
+    planes: int = _bounded(6, min=1)
+    inclination_deg: float = _bounded(86.4, above=0, max=90)
     plane_nodes_deg: tuple[float, ...] | None = None
     loss_model: str = "iid"
-    burst_stages: int = 5
+    burst_stages: int = _bounded(5, min=1)
 
     def __post_init__(self):
-        # each number field by its declared type, and each entry of the tuples
-        _check_field_types(self)
+        _check_fields(self)
         object.__setattr__(self, "beam_offsets", tuple(
-            tuple(float(_real("each beam_offsets entry", x)) for x in o) for o in self.beam_offsets))
+            tuple(float(_finite("each beam_offsets entry", x)) for x in o)
+            for o in self.beam_offsets))
         if self.plane_nodes_deg is not None:
             object.__setattr__(self, "plane_nodes_deg", tuple(
-                float(_real("each plane_nodes_deg entry", x)) for x in self.plane_nodes_deg))
-        if self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 1 <= self.n_sats <= len(valid_sat_ids()):
-            raise ValueError(f"n_sats must be in [1, {len(valid_sat_ids())}]")
-        if self.planes < 1 or self.n_sats % self.planes != 0:
+                float(_finite("each plane_nodes_deg entry", x)) for x in self.plane_nodes_deg))
+            if len(self.plane_nodes_deg) != self.planes:
+                raise ValueError("plane_nodes_deg must list one node per plane")
+        if self.n_sats % self.planes != 0:
             raise ValueError("n_sats must divide evenly into planes")
-        if self.plane_nodes_deg is not None and (len(self.plane_nodes_deg) != self.planes or
-                                                 not all(map(math.isfinite, self.plane_nodes_deg))):
-            raise ValueError("plane_nodes_deg must list one finite node per plane")
-        if not 0.0 < self.inclination_deg <= 90.0:
-            raise ValueError("inclination_deg must be in (0, 90]")
-        if not 0.0 <= self.per <= 1.0:
-            raise ValueError("per must be in [0, 1]")
-        if not 0 < self.beam_period_s < math.inf:
-            raise ValueError("beam period must be finite and > 0")
-        if not 0 < self.ground_speed_kms <= MAX_GROUND_SPEED_KMS:
-            raise ValueError(f"ground_speed_kms must be in (0, {MAX_GROUND_SPEED_KMS}] km/s, the "
-                             f"fastest circular-orbit ground track, got {self.ground_speed_kms}")
+        if len(self.beam_offsets) != self.n_beams or any(len(o) != 2 for o in self.beam_offsets):
+            raise ValueError("beam_offsets must provide one (east, north) pair per beam")
+        if self.loss_model not in LOSS_MODELS:
+            raise ValueError(f"loss_model must be one of {LOSS_MODELS}, got {self.loss_model!r}")
+        if self.slot_us < 1:
+            raise ValueError("aggregate slot must be at least 1 microsecond")
         if not orbital_period_s(self) * 1e6 < np.iinfo(np.int64).max:
             raise ValueError(f"ground_speed_kms {self.ground_speed_kms} is too slow: its "
                              "orbital period in microseconds overflows int64")
-        if not 0 <= self.start_epoch_s <= np.iinfo(np.int64).max - int(MAX_EMIT_DURATION_S):
-            raise ValueError(f"start_epoch_s must be in [0, int64 max - {MAX_EMIT_DURATION_S:g}], "
-                             f"so every emitted epoch fits int64, got {self.start_epoch_s}")
-        if self.n_beams < 1 or len(self.beam_offsets) != self.n_beams or not all(
-                len(o) == 2 and all(map(math.isfinite, o)) for o in self.beam_offsets):
-            raise ValueError("beam_offsets must provide one finite (east, north) pair per beam")
-        if not 0 < self.coverage_radius_km < math.inf:
-            raise ValueError(f"coverage_radius_km must be finite and > 0, "
-                             f"got {self.coverage_radius_km}")
-        if not math.isfinite(self.altitude_km):
-            raise ValueError(f"altitude_km must be finite, got {self.altitude_km}")
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s}")
-        if self.loss_model not in LOSS_MODELS:
-            raise ValueError(f"loss_model must be one of {LOSS_MODELS}, got {self.loss_model!r}")
-        if self.burst_stages < 1:
-            raise ValueError("burst_stages must be >= 1")
-        if self.slot_us < 1:
-            raise ValueError("aggregate slot must be at least 1 microsecond")
-        if _slot_count(self) * self.slot_us > np.iinfo(np.int64).max:
-            raise ValueError(f"duration_s {self.duration_s} is too long: its microsecond "
-                             "slot times overflow int64")
 
     @property
     def slot_us(self) -> int:
@@ -520,22 +482,13 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
                                sat_idx[k:k + _GEOMETRY_ROWS])
 
 
-#: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
-#: slot ranges are found one orbital revolution (~5,810 s) at a time.
-MAX_EMIT_DURATION_S = 1e7
-
-
 def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTable:
     """The table of ring-alert records seen by the scenario receiver.
 
     Satellites emit on every slot while within ``coverage_radius_km`` of the
     receiver; each emission then passes the loss channel. Identical
-    (config, scenario) pairs produce identical tables. A ``duration_s``
-    beyond :data:`MAX_EMIT_DURATION_S` raises ValueError before any work.
+    (config, scenario) pairs produce identical tables.
     """
-    if config.duration_s > MAX_EMIT_DURATION_S:
-        raise ValueError(f"duration_s {config.duration_s} is beyond the {MAX_EMIT_DURATION_S:g} s "
-                         "that one simulated run covers")
     if scenario is None:
         scenario = _DEFAULT_SCENARIO
     if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:

@@ -631,10 +631,11 @@ _RECEIVER = {"start": {"lat_deg": 0, "lon_deg": 0}, "course_deg": 0, "speed_kmh"
 
 class TestSimulatorConfigErrors:
     @pytest.mark.parametrize("in_file, code", [(False, 1), (True, 2)], ids=["flag", "config"])
-    @pytest.mark.parametrize("duration", [1e13, 1e300])
+    @pytest.mark.parametrize("duration", [1e13, 1e300, 1e303])
     def test_huge_duration_exits_at_once(self, tmp_path, duration, in_file, code):
-        # slot times past 2**63 microseconds would wrap int64, so the run never
-        # starts; a subprocess with a timeout, since a regression would not return
+        # past the emission limit the run never starts, and no slot time is
+        # computed (1e303 s is an infinite microsecond count); a subprocess with
+        # a timeout, since a regression would not return
         src = str(Path(ringalert.__file__).resolve().parents[1])
         config, out = tmp_path / "config.json", tmp_path / "sim.txt"
         config.write_text(json.dumps({"duration_s": duration}))
@@ -676,6 +677,7 @@ class TestSimulatorConfigErrors:
         ["simulate", "--duration", "inf"],
         ["simulate", "--duration", "nan"],
         ["evaluate", "--duration", "inf"],
+        ["evaluate", "--duration", "2e7"],
         ["simulate", "--motion", "0,0,nan,10"],
         ["simulate", "--spoof", "100,nan,nan"],
         ["simulate", "--motion", "0,0,0,1e308"],
@@ -732,6 +734,11 @@ class TestSimulatorConfigErrors:
                                                  "course_deg": 0, "speed_kmh": -1}}),
         ("simulate", "--config", {"duration_s": float("inf")}),
         ("evaluate", "--config", {"beam_period_s": float("inf")}),
+        # a duration or beam period past the emission limit
+        ("simulate", "--config", {"duration_s": 1.0000001e7}),
+        ("evaluate", "--config", {"duration_s": 2e7}),
+        ("simulate", "--config", {"beam_period_s": 1e308}),
+        ("evaluate", "--config", {"beam_period_s": 1e308}),
         ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
                                                  "course_deg": float("nan"), "speed_kmh": 1}}),
         ("simulate", "--scenario", {"receiver": {"start": {"lat_deg": 0, "lon_deg": 0},
@@ -745,6 +752,8 @@ class TestSimulatorConfigErrors:
         ("simulate", "--config", {"planes": 2.0}),
         ("evaluate", "--config", {"n_sats": 66.0}),
         ("simulate", "--config", {"n_beams": 48.0}),
+        # more beams than a log line may carry
+        ("simulate", "--config", {"n_beams": 49, "beam_offsets": [[1, 2]] * 49}),
         ("simulate", "--config", {"burst_stages": True}),
         ("simulate", "--config", {"start_epoch_s": 1.6e9}),
         # a ground speed no circular orbit has, or one whose period overflows int64
@@ -770,6 +779,13 @@ class TestSimulatorConfigErrors:
         ("simulate", "--scenario", {"receiver": {**_RECEIVER, "speed_kmh": True}}),
         ("simulate", "--scenario", {"receiver": {**_RECEIVER,
                                                  "start": {"lat_deg": True, "lon_deg": 0}}}),
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER,
+                                                 "start": {"lat_deg": "12", "lon_deg": 0}}}),
+        # a coordinate off the globe
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER,
+                                                 "start": {"lat_deg": 95, "lon_deg": 0}}}),
+        ("simulate", "--scenario", {"receiver": {**_RECEIVER,
+                                                 "start": {"lat_deg": 0, "lon_deg": float("inf")}}}),
         ("simulate", "--scenario", {"receiver": _RECEIVER,
                                     "spoof": {"start_s": 1, "offset_course_deg": 90,
                                               "offset_speed_kmh": True}}),

@@ -35,6 +35,19 @@ class TestGeoPoint:
         with pytest.raises(InvalidCoordinate):
             GeoPoint(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("lat, lon", [("12", True), (" 1e1 ", 0), (0.0, "0"), (True, 0.0),
+                                          (None, 0.0), (0.0, [1.0]), (10**400, 0.0),
+                                          (0.0, -10**400)])
+    def test_rejects_non_numbers(self, lat, lon):
+        with pytest.raises(InvalidCoordinate):
+            GeoPoint(lat, lon)
+
+    @pytest.mark.parametrize("number", [int, float, np.int64, np.int32, np.float64, np.float32])
+    def test_takes_python_and_numpy_numbers_as_floats(self, number):
+        point = GeoPoint(number(12), number(-170))
+        assert point == GeoPoint(12.0, -170.0)
+        assert type(point.lat_deg) is float and type(point.lon_deg) is float
+
     def test_longitude_normalization(self):
         assert GeoPoint(0.0, 181.0) == GeoPoint(0.0, -179.0)
         assert GeoPoint(0.0, -180.0).lon_deg == 180.0

@@ -199,3 +199,22 @@ class TestSmallValueTypes:
         config = DetectorConfig(np.float64(20.0), np.int64(6))
         assert config.threshold_km == 20.0
         assert type(config.window_n) is int and config.window_n == 6
+
+
+class TestFieldBounds:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DetectorConfig(20.0, 0), "window_n must be >= 1, got 0"),
+        (lambda: DetectorConfig(-0.0, 3), "threshold_km must be > 0, got -0.0"),
+        (lambda: DetectorConfig(float("inf"), 3), "threshold_km must be a finite number, got inf"),
+        (lambda: DetectorConfig(10**400, 3), "threshold_km must be a finite number, got 1"),
+        (lambda: DetectorConfig(20.0, np.int64(-2)), "window_n must be >= 1, got -2"),
+        (lambda: MotionProfile(GeoPoint(0, 0), 0.0, MAX_SPEED_KMH + 1),
+         f"speed_kmh must be <= {MAX_SPEED_KMH}, got {MAX_SPEED_KMH + 1}"),
+        (lambda: MotionProfile(GeoPoint(0, 0), float("nan"), 1.0),
+         "course_deg must be a finite number, got nan"),
+    ])
+    def test_one_message_form(self, build, message):
+        # "<field> must be ..., got <value>", from the one field check
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value).startswith(message)

@@ -1,13 +1,14 @@
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ringalert import simulator
-from ringalert.errors import InsufficientWindows, InvalidPer
+from ringalert.errors import InsufficientWindows, InvalidPer, RingAlertError
 from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_km
 from ringalert.ingest import parse_line
 from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
@@ -58,17 +59,19 @@ class TestSimConfig:
         config = SimConfig(seed=np.int64(4))
         assert type(config.seed) is int and config.seed == 4
 
-    @pytest.mark.parametrize("duration_s", [1e13, 1e300])
-    def test_duration_whose_slot_times_overflow_int64_is_rejected(self, duration_s):
-        with pytest.raises(ValueError, match="int64"):
-            SimConfig(duration_s=duration_s)
+    @pytest.mark.parametrize("field", ["duration_s", "beam_period_s"])
+    @pytest.mark.parametrize("value", [math.nextafter(MAX_EMIT_DURATION_S, math.inf), 1e13,
+                                       1e300, 1e303, 1e308])
+    def test_time_past_the_emission_limit_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be <= {MAX_EMIT_DURATION_S}"):
+            SimConfig(**{field: value})
 
-    def test_longest_duration_that_fits_int64(self):
-        # the last whole slot below 2**63 - 1 microseconds
-        slots = np.iinfo(np.int64).max // 90_000
-        assert SimConfig(duration_s=slots * 0.09).duration_s == slots * 0.09
-        with pytest.raises(ValueError, match="int64"):
-            SimConfig(duration_s=(slots + 1) * 0.09)
+    @pytest.mark.parametrize("field", ["duration_s", "beam_period_s"])
+    def test_longest_time_is_the_emission_limit(self, field):
+        # at the limit every microsecond slot time fits int64 with room to spare
+        config = SimConfig(**{field: MAX_EMIT_DURATION_S})
+        assert getattr(config, field) == MAX_EMIT_DURATION_S
+        assert simulator._slot_count(config) * config.slot_us < 1e14
 
     @pytest.mark.parametrize("speed", [MAX_GROUND_SPEED_KMS * (1 + 1e-15), 1e308, 0.0, -1.0,
                                        1e-310, 1e-300, 4e-9])
@@ -441,6 +444,78 @@ class TestScenario:
         motion = SHIP_CLASSES["S5"].motion(GeoPoint(0, 0), 0.0, 41.0)
         displaced = great_circle_km(motion.position_at(360.0), motion.start)
         assert displaced.km == pytest.approx(4.1, abs=1e-9)
+
+
+#: any value a JSON file can hold, infinities and NaN included (Python's json
+#: reads and writes them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(tree, path=()):
+    """The path of ``tree`` and of every level and leaf under it."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _paths(child, (*path, key))
+
+
+def _any_path(tree):
+    """A path of ``tree``: a top-level one as often as any one of all its paths,
+    so the 48 beam offsets do not crowd out the other fields."""
+    return st.sampled_from([(key,) for key in tree]) | st.sampled_from(list(_paths(tree)))
+
+
+def _put(tree, path, value):
+    """A deep copy of ``tree`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(tree))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+# the exceptions that cli.main turns into one line: RingAlertError itself, and the
+# other three through cli._load_json
+FILE_ERRORS = (KeyError, TypeError, ValueError, RingAlertError)
+_CONFIG = json.loads(json.dumps(corridor_config().to_dict()))
+_SCENARIO = {"receiver": {"start": {"lat_deg": 10.0, "lon_deg": 20.0}, "course_deg": 90.0,
+                          "speed_kmh": 30.0},
+             "spoof": {"start_s": 60.0, "offset_course_deg": 45.0, "offset_speed_kmh": 50.0}}
+
+
+class TestFileForms:
+    """Any JSON value at any one field, level or leaf of a valid ``--config`` or
+    ``--scenario`` form either builds the object or raises an error that the
+    CLI reports in one line; nothing is emitted, so no case can hang."""
+
+    def test_valid_forms_build(self):
+        assert SimConfig.from_dict(_CONFIG) == corridor_config()
+        assert Scenario.from_dict(_SCENARIO).spoof == SpoofProfile(60.0, 45.0, 50.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_path(_CONFIG), JSON_VALUES)
+    # an infinite microsecond count; a JSON integer past every float
+    @example(("duration_s",), 1e303)
+    @example(("beam_period_s",), 1e308)
+    @example(("altitude_km",), 10**400)
+    def test_sim_config(self, path, value):
+        with contextlib.suppress(*FILE_ERRORS):
+            SimConfig.from_dict(_put(_CONFIG, path, value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_path(_SCENARIO), JSON_VALUES)
+    @example(("receiver", "course_deg"), 10**400)
+    @example(("receiver", "start", "lon_deg"), -10**400)
+    def test_scenario(self, path, value):
+        with contextlib.suppress(*FILE_ERRORS):
+            Scenario.from_dict(_put(_SCENARIO, path, value))
 
 
 class TestShipClasses:
