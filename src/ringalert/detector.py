@@ -132,7 +132,8 @@ def estimate_windows(lat, lon, t_s, motion: MotionProfile | None = None):
     the compensated latitudes, the unwrapped longitudes and the branches.
     """
     t_s = np.asarray(t_s, dtype=float)
-    lat, lon = compensate_arrays(lat, lon, t_s, motion, t_s.max(axis=-1)[:, None])
+    t_ref = t_s.max(axis=-1)[:, None] if _moving(motion) else None  # unused when stationary
+    lat, lon = compensate_arrays(lat, lon, t_s, motion, t_ref)
     lam = np.radians(lon)
     branch = np.degrees(np.arctan2(np.sin(lam).mean(axis=-1), np.cos(lam).mean(axis=-1)))
     unwrapped = branch[:, None] + mod360(lon - branch[:, None] + 180.0) - 180.0

@@ -55,13 +55,15 @@ class ShipClassPreset:
 
     def motion(self, start: GeoPoint, course_deg: float,
                speed_kmh: float | None = None) -> MotionProfile:
-        speed = self.speed_max_kmh if speed_kmh is None else float(speed_kmh)
-        if not self.speed_min_kmh <= speed <= self.speed_max_kmh:
+        # the profile's field rule sees the value as given, before the envelope does
+        motion = MotionProfile(start, course_deg,
+                               self.speed_max_kmh if speed_kmh is None else speed_kmh)
+        if not self.speed_min_kmh <= motion.speed_kmh <= self.speed_max_kmh:
             raise ValueError(
-                f"{self.class_id} speed {speed} outside "
+                f"{self.class_id} speed {motion.speed_kmh} outside "
                 f"[{self.speed_min_kmh}, {self.speed_max_kmh}] km/h"
             )
-        return MotionProfile(start, course_deg, speed)
+        return motion
 
 
 SHIP_CLASSES: dict[str, ShipClassPreset] = {
@@ -125,8 +127,8 @@ _DEFAULT_SCENARIO = Scenario(MotionProfile(GeoPoint(0.0, 0.0), 0.0, 0.0))
 #: the work of finding its in-view slots.
 MAX_GROUND_SPEED_KMS = 7.91
 
-#: Longest run :func:`emit_stream` simulates, about 116 days: its in-view
-#: slot ranges are found one orbital revolution (~5,810 s) at a time. It also
+#: Longest run :func:`emit_stream` simulates, about 116 days: its in-view slot
+#: ranges are cut from each orbital revolution (~5,810 s) of the run. It also
 #: bounds the beam period, so every slot time in microseconds fits int64.
 MAX_EMIT_DURATION_S = 1e7
 
@@ -260,13 +262,20 @@ def orbital_period_s(config: SimConfig) -> float:
 # ---------------------------------------------------------------------------
 # in-view geometry
 
+# rows per block of the geometry passes (a satellite's revolutions, its emissions):
+# a block's columns stay in the CPU cache, and its memory stays bounded
+_GEOMETRY_ROWS = 1 << 14
+
+
 def _view_slot_ranges(config: SimConfig, basis, receiver: GeoPoint, radius_km: float,
-                      slot_lo: int, slot_hi: int) -> list[list[tuple[int, int]]]:
-    """Per-satellite inclusive slot ranges whose emission can reach the receiver.
+                      slot_lo: int, slot_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (sat, first, last) of the inclusive slot ranges in [slot_lo, slot_hi) whose
+    emission can reach the receiver, by satellite, then slot.
 
     Closed form: along the orbit, the dot product with the receiver direction
     is C cos(theta - psi), so each revolution contributes one contiguous
-    in-view arc (or none, or the whole revolution).
+    in-view arc (or none, or the whole revolution). The arcs of every satellite
+    and revolution are cut to slots in one numpy pass, :data:`_GEOMETRY_ROWS` at a time.
     """
     a_all, t_all, phases = basis
     r_hat = unit_vectors(receiver.lat_deg, receiver.lon_deg)
@@ -274,43 +283,40 @@ def _view_slot_ranges(config: SimConfig, basis, receiver: GeoPoint, radius_km: f
     slot_s = config.slot_s
     delta = min(radius_km / EARTH_RADIUS_KM, math.pi)
     cos_delta = math.cos(delta)
-    two_pi = 2.0 * math.pi
-    out: list[list[tuple[int, int]]] = []
+    period = 2.0 * math.pi / omega
+    # (sat, its arc's start and end at revolution 0, first and last revolution); the
+    # first row has no revolutions and keeps the dtypes when no satellite is in view
+    arcs = [(0, 0.0, 0.0, 0, -1)]
     for j in range(config.n_sats):
         a_dot = float(a_all[j] @ r_hat)
         t_dot = float(t_all[j] @ r_hat)
         c = math.hypot(a_dot, t_dot)
-        if c < 1e-15:
-            # receiver on the orbit axis: constant quarter-circumference range
-            if cos_delta <= 0.0 and slot_hi > slot_lo:
-                out.append([(slot_lo, slot_hi - 1)])
-            else:
-                out.append([])
+        # a receiver on the orbit axis (c ~ 0) stays a quarter circumference away
+        ratio = cos_delta / c if c >= 1e-15 else (1.0 if cos_delta > 0.0 else -1.0)
+        if ratio >= 1.0:
             continue
-        if cos_delta / c >= 1.0:
-            out.append([])
-            continue
-        if cos_delta / c <= -1.0:
-            out.append([(slot_lo, slot_hi - 1)] if slot_hi > slot_lo else [])
+        if ratio <= -1.0:  # in view all along: one range over the whole chunk
+            arcs.append((j, -math.inf, math.inf, 0, 0))
             continue
         psi = math.atan2(t_dot, a_dot)
-        alpha = math.acos(cos_delta / c)
+        alpha = math.acos(ratio)
         # theta in [psi - alpha + 2 pi m, psi + alpha + 2 pi m]
         t_center0 = (psi - phases[j]) / omega
         half_t = alpha / omega
-        period = two_pi / omega
-        m_lo = math.floor((slot_lo * slot_s - t_center0 - half_t) / period)
-        m_hi = math.ceil((slot_hi * slot_s - t_center0 + half_t) / period)
-        ranges = []
-        for m in range(m_lo, m_hi + 1):
-            t0 = t_center0 - half_t + m * period
-            t1 = t_center0 + half_t + m * period
-            k0 = max(slot_lo, math.ceil(t0 / slot_s))
-            k1 = min(slot_hi - 1, math.floor(t1 / slot_s))
-            if k0 <= k1:
-                ranges.append((k0, k1))
-        out.append(ranges)
-    return out
+        arcs.append((j, t_center0 - half_t, t_center0 + half_t,
+                     math.floor((slot_lo * slot_s - t_center0 - half_t) / period),
+                     math.ceil((slot_hi * slot_s - t_center0 + half_t) / period)))
+    sat, t0, t1, m_lo, m_hi = (np.array(column) for column in zip(*arcs))
+    cells = np.cumsum(m_hi - m_lo + 1)  # each satellite's revolutions end before cells[i]
+    out = [np.empty((3, 0), dtype=np.int64)]
+    for lo in range(0, int(cells[-1]), _GEOMETRY_ROWS):
+        cell = np.arange(lo, min(lo + _GEOMETRY_ROWS, int(cells[-1])))
+        i = np.searchsorted(cells, cell, side="right")
+        m = cell + (m_hi + 1 - cells)[i]
+        k0 = np.maximum(np.ceil((t0[i] + m * period) / slot_s), slot_lo)
+        k1 = np.minimum(np.floor((t1[i] + m * period) / slot_s), slot_hi - 1)
+        out.append(np.array((sat[i], k0, k1))[:, k0 <= k1].astype(np.int64))
+    return tuple(np.concatenate(out, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +380,11 @@ def _beam_ids_for_slots(config: SimConfig, slots: np.ndarray, sat_index) -> np.n
     slots, so every beam is emitted and the aggregate rate stays one message
     per slot. Satellites are de-phased by their index."""
     nb = config.n_beams
-    j = slots + (sat_index % nb)
-    frame, s = np.divmod(j, nb)
-    beam = ((nb - 1) * frame + s - 1) % nb + 1
-    return np.where(s == 0, 0, beam).astype(np.int64)
+    # the schedule repeats every nb frames: one table of its nb^2 positions, looked up per
+    # row; built per call (~30 us, 2 ns a row of a 2^14-row block), so no state outlives it
+    frame, s = np.divmod(np.arange(nb * nb), nb)
+    schedule = np.where(s == 0, 0, ((nb - 1) * frame + s - 1) % nb + 1)
+    return schedule[(slots + sat_index % nb) % (nb * nb)]
 
 
 def _slot_count(config: SimConfig) -> int:
@@ -394,10 +401,6 @@ def _beam_table(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     delta = d_km / EARTH_RADIUS_KM
     scale = np.sin(delta) / np.where(d_km > 0.0, d_km, 1.0)
     return np.cos(delta), east * scale, north * scale
-
-
-# rows per block of the emission geometry: a block's columns stay in the CPU cache
-_GEOMETRY_ROWS = 1 << 14
 
 
 def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np.ndarray,
@@ -458,23 +461,23 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
-    ranges_per_sat = _view_slot_ranges(
+    sat, first, last = _view_slot_ranges(
         config, basis, receiver.start, config.coverage_radius_km + margin_km, slot_lo, slot_hi
     )
-    no_slots = np.empty(0, dtype=np.int64)
-    slots, sats = [no_slots], [no_slots]
-    for j, ranges in enumerate(ranges_per_sat):
-        if not ranges:
-            continue
-        first, last = np.array(ranges, dtype=np.int64).T
-        # the in-view slots laid end to end: range i ends before offset laid_end[i]
-        laid_end = np.cumsum(last - first + 1)
-        drawn = _kept_offsets(int(laid_end[-1]), config, rng)
-        slots.append(drawn + (last + 1 - laid_end)[np.searchsorted(laid_end, drawn, side="right")])
-        sats.append(np.full(drawn.size, j))
-    # (slot, satellite) keys are distinct, so sorting the keys orders the rows
-    slot, sat_idx = np.divmod(np.sort(np.concatenate(slots) * config.n_sats
-                                      + np.concatenate(sats)), config.n_sats)
+    # the in-view slots laid end to end: range i ends before offset laid_end[i], and
+    # satellite j's ranges span offsets [spans[j], spans[j + 1])
+    laid_end = np.cumsum(last - first + 1)
+    spans = np.concatenate(([0], laid_end))[np.searchsorted(sat, np.arange(config.n_sats + 1))]
+    key = np.concatenate([_kept_offsets(int(b - a), config, rng) + a
+                          for a, b in zip(spans[:-1], spans[1:])])
+    # the offsets ascend, so range i holds the next counts[i]; each becomes its key, in place
+    counts = np.diff(np.searchsorted(key, laid_end), prepend=0)
+    key += np.repeat(last + 1 - laid_end, counts)
+    key *= config.n_sats
+    key += np.repeat(sat, counts)
+    # the keys are distinct, so sorting them orders the rows
+    key.sort()
+    slot, sat_idx = np.divmod(key, config.n_sats)
     # every draw is made before the first yield, so a caller that stops early leaves ``rng``
     # where a full pass does; at least one block keeps the dtypes when nothing is in view
     for k in range(0, max(slot.size, 1), _GEOMETRY_ROWS):

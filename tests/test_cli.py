@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,22 @@ class TestEvaluateCommand:
                 detector.estimate_position_arrays(w.lat, w.lon, w.t_s).i_pos, receiver).km
                 for w in windows]
             assert np.asarray(deviations[n]).tolist() == expected, n
+
+    def test_many_revolutions_a_chunk_stay_bounded_in_memory(self, tmp_path):
+        # a 1e7 s beam period stretches the first 2^14-slot chunk over ~5.9e5 revolutions
+        # of each satellite; their in-view arcs are cut to slots in bounded blocks
+        config = tmp_path / "period.json"
+        config.write_text('{"beam_period_s": 1e7}')
+        tracemalloc.start()
+        try:
+            assert run_cli(["evaluate", "--config", config, "--n-grid", 10, "--windows", 3,
+                            "--thresholds", 10, "--report", tmp_path / "r"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert (tmp_path / "r" / "fp_rates.tsv").read_text() == (
+            "n\tthreshold_km\twindows\tfp_rate\n10\t10\t3\t1\n")
 
     def test_burst_grid_reruns_byte_identical(self, tmp_path):
         argv = ["evaluate", "--windows", 5, "--n-grid", "10,30", "--thresholds", "20",

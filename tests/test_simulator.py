@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ringalert import simulator
 from ringalert.errors import InsufficientWindows, InvalidPer, RingAlertError
-from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_km
+from ringalert.geo import EARTH_RADIUS_KM, GeoPoint, displace_deg, great_circle_km, unit_vectors
 from ringalert.ingest import parse_line
 from ringalert.model import MAX_SPEED_KMH, MotionProfile, valid_sat_ids
 from ringalert.simulator import (
@@ -239,7 +239,7 @@ class TestEmitStream:
         # satellite's in-view slot ranges, and those ranges deliver 1 - per
         config = corridor_config(loss_model=loss_model, duration_s=12_000.0, seed=11)
         slot_count = simulator._slot_count(config)
-        ranges_per_sat = simulator._view_slot_ranges(
+        sat, first, last = simulator._view_slot_ranges(
             config, simulator._orbit_basis(config), GeoPoint(0, 0),
             config.coverage_radius_km, 0, slot_count)
         stream = emit_stream(config)
@@ -247,10 +247,10 @@ class TestEmitStream:
         assert np.all(slots % config.slot_us == 0)
         slots //= config.slot_us
         in_view_slots = 0
-        for sat_id, ranges in zip(config.sat_ids, ranges_per_sat):
+        for j, sat_id in enumerate(config.sat_ids):
             kept = slots[stream.sat_id == sat_id]
             inside = np.zeros(kept.size, dtype=bool)
-            for k0, k1 in ranges:
+            for k0, k1 in zip(first[sat == j], last[sat == j]):
                 inside |= (k0 <= kept) & (kept <= k1)
                 in_view_slots += k1 - k0 + 1
             assert np.all(inside), sat_id
@@ -268,14 +268,14 @@ def emit_haversine_reference(config: SimConfig, scenario: Scenario) -> dict[str,
     offsets = np.array(config.beam_offsets)
     rng = np.random.default_rng(config.seed)
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
-    ranges_per_sat = simulator._view_slot_ranges(
+    sat, first_all, last_all = simulator._view_slot_ranges(
         config, basis, receiver.start, config.coverage_radius_km + margin_km, 0,
         simulator._slot_count(config))
     rows = []
-    for j, ranges in enumerate(ranges_per_sat):
-        if not ranges:
+    for j in range(config.n_sats):
+        if not np.any(sat == j):
             continue
-        first, last = np.array(ranges, dtype=np.int64).T
+        first, last = first_all[sat == j], last_all[sat == j]
         laid_end = np.cumsum(last - first + 1)
         drawn = simulator._kept_offsets(int(laid_end[-1]), config, rng)
         kept = drawn + (last + 1 - laid_end)[np.searchsorted(laid_end, drawn, side="right")]
@@ -292,7 +292,7 @@ def emit_haversine_reference(config: SimConfig, scenario: Scenario) -> dict[str,
             r_lat, r_lon = receiver.start.lat_deg, receiver.start.lon_deg
         visible = haversine_km(lat, lon, r_lat, r_lon) <= config.coverage_radius_km
         kept, lat, lon, northbound = kept[visible], lat[visible], lon[visible], northbound[visible]
-        beam_id = simulator._beam_ids_for_slots(config, kept, j)
+        beam_id = beam_ids_reference(config, kept, j)
         east, north = np.where(beam_id > 0, offsets[beam_id - 1].T, 0.0)
         north = np.where(northbound, north, -north)
         beam_lat, beam_lon = displace_deg(lat, lon, np.degrees(np.arctan2(east, north)),
@@ -342,6 +342,97 @@ class TestVectorGeometry:
         assert on_antimeridian.sum() > 10 and np.all(stream.lon > -180.0)
 
 
+def view_slot_ranges_reference(config: SimConfig, basis, receiver: GeoPoint, radius_km: float,
+                               slot_lo: int, slot_hi: int) -> list[list[tuple[int, int]]]:
+    """Reference: each satellite's inclusive in-view slot ranges, one orbital
+    revolution at a time, in Python floats and integers."""
+    a_all, t_all, phases = basis
+    r_hat = unit_vectors(receiver.lat_deg, receiver.lon_deg)
+    omega = config.ground_speed_kms / EARTH_RADIUS_KM
+    slot_s = config.slot_s
+    cos_delta = math.cos(min(radius_km / EARTH_RADIUS_KM, math.pi))
+    out = []
+    for j in range(config.n_sats):
+        a_dot, t_dot = float(a_all[j] @ r_hat), float(t_all[j] @ r_hat)
+        c = math.hypot(a_dot, t_dot)
+        whole = [(slot_lo, slot_hi - 1)] if slot_hi > slot_lo else []
+        if c < 1e-15:
+            out.append(whole if cos_delta <= 0.0 else [])
+            continue
+        if cos_delta / c >= 1.0:
+            out.append([])
+            continue
+        if cos_delta / c <= -1.0:
+            out.append(whole)
+            continue
+        psi = math.atan2(t_dot, a_dot)
+        alpha = math.acos(cos_delta / c)
+        t_center0 = (psi - phases[j]) / omega
+        half_t = alpha / omega
+        period = 2.0 * math.pi / omega
+        m_lo = math.floor((slot_lo * slot_s - t_center0 - half_t) / period)
+        m_hi = math.ceil((slot_hi * slot_s - t_center0 + half_t) / period)
+        ranges = []
+        for m in range(m_lo, m_hi + 1):
+            t0 = t_center0 - half_t + m * period
+            t1 = t_center0 + half_t + m * period
+            k0 = max(slot_lo, math.ceil(t0 / slot_s))
+            k1 = min(slot_hi - 1, math.floor(t1 / slot_s))
+            if k0 <= k1:
+                ranges.append((k0, k1))
+        out.append(ranges)
+    return out
+
+
+class TestViewSlotRanges:
+    # the numpy pass over satellites x revolutions gives the per-revolution loop's
+    # ranges, row for row, as (sat, first, last) columns by satellite, then slot
+
+    @pytest.mark.parametrize("config, receiver, extra_km, slot_lo, slot_hi", [
+        (corridor_config(duration_s=12_000.0), (0, 0), 0.0, 0, 133_334),
+        (SimConfig(), (0, 0), 0.0, 0, 1 << 14),
+        (SimConfig(), (60, 10), 0.0, 0, 4_000_000),
+        (SimConfig(), (89.9, 10), 0.0, 0, 80_000),
+        (SimConfig(), (-89.9, -100), 0.0, 0, 80_000),
+        # chunks that start late, as later window chunks do
+        (SimConfig(), (45, 10), 0.0, 40_000, 56_384),
+        (corridor_config(), (0, 0), 0.0, 10**9 + 7, 10**9 + 4_000_007),
+        # a moving receiver's radius, widened by its travel
+        (corridor_config(), (0, 0), 46.0 * 6.0, 0, 240_000),
+        # the receiver on a polar orbit's axis, out of view and in view all along
+        (overhead_config(coverage_radius_km=1625.0), (0, 90), 0.0, 0, 50_000),
+        (overhead_config(coverage_radius_km=10_008.0), (0, 90), 0.0, 3, 50_000),
+        # whole-sphere coverage, and an empty chunk
+        (overhead_config(), (0, 0), 0.0, 0, 50_000),
+        (overhead_config(), (0, 0), 0.0, 7, 7),
+        # a slot longer than a revolution: thousands of revolutions a satellite
+        (SimConfig(beam_period_s=1e7), (80, 0), 0.0, 0, 64),
+    ], ids=["corridor", "default", "default-60-10", "north-polar", "south-polar",
+            "late-chunk", "late-window-chunk", "moving", "axis-out", "axis-in", "whole-sphere",
+            "empty-chunk", "many-revolutions"])
+    def test_matches_the_per_revolution_loop(self, config, receiver, extra_km, slot_lo, slot_hi):
+        basis = simulator._orbit_basis(config)
+        receiver = GeoPoint(*receiver)
+        radius_km = config.coverage_radius_km + extra_km
+        reference = view_slot_ranges_reference(config, basis, receiver, radius_km,
+                                                slot_lo, slot_hi)
+        columns = simulator._view_slot_ranges(config, basis, receiver, radius_km,
+                                              slot_lo, slot_hi)
+        rows = [(j, k0, k1) for j, ranges in enumerate(reference) for k0, k1 in ranges]
+        expected = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        assert all(column.dtype == np.int64 for column in columns)
+        assert np.array_equal(np.array(columns), expected)
+
+    def test_blocks_cut_the_grid_anywhere(self, monkeypatch):
+        # blocks of 7 cells end inside satellites' revolutions and between satellites
+        config, receiver = SimConfig(), GeoPoint(30, -20)
+        basis = simulator._orbit_basis(config)
+        args = config, basis, receiver, config.coverage_radius_km, 5, 700_000
+        whole = simulator._view_slot_ranges(*args)
+        monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 7)
+        assert np.array_equal(np.array(simulator._view_slot_ranges(*args)), np.array(whole))
+
+
 def _emit_columns(*args) -> tuple[np.ndarray, ...]:
     """The emitter's blocks joined into its five columns, as ``emit_stream`` joins them."""
     return tuple(np.concatenate(column) for column in zip(*simulator._emit(*args)))
@@ -361,8 +452,9 @@ class TestPerSatelliteDraw:
 
     @staticmethod
     def _emit_ranges(monkeypatch, ranges, per=0.0, seed=5, n_sats=5):
-        monkeypatch.setattr(simulator, "_view_slot_ranges",
-                            lambda *args: [ranges.get(j, []) for j in range(n_sats)])
+        rows = [(j, k0, k1) for j in range(n_sats) for k0, k1 in ranges.get(j, [])]
+        columns = tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+        monkeypatch.setattr(simulator, "_view_slot_ranges", lambda *args: columns)
         # whole-sphere coverage, so the exact in-view check keeps every slot
         config = overhead_config(n_sats=n_sats, per=per, seed=seed)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
@@ -535,6 +627,17 @@ class TestShipClasses:
         with pytest.raises(ValueError):
             SHIP_CLASSES["S1"].motion(GeoPoint(0, 0), 0.0, 50.0)
 
+    @pytest.mark.parametrize("speed", ["25", " 2.5e1 ", True, np.str_("25")])
+    def test_speed_must_be_a_number(self, speed):
+        # the profile's field rule sees the speed before the envelope check
+        with pytest.raises((TypeError, ValueError), match="speed_kmh must be a finite number"):
+            SHIP_CLASSES["S1"].motion(GeoPoint(0, 0), 0.0, speed)
+
+    @pytest.mark.parametrize("speed", [25, 25.0, np.float64(25.0), None])
+    def test_numbers_inside_the_envelope_are_kept(self, speed):
+        motion = SHIP_CLASSES["S1"].motion(GeoPoint(0, 0), 0.0, speed)
+        assert motion.speed_kmh == (28.0 if speed is None else 25.0)
+
 
 class TestSampleWindows:
     def test_window_shapes_and_order(self):
@@ -683,6 +786,28 @@ class TestWindowSchedule:
         assert len(sizes) >= 3 and sizes[-1] < sizes[-2] == 30_000
         needed_slots = round(windows[-1].t_s[-1] / config.slot_s) + 1
         assert chunks[-1][1] <= 1.15 * needed_slots
+
+
+def beam_ids_reference(config: SimConfig, slots: np.ndarray, sat_index) -> np.ndarray:
+    """Reference: the deficit round-robin schedule in integer arithmetic, row by row."""
+    nb = config.n_beams
+    frame, s = np.divmod(slots + (sat_index % nb), nb)
+    return np.where(s == 0, 0, ((nb - 1) * frame + s - 1) % nb + 1).astype(np.int64)
+
+
+class TestBeamSchedule:
+    @pytest.mark.parametrize("n_beams", [1, 2, 47, 48])
+    def test_table_lookup_is_the_arithmetic_form(self, n_beams):
+        config = SimConfig(n_beams=n_beams, beam_offsets=[(1.0, 0.0)] * n_beams)
+        rng = np.random.default_rng(n_beams)
+        slots = np.concatenate([np.arange(3 * n_beams * n_beams + 5),
+                                rng.integers(0, 10**13, size=20_000),
+                                10**13 - np.arange(200)])
+        sat_idx = rng.integers(0, 66, size=slots.size)
+        for sat_index in (sat_idx, 0, 65):
+            beam_id = simulator._beam_ids_for_slots(config, slots, sat_index)
+            assert beam_id.dtype == np.int64
+            assert np.array_equal(beam_id, beam_ids_reference(config, slots, sat_index))
 
 
 class TestGeometryBlocks:
