@@ -5,7 +5,6 @@ from .model import (
     BeamConstellation,
     DetectorConfig,
     EvdParams,
-    IraRecord,
     MotionProfile,
     PowerLawCoeffs,
     valid_sat_ids,
@@ -22,7 +21,6 @@ __all__ = [
     "BeamConstellation",
     "DetectorConfig",
     "EvdParams",
-    "IraRecord",
     "MotionProfile",
     "PowerLawCoeffs",
     "valid_sat_ids",

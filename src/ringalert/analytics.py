@@ -22,14 +22,17 @@ from .errors import (
     NonConvergence,
 )
 from .geo import EARTH_RADIUS_KM, GeoPoint, local_offsets_km, slerp, unit_vectors
-# group_by_satellite is bound, not called, for bench/spans.py TARGETS (ROADMAP item 1)
+# group_by_satellite is bound, not called, for bench/spans.py TARGETS (ROADMAP item 3)
 from .ingest import group_by_satellite, segment_passes  # noqa: F401
-from .model import MAX_BEAM_ID, BeamConstellation, EvdParams, Passes, RecordTable
+from .model import (BASE_INTERARRIVAL_S, MAX_BEAM_ID, BeamConstellation, EvdParams, Passes,
+                    RecordTable)
 
-DEFAULT_BASE_INTERARRIVAL_S = 0.09
 DEFAULT_SPEED_BIN_KMS = 0.05
 DEFAULT_INTERARRIVAL_BIN_S = 0.1
 DEFAULT_COVERAGE_BIN_KM = 25.0
+#: Widest gap (s) between the track points around a beam record that
+#: :func:`beam_constellation` takes; wider brackets are loss-corrupted.
+MAX_BRACKET_S = 20.0
 #: beam rows per block of :func:`beam_constellation`'s offsets: its temporaries stay small
 _BLOCK_ROWS = 1 << 14
 
@@ -108,18 +111,16 @@ class InterarrivalStats:
 
 
 def interarrival_stats(table: RecordTable, *,
-                       base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S,
                        bin_width_s: float = DEFAULT_INTERARRIVAL_BIN_S) -> InterarrivalStats:
-    """Consecutive timestamp differences over all beams, with grid residuals."""
+    """Consecutive timestamp differences over all beams, with residuals to the 90 ms grid."""
     if len(table) < 2:
         raise EmptyInput("interarrival_stats needs at least two records")
     durations = np.diff(table.t_s())
-    residuals = durations - np.round(durations / base_interarrival_s) * base_interarrival_s
+    residuals = durations - np.round(durations / BASE_INTERARRIVAL_S) * BASE_INTERARRIVAL_S
     return InterarrivalStats(durations, histogram_mode(durations, bin_width_s), residuals)
 
 
-def packet_delivery_ratio(table: RecordTable, *,
-                          base_interarrival_s: float = DEFAULT_BASE_INTERARRIVAL_S) -> float:
+def packet_delivery_ratio(table: RecordTable) -> float:
     """Observed message count over the count a lossless base-slot grid would carry."""
     if not len(table):
         raise EmptyInput("packet_delivery_ratio needs records")
@@ -127,7 +128,7 @@ def packet_delivery_ratio(table: RecordTable, *,
     span = float(times[-1] - times[0])
     if span <= 0:
         raise EmptyInput("packet_delivery_ratio needs a stream spanning > 0 seconds")
-    return len(table) / (span / base_interarrival_s)
+    return len(table) / (span / BASE_INTERARRIVAL_S)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def pratt_circle_fit(points) -> tuple[tuple[float, float], float]:
 # ---------------------------------------------------------------------------
 # extreme-value fit of pass durations
 
-def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdParams:
+def fit_evd(durations_min) -> EvdParams:
     """Maximum-likelihood (mu, sigma) via Newton iterations on the profiled scale.
 
     The density is the left-skewed extreme-value one, exp(u - exp(u)) / sigma
@@ -246,7 +247,7 @@ def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdPar
     where S is the exp(t/sigma) weighted mean of the data; the location then
     follows in closed form. The profile equation is strictly decreasing, so
     Newton with a bisection safeguard always converges for non-degenerate
-    data.
+    data: to a relative step of 1e-12 within 100 steps, else NonConvergence.
     """
     t = np.asarray(durations_min, dtype=float)
     if t.size < 10:
@@ -268,7 +269,7 @@ def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdPar
 
     sigma = std * math.sqrt(6.0) / math.pi
     lo, hi = 1e-12 * std, 64.0 * std
-    for iteration in range(1, max_iter + 1):
+    for _ in range(100):
         s_w, var_w = weighted_stats(sigma)
         g = s_w - mean - sigma
         if g > 0:
@@ -280,23 +281,21 @@ def fit_evd(durations_min, *, max_iter: int = 100, tol: float = 1e-12) -> EvdPar
         new_sigma = sigma - step
         if not (lo < new_sigma < hi):
             new_sigma = 0.5 * (lo + hi)
-        if abs(new_sigma - sigma) <= tol * max(sigma, 1e-300):
+        if abs(new_sigma - sigma) <= 1e-12 * max(sigma, 1e-300):
             sigma = new_sigma
             break
         sigma = new_sigma
     else:
-        raise NonConvergence(
-            f"scale iteration did not converge in {max_iter} steps", iterations=max_iter
-        )
+        raise NonConvergence("scale iteration did not converge in 100 steps", iterations=100)
     u = t / sigma
     shift = u.max()
     mu = sigma * (shift + math.log(np.exp(u - shift).sum() / t.size))
     return EvdParams(float(mu), float(sigma))
 
 
-def pass_durations_min(passes: Passes, *, min_records: int = 2) -> np.ndarray:
-    """Durations (minutes) of passes with at least ``min_records`` records."""
-    return passes.duration_min[passes.hi - passes.lo >= min_records]
+def pass_durations_min(passes: Passes) -> np.ndarray:
+    """Durations (minutes) of passes with at least two records."""
+    return passes.duration_min[passes.hi - passes.lo >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +332,12 @@ def kmeans_1d(values, k: int = 3) -> list[float]:
     return [float(values[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def beam_constellation(table: RecordTable, passes: Passes | None = None, *,
-                       max_bracket_s: float = 20.0) -> BeamConstellation:
+def beam_constellation(table: RecordTable, passes: Passes | None = None) -> BeamConstellation:
     """Reconstruct per-beam centroid offsets and the three ring radii.
 
     Each beam record is referenced to the sub-satellite point interpolated (in
     time, along the great circle) between the bracketing track records of the
-    same pass; brackets wider than ``max_bracket_s`` are dropped as
+    same pass; brackets wider than :data:`MAX_BRACKET_S` are dropped as
     loss-corrupted. Offsets from downward passes are mirrored across the east
     axis so every sample lands in the upward-travel frame. ``passes``
     defaults to :func:`ingest.segment_passes` of the table.
@@ -360,7 +358,7 @@ def beam_constellation(table: RecordTable, passes: Passes | None = None, *,
         before, in_pass = after - 1, np.searchsorted(passes.hi, beams, side="right")
         span = t[track[after]] - t[track[before]]
         usable = ((track[before] >= passes.lo[in_pass]) & (track[after] < passes.hi[in_pass])
-                  & (span <= max_bracket_s))
+                  & (span <= MAX_BRACKET_S))
         beams, before, after, in_pass, span = (
             c[usable] for c in (beams, before, after, in_pass, span))
         fraction = np.divide(t[beams] - t[track[before]], span, out=np.zeros_like(span),

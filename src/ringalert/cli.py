@@ -203,10 +203,14 @@ def _cmd_analyze(args) -> int:
             tables["interarrival_histogram.tsv"] = (
                 ["duration_s", "count"],
                 analytics.histogram(stats.durations_s, args.interarrival_bin_s))
+        try:
+            ratio = analytics.packet_delivery_ratio(records)
+        except EmptyInput:  # every record at one instant: no span to divide by
+            ratio = None
         summary["interarrival"] = {
             "mode_s": stats.mode_s,
             "max_grid_residual_s": float(np.abs(stats.residuals_s).max()),
-            "delivery_ratio": analytics.packet_delivery_ratio(records),
+            "delivery_ratio": ratio,
         }
 
     tables["passes.tsv"] = (

@@ -32,6 +32,7 @@ from .geo import (
     normalize_lon_array,
 )
 from .model import (
+    BASE_INTERARRIVAL_S,
     DetectorConfig,
     IraRecord,
     MotionProfile,
@@ -43,6 +44,7 @@ from .model import (
 DEFAULT_LOC_ERR_COEFFS = PowerLawCoeffs(m=-0.5974, q=3.2826)
 
 #: Fitted false-positive exponents per threshold (km): rate = 10^(m n) * 10^q.
+#: With q = 0 and m < 0 every rate lies in [0, 1].
 DEFAULT_FP_COEFFS: dict[float, PowerLawCoeffs] = {
     10.0: PowerLawCoeffs(m=-4.6e-5, q=0.0),
     15.0: PowerLawCoeffs(m=-8.9e-5, q=0.0),
@@ -170,36 +172,34 @@ def detect(estimate: PositionEstimate, g_pos: GeoPoint,
 # ---------------------------------------------------------------------------
 # fitted performance models
 
-def loc_err_model(n: int, coeffs: PowerLawCoeffs = DEFAULT_LOC_ERR_COEFFS) -> float:
+def loc_err_model(n: int) -> float:
     """Expected localization error (km) after collecting ``n`` messages."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(n ** coeffs.m * 10.0 ** coeffs.q)
+    return float(n ** DEFAULT_LOC_ERR_COEFFS.m * 10.0 ** DEFAULT_LOC_ERR_COEFFS.q)
 
 
-def fp_model(n: int, threshold_km: float,
-             coeffs: dict[float, PowerLawCoeffs] | None = None) -> float:
+def fp_model(n: int, threshold_km: float) -> float:
     """Expected single-window false-positive rate for a fitted threshold."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = DEFAULT_FP_COEFFS if coeffs is None else coeffs
     try:
-        c = table[float(threshold_km)]
+        c = DEFAULT_FP_COEFFS[float(threshold_km)]
     except KeyError:
         raise UnknownThreshold(
             f"no fitted coefficients for threshold {threshold_km} km "
-            f"(known: {sorted(table)})"
+            f"(known: {sorted(DEFAULT_FP_COEFFS)})"
         ) from None
-    return float(min(1.0, max(0.0, 10.0 ** (c.m * n) * 10.0 ** c.q)))
+    return float(10.0 ** (c.m * n) * 10.0 ** c.q)
 
 
-def waiting_time(n: int, per: float, base_interarrival_s: float = 0.09) -> float:
-    """Expected seconds to collect ``n`` messages on a lossy base-slot channel."""
+def waiting_time(n: int, per: float) -> float:
+    """Expected seconds to collect ``n`` messages on a lossy 90 ms slot channel."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= per < 1.0:
         raise InvalidPer(f"per must be in [0, 1), got {per}")
-    return n * base_interarrival_s / (1.0 - per)
+    return n * BASE_INTERARRIVAL_S / (1.0 - per)
 
 
 def fit_power_law(x, y, *, log_x: bool = True) -> PowerLawCoeffs:
@@ -248,12 +248,11 @@ def evaluate_fp(deviations_by_n: dict[int, "np.ndarray | list[float]"],
     return rates
 
 
-def fp_exponent_fits(rates: dict[tuple[int, float], float], *,
-                     rate_floor: float | None = None) -> dict[float, PowerLawCoeffs]:
+def fp_exponent_fits(rates: dict[tuple[int, float], float]) -> dict[float, PowerLawCoeffs]:
     """Per-threshold exponential-decay fits of the empirical FP table.
 
-    Zero rates are floored (default: half of the smallest nonzero resolution
-    implied by the table) so the log10 transform stays defined.
+    Zero rates are floored at half the threshold's smallest nonzero rate
+    (1e-6 when it has none) so the log10 transform stays defined.
     """
     by_thr: dict[float, list[tuple[int, float]]] = collections.defaultdict(list)
     for (n, thr), rate in rates.items():
@@ -263,10 +262,8 @@ def fp_exponent_fits(rates: dict[tuple[int, float], float], *,
         points.sort()
         ns = np.array([p[0] for p in points], dtype=float)
         rs = np.array([p[1] for p in points], dtype=float)
-        floor = rate_floor
-        if floor is None:
-            positive = rs[rs > 0]
-            floor = 0.5 * positive.min() if positive.size else 1e-6
+        positive = rs[rs > 0]
+        floor = 0.5 * positive.min() if positive.size else 1e-6
         fits[thr] = fit_power_law(ns, np.maximum(rs, floor), log_x=False)
     return fits
 
@@ -387,7 +384,7 @@ class WindowedDetector:
         return self._estimate
 
     def push(self, record: IraRecord) -> PositionEstimate | None:
-        """:meth:`extend` by one record, its counter read in microseconds; a
+        """:meth:`extend` by one record at its :meth:`~IraRecord.timestamp`; a
         beam-0 record leaves the window as it is. One arrival is the unit of
         a live feed, so this takes a record where :meth:`extend` takes
         columns."""

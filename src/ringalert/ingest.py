@@ -43,8 +43,8 @@ from .model import (
     IraRecord,
     Passes,
     RecordTable,
+    _VALID_SAT_IDS,
     _key_steps,
-    valid_sat_ids,
 )
 
 DEFAULT_GAP_THRESHOLD_S = 600.0
@@ -86,10 +86,10 @@ class IngestReport:
 def parse_line(line: str, lineno: int | None = None) -> IraRecord:
     """Parse one log line into a validated record.
 
-    Raises MalformedLine, InvalidSatId, InvalidBeamId, or InvalidCoordinate.
-    The two time fields must fit in 64 bits. One line is the unit here: this
-    is :func:`parse_table`'s tier for lines outside the fixed layouts, and
-    the per-line rule its column-wise tier must agree with.
+    Raises MalformedLine, then InvalidCoordinate, InvalidSatId or InvalidBeamId,
+    in that order. The two time fields must fit in 64 bits. One line is the
+    unit here: this is the whole per-line rule, :func:`parse_table`'s tier for
+    lines outside the fixed layouts, and the rule its column-wise tier keeps.
     """
     parts = line.replace(",", " ").split()
     if len(parts) != 6:
@@ -107,14 +107,19 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
         raise MalformedLine(f"negative sub-second counter {frac}", lineno)
     if not _INT64.min <= epoch_s <= _INT64.max or frac > _INT64.max:
         raise MalformedLine("time field does not fit in 64 bits", lineno)
-    return IraRecord(epoch_s, frac, sat_id, beam_id, GeoPoint(lat, lon))
+    ground = GeoPoint(lat, lon)
+    if sat_id not in _VALID_SAT_IDS:
+        raise InvalidSatId(f"satellite id {sat_id} not in the known set")
+    if not 0 <= beam_id <= MAX_BEAM_ID:
+        raise InvalidBeamId(f"beam id {beam_id} outside [0, {MAX_BEAM_ID}]")
+    return IraRecord(epoch_s, frac, sat_id, beam_id, ground)
 
 
 # ---------------------------------------------------------------------------
 # columnar parsing
 
 _SPACE, _DOT, _PLUS, _MINUS, _NEWLINE, _RETURN = (ord(c) for c in " .+-\n\r")
-_SAT_IDS = np.array(sorted(valid_sat_ids()), dtype=np.int64)
+_SAT_IDS = np.array(sorted(_VALID_SAT_IDS), dtype=np.int64)
 
 #: Layouts are spelled byte by byte: ``d`` is a digit, ``s`` a sign, ``m`` a
 #: byte of the "sat beam" middle, anything else itself. Every fixed layout
@@ -374,13 +379,13 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     return table, report
 
 
-def parse_stream(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[list[IraRecord], IngestReport]:
+def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
     """:func:`parse_table` with the accepted rows as a time-sorted record list.
 
     One arrival is the unit here: the list feeds a replay that pushes record
     by record into :meth:`detector.WindowedDetector.push`.
     """
-    table, report = parse_table(source, frac_unit_s)
+    table, report = parse_table(source)
     return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
             for e, f, s, b, lat, lon in zip(*(c.tolist() for c in table.columns()))], report
 
@@ -502,4 +507,4 @@ def segment_passes(table: RecordTable,
 
 def group_by_satellite(table: RecordTable) -> dict[int, RecordTable]:
     """Time-sorted records keyed by satellite id (keys ascending), one table each."""
-    return table.by_satellite()
+    return {sat: table[table.sat_id == sat] for sat in np.unique(table.sat_id).tolist()}

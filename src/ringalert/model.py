@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidBeamId, InvalidSatId
+from .errors import InvalidBeamId
 from .geo import GeoPoint, displace
 
 MAX_BEAM_ID = 48
@@ -36,6 +36,10 @@ MAX_SPEED_KMH = 3000.0
 #: its unit as :attr:`RecordTable.frac_unit_s`.
 FRAC_UNITS_S = {"us": 1e-6, "tenus": 1e-5, "ns": 1e-9}
 DEFAULT_FRAC_UNIT_S = FRAC_UNITS_S["us"]
+
+#: The 90 ms slot of the IRIDIUM ring-alert channel: the interarrival grid
+#: the messages of all satellites share, a measured property, not a setting.
+BASE_INTERARRIVAL_S = 0.09
 
 _VALID_SAT_IDS = frozenset({
     2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 18, 22, 23, 24, 25, 26, 28, 29, 30,
@@ -96,11 +100,10 @@ class IraRecord:
     """One decoded ring-alert message.
 
     ``beam_id`` 0 marks the sub-satellite point; 1..48 mark beam centers.
-    ``frac`` is the raw sub-second counter; its unit is supplied where a
-    timestamp is needed (see :data:`FRAC_UNITS_S`). Streams are
+    ``frac`` is the raw sub-second counter in microseconds. Streams are
     :class:`RecordTable` columns; a record is built only where one line or
-    one arrival is the unit: ``ingest.parse_line``, ``ingest.parse_stream``
-    and ``detector.WindowedDetector.push``.
+    one arrival is the unit: ``ingest.parse_line``, which holds the rule its
+    fields obey, ``ingest.parse_stream`` and ``detector.WindowedDetector.push``.
     """
 
     epoch_s: int
@@ -109,20 +112,8 @@ class IraRecord:
     beam_id: int
     ground: GeoPoint
 
-    def __post_init__(self):
-        object.__setattr__(self, "epoch_s", int(self.epoch_s))
-        object.__setattr__(self, "frac", int(self.frac))
-        object.__setattr__(self, "sat_id", int(self.sat_id))
-        object.__setattr__(self, "beam_id", int(self.beam_id))
-        if self.frac < 0:
-            raise ValueError(f"sub-second counter must be >= 0, got {self.frac}")
-        if self.sat_id not in _VALID_SAT_IDS:
-            raise InvalidSatId(f"satellite id {self.sat_id} not in the known set")
-        if not 0 <= self.beam_id <= MAX_BEAM_ID:
-            raise InvalidBeamId(f"beam id {self.beam_id} outside [0, {MAX_BEAM_ID}]")
-
-    def timestamp(self, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> float:
-        return self.epoch_s + self.frac * frac_unit_s
+    def timestamp(self) -> float:
+        return self.epoch_s + self.frac * DEFAULT_FRAC_UNIT_S
 
 
 def _key_steps(epoch_s: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -213,17 +204,6 @@ class RecordTable:
         e0, f0 = origin
         # exact like the integer difference below 2**53, and far-apart epochs cannot wrap
         return (self.epoch_s.astype(float) - e0) + (self.frac - f0) * self.frac_unit_s
-
-    def by_satellite(self) -> dict[int, "RecordTable"]:
-        """One time-sorted table per satellite id (keys ascending)."""
-        if not len(self):
-            return {}
-        order = np.argsort(self.sat_id, kind="stable")
-        sats = self.sat_id[order]
-        cuts = np.flatnonzero(np.diff(sats)) + 1
-        parts = [np.split(c[order], cuts) for c in self.columns()]
-        return {int(sats[lo]): RecordTable(*columns, self.frac_unit_s)
-                for lo, *columns in zip([0, *cuts.tolist()], *parts)}
 
 
 _COLUMNS = ("epoch_s", "frac", "sat_id", "beam_id", "lat", "lon")

@@ -28,8 +28,7 @@ DEFAULT_RING_RADII_KM = (3.36, 7.98, 14.35)
 DEFAULT_RING_COUNTS = (8, 16, 24)
 
 
-def default_beam_offsets(ring_radii_km=DEFAULT_RING_RADII_KM,
-                         ring_counts=DEFAULT_RING_COUNTS) -> tuple[tuple[float, float], ...]:
+def default_beam_offsets() -> tuple[tuple[float, float], ...]:
     """Honeycomb layout: rings of 8/16/24 beams at the three ring radii.
 
     Beam 1..8 sit on the inner ring, 9..24 on the middle, 25..48 on the outer;
@@ -37,7 +36,7 @@ def default_beam_offsets(ring_radii_km=DEFAULT_RING_RADII_KM,
     km in the upward-travel frame.
     """
     offsets = []
-    for radius, count in zip(ring_radii_km, ring_counts):
+    for radius, count in zip(DEFAULT_RING_RADII_KM, DEFAULT_RING_COUNTS):
         for i in range(count):
             theta = 2.0 * math.pi * i / count
             offsets.append((radius * math.sin(theta), radius * math.cos(theta)))
@@ -565,6 +564,9 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
         raise ValueError("window_messages must be >= 1")
     if config.per >= 1.0:
         raise InvalidPer(f"per {config.per} loses every message, so no window can be collected")
+    if config.n_beams < 2:  # every slot carries the sub-satellite record
+        raise InsufficientWindows(f"n_beams {config.n_beams} emits no beam record, so no "
+                                  "window can be collected")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     basis = _orbit_basis(config)

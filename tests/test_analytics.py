@@ -371,7 +371,7 @@ class TestBeamConstellation:
         records = make_records([0.0, 30.0, 15.0], [0.0, 1.5, 0.75], [0.0] * 3,
                                beam_ids=[0, 0, 5])
         with pytest.raises(InsufficientBrackets):
-            analytics.beam_constellation(records, max_bracket_s=20.0)
+            analytics.beam_constellation(records)
 
     def test_closed_loop_with_simulator(self):
         # one northbound and one southbound satellite over the same receiver:
@@ -403,5 +403,5 @@ class TestPassDurations:
         # a one-record pass, then a two-record one
         passes = segment_passes(make_records([0.0, 1000.0, 1060.0], [0, 0, 1], [0, 0, 0]))
         assert len(passes) == 2
+        assert passes.duration_min.tolist() == [0.0, 1.0]
         assert analytics.pass_durations_min(passes).tolist() == [1.0]
-        assert analytics.pass_durations_min(passes, min_records=1).tolist() == [0.0, 1.0]

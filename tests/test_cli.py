@@ -298,6 +298,19 @@ class TestAnalyzeCommand:
         assert summary["coverage"] is None
         assert not (report / "coverage_histogram.tsv").exists()
 
+    def test_records_at_one_instant_have_no_delivery_ratio(self, tmp_path):
+        # two satellites at the same instant: a zero span, so no slot grid to
+        # divide by; the rest of the report is as for any log
+        log = tmp_path / "instant.txt"
+        log.write_text(f"{SAMPLE_LOG_ROWS[0]}\n{SAMPLE_LOG_ROWS[0].replace(' 115 ', ' 78 ')}\n")
+        report = tmp_path / "r"
+        assert run_cli(["analyze", "--input", log, "--report", report]) == 0
+        summary = json.loads((report / "analyze_summary.json").read_text())
+        assert summary["ingest"]["accepted"] == 2
+        assert summary["interarrival"] == {"delivery_ratio": None, "max_grid_residual_s": 0.0,
+                                           "mode_s": 0.0}
+        assert summary["passes"] == {"count": 2, "evd": None} and summary["beams"] is None
+
     def test_duplicate_decode_is_counted(self, tmp_path):
         log = write_sample_log(tmp_path, [SAMPLE_LOG_ROWS[2]])
         report = tmp_path / "r"
@@ -557,6 +570,27 @@ class TestEvaluateCommand:
         assert peak < 50e6
         assert (tmp_path / "r" / "fp_rates.tsv").read_text() == (
             "n\tthreshold_km\twindows\tfp_rate\n10\t10\t3\t1\n")
+
+    def test_one_beam_exits_at_once(self, tmp_path):
+        # with one beam every slot carries the sub-satellite record: simulate
+        # writes a track-only log, and evaluate, which collects beam records
+        # only, has none to wait for; a subprocess with a timeout, since a
+        # regression would run toward its 1.6e10-slot limit
+        config = tmp_path / "one_beam.json"
+        config.write_text('{"n_beams": 1, "beam_offsets": [[1.0, 0.0]]}')
+        log, report = tmp_path / "sim.txt", tmp_path / "r"
+        assert run_cli(["simulate", "--config", config, "--duration", 60, "--output", log]) == 0
+        beams = {line.split()[3] for line in log.read_text().splitlines()}
+        assert beams == {"0"}
+        src = str(Path(ringalert.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "ringalert.cli", "evaluate",
+                               "--config", str(config), "--n-grid", "10", "--windows", "1",
+                               "--thresholds", "10", "--report", str(report)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ringalert: error: ") and "n_beams 1" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and not report.exists()
 
     def test_burst_grid_reruns_byte_identical(self, tmp_path):
         argv = ["evaluate", "--windows", 5, "--n-grid", "10,30", "--thresholds", "20",

@@ -16,7 +16,7 @@ from ringalert.errors import (
     UnknownThreshold,
 )
 from ringalert.geo import GeoPoint, displace, great_circle_km
-from ringalert.model import DetectorConfig, MotionProfile, PowerLawCoeffs
+from ringalert.model import DetectorConfig, MotionProfile
 from ringalert.simulator import SHIP_CLASSES, Scenario, emit_stream
 from tests.conftest import corridor_config, make_records, records_of, run_times_s, table_of
 
@@ -223,9 +223,11 @@ class TestFittedModels:
         with pytest.raises(UnknownThreshold):
             detector.fp_model(100, 12.5)
 
-    def test_fp_model_clipped_to_unit_interval(self):
-        coeffs = {5.0: PowerLawCoeffs(m=1e-4, q=0.5)}
-        assert detector.fp_model(100_000, 5.0, coeffs) == 1.0
+    def test_fp_model_stays_in_unit_interval(self):
+        # the fitted coefficients (q = 0, m < 0) need no clamp
+        for thr in (10.0, 15.0, 20.0):
+            assert detector.fp_model(1, thr) <= 1.0
+            assert detector.fp_model(10**9, thr) == 0.0
 
     def test_fp_model_strictly_decreasing_in_n(self):
         for thr in (10.0, 15.0, 20.0):

@@ -54,17 +54,23 @@ class TestParseLine:
         record = parse_line("1580712040,000000739,115,0,+29.81,+046.10")
         assert record == parse_line(SAMPLE_LOG_ROWS[0])
 
-    def test_beam_out_of_range(self):
-        with pytest.raises(InvalidBeamId):
-            parse_line("1580712040 000000739 115 49 +29.81 +046.10")
-
-    def test_unknown_satellite(self):
-        with pytest.raises(InvalidSatId):
-            parse_line("1580712040 000000739 1 0 +29.81 +046.10")
-
-    def test_bad_latitude(self):
-        with pytest.raises(InvalidCoordinate):
-            parse_line("1580712040 000000739 115 0 +91.00 +046.10")
+    @pytest.mark.parametrize("line, error, count", [
+        ("1580712040 000000739 1 0 +29.81 +046.10", InvalidSatId, "invalid_sat_id"),
+        ("1580712040 000000739 115 49 +29.81 +046.10", InvalidBeamId, "invalid_beam_id"),
+        ("1580712040 000000739 115 -1 +29.81 +046.10", InvalidBeamId, "invalid_beam_id"),
+        ("1580712040 000000739 115 0 +91.00 +046.10", InvalidCoordinate, "invalid_coordinate"),
+        ("1580712040 -5 115 0 +29.81 +046.10", MalformedLine, "malformed"),
+        # a line with several faults takes the first class in the order coordinate,
+        # satellite, beam, in parse_line and in parse_table's fixed tier alike
+        ("1580712040 000000739 1 49 +91.00 +046.10", InvalidCoordinate, "invalid_coordinate"),
+        ("1580712040 000000739 1 49 +29.81 +046.10", InvalidSatId, "invalid_sat_id"),
+        ("1580712040 -5 1 49 +91.00 +046.10", MalformedLine, "malformed"),
+    ])
+    def test_invalid_fields(self, line, error, count):
+        with pytest.raises(error):
+            parse_line(line)
+        _, report = parse_table([line])
+        assert (getattr(report, count), report.quarantined_lines) == (1, [1])
 
     def test_longitude_wraps_instead_of_failing(self):
         a = parse_line("1580712040 000000739 115 0 +29.81 +181.00")

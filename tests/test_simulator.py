@@ -694,6 +694,13 @@ class TestSampleWindows:
             sample_windows(corridor_config(per=1.0), GeoPoint(0, 0), window_messages=10,
                            n_windows=1)
 
+    def test_one_beam_is_rejected_before_emitting(self, monkeypatch):
+        # one beam: every emission is the sub-satellite record, never a window's beam
+        monkeypatch.setattr(simulator, "_emit", None)  # calling it would raise TypeError
+        with pytest.raises(InsufficientWindows, match="n_beams 1"):
+            sample_windows(corridor_config(n_beams=1, beam_offsets=((1.0, 0.0),)),
+                           GeoPoint(0, 0), window_messages=10, n_windows=1)
+
     def test_unreachable_receiver_runs_out_of_chunks(self, monkeypatch):
         # a 10 km footprint on six satellites of one polar plane never reaches (0, 90)
         config = SimConfig(n_sats=6, planes=1, plane_nodes_deg=(0.0,), inclination_deg=90.0,
