@@ -91,8 +91,9 @@ def ground_speeds(table: RecordTable, passes: Passes | None = None, *,
     keep = (table.sat_id[rows[1:]] == table.sat_id[rows[:-1]]) & (dt > 0)
     keep &= dt <= (passes.gap_threshold_s if max_dt_s is None
                    else min(passes.gap_threshold_s, max_dt_s))
-    u = unit_vectors(table.lat[rows], table.lon[rows])
-    half_chord = 0.5 * np.linalg.norm(u[1:][keep] - u[:-1][keep], axis=-1)
+    x, y, z = unit_vectors(table.lat[rows], table.lon[rows])
+    dx, dy, dz = (c[1:][keep] - c[:-1][keep] for c in (x, y, z))
+    half_chord = 0.5 * np.sqrt(dx * dx + dy * dy + dz * dz)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(half_chord, 1.0)) / dt[keep]
 
 
@@ -363,8 +364,9 @@ def beam_constellation(table: RecordTable, passes: Passes | None = None) -> Beam
             c[usable] for c in (beams, before, after, in_pass, span))
         fraction = np.divide(t[beams] - t[track[before]], span, out=np.zeros_like(span),
                              where=span > 0)
-        east, north, _ = local_offsets_km(slerp(u[before], u[after], fraction), unit_vectors(
-            table.lat[order[beams]], table.lon[order[beams]]))
+        east, north, _ = local_offsets_km(
+            slerp([c[before] for c in u], [c[after] for c in u], fraction),
+            unit_vectors(table.lat[order[beams]], table.lon[order[beams]]))
         north = np.where(passes.upward[in_pass], north, -north)
         ids = beam_ids[beams]
         counts += np.bincount(ids, minlength=MAX_BEAM_ID + 1)

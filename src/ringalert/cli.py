@@ -28,6 +28,9 @@ from .model import FRAC_UNITS_S, DetectorConfig, MotionProfile
 REPORT_DIR_ENV = "RINGALERT_REPORT_DIR"
 # elements per block of windows that evaluate estimates at once: its temporaries stay in cache
 _ESTIMATE_BLOCK = 1 << 16
+#: most beams evaluate draws for one window size (--windows x the largest --n-grid): its
+#: window sample, three float64 columns, then stays under 1 GB (805 MB at the bound)
+MAX_WINDOW_BEAMS = 1 << 25
 
 
 class _UsageError(Exception):
@@ -278,10 +281,14 @@ def _cmd_simulate(args) -> int:
     step = args.track_interval_s
     config = _build_sim_config(args)
     scenario = _build_scenario(args)
-    # a spoof start outside the run
+    # a spoof start outside the run; the output is opened once the run is checked
     with _flag_values():
-        records = simulator.emit_stream(config, scenario)
-    ingest.write_records(records, args.output)
+        blocks = simulator.emit_blocks(config, scenario)
+    records = 0
+    with _write_failures(), open(args.output, "wb") as fh:
+        for block in blocks:  # each block written as it is emitted
+            ingest.write_records(block, fh)
+            records += len(block)
     if args.track_out:
         times = np.arange(0.0, config.duration_s + 0.5 * step, step)
         with _write_failures(), open(args.track_out, "w", encoding="utf-8") as fh:
@@ -290,7 +297,7 @@ def _cmd_simulate(args) -> int:
                 pos = scenario.reported_position(float(t))
                 fh.write(f"{config.start_epoch_s + t:.3f} "
                          f"{pos.lat_deg:+010.6f} {pos.lon_deg:+011.6f}\n")
-    print(f"wrote {len(records)} records to {args.output}")
+    print(f"wrote {records} records to {args.output}")
     return 0
 
 
@@ -379,6 +386,11 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    beams = args.windows * max(args.n_grid)
+    if beams > MAX_WINDOW_BEAMS:
+        raise _UsageError(f"--windows x --n-grid: {args.windows} windows of {max(args.n_grid)} "
+                          f"beams need {beams} beams at once, above the {MAX_WINDOW_BEAMS} "
+                          "that evaluate holds")
     config = _build_sim_config(args)
     deviations_by_n = {}
     for n in args.n_grid:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,17 +173,27 @@ def detect(estimate: PositionEstimate, g_pos: GeoPoint,
 # ---------------------------------------------------------------------------
 # fitted performance models
 
-def loc_err_model(n: int) -> float:
-    """Expected localization error (km) after collecting ``n`` messages."""
+def _message_count(n) -> float:
+    """The models' message count ``n`` as a float: at least 1, and no larger than
+    the largest float, so an integer past it raises ValueError, not OverflowError."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    try:
+        return float(n)
+    except OverflowError:
+        raise ValueError(f"n must be at most the largest float, {sys.float_info.max:g}; "
+                         f"got an integer of {n.bit_length()} bits") from None
+
+
+def loc_err_model(n: int) -> float:
+    """Expected localization error (km) after collecting ``n`` messages."""
+    n = _message_count(n)
     return float(n ** DEFAULT_LOC_ERR_COEFFS.m * 10.0 ** DEFAULT_LOC_ERR_COEFFS.q)
 
 
 def fp_model(n: int, threshold_km: float) -> float:
     """Expected single-window false-positive rate for a fitted threshold."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _message_count(n)
     try:
         c = DEFAULT_FP_COEFFS[float(threshold_km)]
     except KeyError:
@@ -195,8 +206,7 @@ def fp_model(n: int, threshold_km: float) -> float:
 
 def waiting_time(n: int, per: float) -> float:
     """Expected seconds to collect ``n`` messages on a lossy 90 ms slot channel."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _message_count(n)
     if not 0.0 <= per < 1.0:
         raise InvalidPer(f"per must be in [0, 1), got {per}")
     return n * BASE_INTERARRIVAL_S / (1.0 - per)

@@ -137,24 +137,23 @@ def displace_deg(lat, lon, course_deg, d_km):
 
 
 def unit_vectors(lat, lon):
-    """Unit ECEF-style direction vectors for degree arrays, shape (..., 3)."""
+    """Unit ECEF-style direction vectors for degree arrays, as (x, y, z) columns."""
     phi = np.radians(lat)
     lam = np.radians(lon)
     cos_phi = np.cos(phi)
-    return np.stack(
-        [cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)], axis=-1
-    )
+    return cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)
 
 
 def local_offsets_km(s, b):
     """(east, north, distance) km of unit vectors ``b`` in the azimuthal-
-    equidistant frame of unit vectors ``s``; broadcasts over (..., 3) arrays.
+    equidistant frame of unit vectors ``s``; each an (x, y, z) triple of
+    columns, which broadcast.
 
     ``b·ê`` and ``b·n̂``, of length ``|s×b|``, are scaled by ``Rδ / |s×b|``
     with ``δ = atan2(|s×b|, s·b)``. At an exact pole, the frame is longitude 0's.
     """
-    sx, sy, sz = np.moveaxis(s, -1, 0)
-    bx, by, bz = np.moveaxis(b, -1, 0)
+    sx, sy, sz = s
+    bx, by, bz = b
     rho = np.hypot(sx, sy)
     pole = rho == 0
     rho_or_1 = np.where(pole, 1.0, rho)
@@ -171,8 +170,10 @@ def local_offsets_km(s, b):
 
 def slerp(u, v, fraction):
     """Unit vectors ``fraction`` of the way from ``u`` to ``v`` along the
-    great circle, at constant speed; broadcasts over (..., 3) arrays."""
-    dot = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
+    great circle, at constant speed; each an (x, y, z) triple of columns,
+    which broadcast with ``fraction``. Sums run x, y, z, left to right."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    dot = np.clip(ux * vx + uy * vy + uz * vz, -1.0, 1.0)
     omega = np.arccos(dot)
     f = np.asarray(fraction, dtype=float)
     sin_omega = np.sin(omega)
@@ -180,9 +181,9 @@ def slerp(u, v, fraction):
     safe = sin_omega > 1e-12
     w1 = np.where(safe, np.sin((1.0 - f) * omega) / np.where(safe, sin_omega, 1.0), 1.0 - f)
     w2 = np.where(safe, np.sin(f * omega) / np.where(safe, sin_omega, 1.0), f)
-    w = u * w1[..., None] + v * w2[..., None]
-    norm = np.linalg.norm(w, axis=-1)
-    return w / norm[..., None]
+    wx, wy, wz = ux * w1 + vx * w2, uy * w1 + vy * w2, uz * w1 + vz * w2
+    norm = np.sqrt(wx * wx + wy * wy + wz * wz)
+    return wx / norm, wy / norm, wz / norm
 
 
 def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
@@ -190,9 +191,9 @@ def interpolate_deg(lat1, lon1, lat2, lon2, fraction):
 
     ``fraction`` 0 gives point 1, 1 gives point 2; broadcasts over arrays.
     """
-    w = slerp(unit_vectors(lat1, lon1), unit_vectors(lat2, lon2), fraction)
-    lat = np.degrees(np.arcsin(np.clip(w[..., 2], -1.0, 1.0)))
-    lon = np.degrees(np.arctan2(w[..., 1], w[..., 0]))
+    x, y, z = slerp(unit_vectors(lat1, lon1), unit_vectors(lat2, lon2), fraction)
+    lat = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
+    lon = np.degrees(np.arctan2(y, x))
     return lat, normalize_lon_array(lon)
 
 

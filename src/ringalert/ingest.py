@@ -23,6 +23,9 @@ class.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
+from functools import cache
+from itertools import islice
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -119,7 +122,6 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
 # columnar parsing
 
 _SPACE, _DOT, _PLUS, _MINUS, _NEWLINE, _RETURN = (ord(c) for c in " .+-\n\r")
-_SAT_IDS = np.array(sorted(_VALID_SAT_IDS), dtype=np.int64)
 
 #: Layouts are spelled byte by byte: ``d`` is a digit, ``s`` a sign, ``m`` a
 #: byte of the "sat beam" middle, anything else itself. Every fixed layout
@@ -128,9 +130,16 @@ _SAT_IDS = np.array(sorted(_VALID_SAT_IDS), dtype=np.int64)
 #: to 6 bytes.
 _HEAD = "dddddddddd ddddddddd "
 _MIDDLE = 6
-#: lines per block of :func:`parse_table`'s first tier and of
-#: :func:`write_records`: a block's columns stay in cache
+#: whether each satellite id the middle can spell, up to four digits, is a known one
+_KNOWN_SAT = np.isin(np.arange(10 ** (_MIDDLE - 2)), sorted(_VALID_SAT_IDS))
+#: lines per block of :func:`write_records`, and of :func:`parse_table` on
+#: anything but a path: a block's columns stay in cache
 _BLOCK_ROWS = 1 << 14
+#: bytes per read of a path by :func:`parse_table`, about 5,400 lines of the
+#: writer's layout: a block is one read and the rest of the line before it.
+#: A block's temporaries take a few times its bytes, so that a parse peaks
+#: near its table's size and not at twice it
+_READ_BYTES = 1 << 18
 
 
 class _Layout(NamedTuple):
@@ -157,17 +166,47 @@ def _layout(decimals: int) -> _Layout:
 _WRITER, _RECEIVER = _layout(6), _layout(2)
 
 
-def _read_lines(source) -> tuple[bytes | str, np.ndarray, np.ndarray, np.ndarray]:
-    r"""Content of the source, its bytes, and the [start, end) span of each
-    line's content in both.
+def _split(buf: np.ndarray, returns: bool, final: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    r"""The [start, end) span of each whole line's content in the bytes
+    ``buf``, and where the rest, the start of a line not yet ended, begins.
 
-    The trailing line break is not content. A path is read whole as bytes
-    and split where text-mode iteration splits it, at ``\n``, ``\r\n`` and a
-    lone ``\r``; its content is the bytes. Anything else is iterated, and its
-    content is the text, one byte per character in the buffer, with every
-    non-ASCII character as '?'; a text file object that cannot decode its
-    bytes is a read failure. Either way no field accepts a byte of a
-    non-ASCII character, so such lines are left to :func:`parse_line`.
+    Lines end where text-mode iteration ends them: at ``\n``, ``\r\n`` and a
+    lone ``\r`` (``returns`` says whether ``buf`` holds a ``\r``); the line
+    break is not content. A ``\r`` at the very end ends no line until more
+    follows, as it may be half of a ``\r\n``, unless ``buf`` is ``final``,
+    which also ends its last line at its end.
+    """
+    if returns:
+        ends = np.flatnonzero((buf == _NEWLINE) | (buf == _RETURN))
+        crlf = (buf[ends] == _RETURN) & (buf.take(ends + 1, mode="clip") == _NEWLINE)
+        second_half = np.concatenate(([False], crlf[:-1]))  # the \n of a \r\n
+        ends, line_from = ends[~second_half], (ends + 1 + crlf)[~second_half]
+        if not final and buf[-1] == _RETURN:
+            ends, line_from = ends[:-1], line_from[:-1]
+    else:
+        ends = np.flatnonzero(buf == _NEWLINE)
+        line_from = ends + 1
+    starts = np.concatenate(([0], line_from))
+    rest = int(starts[-1])
+    if final and rest < buf.size:
+        ends = np.append(ends, buf.size)
+    return starts[:ends.size], ends, rest
+
+
+def _line_blocks(source):
+    """Blocks of the source's lines, each as (content, its bytes, and the
+    [start, end) span of each line's content in both).
+
+    A path is read as bytes into one buffer, :data:`_READ_BYTES` at a time,
+    until the new bytes hold a line break; a block is the whole lines in the
+    buffer, and the rest of the last line moves to the front for the next
+    read (a line longer than the buffer doubles it). The content is that
+    buffer, refilled once the block is taken. Anything else is iterated,
+    :data:`_BLOCK_ROWS` lines a block, and its content is the text, one byte
+    per character in the buffer, with every non-ASCII character as '?'; a
+    text file object that cannot decode its bytes is a read failure. Either
+    way no field accepts a byte of a non-ASCII character, so such lines are
+    left to :func:`parse_line`.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
@@ -176,39 +215,45 @@ def _read_lines(source) -> tuple[bytes | str, np.ndarray, np.ndarray, np.ndarray
             raise IoFailure(f"cannot open {exc.filename}: {exc.strerror}") from exc
         try:
             with fh:
-                data = fh.read()
+                buffer, filled, final = bytearray(_READ_BYTES), 0, False
+                while not final:
+                    new = filled  # read on until the new bytes hold a line break, or to the end
+                    while True:
+                        if filled == len(buffer):  # one line fills the buffer
+                            buffer = buffer + bytearray(len(buffer))
+                        n = fh.readinto(memoryview(buffer)[filled:filled + _READ_BYTES])
+                        filled, final = filled + n, not n
+                        if (final or buffer.find(b"\n", new, filled) >= 0
+                                or buffer.find(b"\r", new, filled) >= 0):
+                            break
+                    buf = np.frombuffer(buffer, dtype=np.uint8, count=filled)
+                    starts, ends, rest = _split(buf, buffer.find(b"\r", 0, filled) >= 0, final)
+                    if ends.size:
+                        yield buffer, buf, starts, ends
+                    if rest:  # the rest of the last line moves to the front
+                        buffer[:filled - rest] = buffer[rest:filled]
+                        filled -= rest
         except OSError as exc:
             raise IoFailure(f"read failure: {exc}") from exc
-        buf = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(buf == _NEWLINE)
-        line_from = ends + 1
-        if b"\r" in data:
-            ends = np.flatnonzero((buf == _NEWLINE) | (buf == _RETURN))
-            crlf = (buf[ends] == _RETURN) & (buf.take(ends + 1, mode="clip") == _NEWLINE)
-            second_half = np.concatenate(([False], crlf[:-1]))  # the \n of a \r\n
-            ends, line_from = ends[~second_half], (ends + 1 + crlf)[~second_half]
-        starts = np.concatenate(([0], line_from))
-        if data and data[-1:] not in b"\r\n":
-            ends = np.append(ends, len(data))
-        return data, buf, starts[:ends.size], ends
+        return
+    lines_of = iter(source)
     try:
-        lines = list(source)
+        while lines := list(islice(lines_of, _BLOCK_ROWS)):
+            text = "".join(lines)
+            buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+            lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+            ends = np.cumsum(lengths)
+            own_newline = np.zeros(len(lines), dtype=bool)
+            nonempty = lengths > 0
+            own_newline[nonempty] = buf[ends[nonempty] - 1] == _NEWLINE
+            yield text, buf, ends - lengths, ends - own_newline
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"read failure: {exc}") from exc
-    text = "".join(lines)
-    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    own_newline = np.zeros(len(lines), dtype=bool)
-    nonempty = lengths > 0
-    own_newline[nonempty] = buf[ends[nonempty] - 1] == _NEWLINE
-    return text, buf, starts, ends - own_newline
 
 
-def _line_text(content: bytes | str, start: int, end: int) -> str:
+def _line_text(content: bytearray | str, start: int, end: int) -> str:
     line = content[start:end]
-    return line.decode("utf-8", "replace") if isinstance(line, bytes) else line
+    return line if isinstance(line, str) else line.decode("utf-8", "replace")
 
 
 # ---- first tier: the fixed layouts, column-wise
@@ -222,16 +267,24 @@ def _block(buf: np.ndarray, lo: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(items[lo].view(np.uint8).reshape(-1, width).T)
 
 
+@cache
+def _bounds(pattern: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Per byte of ``pattern``, as (rows, 1) columns: the least byte it admits
+    and how far above that the others lie; and its sign rows, whose span
+    from ``+`` to ``-`` also holds ``,``."""
+    kinds = {"d": (48, 9), "s": (_PLUS, _MINUS - _PLUS), "m": (0, 255)}
+    lo, span = zip(*(kinds.get(kind, (ord(kind), 0)) for kind in pattern))
+    return (np.array(lo, dtype=np.uint8)[:, None], np.array(span, dtype=np.uint8)[:, None],
+            [row for row, kind in enumerate(pattern) if kind == "s"])
+
+
 def _matches(block: np.ndarray, pattern: str) -> np.ndarray:
     """Columns of ``block`` whose bytes fit ``pattern`` (``m`` rows unchecked)."""
-    ok = np.ones(block.shape[1], dtype=bool)
-    for row, kind in zip(block, pattern):
-        if kind == "d":
-            ok &= row - np.uint8(48) <= 9
-        elif kind == "s":
-            ok &= (row == _PLUS) | (row == _MINUS)
-        elif kind != "m":
-            ok &= row == ord(kind)
+    lo, span, signs = _bounds(pattern)
+    fits = block - lo  # a byte below lo wraps above any span
+    ok = np.all(np.less_equal(fits, span, out=fits.view(bool)), axis=0)
+    if signs:
+        ok &= np.all(block[signs] != ord(","), axis=0)
     return ok
 
 
@@ -281,51 +334,46 @@ def _parse_fixed(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, layout:
             _fixed(tail, layout.tail.rindex("s"), layout.lon_width, layout.decimals))
 
 
-def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
-    """Parse a path, file object, or iterable of lines into a record table.
+#: the dtypes of :func:`_parse_block`'s columns
+_ACCEPTED_DTYPES = [np.int64] * 5 + [float] * 2
 
-    Lines in the writer's layout (:func:`write_records`) or the receiver's
-    (lat and lon to two decimals) are read at fixed offsets, column-wise, a
-    block of lines at a time. Every other line goes through :func:`parse_line`, and
-    each line lands in the class ``parse_line`` gives it. Accepted lines
-    whose sub-second counter reaches one second in ``frac_unit_s`` are
-    quarantined as ``invalid_frac``; a line whose (epoch_s, frac, sat_id)
-    equals an earlier accepted line's as ``duplicate``. The table carries
-    ``frac_unit_s``. Only OS-level failures raise (IoFailure).
-    """
-    content, buf, starts, ends = _read_lines(source)
-    report = IngestReport(total_lines=int(starts.size))
-    width, slow, quarantined = ends - starts, np.ones(starts.size, dtype=bool), []
-    # the accepted lines' line numbers and columns: the first tier fills them
-    # block by block, then parse_line row by row
-    store, n = [np.empty(starts.size, dtype) for dtype in [np.int64] * 5 + [float] * 2], 0
+
+def _parse_block(content: bytearray | str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 first: int, report: IngestReport, quarantined: list,
+                 blank: list) -> list[np.ndarray]:
+    """The columns (line, epoch_s, frac, sat_id, beam_id, lat, lon) of the
+    accepted lines of one block, in line order, lines numbered from ``first``
+    + 1. Every quarantined or blank line is counted in ``report``, and the
+    numbers of each are added to ``quarantined`` or ``blank``."""
+    width, slow = ends - starts, np.ones(starts.size, dtype=bool)
+    # the accepted lines' columns: the first tier's, layout by layout, then parse_line's
+    accepted = []
     for layout in (_WRITER, _RECEIVER):
-        candidates = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
-        for lo in range(0, candidates.size, _BLOCK_ROWS):
-            idx = candidates[lo:lo + _BLOCK_ROWS]
+        idx = np.flatnonzero((width >= layout.widths.start) & (width < layout.widths.stop))
+        # a line without the decimal point of its longitude is not in the layout
+        idx = idx[buf[starts[idx] + width[idx] - (layout.decimals + 1)] == _DOT]
+        if idx.size:
             ok, epoch_s, frac, sat_id, beam_id, lat, lon = _parse_fixed(
                 buf, starts[idx], width[idx], layout)
             bad_coordinate = ok & ((lat < -90.0) | (lat > 90.0))
-            bad_sat = ok & ~bad_coordinate & ~np.isin(sat_id, _SAT_IDS)
+            bad_sat = ok & ~bad_coordinate & ~_KNOWN_SAT.take(sat_id, mode="clip")
             bad_beam = ok & ~bad_coordinate & ~bad_sat & ((beam_id < 0) | (beam_id > MAX_BEAM_ID))
             good = ok & ~(bad_coordinate | bad_sat | bad_beam)
             report.invalid_coordinate += int(bad_coordinate.sum())
             report.invalid_sat_id += int(bad_sat.sum())
             report.invalid_beam_id += int(bad_beam.sum())
-            quarantined.append(idx[ok & ~good] + 1)
+            quarantined.append(idx[ok & ~good] + first + 1)
             slow[idx] = ~ok
-            n_good = n + int(good.sum())
-            for column, values in zip(store, (idx + 1, epoch_s, frac, sat_id, beam_id, lat)):
-                column[n:n_good] = values[good]  # each column taken once
-            store[-1][n:n_good] = normalize_lon_array(lon[good])  # folded once taken
-            n = n_good
+            # each column taken once, longitudes folded once taken
+            accepted.append([idx[good] + first + 1, epoch_s[good], frac[good], sat_id[good],
+                             beam_id[good], lat[good], normalize_lon_array(lon[good])])
 
-    slow_quarantined = []
+    rows, slow_quarantined, slow_blank = [], [], []
     for i in np.flatnonzero(slow).tolist():
-        lineno = i + 1
+        lineno = first + i + 1
         stripped = _line_text(content, starts[i], ends[i]).strip()
         if not stripped:
-            report.blank += 1
+            slow_blank.append(lineno)
             continue
         try:
             r = parse_line(stripped, lineno)
@@ -338,40 +386,80 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
         except InvalidCoordinate:
             report.invalid_coordinate += 1
         else:
-            for column, value in zip(store, (lineno, r.epoch_s, r.frac, r.sat_id, r.beam_id,
-                                             r.ground.lat_deg, r.ground.lon_deg)):
-                column[n] = value
-            n += 1
+            rows.append((lineno, r.epoch_s, r.frac, r.sat_id, r.beam_id,
+                         r.ground.lat_deg, r.ground.lon_deg))
             continue
         slow_quarantined.append(lineno)
     quarantined.append(np.array(slow_quarantined, dtype=np.int64))
+    blank.append(np.array(slow_blank, dtype=np.int64))
+    report.blank += len(slow_blank)
+    if rows:
+        accepted.append([np.array(column, dtype=dtype)
+                         for column, dtype in zip(zip(*rows), _ACCEPTED_DTYPES)])
 
-    # the accepted rows, in line order
-    lines, epoch_s, frac, sat_id, beam_id, lat, lon = (column[:n] for column in store)
-    if np.any(lines[1:] < lines[:-1]):
-        by_line = np.argsort(lines, kind="stable")
-        lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
-            c[by_line] for c in (lines, epoch_s, frac, sat_id, beam_id, lat, lon))
+    accepted = [columns for columns in accepted if columns[0].size] or [
+        [np.empty(0, dtype) for dtype in _ACCEPTED_DTYPES]]
+    if len(accepted) == 1:  # each tier's rows are in line order
+        return accepted[0]
+    columns = [np.concatenate(pieces, dtype=dtype)
+               for pieces, dtype in zip(zip(*accepted), _ACCEPTED_DTYPES)]
+    by_line = np.argsort(columns[0], kind="stable")
+    return [c[by_line] for c in columns]
 
-    bad_frac = frac * frac_unit_s >= 1.0
-    report.invalid_frac = int(bad_frac.sum())
-    quarantined.append(lines[bad_frac])
-    if report.invalid_frac:
-        lines, epoch_s, frac, sat_id, beam_id, lat, lon = (
-            c[~bad_frac] for c in (lines, epoch_s, frac, sat_id, beam_id, lat, lon))
+
+def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
+    """Parse a path, file object, or iterable of lines into a record table.
+
+    Lines in the writer's layout (:func:`write_records`) or the receiver's
+    (lat and lon to two decimals) are read at fixed offsets, column-wise, a
+    block of lines at a time. Every other line goes through :func:`parse_line`, and
+    each line lands in the class ``parse_line`` gives it. Accepted lines
+    whose sub-second counter reaches one second in ``frac_unit_s`` are
+    quarantined as ``invalid_frac``; a line whose (epoch_s, frac, sat_id)
+    equals an earlier accepted line's as ``duplicate``. The table carries
+    ``frac_unit_s``. Only OS-level failures raise (IoFailure).
+
+    A path is read a block of lines at a time (:func:`_line_blocks`), so the
+    parse holds one block and the accepted columns, never the whole file.
+    """
+    # the numbers of the lines left out: quarantined, and blank
+    report, quarantined, blank = IngestReport(), [np.empty(0, dtype=np.int64)], []
+    # each accepted column, block by block, in line order
+    blocks = [[np.empty(0, dtype)] for dtype in _ACCEPTED_DTYPES[1:]]
+    for content, buf, starts, ends in _line_blocks(source):
+        lines, *columns = _parse_block(content, buf, starts, ends, report.total_lines, report,
+                                       quarantined, blank)
+        report.total_lines += int(starts.size)
+        bad_frac = columns[1] * frac_unit_s >= 1.0
+        if bad_frac.any():
+            report.invalid_frac += int(bad_frac.sum())
+            quarantined.append(lines[bad_frac])
+            columns = [c[~bad_frac] for c in columns]
+        for pieces, column in zip(blocks, columns):
+            pieces.append(column)
+    # each column joined in turn, its blocks freed as it is
+    joined = []
+    while blocks:
+        joined.append(np.concatenate(blocks.pop(0), dtype=_ACCEPTED_DTYPES[len(joined) + 1]))
+    epoch_s, frac, sat_id, beam_id, lat, lon = joined
+
     steps = _key_steps(epoch_s, frac)
     if np.all((steps > 0) | ((steps == 0) & (sat_id[1:] > sat_id[:-1]))):
         kept = slice(None)  # no key repeats, and line order is (epoch_s, frac) order
     else:
-        # one sort of the keys finds each repeat of an earlier line's (epoch_s, frac, sat_id)
-        order = np.lexsort((lines, sat_id, frac, epoch_s))
+        # one stable sort of the keys finds each repeat of an earlier line's (epoch_s, frac,
+        # sat_id); row k's line is k + 1 + the lines left out before it
+        order = np.lexsort((sat_id, frac, epoch_s))
         repeat = np.zeros(order.size, dtype=bool)
         repeat[1:] = ((np.diff(epoch_s[order]) == 0) & (np.diff(frac[order]) == 0)
                       & (np.diff(sat_id[order]) == 0))
-        report.duplicate = int(repeat.sum())
-        quarantined.append(lines[order[repeat]])
+        left_out = np.sort(np.concatenate(quarantined + blank))
+        rows = order[repeat]
+        report.duplicate = int(rows.size)
+        quarantined.append(rows + 1 + np.searchsorted(
+            left_out - np.arange(1, left_out.size + 1), rows, side="right"))
         kept = order[~repeat]
-        kept = kept[np.lexsort((lines[kept], frac[kept], epoch_s[kept]))]
+        kept = kept[np.lexsort((kept, frac[kept], epoch_s[kept]))]
     table = RecordTable(*(c[kept] for c in (epoch_s, frac, sat_id, beam_id, lat, lon)),
                         frac_unit_s)
     report.accepted = len(table)
@@ -452,16 +540,20 @@ def _line_block(*columns: np.ndarray) -> np.ndarray:
     return lines
 
 
-def write_records(table: RecordTable, path) -> None:
-    """Write a table to ``path`` in the writer's layout, block by block.
+def write_records(table: RecordTable, out) -> None:
+    """Write a table in the writer's layout, block by block, to ``out``: a path,
+    which is created or truncated, or a binary file open for writing, which
+    takes the lines where it stands.
 
     Each line is ``f"{epoch_s} {frac:09d} {sat_id} {beam_id} {lat:+010.6f}
     {lon:+011.6f}"`` of its row, byte for byte. Each block of rows is built
     column-wise as one array of bytes and written to the binary file as is,
-    with the NUL bytes that narrower fields leave dropped.
+    with the NUL bytes that narrower fields leave dropped. A line's bytes
+    depend on its row alone, so tables written one after another to one file
+    give the bytes of their join.
     """
     try:
-        with open(path, "wb") as fh:
+        with open(out, "wb") if isinstance(out, (str, os.PathLike)) else nullcontext(out) as fh:
             for lo in range(0, len(table), _BLOCK_ROWS):
                 lines = _line_block(*(c[lo:lo + _BLOCK_ROWS] for c in table.columns())).T.copy()
                 fh.write(lines[lines != 0])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -277,7 +278,7 @@ def _view_slot_ranges(config: SimConfig, basis, receiver: GeoPoint, radius_km: f
     and revolution are cut to slots in one numpy pass, :data:`_GEOMETRY_ROWS` at a time.
     """
     a_all, t_all, phases = basis
-    r_hat = unit_vectors(receiver.lat_deg, receiver.lon_deg)
+    r_hat = np.array(unit_vectors(receiver.lat_deg, receiver.lon_deg))
     omega = config.ground_speed_kms / EARTH_RADIUS_KM
     slot_s = config.slot_s
     delta = min(radius_km / EARTH_RADIUS_KM, math.pi)
@@ -420,7 +421,7 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
         rx, ry, rz = unit_vectors(*displace_deg(
             receiver.start.lat_deg, receiver.start.lon_deg,
             receiver.course_deg, receiver.speed_kmh * t / 3600.0,
-        )).T
+        ))
     else:
         rx, ry, rz = unit_vectors(receiver.start.lat_deg, receiver.start.lon_deg)
     cos_coverage = math.cos(min(config.coverage_radius_km / EARTH_RADIUS_KM, math.pi))
@@ -454,9 +455,10 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     The loss channel draws one renewal per satellite over its in-view slots
     laid end to end, satellite by satellite, so one generator state gives one
     stream. A burst outage thus carries across the gap between two passes.
-    The kept emissions are then sorted, and each block of :data:`_GEOMETRY_ROWS`
-    of them is yielded through :func:`_in_view_records`. :func:`emit_stream`
-    joins the blocks; :func:`sample_windows` stops at the one that fills its windows.
+    The kept emissions' keys are then sorted, and each block of :data:`_GEOMETRY_ROWS`
+    of them is decoded and yielded through :func:`_in_view_records`.
+    :func:`emit_blocks` makes a table of each block; :func:`sample_windows` stops at
+    the one that fills its windows.
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
@@ -476,12 +478,36 @@ def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_
     key += np.repeat(sat, counts)
     # the keys are distinct, so sorting them orders the rows
     key.sort()
-    slot, sat_idx = np.divmod(key, config.n_sats)
     # every draw is made before the first yield, so a caller that stops early leaves ``rng``
-    # where a full pass does; at least one block keeps the dtypes when nothing is in view
-    for k in range(0, max(slot.size, 1), _GEOMETRY_ROWS):
-        yield _in_view_records(config, basis, receiver, slot[k:k + _GEOMETRY_ROWS],
-                               sat_idx[k:k + _GEOMETRY_ROWS])
+    # where a full pass does; at least one block keeps the dtypes when nothing is in view.
+    # Each block's keys are split into (slot, sat_idx) as it is taken.
+    for k in range(0, max(key.size, 1), _GEOMETRY_ROWS):
+        yield _in_view_records(config, basis, receiver,
+                               *np.divmod(key[k:k + _GEOMETRY_ROWS], config.n_sats))
+
+
+def emit_blocks(config: SimConfig, scenario: Scenario | None = None) -> Iterator[RecordTable]:
+    """The records of :func:`emit_stream`, in order, one table per block of the emitter.
+
+    The scenario is checked at the call; the emission runs as the blocks are
+    taken. A run then holds its sorted keys, about 8 bytes per record, and
+    one block, so ``simulate`` writes each block as it comes.
+    """
+    if scenario is None:
+        scenario = _DEFAULT_SCENARIO
+    if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
+        raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
+                         f"{config.duration_s} s")
+    sat_ids = np.array(config.sat_ids, dtype=np.int64)
+
+    def table(block) -> RecordTable:
+        slot, sat_idx, beam_id, lat, lon = block
+        total_us = slot * config.slot_us
+        return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
+                           sat_ids[sat_idx], beam_id, lat, lon)
+
+    return map(table, _emit(config, _orbit_basis(config), scenario.receiver, 0,
+                            _slot_count(config), np.random.default_rng(config.seed)))
 
 
 def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTable:
@@ -489,18 +515,11 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
 
     Satellites emit on every slot while within ``coverage_radius_km`` of the
     receiver; each emission then passes the loss channel. Identical
-    (config, scenario) pairs produce identical tables.
+    (config, scenario) pairs produce identical tables: the blocks of
+    :func:`emit_blocks`, joined.
     """
-    if scenario is None:
-        scenario = _DEFAULT_SCENARIO
-    if scenario.spoof is not None and not 0.0 <= scenario.spoof.start_s <= config.duration_s:
-        raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
-                         f"{config.duration_s} s")
-    slot, sat_idx, beam_id, lat, lon = map(np.concatenate, zip(*_emit(config, _orbit_basis(config),
-        scenario.receiver, 0, _slot_count(config), np.random.default_rng(config.seed))))
-    total_us = slot * config.slot_us
-    return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
-                       np.array(config.sat_ids, dtype=np.int64)[sat_idx], beam_id, lat, lon)
+    return RecordTable(*map(np.concatenate, zip(*(block.columns()
+                                                  for block in emit_blocks(config, scenario)))))
 
 
 # ---------------------------------------------------------------------------

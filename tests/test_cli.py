@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ringalert
-from ringalert import analytics, cli, detector, ingest
+from ringalert import analytics, cli, detector, ingest, simulator
 from ringalert.cli import build_parser, main
 from ringalert.geo import GeoPoint, great_circle_km, interpolate
 from ringalert.ingest import parse_table
@@ -194,6 +194,33 @@ class TestSimulateCommand:
         assert run_cli(args + ["--output", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.stat().st_size > 0
+
+    @pytest.mark.parametrize("flags, geometry_rows, n_blocks", [
+        (["--duration", 0], None, 1),                                        # no record
+        (["--duration", 20, "--per", 0.5], None, 1),                          # one partial block
+        (["--duration", 1800, "--per", 0, "--receiver", "60,10"], None, 2),   # 2^14 rows, then more
+        # blocks of 7 emissions, some cut short by the moving receiver's in-view check
+        (["--duration", 120, "--per", 0.3, "--motion", "0,0,0,46", "--spoof", "60,90,50"], 7, 10),
+    ], ids=["empty", "partial", "blocks", "small-blocks"])
+    def test_streamed_log_is_the_joined_table_written(self, tmp_path, monkeypatch, flags,
+                                                      geometry_rows, n_blocks):
+        if geometry_rows is not None:
+            monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", geometry_rows)
+        write_records, blocks = ingest.write_records, []
+
+        def recording_write(table, out):
+            blocks.append(len(table))
+            write_records(table, out)
+
+        monkeypatch.setattr(ingest, "write_records", recording_write)
+        argv = [str(a) for a in ["simulate", *flags, "--output", tmp_path / "sim.txt"]]
+        assert run_cli(argv) == 0
+        args = build_parser().parse_args(argv)
+        table = emit_stream(cli._build_sim_config(args), cli._build_scenario(args))
+        write_records(table, tmp_path / "joined.txt")
+        assert (tmp_path / "sim.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()
+        assert sum(blocks) == len(table) and len(blocks) >= n_blocks
+        assert n_blocks > 1 or len(blocks) == 1
 
     def test_seed_matters(self, tmp_path):
         base = ["simulate", "--per", 0.99, "--duration", 300, "--n-sats", 11,
@@ -514,6 +541,23 @@ class TestEvaluateCommand:
         assert_one_line_error(capsys)
         assert not report.exists()
 
+    def test_window_array_past_the_bound_is_usage_error(self, tmp_path, capsys):
+        # 10^13 beams: refused before any allocation, which would need 218 TiB
+        report = tmp_path / "r"
+        assert run_cli(["evaluate", "--n-grid", "10,10000", "--windows", 10**9,
+                        "--report", report]) == 1
+        err = assert_one_line_error(capsys)
+        assert "--windows x --n-grid" in err and str(cli.MAX_WINDOW_BEAMS) in err
+        assert not report.exists()
+
+    def test_window_bound_takes_the_largest_window(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_WINDOW_BEAMS", 30)
+        argv = ["evaluate", "--n-grid", "3,10", "--thresholds", "20", "--per", 0.5,
+                "--report", tmp_path / "r"]
+        assert run_cli(argv + ["--windows", 3]) == 0  # 3 x 10 beams, at the bound
+        assert run_cli(argv + ["--windows", 4]) == 1
+        assert "4 windows of 10 beams" in assert_one_line_error(capsys)
+
     def test_small_grid(self, tmp_path):
         report = tmp_path / "r"
         assert run_cli(["evaluate", "--windows", 20, "--n-grid", "10,50",
@@ -607,6 +651,34 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("ringalert: error: ") and err.count("\n") == 1, err
     return err
+
+
+class TestMemory:
+    """Peaks under tracemalloc, which numpy reports its buffers to: ``simulate``
+    holds its sorted keys and one block, ``parse_table`` its table and one block."""
+
+    def test_simulate_and_parse_table_hold_one_block(self, tmp_path):
+        log = tmp_path / "sim.txt"
+        tracemalloc.start()
+        try:
+            assert run_cli(["simulate", "--duration", 28_800, "--per", 0, "--receiver", "60,10",
+                            "--output", log]) == 0
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            table, report = parse_table(log)
+            parse_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        records = len(table)
+        assert records == report.total_lines > 400_000
+        # ~8 bytes a record for the keys, 16 while they are built; a whole-run
+        # table of five columns and its temporaries took ~80
+        assert simulate_peak < 24 * records + 6e6
+        # the accepted columns, the line numbers beside them while the file is
+        # read, and one read block; the whole file and a mask took ~3x the table
+        table_bytes = sum(c.nbytes for c in table.columns())
+        assert parse_peak < 2 * table_bytes + 4e6
 
 
 class TestWriteFailures:

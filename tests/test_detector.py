@@ -234,6 +234,17 @@ class TestFittedModels:
             values = [detector.fp_model(n, thr) for n in (1, 10, 100, 1000, 10_000)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("model", [
+        detector.loc_err_model,
+        lambda n: detector.fp_model(n, 20.0),
+        lambda n: detector.waiting_time(n, 0.5),
+    ], ids=["loc_err_model", "fp_model", "waiting_time"])
+    def test_count_past_the_float_range_names_the_bound(self, model):
+        # an integer no float holds is a ValueError that names the bound, not an OverflowError
+        with pytest.raises(ValueError, match="at most the largest float"):
+            model(10**400)
+        assert math.isfinite(model(10**300))
+
     def test_waiting_time_reference_points(self):
         assert detector.waiting_time(1, 0.0) == pytest.approx(0.09, rel=1e-12)
         assert detector.waiting_time(6100, 0.99) == pytest.approx(54_900.0, rel=1e-12)

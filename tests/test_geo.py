@@ -19,6 +19,7 @@ from ringalert.geo import (
     mod360,
     normalize_lon,
     normalize_lon_array,
+    slerp,
     unit_vectors,
 )
 from tests.conftest import bearing_deg, haversine_km
@@ -217,6 +218,53 @@ class TestExactKernel:
                 assert np.array_equal(bits(got), bits(want))
 
 
+def stacked_unit_vectors(lat, lon):
+    """Reference: unit vectors stacked on a last axis of 3."""
+    phi, lam = np.radians(lat), np.radians(lon)
+    return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)], axis=-1)
+
+
+def stacked_slerp(u, v, fraction):
+    """Reference: slerp on (..., 3) arrays, with numpy's last-axis sum and norm."""
+    omega = np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0))
+    f = np.asarray(fraction, dtype=float)
+    sin_omega = np.sin(omega)
+    safe = sin_omega > 1e-12
+    w1 = np.where(safe, np.sin((1.0 - f) * omega) / np.where(safe, sin_omega, 1.0), 1.0 - f)
+    w2 = np.where(safe, np.sin(f * omega) / np.where(safe, sin_omega, 1.0), f)
+    w = u * w1[..., None] + v * w2[..., None]
+    return w / np.linalg.norm(w, axis=-1)[..., None]
+
+
+degrees_st = st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-540.0, 540.0),
+                                st.floats(-90.0, 90.0), st.floats(-540.0, 540.0),
+                                st.floats(-0.5, 1.5)), min_size=1, max_size=30)
+
+
+class TestColumnTriples:
+    """The kernels on (x, y, z) columns give the stacked formulas' bits."""
+
+    @given(degrees_st)
+    @example([(10.0, 20.0, 10.0, 20.0, 0.5), (0.0, 0.0, 0.0, 180.0, 0.25),
+              (90.0, 0.0, -90.0, 0.0, 0.5), (-0.0, -0.0, 0.0, 0.0, 1.0)])
+    @settings(max_examples=200)
+    def test_bit_for_bit(self, rows):
+        lat1, lon1, lat2, lon2, f = (np.array(c) for c in zip(*rows))
+        u, v = unit_vectors(lat1, lon1), unit_vectors(lat2, lon2)
+        u_stack, v_stack = stacked_unit_vectors(lat1, lon1), stacked_unit_vectors(lat2, lon2)
+        assert np.array_equal(bits(np.stack(u, axis=-1)), bits(u_stack))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got, want = np.stack(slerp(u, v, f), axis=-1), stacked_slerp(u_stack, v_stack, f)
+        assert np.array_equal(bits(got), bits(want))
+        # the offsets of v in u's frame, and the chord that ground speeds take
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(
+            local_offsets_km(u, v), local_offsets_km(*(np.moveaxis(w, -1, 0)
+                                                       for w in (u_stack, v_stack)))))
+        dx, dy, dz = (a - b for a, b in zip(u, v))
+        assert np.array_equal(bits(np.sqrt(dx * dx + dy * dy + dz * dz)),
+                              bits(np.linalg.norm(u_stack - v_stack, axis=-1)))
+
+
 class TestLocalOffsets:
     def test_matches_the_haversine_and_bearing_oracles(self):
         # seeded pairs within 3,000 km: (d sin θ, d cos θ, d) of the oracles
@@ -236,8 +284,8 @@ class TestLocalOffsets:
     def test_finite_at_an_exact_pole(self, z):
         rng = np.random.default_rng(63)
         lat, lon = rng.uniform(-90.0, 90.0, 200), rng.uniform(-180.0, 180.0, 200)
-        s = np.array([0.0, 0.0, z])
-        b = np.vstack([unit_vectors(lat, lon), s])
+        s = (0.0, 0.0, z)
+        b = [np.append(c, pole) for c, pole in zip(unit_vectors(lat, lon), s)]
         east, north, d = local_offsets_km(s, b)
         assert np.all(np.isfinite(east) & np.isfinite(north))
         assert (east[-1], north[-1], d[-1]) == (0.0, 0.0, 0.0)

@@ -409,6 +409,68 @@ class TestParseTable:
         assert np.signbit(table.lon).tolist() == ([False] * 4 + [True]) * 3
 
 
+def block_edge_log() -> bytes:
+    """A log whose line breaks fall on the edges of blocks of a few bytes: each
+    of ``\\n``, ``\\r\\n`` and a lone ``\\r``, blank lines, a line longer than a
+    block, a receiver-layout line, one bad line of each class, and no final
+    line break."""
+    lines = [format_line(r) for r in
+             records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))][:30]
+    e, f, s, b, lat, lon = lines[5].split()
+    lines[20:20] = [
+        " ".join([e, f, s, b, lat]),                   # malformed
+        " ".join([e, f, "1", b, lat, lon]),            # invalid_sat_id
+        " ".join([e, f, s, "49", lat, lon]),           # invalid_beam_id
+        " ".join([e, f, s, b, "+91.000000", lon]),     # invalid_coordinate
+        " ".join([e, "1000000", s, b, lat, lon]),      # invalid_frac
+        lines[5],                                      # duplicate
+        "", "   ", "\t",                              # blank
+        " " * 300 + lines[7].replace(" ", "  "),       # longer than a block: parse_line
+        SAMPLE_LOG_ROWS[0],                            # the receiver's layout
+    ]
+    breaks = ["\n", "\r\n", "\r", "\r\n", "\n", "\r"]
+    return "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines[:-1])) \
+        .encode() + lines[-1].encode()
+
+
+class TestReadBlocks:
+    """A path is read in blocks of lines; where the blocks end changes nothing."""
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 8, 47, 64])
+    def test_blocks_of_a_few_bytes_read_as_one(self, monkeypatch, tmp_path, read_bytes):
+        path = tmp_path / "log.txt"
+        path.write_bytes(block_edge_log())
+        table, report = parse_table(path)
+        with open(path, encoding="utf-8") as fh:
+            accepted, counts, quarantined = reference_parse(fh)
+        assert records_of(table) == accepted and report.quarantined_lines == quarantined
+        assert all(counts[c] for c in ("blank", "malformed", "invalid_sat_id", "invalid_beam_id",
+                                       "invalid_coordinate", "invalid_frac", "duplicate"))
+        monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
+        blocked, blocked_report = parse_table(path)
+        assert blocked == table
+        assert blocked_report == report
+
+    @pytest.mark.parametrize("text", ["", "\r", "\r\n", "\n\r", "\r\r\n\n", "x", "x\r"])
+    @pytest.mark.parametrize("read_bytes", [1, 2])
+    def test_line_breaks_at_the_end(self, monkeypatch, tmp_path, text, read_bytes):
+        path = tmp_path / "log.txt"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
+        _, report = parse_table(path)
+        with open(path, encoding="utf-8") as fh:
+            n_lines = len(fh.readlines())
+        assert report.total_lines == n_lines
+
+    def test_blocks_of_lines_from_an_iterable(self, monkeypatch):
+        # anything but a path is taken _BLOCK_ROWS lines a block
+        lines = block_edge_log().decode().splitlines()
+        table, report = parse_table(lines)
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4)
+        blocked, blocked_report = parse_table(lines)
+        assert (blocked, blocked_report) == (table, report)
+
+
 #: what a mutation writes over one byte of a writer line: bytes the
 #: fixed-offset check tells apart, one undecodable byte, and non-ASCII
 #: characters that parse_line reads as a digit or as whitespace

@@ -494,6 +494,22 @@ class TestPerSatelliteDraw:
         assert slot.dtype == sat_idx.dtype == np.int64
         assert np.array_equal(slot, laid_slot[order]) and np.array_equal(sat_idx, laid_sat[order])
 
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    def test_keys_decoded_a_block_at_a_time(self, monkeypatch, loss_model):
+        # blocks of 7 keys, split into (slot, satellite) as each is taken, give the
+        # columns that one split of the whole chunk gives
+        config = corridor_config(per=0.5, duration_s=300.0, loss_model=loss_model)
+        receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
+        args = (config, simulator._orbit_basis(config), receiver, 0,
+                simulator._slot_count(config))
+        monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 1 << 30)
+        whole = _emit_columns(*args, np.random.default_rng(3))
+        monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 7)
+        blocked = _emit_columns(*args, np.random.default_rng(3))
+        assert whole[0].size > 700
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_lossless_chunks_concatenate_to_the_stream(self):
         # passes cut at a chunk edge keep every slot on both sides of the cut
         config = corridor_config(per=0.0, duration_s=1800.0)
