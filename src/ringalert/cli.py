@@ -269,7 +269,7 @@ def _build_sim_config(args) -> simulator.SimConfig:
 
 
 def _build_scenario(args) -> simulator.Scenario:
-    """``--scenario``, or the receiver and spoof flags; ``emit_stream``
+    """``--scenario``, or the receiver and spoof flags; ``emit_blocks``
     checks that the spoof starts inside the run."""
     if args.scenario:
         return _load_json(args.scenario, simulator.Scenario.from_dict)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -226,18 +227,14 @@ def _orbit_basis(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     per_plane = config.sats_per_plane
     heading = math.radians(90.0 - config.inclination_deg)
-    a_rows, t_rows, phases = [], [], []
-    for p, node in enumerate(config.plane_nodes()):
-        lam = math.radians(node)
-        a_vec = np.array([math.cos(lam), math.sin(lam), 0.0])
-        east = np.array([-math.sin(lam), math.cos(lam), 0.0])
-        north = np.array([0.0, 0.0, 1.0])
-        t_vec = north * math.cos(heading) + east * math.sin(heading)
-        for k in range(per_plane):
-            a_rows.append(a_vec)
-            t_rows.append(t_vec)
-            phases.append(2.0 * math.pi * (k + p / config.planes) / per_plane)
-    return np.array(a_rows), np.array(t_rows), np.array(phases)
+    lam = [math.radians(node) for node in config.plane_nodes()]
+    cos_l, sin_l = np.array([math.cos(x) for x in lam]), np.array([math.sin(x) for x in lam])
+    a_vec = np.stack((cos_l, sin_l, np.zeros(config.planes)), axis=1)  # a row per plane
+    east = np.stack((-sin_l, cos_l, np.zeros(config.planes)), axis=1)
+    t_vec = np.array([0.0, 0.0, 1.0]) * math.cos(heading) + east * math.sin(heading)
+    p, k = np.divmod(np.arange(config.n_sats), per_plane)
+    return (np.repeat(a_vec, per_plane, axis=0), np.repeat(t_vec, per_plane, axis=0),
+            2.0 * math.pi * (k + p / config.planes) / per_plane)
 
 
 def _sat_positions(config: SimConfig, basis, sat_index, t_s: np.ndarray):
@@ -344,31 +341,27 @@ _GAP_SAMPLERS = {"iid": _iid_gaps, "burst": _burst_gaps}
 LOSS_MODELS = tuple(_GAP_SAMPLERS)
 
 
-def _kept_offsets(length: int, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Indices in [0, length) of one in-view slot range kept by the loss channel.
-
-    They are the slots reached by adding up the channel's gaps from slot -1.
-    Gaps are drawn in batches sized from the slot reached, so work scales with
-    the kept count, not the slot count. The batch sizes fix how many draws a
-    stream consumes.
-    """
+def _kept_offsets(length: int, config: SimConfig, rng: np.random.Generator,
+                  drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, drawn): the offsets in [0, length) that a satellite's loss renewal keeps of
+    its next ``length`` in-view slots, and its positions drawn past them. The renewal
+    adds up the channel's gaps from slot -1 over the in-view slots laid end to end;
+    ``drawn`` holds its positions from the last one reached on, counted from these
+    slots' start (``[-1]`` at the start of a run). The batches of gaps are sized from
+    what is left; they do not change the stream, as consecutive draws of one generator
+    equal one larger draw."""
+    if config.per in (0.0, 1.0):  # every slot kept, or none: nothing to draw
+        return np.arange(length if config.per == 0.0 else 0, dtype=np.int64), drawn
     keep_prob = 1.0 - config.per
-    if keep_prob <= 0.0 or length <= 0:
-        return np.empty(0, dtype=np.int64)
-    if keep_prob >= 1.0:
-        return np.arange(length, dtype=np.int64)
     draw_gaps = _GAP_SAMPLERS[config.loss_model]
-    kept = []
-    pos = -1
-    while pos < length - 1:
+    parts = [drawn]
+    while (pos := int(parts[-1][-1])) < length - 1:
         batch = max(64, int((int((length - max(pos, 0)) * keep_prob) + 1) * 1.2) + 16)
-        positions = pos + np.cumsum(draw_gaps(config, rng, batch))
-        take = positions[positions < length]
-        kept.append(take)
-        if take.size < positions.size:
-            break
-        pos = int(positions[-1])
-    return np.concatenate(kept)
+        parts.append(pos + draw_gaps(config, rng, batch).cumsum())
+    drawn = np.concatenate(parts)
+    end = int(drawn.searchsorted(length))
+    # a negative first position is the one reached before these slots, not one of them
+    return drawn[int(drawn[0] < 0):end], drawn[max(end - 1, 0):] - length
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +374,12 @@ def _beam_ids_for_slots(config: SimConfig, slots: np.ndarray, sat_index) -> np.n
     per slot. Satellites are de-phased by their index."""
     nb = config.n_beams
     # the schedule repeats every nb frames: one table of its nb^2 positions, looked up per
-    # row; built per call (~30 us, 2 ns a row of a 2^14-row block), so no state outlives it
-    frame, s = np.divmod(np.arange(nb * nb), nb)
-    schedule = np.where(s == 0, 0, ((nb - 1) * frame + s - 1) % nb + 1)
-    return schedule[(slots + sat_index % nb) % (nb * nb)]
+    # row; built per call (~20 us, 1 ns a row of a 2^14-row block), so no state outlives it
+    frame, s = np.arange(nb)[:, None], np.arange(nb)
+    schedule = np.where(s == 0, 0, ((nb - 1) * frame + s - 1) % nb + 1).ravel()
+    # remainders as x - x // m * m: numpy divides by a scalar twice as fast as it takes them
+    index = slots + (sat_index - sat_index // nb * nb)
+    return schedule[index - index // (nb * nb) * (nb * nb)]
 
 
 def _slot_count(config: SimConfig) -> int:
@@ -392,15 +387,18 @@ def _slot_count(config: SimConfig) -> int:
     return int(-(-duration_us // config.slot_us)) if duration_us > 0 else 0
 
 
-def _beam_table(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (cos d, sin d * east / |o|, sin d * north / |o|) indexed by beam id, for
+@lru_cache(maxsize=16)  # keyed by the beam layout: a run looks it up per block
+def _beam_table(beam_offsets: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Rows (cos d, sin d * east / |o|, sin d * north / |o|) indexed by beam id, for
     the beam whose (east, north) offset o lies at angular distance d; the
     sub-satellite beam 0 is (1, 0, 0)."""
-    east, north = np.array([(0.0, 0.0), *config.beam_offsets]).T
+    east, north = np.array([(0.0, 0.0), *beam_offsets]).T
     d_km = np.hypot(east, north)
     delta = d_km / EARTH_RADIUS_KM
     scale = np.sin(delta) / np.where(d_km > 0.0, d_km, 1.0)
-    return np.cos(delta), east * scale, north * scale
+    table = np.array((np.cos(delta), east * scale, north * scale))
+    table.flags.writeable = False  # every call shares it
+    return table
 
 
 def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np.ndarray,
@@ -430,7 +428,7 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
         slot, sat_idx, ux, uy, uz, northbound = (
             a[visible] for a in (slot, sat_idx, ux, uy, uz, northbound))
     beam_id = _beam_ids_for_slots(config, slot, sat_idx)
-    c, a_e, a_n = (column[beam_id] for column in _beam_table(config))
+    c, a_e, a_n = (column[beam_id] for column in _beam_table(config.beam_offsets))
     a_n = np.where(northbound, a_n, -a_n)
     # e = (-u_y, u_x, 0) / rho and n = (-u_z u_x, -u_z u_y, rho^2) / rho
     rho = np.sqrt(ux * ux + uy * uy)
@@ -446,52 +444,72 @@ def _in_view_records(config: SimConfig, basis, receiver: MotionProfile, slot: np
     return slot, sat_idx, beam_id, lat, lon
 
 
-def _emit(config: SimConfig, basis, receiver: MotionProfile, slot_lo: int, slot_hi: int,
-          rng: np.random.Generator):
-    """Blocks of the columns (slot, sat_idx, beam_id, lat, lon) of every emission in slots
-    [slot_lo, slot_hi) that survives the loss channel and reaches ``receiver``, by slot,
-    then satellite.
+#: rows a chunk aims at (a few MB of keys), and the most slots it takes (100 h at 90 ms)
+_CHUNK_ROWS, _CHUNK_SLOTS = 1 << 17, 1 << 22
 
-    The loss channel draws one renewal per satellite over its in-view slots
-    laid end to end, satellite by satellite, so one generator state gives one
-    stream. A burst outage thus carries across the gap between two passes.
-    The kept emissions' keys are then sorted, and each block of :data:`_GEOMETRY_ROWS`
-    of them is decoded and yielded through :func:`_in_view_records`.
-    :func:`emit_blocks` makes a table of each block; :func:`sample_windows` stops at
-    the one that fills its windows.
+
+def _emit(config: SimConfig, basis, receiver: MotionProfile, horizon: int,
+          rng: np.random.Generator):
+    """Blocks of the columns (slot, sat_idx) of every emission in slots [0, horizon) that
+    survives the loss channel and may reach ``receiver``, by slot, then satellite;
+    :func:`_in_view_records` turns a block into records.
+
+    Each satellite's losses are one renewal over its in-view slots laid end to end,
+    drawn from its own generator spawned from ``rng``; a burst outage carries across
+    passes. The slots are taken a chunk at a time and each renewal resumes where
+    the last chunk left it, so the rows do not depend on the chunks. The first
+    chunk has 2^14 slots (about 25 min at 90 ms); each next one is sized from the
+    rows per slot so far to hold about :data:`_CHUNK_ROWS` rows, at most four times
+    the last and :data:`_CHUNK_SLOTS`. A chunk's sorted (slot, satellite) keys are
+    yielded in blocks of :data:`_GEOMETRY_ROWS`, at least one a chunk.
     """
     # the closed-form ranges hold for the start point; widen them by the run's travel
-    margin_km = receiver.speed_kmh * config.duration_s / 3600.0
-    sat, first, last = _view_slot_ranges(
-        config, basis, receiver.start, config.coverage_radius_km + margin_km, slot_lo, slot_hi
-    )
-    # the in-view slots laid end to end: range i ends before offset laid_end[i], and
-    # satellite j's ranges span offsets [spans[j], spans[j + 1])
-    laid_end = np.cumsum(last - first + 1)
-    spans = np.concatenate(([0], laid_end))[np.searchsorted(sat, np.arange(config.n_sats + 1))]
-    key = np.concatenate([_kept_offsets(int(b - a), config, rng) + a
-                          for a, b in zip(spans[:-1], spans[1:])])
-    # the offsets ascend, so range i holds the next counts[i]; each becomes its key, in place
-    counts = np.diff(np.searchsorted(key, laid_end), prepend=0)
-    key += np.repeat(last + 1 - laid_end, counts)
-    key *= config.n_sats
-    key += np.repeat(sat, counts)
-    # the keys are distinct, so sorting them orders the rows
-    key.sort()
-    # every draw is made before the first yield, so a caller that stops early leaves ``rng``
-    # where a full pass does; at least one block keeps the dtypes when nothing is in view.
-    # Each block's keys are split into (slot, sat_idx) as it is taken.
-    for k in range(0, max(key.size, 1), _GEOMETRY_ROWS):
-        yield _in_view_records(config, basis, receiver,
-                               *np.divmod(key[k:k + _GEOMETRY_ROWS], config.n_sats))
+    radius_km = config.coverage_radius_km + receiver.speed_kmh * config.duration_s / 3600.0
+    # satellite j draws from the j-th child of the run's seed sequence, the one
+    # ``rng.spawn(n_sats)`` gives a fresh ``rng``, made when first drawn from
+    seq, streams = rng.bit_generator.seed_seq, {}
+    drawn = [np.array([-1], dtype=np.int64)] * config.n_sats
+    shift = (config.n_sats - 1).bit_length()  # a key is slot << shift | sat_idx
+    hi, size, rows = 0, 1 << 14, 0
+    while True:  # at least one chunk, so at least one block
+        lo, hi = hi, min(hi + size, horizon)
+        sat, first, last = _view_slot_ranges(config, basis, receiver.start, radius_km, lo, hi)
+        # the in-view slots laid end to end: range i ends before offset laid_end[i], and
+        # satellite j's ranges span offsets [spans[j], spans[j + 1])
+        laid_end = np.cumsum(last - first + 1)
+        spans = np.concatenate(([0], laid_end))[np.searchsorted(sat, np.arange(config.n_sats + 1))]
+        key = [np.empty(0, dtype=np.int64)]
+        for j, (a, b) in enumerate(zip(spans.tolist(), spans[1:].tolist())):
+            if b > a:
+                if j not in streams:
+                    streams[j] = np.random.Generator(type(rng.bit_generator)(np.random.SeedSequence(
+                        seq.entropy, spawn_key=(*seq.spawn_key, j), pool_size=seq.pool_size)))
+                kept, drawn[j] = _kept_offsets(b - a, config, streams[j], drawn[j])
+                key.append(kept + a)
+        key = np.concatenate(key)
+        # the offsets ascend, so range i holds the next counts[i]; each becomes its key, in place
+        counts = np.diff(np.searchsorted(key, laid_end), prepend=0)
+        key += np.repeat(last + 1 - laid_end, counts)
+        key <<= shift
+        key |= np.repeat(sat, counts)
+        # the keys are distinct, so sorting them orders the rows
+        key.sort()
+        for k in range(0, max(key.size, 1), _GEOMETRY_ROWS):
+            block = key[k:k + _GEOMETRY_ROWS]
+            yield block >> shift, block & ((1 << shift) - 1)
+        if hi == horizon:
+            return
+        rows += key.size
+        # a slot holds at most n_sats rows, so the rate's share is at least 2^17 / 66 slots
+        size = min(4 * size, _CHUNK_SLOTS, _CHUNK_ROWS * hi // rows if rows else 4 * size)
 
 
 def emit_blocks(config: SimConfig, scenario: Scenario | None = None) -> Iterator[RecordTable]:
     """The records of :func:`emit_stream`, in order, one table per block of the emitter.
 
     The scenario is checked at the call; the emission runs as the blocks are
-    taken. A run then holds its sorted keys, about 8 bytes per record, and
-    one block, so ``simulate`` writes each block as it comes.
+    taken. A run then holds one chunk's keys and one block, so ``simulate``
+    writes each block as it comes in memory that does not grow with the run.
     """
     if scenario is None:
         scenario = _DEFAULT_SCENARIO
@@ -499,15 +517,16 @@ def emit_blocks(config: SimConfig, scenario: Scenario | None = None) -> Iterator
         raise ValueError(f"spoof start {scenario.spoof.start_s} s falls outside the simulated "
                          f"{config.duration_s} s")
     sat_ids = np.array(config.sat_ids, dtype=np.int64)
+    basis, receiver = _orbit_basis(config), scenario.receiver
 
-    def table(block) -> RecordTable:
-        slot, sat_idx, beam_id, lat, lon = block
+    def table(keys) -> RecordTable:
+        slot, sat_idx, beam_id, lat, lon = _in_view_records(config, basis, receiver, *keys)
         total_us = slot * config.slot_us
         return RecordTable(config.start_epoch_s + total_us // 1_000_000, total_us % 1_000_000,
                            sat_ids[sat_idx], beam_id, lat, lon)
 
-    return map(table, _emit(config, _orbit_basis(config), scenario.receiver, 0,
-                            _slot_count(config), np.random.default_rng(config.seed)))
+    return map(table, _emit(config, basis, receiver, _slot_count(config),
+                            np.random.default_rng(config.seed)))
 
 
 def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTable:
@@ -525,29 +544,8 @@ def emit_stream(config: SimConfig, scenario: Scenario | None = None) -> RecordTa
 # ---------------------------------------------------------------------------
 # stationary-receiver window sampling for Monte Carlo evaluation
 
-# the window stream starts with a chunk of this many slots (about 25 min at 90 ms)...
-_FIRST_WINDOW_CHUNK_SLOTS = 1 << 14
-# ...later chunks grow to at most this many (100 h)...
-_WINDOW_CHUNK_SLOTS = 4_000_000
-# ...and a receiver that no satellite reaches is given up on after this many slots
-_MAX_WINDOW_SLOTS = 4096 * _WINDOW_CHUNK_SLOTS
-
-
-def _next_chunk_slots(last: int, slots_done: int, beams_seen: int, beams_needed: int) -> int:
-    """Size of the next chunk of the window stream, in slots.
-
-    Enough slots for the beams still needed at the beam rate seen so far,
-    plus a 10% margin, but at least a first chunk's worth; four times the
-    last chunk while no beam has been seen. The last chunk thus shrinks to
-    what is still needed. Integer arithmetic keeps the schedule exact, so
-    reruns emit the same chunks.
-    """
-    if beams_seen == 0:
-        size = 4 * last
-    else:
-        size = max(_FIRST_WINDOW_CHUNK_SLOTS,
-                   -(-11 * beams_needed * slots_done // (10 * beams_seen)))
-    return min(size, _WINDOW_CHUNK_SLOTS)
+# a receiver that no satellite reaches is given up on after this many slots (46 years)
+_MAX_WINDOW_SLOTS = 16_384_000_000
 
 
 @dataclass(frozen=True)
@@ -572,12 +570,11 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
     """Consecutive disjoint windows of ``window_messages`` beam records each.
 
     A fast path for Monte Carlo studies with a stationary receiver, on either
-    loss channel. The stream comes from the same emitter as
-    :func:`emit_stream`, one chunk of slots at a time, each chunk sized from
-    the beams still needed (the last one too, so it emits about what the
-    windows use), so cost scales with the message count. Each geometry block
-    writes the beam rows the windows use in place, back to back, and the
-    block that fills the last window ends the stream.
+    loss channel. The windows are the beam records of :func:`emit_stream`'s
+    stream for the same generator, from the same emitter, so cost scales with
+    the message count. Each geometry block writes the beam rows the windows
+    use in place, back to back, and the block that fills the last window ends
+    the stream.
     """
     if window_messages < 1:
         raise ValueError("window_messages must be >= 1")
@@ -588,24 +585,24 @@ def sample_windows(config: SimConfig, receiver: GeoPoint, *, window_messages: in
                                   "window can be collected")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    basis = _orbit_basis(config)
-    stationary = MotionProfile(receiver, 0.0, 0.0)
-    needed = n_windows * window_messages
+    basis, stationary = _orbit_basis(config), MotionProfile(receiver, 0.0, 0.0)
+    needed, beams_seen = n_windows * window_messages, 0
     t_s, lats, lons = columns = np.empty((3, needed))
-    lo, size, beams_seen = 0, _FIRST_WINDOW_CHUNK_SLOTS, 0
-    while lo < _MAX_WINDOW_SLOTS:
-        hi = min(lo + size, _MAX_WINDOW_SLOTS)
-        for slot, _, beam_id, lat, lon in _emit(config, basis, stationary, lo, hi, rng):
-            beams = np.flatnonzero(beam_id)
-            rows = beams[:needed - beams_seen]
-            at = slice(beams_seen, beams_seen + rows.size)
+    for keys in _emit(config, basis, stationary, _MAX_WINDOW_SLOTS, rng):
+        while keys[0].size:
+            # geometry for about the rows the beams still needed take: a row carries one
+            # beam, or the sub-satellite record in one slot in n_beams
+            take = (needed - beams_seen) * config.n_beams // (config.n_beams - 1) + 1
+            part, keys = zip(*((k[:take], k[take:]) for k in keys))
+            slot, _, beam_id, lat, lon = _in_view_records(config, basis, stationary, *part)
+            beams = np.flatnonzero(beam_id)[:needed - beams_seen]
+            at = slice(beams_seen, beams_seen + beams.size)
             # whole microseconds since the run start, scaled once: the emitter's slot time exactly
-            t_s[at], lats[at], lons[at] = (slot[rows] * config.slot_us) * 1e-6, lat[rows], lon[rows]
+            t_s[at], lats[at], lons[at] = (slot[beams] * config.slot_us * 1e-6, lat[beams],
+                                           lon[beams])
             beams_seen += beams.size
-            if beams_seen >= needed:
+            if beams_seen == needed:
                 return WindowSample(*columns.reshape(3, n_windows, window_messages))
-        size = _next_chunk_slots(size, hi, beams_seen, needed - beams_seen)
-        lo = hi
     hours = _MAX_WINDOW_SLOTS * config.slot_s / 3600.0
     raise InsufficientWindows(
         f"collected only {beams_seen // window_messages}/{n_windows} windows in "

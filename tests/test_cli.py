@@ -836,7 +836,7 @@ class TestSimulatorConfigErrors:
                  else ["--report", tmp_path / "r"])
         assert run_cli(argv + extra) == 1
         err = assert_usage_error(capsys, argv)
-        if argv[-2:] == ["--spoof", "100,90,10"]:  # emit_stream's check, with its values
+        if argv[-2:] == ["--spoof", "100,90,10"]:  # emit_blocks' check, with its values
             assert "spoof start 100.0 s falls outside the simulated 60.0 s" in err
         assert not out.exists() and not track.exists()
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,7 @@ from ringalert.simulator import (
     default_beam_offsets,
     emit_stream,
     orbital_period_s,
-    _FIRST_WINDOW_CHUNK_SLOTS,
     _MAX_WINDOW_SLOTS,
-    _WINDOW_CHUNK_SLOTS,
     sample_windows,
 )
 from tests.conftest import (corridor_config, format_line, haversine_km, overhead_config, records_of,
@@ -259,14 +258,15 @@ class TestEmitStream:
 
 
 def emit_haversine_reference(config: SimConfig, scenario: Scenario) -> dict[str, np.ndarray]:
-    """Reference: the stream with each satellite taken to latitude and longitude,
-    a haversine visibility test, and each beam offset applied by ``displace_deg``."""
+    """Reference: the stream with each satellite's whole run drawn at once from its own
+    generator, each satellite taken to latitude and longitude, a haversine
+    visibility test, and each beam offset applied by ``displace_deg``."""
     receiver = scenario.receiver
     basis = simulator._orbit_basis(config)
     a_all, t_all, phases = basis
     omega = config.ground_speed_kms / EARTH_RADIUS_KM
     offsets = np.array(config.beam_offsets)
-    rng = np.random.default_rng(config.seed)
+    streams = np.random.default_rng(config.seed).spawn(config.n_sats)
     margin_km = receiver.speed_kmh * config.duration_s / 3600.0
     sat, first_all, last_all = simulator._view_slot_ranges(
         config, basis, receiver.start, config.coverage_radius_km + margin_km, 0,
@@ -277,7 +277,8 @@ def emit_haversine_reference(config: SimConfig, scenario: Scenario) -> dict[str,
             continue
         first, last = first_all[sat == j], last_all[sat == j]
         laid_end = np.cumsum(last - first + 1)
-        drawn = simulator._kept_offsets(int(laid_end[-1]), config, rng)
+        drawn, _ = simulator._kept_offsets(int(laid_end[-1]), config, streams[j],
+                                           np.array([-1]))
         kept = drawn + (last + 1 - laid_end)[np.searchsorted(laid_end, drawn, side="right")]
         t = (kept * config.slot_us).astype(float) * 1e-6
         theta = omega * t + phases[j]
@@ -433,16 +434,19 @@ class TestViewSlotRanges:
         assert np.array_equal(np.array(simulator._view_slot_ranges(*args)), np.array(whole))
 
 
-def _emit_columns(*args) -> tuple[np.ndarray, ...]:
-    """The emitter's blocks joined into its five columns, as ``emit_stream`` joins them."""
-    return tuple(np.concatenate(column) for column in zip(*simulator._emit(*args)))
+def _emit_columns(config, basis, receiver, horizon, rng) -> tuple[np.ndarray, ...]:
+    """The records of the emitter's blocks joined into five columns, as ``emit_stream``
+    joins them."""
+    blocks = simulator._emit(config, basis, receiver, horizon, rng)
+    return tuple(np.concatenate(column) for column in zip(
+        *(simulator._in_view_records(config, basis, receiver, *keys) for keys in blocks)))
 
 
 class TestPerSatelliteDraw:
     # each satellite's in-view ranges are laid end to end for one loss draw,
     # and the drawn offsets are mapped back to slots
 
-    RANGES = {  # satellite index -> inclusive slot ranges inside [40, 100)
+    RANGES = {  # satellite index -> inclusive slot ranges inside [40, 100), one chunk's
         0: [(40, 40), (41, 45), (50, 50), (52, 99)],  # chunk-edge cuts, length 1, adjacent
         1: [],
         2: [(60, 60)],
@@ -458,7 +462,7 @@ class TestPerSatelliteDraw:
         # whole-sphere coverage, so the exact in-view check keeps every slot
         config = overhead_config(n_sats=n_sats, per=per, seed=seed)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
-        return _emit_columns(config, simulator._orbit_basis(config), receiver, 40, 100,
+        return _emit_columns(config, simulator._orbit_basis(config), receiver, 100,
                              np.random.default_rng(seed)), config
 
     @staticmethod
@@ -500,8 +504,7 @@ class TestPerSatelliteDraw:
         # columns that one split of the whole chunk gives
         config = corridor_config(per=0.5, duration_s=300.0, loss_model=loss_model)
         receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
-        args = (config, simulator._orbit_basis(config), receiver, 0,
-                simulator._slot_count(config))
+        args = (config, simulator._orbit_basis(config), receiver, simulator._slot_count(config))
         monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 1 << 30)
         whole = _emit_columns(*args, np.random.default_rng(3))
         monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 7)
@@ -509,27 +512,6 @@ class TestPerSatelliteDraw:
         assert whole[0].size > 700
         for got, want in zip(blocked, whole):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    def test_lossless_chunks_concatenate_to_the_stream(self):
-        # passes cut at a chunk edge keep every slot on both sides of the cut
-        config = corridor_config(per=0.0, duration_s=1800.0)
-        whole = emit_stream(config)
-        basis = simulator._orbit_basis(config)
-        receiver = MotionProfile(GeoPoint(0, 0), 0.0, 0.0)
-        cut = simulator._slot_count(config) // 3 + 7
-        parts = [_emit_columns(config, basis, receiver, lo, hi, np.random.default_rng(0))
-                 for lo, hi in ((0, cut), (cut, simulator._slot_count(config)))]
-        assert all(part[0].size for part in parts)
-        slot, sat_idx, beam_id, lat, lon = (np.concatenate(column) for column in zip(*parts))
-        joined = {"slot_us": slot * config.slot_us,
-                  "sat_id": np.array(config.sat_ids)[sat_idx], "beam_id": beam_id,
-                  "lat": lat, "lon": lon}
-        emitted = {"slot_us": (whole.epoch_s - config.start_epoch_s) * 1_000_000 + whole.frac,
-                   "sat_id": whole.sat_id, "beam_id": whole.beam_id,
-                   "lat": whole.lat, "lon": whole.lon}
-        for name, column in joined.items():
-            assert column.dtype == emitted[name].dtype, name
-            assert np.array_equal(column, emitted[name]), name
 
 
 class TestScenario:
@@ -724,91 +706,107 @@ class TestSampleWindows:
         chunks = _record_chunks(monkeypatch)
         with pytest.raises(InsufficientWindows, match=f"0/3 windows in {_MAX_WINDOW_SLOTS} slots"):
             sample_windows(config, GeoPoint(0, 90), window_messages=10, n_windows=3)
-        # the last chunk stops at the horizon
-        _assert_contiguous(chunks[:-1])
-        assert chunks[-1] == (chunks[-2][1], _MAX_WINDOW_SLOTS)
-        # no beam seen: each chunk is four times the last, up to the cap
-        sizes = [hi - lo for lo, hi in chunks]
-        assert sizes[:4] == [_FIRST_WINDOW_CHUNK_SLOTS * 4 ** k for k in range(4)]
-        assert max(sizes) == _WINDOW_CHUNK_SLOTS
+        # the chunks tile the slots up to the horizon
+        assert chunks[0][0] == 0 and chunks[-1][1] == _MAX_WINDOW_SLOTS
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
 
     @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
-    def test_windows_match_emit_stream(self, loss_model):
-        # over the first chunk of slots, the windows are the beam records of the
+    def test_windows_match_emit_stream(self, monkeypatch, loss_model):
+        # over a run of several chunks, the windows are the beam records of the
         # stream emit_stream gives for the same seed and a stationary receiver
-        base = corridor_config(per=0.9, seed=7, loss_model=loss_model)
-        config = SimConfig(**{**base.to_dict(),
-                              "duration_s": _FIRST_WINDOW_CHUNK_SLOTS * base.slot_us / 1e6})
-        windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=30)
+        config = corridor_config(per=0.9, seed=7, loss_model=loss_model, duration_s=9000.0)
+        chunks = _record_chunks(monkeypatch)
         stream = emit_stream(config)
+        assert len(chunks) >= 3
+        windows = sample_windows(config, GeoPoint(0, 0), window_messages=700, n_windows=90)
         emitted_columns = {"t_s": run_times_s(stream, config), "lat": stream.lat,
                            "lon": stream.lon}
         for name, column in emitted_columns.items():
             emitted = column[stream.is_beam]
             sampled = getattr(windows, name).ravel()
-            assert sampled.size > emitted.size > 0  # the windows run past the first chunk
+            assert sampled.size > emitted.size > 0  # the windows run past the stream's end
             assert sampled.dtype == emitted.dtype
             assert np.array_equal(sampled[:emitted.size], emitted), name
 
 
 def _record_chunks(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap the emitter; the returned list fills with each (slot_lo, slot_hi) it is asked for."""
+    """Wrap the emitter's in-view ranges; the returned list fills with each chunk's
+    (slot_lo, slot_hi)."""
     chunks = []
-    emit = simulator._emit
+    ranges = simulator._view_slot_ranges
 
-    def recording_emit(config, basis, receiver, slot_lo, slot_hi, rng):
-        chunks.append((slot_lo, slot_hi))
-        return emit(config, basis, receiver, slot_lo, slot_hi, rng)
+    def recording_ranges(*args):
+        chunks.append(args[-2:])
+        return ranges(*args)
 
-    monkeypatch.setattr(simulator, "_emit", recording_emit)
+    monkeypatch.setattr(simulator, "_view_slot_ranges", recording_ranges)
     return chunks
 
 
-def _assert_contiguous(chunks):
-    assert chunks[0] == (0, _FIRST_WINDOW_CHUNK_SLOTS)
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
-    # chunks grow up to the cap; only the last may shrink to what is still needed
-    sizes = [hi - lo for lo, hi in chunks]
-    assert sizes[:-1] == sorted(sizes[:-1]) and max(sizes) <= simulator._WINDOW_CHUNK_SLOTS
+class TestChunking:
+    # each satellite's loss renewal resumes where the last chunk left it, so how a
+    # run is cut into chunks does not change its rows
 
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    @pytest.mark.parametrize("length", [1, 7, 300, 5000])
+    def test_renewal_resumes_across_pieces(self, loss_model, length):
+        # one satellite's renewal over 3 * length in-view slots, at once and in three
+        # pieces: the same kept slots, and positions drawn past the end that agree
+        # as far as both go (the batches differ, the stream does not)
+        config = overhead_config(per=0.8, loss_model=loss_model)
+        start = np.array([-1])
+        whole, rest = simulator._kept_offsets(3 * length, config, np.random.default_rng(4),
+                                              start)
+        rng, drawn, pieces = np.random.default_rng(4), start, []
+        for k in range(3):
+            kept, drawn = simulator._kept_offsets(length, config, rng, drawn)
+            pieces.append(kept + k * length)
+        assert np.array_equal(np.concatenate(pieces), whole)
+        common = min(drawn.size, rest.size)
+        assert np.array_equal(drawn[:common], rest[:common])
 
-class TestWindowSchedule:
-    @pytest.mark.parametrize("window_messages", [10, 1000])
-    def test_chunks_are_contiguous_and_rerun_identically(self, monkeypatch, window_messages):
-        config = corridor_config()
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    @pytest.mark.parametrize("scenario", [
+        _still(0, 0),
+        Scenario(MotionProfile(GeoPoint(0, 0), 30.0, 46.0)),
+    ], ids=["still", "moving"])
+    def test_two_chunkings_give_equal_tables(self, monkeypatch, loss_model, scenario):
+        config = corridor_config(per=0.9, seed=5, loss_model=loss_model, duration_s=3600.0)
         chunks = _record_chunks(monkeypatch)
-        schedules = []
-        for _ in range(2):
-            chunks.clear()
-            sample_windows(config, GeoPoint(0, 0), window_messages=window_messages,
-                           n_windows=100, rng=np.random.default_rng([config.seed, window_messages]))
-            _assert_contiguous(chunks)
-            schedules.append(list(chunks))
-        assert schedules[0] == schedules[1]
+        whole = emit_stream(config, scenario)
+        default_chunks = list(chunks)
+        # chunks of at most 1,000 slots after the first: cuts inside passes and outages
+        monkeypatch.setattr(simulator, "_CHUNK_SLOTS", 1000)
+        chunks.clear()
+        cut = emit_stream(config, scenario)
+        assert len(default_chunks) == 2 and len(chunks) == 25
+        assert len(whole) > 10_000 and cut == whole
 
-    @pytest.mark.parametrize("window_messages", [10, 100, 1000])
-    def test_cell_emits_about_what_it_needs(self, monkeypatch, window_messages):
-        # the n x 100 cells of the false-positive grid at per 0.985
-        config = corridor_config()
-        chunks = _record_chunks(monkeypatch)
-        windows = sample_windows(config, GeoPoint(0, 0), window_messages=window_messages,
-                                 n_windows=100,
-                                 rng=np.random.default_rng([config.seed, window_messages]))
-        needed_slots = round(windows[-1].t_s[-1] / config.slot_s) + 1
-        assert chunks[-1][1] <= max(_FIRST_WINDOW_CHUNK_SLOTS, 1.15 * needed_slots)
+    @pytest.mark.parametrize("loss_model", simulator.LOSS_MODELS)
+    def test_shorter_run_is_a_prefix(self, loss_model):
+        # a still receiver's in-view slots do not depend on the duration, so a run's
+        # records are the first ones of any longer run
+        config = corridor_config(per=0.9, seed=3, loss_model=loss_model, duration_s=60.0)
+        short = emit_stream(config)
+        long = emit_stream(SimConfig(**{**config.to_dict(), "duration_s": 7200.0}))
+        assert 0 < len(short) < len(long)
+        assert long[:len(short)] == short
 
-    def test_last_chunk_shrinks_to_the_need(self, monkeypatch):
-        # a low cap splits the n = 100 cell into capped chunks and a smaller last one
-        monkeypatch.setattr(simulator, "_WINDOW_CHUNK_SLOTS", 30_000)
-        config = corridor_config()
-        chunks = _record_chunks(monkeypatch)
-        windows = sample_windows(config, GeoPoint(0, 0), window_messages=100, n_windows=100,
-                                 rng=np.random.default_rng([config.seed, 100]))
-        _assert_contiguous(chunks)
-        sizes = [hi - lo for lo, hi in chunks]
-        assert len(sizes) >= 3 and sizes[-1] < sizes[-2] == 30_000
-        needed_slots = round(windows[-1].t_s[-1] / config.slot_s) + 1
-        assert chunks[-1][1] <= 1.15 * needed_slots
+    def test_memory_is_flat_in_duration(self):
+        # one always-in-view satellite, lossless: one record a slot. A run holds one
+        # chunk's keys and one block, so four times the duration peaks alike
+        def peak_bytes(duration_s: float) -> tuple[int, int]:
+            config = overhead_config(duration_s=duration_s)
+            tracemalloc.start()
+            try:
+                records = sum(len(block) for block in simulator.emit_blocks(config))
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+
+        (short, _), (long, long_records) = peak_bytes(24_000.0), peak_bytes(96_000.0)
+        assert long_records > 1_000_000
+        assert long <= 1.2 * short
 
 
 def beam_ids_reference(config: SimConfig, slots: np.ndarray, sat_index) -> np.ndarray:
@@ -835,8 +833,7 @@ class TestBeamSchedule:
 
 class TestGeometryBlocks:
     def test_last_chunk_stops_at_the_block_that_fills_the_windows(self, monkeypatch):
-        # the n = 1000 x 100 cell of the false-positive grid, in blocks smaller than its
-        # last chunk's surplus (at 2^14 rows the filling block is that chunk's last anyway)
+        # the n = 1000 x 100 cell of the false-positive grid, in blocks of 2^10 rows
         monkeypatch.setattr(simulator, "_GEOMETRY_ROWS", 1 << 10)
         config = corridor_config()
         chunks = _record_chunks(monkeypatch)
@@ -844,9 +841,9 @@ class TestGeometryBlocks:
         draw, in_view = simulator._kept_offsets, simulator._in_view_records
 
         def recording_draw(*args):
-            offsets = draw(*args)
-            drawn.append((len(chunks), offsets.size))
-            return offsets
+            kept, rest = draw(*args)
+            drawn.append((len(chunks), kept.size))
+            return kept, rest
 
         def recording_in_view(*args):
             columns = in_view(*args)
@@ -857,9 +854,10 @@ class TestGeometryBlocks:
         monkeypatch.setattr(simulator, "_in_view_records", recording_in_view)
         sample_windows(config, GeoPoint(0, 0), window_messages=1000, n_windows=100,
                        rng=np.random.default_rng([config.seed, 1000]))
-        # the block that completes the 100,000 beams is the last one run...
+        # the block that completes the 100,000 beams is the last one run, and the
+        # geometry of its rows stops near the last beam needed, well short of the block...
         beams = np.cumsum([n for _, _, n in blocks])
-        assert beams[-2] < 100_000 <= beams[-1]
+        assert beams[-2] < 100_000 <= beams[-1] < 100_000 + 100
         # ...although the last chunk drew more rows than its blocks turned into geometry
         last = len(chunks)
         assert (sum(rows for chunk, rows, _ in blocks if chunk == last)
