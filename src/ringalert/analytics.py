@@ -287,7 +287,7 @@ def fit_evd(durations_min) -> EvdParams:
             break
         sigma = new_sigma
     else:
-        raise NonConvergence("scale iteration did not converge in 100 steps", iterations=100)
+        raise NonConvergence("scale iteration did not converge in 100 steps")
     u = t / sigma
     shift = u.max()
     mu = sigma * (shift + math.log(np.exp(u - shift).sum() / t.size))

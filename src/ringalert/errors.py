@@ -8,10 +8,6 @@ class RingAlertError(Exception):
 class MalformedLine(RingAlertError):
     """A log line has the wrong field count or non-numeric fields."""
 
-    def __init__(self, message: str, lineno: int | None = None):
-        super().__init__(message if lineno is None else f"line {lineno}: {message}")
-        self.lineno = lineno
-
 
 class InvalidSatId(RingAlertError):
     """Satellite ID is not one of the 66 known active IDs."""
@@ -43,10 +39,6 @@ class InsufficientData(RingAlertError):
 
 class NonConvergence(RingAlertError):
     """An iterative fit failed to converge."""
-
-    def __init__(self, message: str, iterations: int | None = None):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class BinOverflow(RingAlertError):

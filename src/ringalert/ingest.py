@@ -14,10 +14,10 @@ That example line is in the receiver's layout, two decimals of degrees.
 ``1580712040 000000739 115 0 +29.810000 +046.100000``. Both sides work on
 blocks of lines held as byte columns, row k holding byte k of every line:
 the writer builds each block's fields as digit rows at their offsets and
-writes the block to a binary file as is; :func:`parse_table` reads lines in
-either layout at fixed byte offsets, a block of lines at a time, and hands
-every other line to :func:`parse_line`; both tiers put a line in the same
-class.
+writes the block to a binary file as is; :func:`parse_table` reads a path as
+bytes, a block of lines at a time, takes lines in either layout at fixed
+byte offsets, and hands every other line to :func:`parse_line`; both tiers
+put a line in the same class.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from functools import cache
-from itertools import islice
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -86,7 +85,7 @@ class IngestReport:
         return {**counts, "quarantined": self.quarantined}
 
 
-def parse_line(line: str, lineno: int | None = None) -> IraRecord:
+def parse_line(line: str) -> IraRecord:
     """Parse one log line into a validated record.
 
     Raises MalformedLine, then InvalidCoordinate, InvalidSatId or InvalidBeamId,
@@ -96,7 +95,7 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
     """
     parts = line.replace(",", " ").split()
     if len(parts) != 6:
-        raise MalformedLine(f"expected 6 fields, got {len(parts)}", lineno)
+        raise MalformedLine(f"expected 6 fields, got {len(parts)}")
     try:
         epoch_s = int(parts[0])
         frac = int(parts[1])
@@ -105,11 +104,11 @@ def parse_line(line: str, lineno: int | None = None) -> IraRecord:
         lat = float(parts[4])
         lon = float(parts[5])
     except ValueError as exc:
-        raise MalformedLine(f"non-numeric field in {parts!r}", lineno) from exc
+        raise MalformedLine(f"non-numeric field in {parts!r}") from exc
     if frac < 0:
-        raise MalformedLine(f"negative sub-second counter {frac}", lineno)
+        raise MalformedLine(f"negative sub-second counter {frac}")
     if not _INT64.min <= epoch_s <= _INT64.max or frac > _INT64.max:
-        raise MalformedLine("time field does not fit in 64 bits", lineno)
+        raise MalformedLine("time field does not fit in 64 bits")
     ground = GeoPoint(lat, lon)
     if sat_id not in _VALID_SAT_IDS:
         raise InvalidSatId(f"satellite id {sat_id} not in the known set")
@@ -132,8 +131,7 @@ _HEAD = "dddddddddd ddddddddd "
 _MIDDLE = 6
 #: whether each satellite id the middle can spell, up to four digits, is a known one
 _KNOWN_SAT = np.isin(np.arange(10 ** (_MIDDLE - 2)), sorted(_VALID_SAT_IDS))
-#: lines per block of :func:`write_records`, and of :func:`parse_table` on
-#: anything but a path: a block's columns stay in cache
+#: lines per block of :func:`write_records`: a block's columns stay in cache
 _BLOCK_ROWS = 1 << 14
 #: bytes per read of a path by :func:`parse_table`, about 5,400 lines of the
 #: writer's layout: a block is one read and the rest of the line before it.
@@ -193,67 +191,43 @@ def _split(buf: np.ndarray, returns: bool, final: bool) -> tuple[np.ndarray, np.
     return starts[:ends.size], ends, rest
 
 
-def _line_blocks(source):
-    """Blocks of the source's lines, each as (content, its bytes, and the
-    [start, end) span of each line's content in both).
+def _line_blocks(path):
+    """Blocks of the lines of the file at ``path``, each as its bytes and the
+    [start, end) span of each line's content in them.
 
-    A path is read as bytes into one buffer, :data:`_READ_BYTES` at a time,
+    The file is read as bytes into one buffer, :data:`_READ_BYTES` at a time,
     until the new bytes hold a line break; a block is the whole lines in the
     buffer, and the rest of the last line moves to the front for the next
-    read (a line longer than the buffer doubles it). The content is that
-    buffer, refilled once the block is taken. Anything else is iterated,
-    :data:`_BLOCK_ROWS` lines a block, and its content is the text, one byte
-    per character in the buffer, with every non-ASCII character as '?'; a
-    text file object that cannot decode its bytes is a read failure. Either
-    way no field accepts a byte of a non-ASCII character, so such lines are
-    left to :func:`parse_line`.
+    read (a line longer than the buffer doubles it). A block's bytes are a
+    view of the buffer, refilled once the block is taken. No field accepts a
+    byte of a non-ASCII character, so such lines are left to :func:`parse_line`.
     """
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            fh = open(source, "rb")
-        except OSError as exc:
-            raise IoFailure(f"cannot open {exc.filename}: {exc.strerror}") from exc
-        try:
-            with fh:
-                buffer, filled, final = bytearray(_READ_BYTES), 0, False
-                while not final:
-                    new = filled  # read on until the new bytes hold a line break, or to the end
-                    while True:
-                        if filled == len(buffer):  # one line fills the buffer
-                            buffer = buffer + bytearray(len(buffer))
-                        n = fh.readinto(memoryview(buffer)[filled:filled + _READ_BYTES])
-                        filled, final = filled + n, not n
-                        if (final or buffer.find(b"\n", new, filled) >= 0
-                                or buffer.find(b"\r", new, filled) >= 0):
-                            break
-                    buf = np.frombuffer(buffer, dtype=np.uint8, count=filled)
-                    starts, ends, rest = _split(buf, buffer.find(b"\r", 0, filled) >= 0, final)
-                    if ends.size:
-                        yield buffer, buf, starts, ends
-                    if rest:  # the rest of the last line moves to the front
-                        buffer[:filled - rest] = buffer[rest:filled]
-                        filled -= rest
-        except OSError as exc:
-            raise IoFailure(f"read failure: {exc}") from exc
-        return
-    lines_of = iter(source)
     try:
-        while lines := list(islice(lines_of, _BLOCK_ROWS)):
-            text = "".join(lines)
-            buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-            lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-            ends = np.cumsum(lengths)
-            own_newline = np.zeros(len(lines), dtype=bool)
-            nonempty = lengths > 0
-            own_newline[nonempty] = buf[ends[nonempty] - 1] == _NEWLINE
-            yield text, buf, ends - lengths, ends - own_newline
-    except (OSError, UnicodeDecodeError) as exc:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot open {exc.filename}: {exc.strerror}") from exc
+    try:
+        with fh:
+            buffer, filled, final = bytearray(_READ_BYTES), 0, False
+            while not final:
+                new = filled  # read on until the new bytes hold a line break, or to the end
+                while True:
+                    if filled == len(buffer):  # one line fills the buffer
+                        buffer = buffer + bytearray(len(buffer))
+                    n = fh.readinto(memoryview(buffer)[filled:filled + _READ_BYTES])
+                    filled, final = filled + n, not n
+                    if (final or buffer.find(b"\n", new, filled) >= 0
+                            or buffer.find(b"\r", new, filled) >= 0):
+                        break
+                buf = np.frombuffer(buffer, dtype=np.uint8, count=filled)
+                starts, ends, rest = _split(buf, buffer.find(b"\r", 0, filled) >= 0, final)
+                if ends.size:
+                    yield buf, starts, ends
+                if rest:  # the rest of the last line moves to the front
+                    buffer[:filled - rest] = buffer[rest:filled]
+                    filled -= rest
+    except OSError as exc:
         raise IoFailure(f"read failure: {exc}") from exc
-
-
-def _line_text(content: bytearray | str, start: int, end: int) -> str:
-    line = content[start:end]
-    return line if isinstance(line, str) else line.decode("utf-8", "replace")
 
 
 # ---- first tier: the fixed layouts, column-wise
@@ -338,9 +312,8 @@ def _parse_fixed(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, layout:
 _ACCEPTED_DTYPES = [np.int64] * 5 + [float] * 2
 
 
-def _parse_block(content: bytearray | str, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                 first: int, report: IngestReport, quarantined: list,
-                 blank: list) -> list[np.ndarray]:
+def _parse_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first: int,
+                 report: IngestReport, quarantined: list, blank: list) -> list[np.ndarray]:
     """The columns (line, epoch_s, frac, sat_id, beam_id, lat, lon) of the
     accepted lines of one block, in line order, lines numbered from ``first``
     + 1. Every quarantined or blank line is counted in ``report``, and the
@@ -371,12 +344,12 @@ def _parse_block(content: bytearray | str, buf: np.ndarray, starts: np.ndarray, 
     rows, slow_quarantined, slow_blank = [], [], []
     for i in np.flatnonzero(slow).tolist():
         lineno = first + i + 1
-        stripped = _line_text(content, starts[i], ends[i]).strip()
+        stripped = buf[starts[i]:ends[i]].tobytes().decode("utf-8", "replace").strip()
         if not stripped:
             slow_blank.append(lineno)
             continue
         try:
-            r = parse_line(stripped, lineno)
+            r = parse_line(stripped)
         except MalformedLine:
             report.malformed += 1
         except InvalidSatId:
@@ -407,27 +380,28 @@ def _parse_block(content: bytearray | str, buf: np.ndarray, starts: np.ndarray, 
     return [c[by_line] for c in columns]
 
 
-def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
-    """Parse a path, file object, or iterable of lines into a record table.
+def parse_table(path: str | os.PathLike,
+                frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[RecordTable, IngestReport]:
+    """Parse the log file at ``path`` into a record table.
 
+    The file is read as bytes, a block of lines at a time (:func:`_line_blocks`),
+    so the parse holds one block and the accepted columns, never the whole file.
     Lines in the writer's layout (:func:`write_records`) or the receiver's
     (lat and lon to two decimals) are read at fixed offsets, column-wise, a
-    block of lines at a time. Every other line goes through :func:`parse_line`, and
-    each line lands in the class ``parse_line`` gives it. Accepted lines
-    whose sub-second counter reaches one second in ``frac_unit_s`` are
-    quarantined as ``invalid_frac``; a line whose (epoch_s, frac, sat_id)
-    equals an earlier accepted line's as ``duplicate``. The table carries
-    ``frac_unit_s``. Only OS-level failures raise (IoFailure).
-
-    A path is read a block of lines at a time (:func:`_line_blocks`), so the
-    parse holds one block and the accepted columns, never the whole file.
+    block at a time. Every other line is decoded as UTF-8, an undecodable byte
+    as U+FFFD, and goes through :func:`parse_line`; each line lands in the
+    class ``parse_line`` gives it. Accepted lines whose sub-second counter
+    reaches one second in ``frac_unit_s`` are quarantined as ``invalid_frac``;
+    a line whose (epoch_s, frac, sat_id) equals an earlier accepted line's as
+    ``duplicate``. The table carries ``frac_unit_s``. Only a file that cannot
+    be opened or read raises (IoFailure).
     """
     # the numbers of the lines left out: quarantined, and blank
     report, quarantined, blank = IngestReport(), [np.empty(0, dtype=np.int64)], []
     # each accepted column, block by block, in line order
     blocks = [[np.empty(0, dtype)] for dtype in _ACCEPTED_DTYPES[1:]]
-    for content, buf, starts, ends in _line_blocks(source):
-        lines, *columns = _parse_block(content, buf, starts, ends, report.total_lines, report,
+    for buf, starts, ends in _line_blocks(path):
+        lines, *columns = _parse_block(buf, starts, ends, report.total_lines, report,
                                        quarantined, blank)
         report.total_lines += int(starts.size)
         bad_frac = columns[1] * frac_unit_s >= 1.0
@@ -467,13 +441,14 @@ def parse_table(source, frac_unit_s: float = DEFAULT_FRAC_UNIT_S) -> tuple[Recor
     return table, report
 
 
-def parse_stream(source) -> tuple[list[IraRecord], IngestReport]:
-    """:func:`parse_table` with the accepted rows as a time-sorted record list.
+def parse_stream(path: str | os.PathLike) -> tuple[list[IraRecord], IngestReport]:
+    """:func:`parse_table` of the log at ``path``, counters in microseconds, with
+    the accepted rows as a time-sorted record list.
 
     One arrival is the unit here: the list feeds a replay that pushes record
     by record into :meth:`detector.WindowedDetector.push`.
     """
-    table, report = parse_table(source)
+    table, report = parse_table(path)
     return [IraRecord(e, f, s, b, GeoPoint(lat, lon))
             for e, f, s, b, lat, lon in zip(*(c.tolist() for c in table.columns()))], report
 

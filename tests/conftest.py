@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ def run_times_s(stream: RecordTable, config: SimConfig) -> np.ndarray:
     return ((stream.epoch_s - config.start_epoch_s) * 1_000_000 + stream.frac) * 1e-6
 
 
+def log_file(tmp_path, lines) -> Path:
+    """The path of a new log under ``tmp_path`` holding ``lines``, each ended by a newline."""
+    path = tmp_path / "log.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
 def reference_parse(lines, frac_unit_s: float = DEFAULT_FRAC_UNIT_S):
     """Per-line reference of ``ingest.parse_table``: each line through
     ``parse_line``, then a sub-second counter of one second or more, then
@@ -117,7 +125,7 @@ def reference_parse(lines, frac_unit_s: float = DEFAULT_FRAC_UNIT_S):
             counts["blank"] += 1
             continue
         try:
-            record = parse_line(stripped, lineno)
+            record = parse_line(stripped)
         except tuple(classes) as exc:
             cls = classes[type(exc)]
         else:

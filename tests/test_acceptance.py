@@ -6,7 +6,6 @@ dataset run their real-data arm only when ``RINGALERT_REAL_DATASET`` points
 at a log file; the synthetic arms always run.
 """
 
-import io
 import math
 import os
 
@@ -29,6 +28,7 @@ from tests.conftest import (
     SAMPLE_LOG_FIELDS,
     SAMPLE_LOG_ROWS,
     corridor_config,
+    log_file,
     overhead_config,
     run_times_s,
 )
@@ -40,7 +40,7 @@ def _report(criterion: int, name: str):
     print(f"ACCEPTANCE {criterion} ({name}): PASS")
 
 
-def test_01_parser_fidelity():
+def test_01_parser_fidelity(tmp_path):
     # every reference row parses to its exact field values
     for row, (epoch, frac, sat, beam, lat, lon) in zip(SAMPLE_LOG_ROWS, SAMPLE_LOG_FIELDS):
         record = ingest.parse_line(row)
@@ -56,7 +56,7 @@ def test_01_parser_fidelity():
         "1580712040 000000739 115 49 +29.81 +046.10",
         "1580712040 000000739 116 0 +29.81 +046.10",
     ]
-    records, report = ingest.parse_stream(io.StringIO("\n".join(rows)))
+    records, report = ingest.parse_stream(log_file(tmp_path, rows))
     assert len(records) == 7
     assert report.quarantined == 3
     assert report.reconciles()

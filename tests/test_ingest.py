@@ -31,6 +31,7 @@ from tests.conftest import (
     SAMPLE_LOG_FIELDS,
     SAMPLE_LOG_ROWS,
     format_line,
+    log_file,
     make_records,
     records_of,
     reference_parse,
@@ -66,10 +67,10 @@ class TestParseLine:
         ("1580712040 000000739 1 49 +29.81 +046.10", InvalidSatId, "invalid_sat_id"),
         ("1580712040 -5 1 49 +91.00 +046.10", MalformedLine, "malformed"),
     ])
-    def test_invalid_fields(self, line, error, count):
+    def test_invalid_fields(self, tmp_path, line, error, count):
         with pytest.raises(error):
             parse_line(line)
-        _, report = parse_table([line])
+        _, report = parse_table(log_file(tmp_path, [line]))
         assert (getattr(report, count), report.quarantined_lines) == (1, [1])
 
     def test_longitude_wraps_instead_of_failing(self):
@@ -103,29 +104,29 @@ class TestParseLine:
 
 
 class TestParseStream:
-    def test_empty(self):
-        records, report = parse_stream(io.StringIO(""))
+    def test_empty(self, tmp_path):
+        records, report = parse_stream(log_file(tmp_path, []))
         assert records == []
         assert report.total_lines == 0
         assert report.accepted == 0
         assert report.quarantined == 0
 
-    def test_reference_rows(self):
-        records, report = parse_stream(io.StringIO("\n".join(SAMPLE_LOG_ROWS)))
+    def test_reference_rows(self, tmp_path):
+        records, report = parse_stream(log_file(tmp_path, SAMPLE_LOG_ROWS))
         assert len(records) == 7
         assert report.accepted == 7
         assert report.quarantined == 0
         assert report.reconciles()
 
-    def test_quarantine_counts_reconcile(self):
+    def test_quarantine_counts_reconcile(self, tmp_path):
         rows = SAMPLE_LOG_ROWS[:6] + ["1580712040 000013699 116 46 +26.46 +051.72"]
-        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        records, report = parse_stream(log_file(tmp_path, rows))
         assert len(records) == 6
         assert report.invalid_sat_id == 1
         assert report.quarantined == 1
         assert report.reconciles()
 
-    def test_mixed_error_classes(self):
+    def test_mixed_error_classes(self, tmp_path):
         rows = [
             SAMPLE_LOG_ROWS[0],
             "garbage line",
@@ -134,7 +135,7 @@ class TestParseStream:
             "1580712040 000000739 1 0 +29.81 +046.10",
             "1580712040 000000739 115 0 +99.00 +046.10",
         ]
-        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        records, report = parse_stream(log_file(tmp_path, rows))
         assert len(records) == 1
         assert report.malformed == 1
         assert report.invalid_beam_id == 1
@@ -143,22 +144,21 @@ class TestParseStream:
         assert report.blank == 1
         assert report.reconciles()
 
-    def test_duplicate_decode_quarantined(self):
+    def test_duplicate_decode_quarantined(self, tmp_path):
         rows = SAMPLE_LOG_ROWS + [
             SAMPLE_LOG_ROWS[3],                              # repeated line
             "1580712040 000005599 115 12 +20.00 +040.00",  # same satellite and instant
             "1580712040 000005599 78 12 +20.00 +040.00",   # another satellite: kept
         ]
-        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        records, report = parse_stream(log_file(tmp_path, rows))
         assert (report.accepted, report.duplicate, report.quarantined) == (8, 2, 2)
         assert report.quarantined_lines == [8, 9]
         assert report.reconciles()
         first = [r for r in records if (r.epoch_s, r.frac, r.sat_id) == (1580712040, 5599, 115)]
         assert [r.beam_id for r in first] == [47]
 
-    def test_output_sorted_by_time(self):
-        rows = list(reversed(SAMPLE_LOG_ROWS))
-        records, _ = parse_stream(io.StringIO("\n".join(rows)))
+    def test_output_sorted_by_time(self, tmp_path):
+        records, _ = parse_stream(log_file(tmp_path, reversed(SAMPLE_LOG_ROWS)))
         keys = [(r.epoch_s, r.frac) for r in records]
         assert keys == sorted(keys)
 
@@ -166,20 +166,24 @@ class TestParseStream:
         with pytest.raises(IoFailure):
             parse_stream(tmp_path / "does_not_exist.txt")
 
-    def test_undecodable_text_file_object_raises_io_failure(self, tmp_path):
+    def test_undecodable_bytes_are_malformed_not_a_read_failure(self, tmp_path):
+        # the reader takes bytes: a line that is not UTF-8 decodes with U+FFFD
+        # and is quarantined like any other malformed line
         path = tmp_path / "stream.txt"
-        path.write_bytes(SAMPLE_LOG_ROWS[0].encode() + b"\n\xff\xfe\n")
-        with open(path, encoding="utf-8") as fh, pytest.raises(IoFailure, match="read failure"):
-            parse_table(fh)
+        path.write_bytes(b"\n".join([SAMPLE_LOG_ROWS[0].encode(), b"\xff\xfe",
+                                     SAMPLE_LOG_ROWS[1].encode()]))
+        records, report = parse_stream(path)
+        assert (len(records), report.malformed, report.quarantined_lines) == (2, 1, [2])
+        assert report.reconciles()
 
-    def test_time_field_beyond_64_bits_is_malformed(self):
+    def test_time_field_beyond_64_bits_is_malformed(self, tmp_path):
         rows = ["9" * 25 + " 000000739 115 0 +29.81 +046.10",
                 "1580712040 " + "9" * 25 + " 115 0 +29.81 +046.10"]
-        records, report = parse_stream(io.StringIO("\n".join(rows)))
+        records, report = parse_stream(log_file(tmp_path, rows))
         assert (records, report.malformed, report.quarantined_lines) == ([], 2, [1, 2])
 
     def test_file_round_trip(self, tmp_path):
-        table, _ = parse_table(io.StringIO("\n".join(SAMPLE_LOG_ROWS)))
+        table, _ = parse_table(log_file(tmp_path, SAMPLE_LOG_ROWS))
         path = tmp_path / "stream.txt"
         write_records(table, path)
         back, report = parse_table(path)
@@ -239,25 +243,18 @@ def mixed_log_lines() -> list[str]:
 
 
 class TestParseTable:
-    """parse_table against the per-line reference, every class and source kind."""
+    """parse_table against the per-line reference, every class."""
 
-    @pytest.mark.parametrize("kind", ["path", "file", "lines"])
+    @pytest.mark.parametrize("kind", ["path", "str", "crlf"])
     def test_matches_per_line_reference(self, tmp_path, kind):
+        # a pathlib.Path, the same path as a str, and the log with CRLF line breaks
         lines = mixed_log_lines()
-        text = "\n".join(lines) + "\n"
-        path = tmp_path / "mixed.log"
-        path.write_text(text, encoding="utf-8")
-        if kind == "path":
-            table, report = parse_table(path)
-            with open(path, encoding="utf-8") as fh:
-                expected = reference_parse(fh)
-        elif kind == "file":
-            table, report = parse_table(io.StringIO(text))
-            expected = reference_parse(io.StringIO(text))
-        else:
-            table, report = parse_table(lines)
-            expected = reference_parse(lines)
-        accepted, counts, quarantined = expected
+        path = log_file(tmp_path, lines)
+        if kind == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        table, report = parse_table(str(path) if kind == "str" else path)
+        with open(path, encoding="utf-8") as fh:
+            accepted, counts, quarantined = reference_parse(fh)
         assert {k: v for k, v in report.to_dict().items() if v} == {k: v for k, v in {
             "total_lines": len(lines), "accepted": len(accepted), **counts,
             "quarantined": sum(counts.values()) - counts["blank"]}.items() if v}
@@ -277,24 +274,22 @@ class TestParseTable:
         # the writer's layout and the receiver's, which SAMPLE_LOG_ROWS uses
         lines = [" ".join(layout(format_line(r).split(" ")))
                  for r in records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))]
-        path = tmp_path / "log.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = log_file(tmp_path, lines)
 
-        def refuse(line, lineno=None):
-            raise AssertionError(f"line {lineno} left the column-wise path")
+        def refuse(line):
+            raise AssertionError(f"{line!r} left the column-wise path")
 
         monkeypatch.setattr(ingest, "parse_line", refuse)
-        for source in (lines, path):
-            table, report = parse_table(source)
-            assert report.accepted == len(table) == len(lines) > 300
+        table, report = parse_table(path)
+        assert report.accepted == len(table) == len(lines) > 300
 
     def test_writer_lines_take_the_fixed_offsets(self, monkeypatch, tmp_path):
         # write_records writes every line at the widths the writer's layout reads
         path = tmp_path / "sim.log"
         write_records(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)), path)
 
-        def refuse(line, lineno=None):
-            raise AssertionError(f"line {lineno} left the fixed offsets")
+        def refuse(line):
+            raise AssertionError(f"{line!r} left the fixed offsets")
 
         monkeypatch.setattr(ingest, "parse_line", refuse)
         table, report = parse_table(path)
@@ -310,21 +305,18 @@ class TestParseTable:
         # give the records the per-line reference gives
         lines = [" ".join(layout(format_line(r).split(" ")))
                  for r in records_of(emit_stream(SimConfig(per=0.5, duration_s=60.0, seed=8)))]
-        path = tmp_path / "log.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = log_file(tmp_path, lines)
         accepted, _, _ = reference_parse(lines)
         calls = []
 
-        def counted(line, lineno=None):
-            calls.append(lineno)
-            return parse_line(line, lineno)
+        def counted(line):
+            calls.append(line)
+            return parse_line(line)
 
         monkeypatch.setattr(ingest, "parse_line", counted)
-        for source in (lines, path):
-            calls.clear()
-            table, report = parse_table(source)
-            assert records_of(table) == accepted and report.accepted == len(lines) > 300
-            assert len(calls) == len(lines)
+        table, report = parse_table(path)
+        assert records_of(table) == accepted and report.accepted == len(lines) > 300
+        assert calls == lines
 
     def test_other_lines_scattered_among_writer_lines(self, tmp_path):
         # far apart: receiver-layout lines and lines for parse_line keep their line numbers
@@ -335,11 +327,9 @@ class TestParseTable:
         path = tmp_path / "log.txt"
         path.write_text("\n".join(lines), encoding="utf-8")
         accepted, _, quarantined = reference_parse(lines)
-        for source in (path, lines):
-            table, report = parse_table(source)
-            assert (report.blank, report.malformed, report.quarantined_lines) == \
-                (1, 1, quarantined)
-            assert records_of(table) == accepted and len(accepted) > 1200
+        table, report = parse_table(path)
+        assert (report.blank, report.malformed, report.quarantined_lines) == (1, 1, quarantined)
+        assert records_of(table) == accepted and len(accepted) > 1200
 
     @pytest.mark.parametrize("text", [
         "", "\n", "\n\n", SAMPLE_LOG_ROWS[0],
@@ -359,25 +349,27 @@ class TestParseTable:
             (lines, counts["blank"], quarantined)
         assert records_of(table) == accepted
 
-    def test_lines_holding_newlines(self):
+    @pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r"])
+    def test_record_broken_by_a_line_break(self, tmp_path, line_break):
+        # each half of a record split by any line break is a malformed line of its own
         row = SAMPLE_LOG_ROWS[0].split()
-        lines = [" ".join(row[:2]) + "\n" + " ".join(row[2:]), "\n", SAMPLE_LOG_ROWS[1] + "\n",
-                 SAMPLE_LOG_ROWS[2] + "\r\n", "", SAMPLE_LOG_ROWS[3]]
-        table, report = parse_table(lines)
-        accepted, counts, quarantined = reference_parse(lines)
-        assert (report.total_lines, report.blank, report.quarantined_lines) == (6, 2, quarantined)
-        assert records_of(table) == accepted and len(accepted) == 4
+        path = tmp_path / "log.txt"
+        path.write_bytes("\n".join([SAMPLE_LOG_ROWS[1], " ".join(row[:2]) + line_break
+                                    + " ".join(row[2:]), SAMPLE_LOG_ROWS[2]]).encode())
+        table, report = parse_table(path)
+        assert (report.total_lines, report.malformed, report.quarantined_lines) == (4, 2, [2, 3])
+        assert records_of(table) == [parse_line(SAMPLE_LOG_ROWS[k]) for k in (1, 2)]
 
     @pytest.mark.parametrize("unit, accepted", [("us", False), ("tenus", False), ("ns", True)])
-    def test_counter_of_one_second_is_quarantined(self, unit, accepted):
+    def test_counter_of_one_second_is_quarantined(self, tmp_path, unit, accepted):
         rows = [SAMPLE_LOG_ROWS[0], "1580712040 1000000 115 3 +29.81 +046.10"]
-        table, report = parse_table(io.StringIO("\n".join(rows)), FRAC_UNITS_S[unit])
+        table, report = parse_table(log_file(tmp_path, rows), FRAC_UNITS_S[unit])
         assert (len(table), report.invalid_frac) == ((2, 0) if accepted else (1, 1))
         assert report.quarantined_lines == ([] if accepted else [2])
         assert report.reconciles()
 
-    def test_largest_counter_below_one_second_is_accepted(self):
-        table, report = parse_table(["1580712040 999999 115 3 +29.81 +046.10"])
+    def test_largest_counter_below_one_second_is_accepted(self, tmp_path):
+        table, report = parse_table(log_file(tmp_path, ["1580712040 999999 115 3 +29.81 +046.10"]))
         assert (len(table), report.invalid_frac) == (1, 0)
 
     @pytest.mark.parametrize("decimals", [6, 2], ids=["writer", "receiver"])
@@ -393,13 +385,11 @@ class TestParseTable:
             field for line in lines for field in line.split()}
         expected = [parse_line(line).ground for line in lines]
 
-        def refuse(line, lineno=None):
-            raise AssertionError(f"line {lineno} left the fixed offsets")
+        def refuse(line):
+            raise AssertionError(f"{line!r} left the fixed offsets")
 
         monkeypatch.setattr(ingest, "parse_line", refuse)
-        path = tmp_path / "log.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        table, report = parse_table(path)
+        table, report = parse_table(log_file(tmp_path, lines))
         assert report.accepted == len(lines)
         for got, want in ((table.lat, [p.lat_deg for p in expected]),
                           (table.lon, [p.lon_deg for p in expected])):
@@ -462,13 +452,12 @@ class TestReadBlocks:
             n_lines = len(fh.readlines())
         assert report.total_lines == n_lines
 
-    def test_blocks_of_lines_from_an_iterable(self, monkeypatch):
-        # anything but a path is taken _BLOCK_ROWS lines a block
-        lines = block_edge_log().decode().splitlines()
-        table, report = parse_table(lines)
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4)
-        blocked, blocked_report = parse_table(lines)
-        assert (blocked, blocked_report) == (table, report)
+    @pytest.mark.parametrize("source", [[SAMPLE_LOG_ROWS[0]], io.StringIO(SAMPLE_LOG_ROWS[0])],
+                             ids=["lines", "file"])
+    def test_only_a_path_is_read(self, source):
+        # lines in a list or a text file object are not a path to open
+        with pytest.raises(TypeError):
+            parse_table(source)
 
 
 #: what a mutation writes over one byte of a writer line: bytes the
@@ -531,8 +520,6 @@ class TestMutatedWriterLines:
         with open(path, encoding="utf-8", errors="replace") as fh:
             expected = reference_parse(fh)
         assert_matches_reference(parse_table(path), expected, len(raw))
-        lines = [line.decode("utf-8", "replace") for line in raw]
-        assert_matches_reference(parse_table(lines), reference_parse(lines), len(raw))
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutated_writer_logs())
